@@ -12,11 +12,11 @@ RandomizedLogSwitch::RandomizedLogSwitch(const Graph& g, const CoinOracle& coins
                                          unsigned zeta_log2_den)
     : clock_(PhaseClock::with_random_levels(g, 3, coins, zeta_num, zeta_log2_den)) {}
 
-RandomizedLogSwitch::RandomizedLogSwitch(const Graph& g, std::vector<int> init_levels,
+RandomizedLogSwitch::RandomizedLogSwitch(const Graph& g, const std::vector<int>& init_levels,
                                          const CoinOracle& coins,
                                          std::uint64_t zeta_num,
                                          unsigned zeta_log2_den)
-    : clock_(g, 3, std::move(init_levels), coins, zeta_num, zeta_log2_den) {}
+    : clock_(g, 3, init_levels, coins, zeta_num, zeta_log2_den) {}
 
 PhaseClockSwitch::PhaseClockSwitch(const Graph& g, int d, const CoinOracle& coins,
                                    std::uint64_t zeta_num, unsigned zeta_log2_den)

@@ -60,7 +60,7 @@ class RandomizedLogSwitch final : public SwitchProcess {
  public:
   RandomizedLogSwitch(const Graph& g, const CoinOracle& coins,
                       std::uint64_t zeta_num = 1, unsigned zeta_log2_den = 7);
-  RandomizedLogSwitch(const Graph& g, std::vector<int> init_levels,
+  RandomizedLogSwitch(const Graph& g, const std::vector<int>& init_levels,
                       const CoinOracle& coins, std::uint64_t zeta_num = 1,
                       unsigned zeta_log2_den = 7);
 

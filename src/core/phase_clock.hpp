@@ -13,9 +13,21 @@
 // *arbitrary unknown* diameter: when diam(G) <= 2 the clock synchronizes and
 // yields both S2 and S3; on larger-diameter graphs only the upper bound S1
 // survives — which is exactly what the 3-color analysis needs.
+//
+// Cost and parallelism: a round is a dense O(n + m) sweep (almost every
+// vertex scans its neighbours), so levels are bytes — 2 B/vertex with the
+// next-round buffer — and a round is computed in vertex ranges. Each vertex
+// reads only the previous round's levels and its own counter-based coin,
+// and writes only its own slot of the next buffer, so the result is
+// bit-identical at any width. The fan-out is fixed at construction:
+// min(host width, (n + 2m) / kGrain) threads on ThreadPool::shared(), four
+// chunks each. A graph below 2 * kGrain work units (such as G(2^15,
+// avg-deg 8)), a 1-wide host, or a call from inside a pool task (a
+// TrialBatch trial) steps inline; `--threads` does not cap the fan-out.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -25,15 +37,24 @@ namespace ssmis {
 
 class PhaseClock {
  public:
+  // Largest supported D: the top level D + 2 must fit a byte.
+  static constexpr int kMaxD = 253;
+  // Work units (vertices plus adjacency entries, n + 2m overall) each
+  // thread must get per round before a round fans out: 0.5-1 ms of sweep on
+  // one core, so the pool's per-round wake-up and join, which take tens of
+  // microseconds on a VM and vary with the host's other load, stay a few
+  // percent of it.
+  static constexpr std::int64_t kGrain = std::int64_t{1} << 20;
+
   // zeta = zeta_num / 2^zeta_log2_den (the paper uses 1/2^7 = 4/a, a = 512).
-  // Throws std::invalid_argument for d < 1 or malformed zeta or init levels
-  // outside [0, d+2].
-  PhaseClock(const Graph& g, int d, std::vector<int> init_levels,
+  // Throws std::invalid_argument for d outside [1, kMaxD], malformed zeta, or
+  // init levels outside [0, d+2].
+  PhaseClock(const Graph& g, int d, const std::vector<int>& init_levels,
              const CoinOracle& coins, std::uint64_t zeta_num = 1,
              unsigned zeta_log2_den = 7);
 
   // Uniformly random initial levels drawn from the oracle (self-stabilizing
-  // processes must cope with arbitrary levels).
+  // processes must cope with arbitrary levels). Same validation as above.
   static PhaseClock with_random_levels(const Graph& g, int d, const CoinOracle& coins,
                                        std::uint64_t zeta_num = 1,
                                        unsigned zeta_log2_den = 7);
@@ -52,19 +73,26 @@ class PhaseClock {
   double zeta() const;
 
   int level(Vertex u) const { return levels_[static_cast<std::size_t>(u)]; }
-  const std::vector<int>& levels() const { return levels_; }
+  std::vector<int> levels() const;
 
   // Test/fault hook.
   void force_level(Vertex u, int level);
 
  private:
+  // Round t's levels of the vertices [begin, begin + out.size()), computed
+  // from levels_ into `out`. Reads shared state only.
+  void step_range(std::int64_t t, Vertex begin, std::span<std::uint8_t> out) const;
+  Vertex chunk_begin(int c) const;
+
   const Graph* graph_;
   CoinOracle coins_;
   int d_;
   std::uint64_t zeta_num_;
   unsigned zeta_log2_den_;
-  std::vector<int> levels_;
-  std::vector<int> scratch_;
+  int width_;   // threads a round fans out over
+  int chunks_;
+  std::vector<std::uint8_t> levels_;
+  std::vector<std::uint8_t> next_;
   std::int64_t round_ = 0;
 };
 

@@ -49,7 +49,8 @@ const ProtocolRegistrar kThreeColorProtocol{
       auto init = make_init_g(g, params.init, coins);
       std::unique_ptr<ThreeColorProcess> p;
       if (params.has("switch-d")) {
-        const int d = static_cast<int>(params.get_int("switch-d", 3));
+        const int d = narrow_cast<int>(
+            params.get_int("switch-d", 3, 1, PhaseClock::kMaxD));
         p = std::make_unique<ThreeColorProcess>(ThreeColorMIS(
             g, std::move(init), std::make_unique<PhaseClockSwitch>(g, d, coins),
             coins));

@@ -8,7 +8,6 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "graph/compressed.hpp"
@@ -188,10 +187,7 @@ void validate_adjacency(const std::string& path, std::int64_t n,
                         const std::int64_t* offsets, const Vertex* adj) {
   constexpr std::int64_t kParallelEndpoints = std::int64_t{1} << 20;
   const std::int64_t endpoints = n > 0 ? offsets[n] : 0;
-  const int width = std::min(
-      // ssmis-lint: allow(R2) audit fan-out width only: the first-error report is byte-identical at any width
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())),
-      ThreadPool::kMaxWorkers);
+  const int width = ThreadPool::host_width();
   if (endpoints < kParallelEndpoints || width <= 1 || n < 2) {
     audit_adjacency_rows(path, n, offsets, adj, 0, n);
     return;

@@ -12,7 +12,7 @@ namespace ssmis {
 namespace {
 
 [[noreturn]] void bad_value(const std::string& key, const std::string& value,
-                            const char* expected) {
+                            const std::string& expected) {
   throw std::invalid_argument("protocol option " + key + ": expected " +
                               expected + ", got '" + value + "'");
 }
@@ -37,6 +37,15 @@ std::int64_t ProtocolParams::get_int(const std::string& key,
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc() || ptr != s.data() + s.size())
     bad_value(key, s, "integer");
+  return value;
+}
+
+std::int64_t ProtocolParams::get_int(const std::string& key, std::int64_t fallback,
+                                     std::int64_t lo, std::int64_t hi) const {
+  const std::int64_t value = get_int(key, fallback);
+  if (value < lo || value > hi)
+    bad_value(key, get_string(key, ""),
+              "integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
   return value;
 }
 

@@ -2,7 +2,8 @@
 
 #include <charconv>
 #include <cstdlib>
-#include <thread>
+
+#include "support/thread_pool.hpp"
 
 namespace ssmis {
 
@@ -112,10 +113,7 @@ std::vector<std::string> CliArgs::unknown_options(
 ParallelOptions parse_parallel_options(const CliArgs& args) {
   ParallelOptions out;
   out.threads = static_cast<int>(args.get_int("threads", 1));
-  if (out.threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    out.threads = hw > 0 ? static_cast<int>(hw) : 1;
-  }
+  if (out.threads == 0) out.threads = ThreadPool::host_width();
   if (out.threads < 1) out.threads = 1;
   // --shard is shorthand for --batch=0; an explicit --batch value wins.
   out.batch = args.get_bool("batch", !args.get_bool("shard", false));

@@ -15,8 +15,9 @@ namespace ssmis {
 
 // Shared parallel-runtime knobs, parsed uniformly by every experiment and
 // example binary:
-//   --threads N   parallelism budget (1 = sequential, the default;
-//                 0 = hardware concurrency)
+//   --threads N   parallelism budget across trials and decide shards
+//                 (1 = sequential, the default; 0 = ThreadPool::host_width()).
+//                 The 3-color phase clock fans out on its own, at any N
 //   --batch[=0|1] with N > 1: interleave whole trials across the pool
 //                 (default) vs. --batch=0 / --shard: run trials in order,
 //                 sharding each engine's decide phase N ways

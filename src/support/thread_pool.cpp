@@ -19,6 +19,12 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
+int ThreadPool::host_width() {
+  static const int width = std::clamp(
+      narrow_cast<int>(std::thread::hardware_concurrency()), 1, kMaxWorkers);
+  return width;
+}
+
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lk(mu_);

@@ -1,7 +1,8 @@
 // A small persistent worker pool shared by the whole parallel runtime:
-// sharded engine stepping (core/engine.hpp) and batched trial scheduling
-// (harness/trial_batch.hpp) both fan out through this one pool, so threads
-// are spawned once per process, not once per round or per experiment cell.
+// sharded engine stepping (core/engine.hpp), batched trial scheduling
+// (harness/trial_batch.hpp), the phase-clock round (core/phase_clock.hpp)
+// and the `.ssg` audit all fan out through this one pool, so threads are
+// spawned once per process, not once per round or per experiment cell.
 //
 // Determinism contract: `parallel_for` addresses work by index. Callers
 // write results into per-index slots and merge them in index order, so what
@@ -34,6 +35,12 @@ class ThreadPool {
   // The process-wide pool. Starts with zero workers and grows on demand
   // (ensure_workers / parallel_for); it is never shrunk.
   static ThreadPool& shared();
+
+  // The host's hardware thread count clamped to [1, kMaxWorkers] (the
+  // standard library may report 0 when it cannot tell). The one place the
+  // runtime reads the host width; callers may size fan-out with it, never
+  // what an index computes.
+  static int host_width();
 
   // Grows the pool to at least min(n, kMaxWorkers) workers.
   void ensure_workers(int n);

@@ -14,6 +14,12 @@ namespace {
 TEST(PhaseClock, ConstructorValidation) {
   const Graph g = gen::path(3);
   EXPECT_THROW(PhaseClock(g, 0, {0, 0, 0}, CoinOracle(1)), std::invalid_argument);
+  EXPECT_THROW(PhaseClock(g, 254, {0, 0, 0}, CoinOracle(1)), std::invalid_argument);
+  EXPECT_NO_THROW(PhaseClock(g, PhaseClock::kMaxD, {0, 0, 255}, CoinOracle(1)));
+  // with_random_levels draws levels modulo d + 3, so it checks d first.
+  for (int d : {-3, 0, 254, 2147483647})
+    EXPECT_THROW(PhaseClock::with_random_levels(g, d, CoinOracle(1)),
+                 std::invalid_argument) << d;
   EXPECT_THROW(PhaseClock(g, 3, {0, 0}, CoinOracle(1)), std::invalid_argument);
   EXPECT_THROW(PhaseClock(g, 3, {0, 0, 9}, CoinOracle(1)), std::invalid_argument);
   EXPECT_THROW(PhaseClock(g, 3, {0, 0, 0}, CoinOracle(1), 0, 7), std::invalid_argument);
@@ -57,6 +63,40 @@ TEST(PhaseClock, MatchesReferenceImplementation) {
     ref = testing::reference_clock_step(g, ref, coins, t, 3);
     ASSERT_EQ(clock.levels(), ref) << "diverged at round " << t;
   }
+}
+
+// Above twice the fan-out grain (n + 2m ~ 2.4e6 work units) the round runs
+// in vertex ranges on the shared pool when the host has more than one
+// hardware thread; it must still match the sequential reference round by
+// round, through the deferred replay, and on compressed storage (whose
+// per-row seeks make it the slow leg, so it checks a shorter prefix).
+// Avg-deg 8 puts rows on both sides of the kernel's fixed-trip length.
+TEST(PhaseClock, WidthIndependentAboveGrain) {
+  const Vertex n = Vertex{1} << 18;
+  const Graph g = gen::gnp(n, 8.0 / (n - 1), 21);
+  ASSERT_GT(g.num_vertices() + 2 * g.num_edges(), 2 * PhaseClock::kGrain);
+  const CoinOracle coins(34);
+  PhaseClock clock = PhaseClock::with_random_levels(g, 3, coins);
+  std::vector<int> ref = clock.levels();
+  std::vector<int> ref_at_40;
+  for (std::int64_t t = 1; t <= 300; ++t) {
+    clock.step();
+    ref = testing::reference_clock_step(g, ref, coins, t, 3);
+    ASSERT_EQ(clock.levels(), ref) << "diverged at round " << t;
+    if (t == 40) ref_at_40 = ref;
+  }
+
+  PhaseClock replayed = PhaseClock::with_random_levels(g, 3, coins);
+  replayed.advance(120);
+  replayed.advance(0);
+  replayed.advance(180);
+  EXPECT_EQ(replayed.round(), 300);
+  EXPECT_EQ(replayed.levels(), ref);
+
+  const Graph compressed = Graph::compress(g);
+  PhaseClock packed = PhaseClock::with_random_levels(compressed, 3, coins);
+  packed.advance(40);
+  EXPECT_EQ(packed.levels(), ref_at_40);
 }
 
 TEST(PhaseClock, TopVertexStaysWithHighProbability) {

@@ -403,6 +403,23 @@ TEST(Registry, MalformedOptionValuesThrow) {
   params.set("black-bias", "zz");
   EXPECT_THROW(ProtocolRegistry::instance().make("2state-variant", g, params, 1),
                std::invalid_argument);
+  // --proto-switch-d outside [1, 253] fails loudly, naming the option: -3
+  // and 0 (no clock), 254 (top level d + 2 past a byte), 2^31 - 1 (d + 3
+  // overflows) and 2^32 + 3 (an int cast would wrap it to 3).
+  for (const char* d : {"-3", "0", "254", "2147483647", "4294967299"}) {
+    ProtocolParams bad;
+    bad.set("switch-d", d);
+    try {
+      (void)ProtocolRegistry::instance().make("3color", g, bad, 1);
+      ADD_FAILURE() << "switch-d=" << d << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("switch-d"), std::string::npos)
+          << e.what();
+    }
+  }
+  ProtocolParams ok;
+  ok.set("switch-d", "253");
+  EXPECT_NO_THROW((void)ProtocolRegistry::instance().make("3color", g, ok, 1));
 }
 
 TEST(Registry, DuplicateRegistrationThrows) {
