@@ -1,7 +1,7 @@
 // Shared plumbing for the experiment binaries: standard header/footer
 // formatting so every table in bench_output.txt is self-describing, plus
-// the common CLI knobs (--trials, --seed, scale factors, the parallel
-// runtime, and protocol selection).
+// the common CLI knobs (--trials, --seed, scale factors, --threads, and
+// protocol selection).
 //
 // Protocol selection is uniform across every binary:
 //   --list-protocols     print every registered protocol and exit
@@ -37,7 +37,7 @@ struct ExpContext {
   int trials;
   std::uint64_t seed;
   double scale;  // multiplies default problem sizes (--scale=2 for bigger runs)
-  ParallelOptions parallel;  // --threads / --batch, shared across all binaries
+  int threads = 1;  // --threads (parse_threads): trials batched across the pool
   std::string protocol;      // --protocol (validated), or the binary's default
   ProtocolParams proto_params;  // --proto-KEY=VALUE options
   // --graph-compressed: run every cell on compressed adjacency storage
@@ -52,12 +52,9 @@ struct ExpContext {
   // experiment binaries. Copies share the underlying CSR storage.
   std::optional<Graph> graph_override;
 
-  // Copies the parallel-runtime knobs into a measurement config (the
-  // experiment keeps setting trials/seed itself — cells offset seeds).
-  void apply_parallel(MeasureConfig& config) const {
-    config.threads = parallel.threads;
-    config.batch = parallel.batch;
-  }
+  // Copies --threads into a measurement config (the experiment keeps
+  // setting trials/seed itself — cells offset seeds).
+  void apply_parallel(MeasureConfig& config) const { config.threads = threads; }
 
   // Full protocol-generic wiring: the selected protocol, its options, and
   // the parallel runtime. Cells that sweep protocols themselves set
@@ -78,11 +75,8 @@ struct ExpContext {
   // Scheduler for a binary-local trial loop (same knobs, same determinism
   // contract as measure_stabilization).
   TrialBatch trial_batch(int num_trials) const {
-    return TrialBatch(num_trials, parallel.batch ? parallel.threads : 1);
+    return TrialBatch(num_trials, threads);
   }
-
-  // Engine shard budget for a single run driven directly by the binary.
-  int shards() const { return parallel.batch ? 1 : parallel.threads; }
 
   // Applies the --graph-compressed policy to a freshly generated graph.
   Graph maybe_compress(Graph g) const {
@@ -164,10 +158,9 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
   }
   // Reject typo'd flags loudly before anything runs with defaults.
   std::vector<std::string> known = {
-      "trials",     "seed",          "scale",         "threads",
-      "batch",      "shard",         "graph-file",    "graph-mmap",
-      "graph-trusted", "graph-compressed", "protocol", "list-protocols",
-      "proto-*"};
+      "trials",     "seed",       "scale",         "threads",
+      "graph-file", "graph-mmap", "graph-trusted", "graph-compressed",
+      "protocol",   "list-protocols", "proto-*"};
   known.insert(known.end(), extra_flags.begin(), extra_flags.end());
   const auto unknown = ctx.args.unknown_options(known);
   if (!unknown.empty()) {
@@ -177,7 +170,7 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
   ctx.trials = static_cast<int>(ctx.args.get_int("trials", default_trials));
   ctx.seed = static_cast<std::uint64_t>(ctx.args.get_int("seed", 1));
   ctx.scale = ctx.args.get_double("scale", 1.0);
-  ctx.parallel = parse_parallel_options(ctx.args);
+  ctx.threads = parse_threads(ctx.args);
   ctx.protocol = default_protocol;
   ctx.proto_params = protocol_params_from_args(ctx.args);
   ctx.compress_graphs = ctx.args.get_bool("graph-compressed", false);
@@ -240,14 +233,8 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
         break;  // the binary loads (and times) the file itself
     }
   }
-  if (ctx.parallel.threads > 1) {
-    // Single-run tables shard the engine even in the default batch mode —
-    // the banner states the policy, not a per-table claim.
-    std::cout << "# threads: " << ctx.parallel.threads << " ("
-              << (ctx.parallel.batch ? "batched trials; single runs shard"
-                                     : "sharded stepping")
-              << ")\n";
-  }
+  if (ctx.threads > 1)
+    std::cout << "# threads: " << ctx.threads << " (batched trials)\n";
   for (const auto& err : ctx.args.errors()) std::cout << "# CLI warning: " << err << "\n";
   return ctx;
 }

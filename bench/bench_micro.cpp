@@ -179,14 +179,14 @@ BENCHMARK(BM_CoinOracleWord);
 struct EngineBenchRow {
   std::string process;
   std::string graph;
-  std::string phase;  // "full_run", "stabilized_step", "sharded_step",
-                      // "trial_batch", "graph_build", "compressed_codec"
+  std::string phase;  // "full_run", "stabilized_step", "trial_batch",
+                      // "graph_build", "compressed_codec"
   Vertex n = 0;
   std::int64_t m = 0;
   bool trace = false;
   std::int64_t rounds = 0;
   double ns_per_round = 0.0;
-  int threads = 1;               // shard / batch width for the parallel rows
+  int threads = 1;               // batch width for the trial_batch rows
   double trials_per_sec = 0.0;   // trial_batch rows only
   std::int64_t trials_ok = 0;    // trial_batch rows only: stabilized trials
   double edges_per_sec = 0.0;    // graph_build rows only
@@ -262,35 +262,6 @@ EngineBenchRow stabilized_row(const std::string& process, const std::string& gna
 bool suspect_width(int threads) {
   return static_cast<unsigned>(threads) >
          std::max(1u, std::thread::hardware_concurrency());
-}
-
-// Sharded-stepping rows: ns/round of the 2-state decide phase at 1/2/4/8
-// shards on one large dense-ish graph (big worklists, so the shard grain is
-// actually exceeded). Shard counts beyond the host's core count record the
-// oversubscribed cost honestly — the committed file says what this machine
-// measured.
-void append_sharded_rows(std::vector<EngineBenchRow>& rows) {
-  const Graph g = gen::gnp(16384, 0.002, 7);
-  const std::string gname = "gnp_n16384_p0.002";
-  for (int threads : {1, 2, 4, 8}) {
-    const CoinOracle coins(1);
-    TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-    p.set_shards(threads);
-    const auto start = Clock::now();
-    const RunResult r = run_until_stabilized(p, 200000);
-    const double ns = elapsed_ns(start);
-    EngineBenchRow row;
-    row.process = "two_state";
-    row.graph = gname;
-    row.phase = "sharded_step";
-    row.n = g.num_vertices();
-    row.m = g.num_edges();
-    row.rounds = r.rounds > 0 ? r.rounds : 1;
-    row.ns_per_round = ns / static_cast<double>(row.rounds);
-    row.threads = threads;
-    row.suspect = suspect_width(threads);
-    rows.push_back(row);
-  }
 }
 
 // Trial-batch rows: trials/sec of measure_stabilization on the G(n,p) sweep
@@ -537,10 +508,9 @@ void write_engine_json(const std::string& path) {
   }
   // Near-stabilized ns/round for every registered protocol (registry path).
   append_protocol_rows(rows);
-  // Parallel-runtime rows (sharded stepping + batched trials at 1/2/4/8
-  // threads). Interpret speedups against "host_threads" below: on a 1-core
-  // host every width measures ~1x by physics, not by design.
-  append_sharded_rows(rows);
+  // Parallel-runtime rows (batched trials at 1/2/4/8 threads). Interpret
+  // speedups against "host_threads" below: on a 1-core host every width
+  // measures ~1x by physics, not by design.
   append_trial_batch_rows(rows);
   // Graph-substrate rows: streaming build throughput + .ssg round-trip.
   append_graph_build_rows(rows);
@@ -559,8 +529,8 @@ void write_engine_json(const std::string& path) {
   out << "  \"description\": \"per-round stepping cost of the unified sparse "
          "process engine, near-stabilized rows for every registry protocol "
          "(protocol_stabilized_step, fast-forward A/B pairs where the "
-         "protocol declares the knob), parallel-runtime rows (sharded_step "
-         "ns/round and trial_batch trials/sec at 1/2/4/8 threads), and "
+         "protocol declares the knob), parallel-runtime rows (trial_batch "
+         "trials/sec at 1/2/4/8 threads), and "
          "graph-substrate rows (graph_build edges/sec + peak RSS for the "
          "streaming CSR builder and the .ssg save/mmap round-trip), and "
          "compressed-adjacency rows (compressed_codec: full-sweep decode "

@@ -44,7 +44,6 @@ DaemonResult run_daemon(const Graph& g, MakeDaemon make, int trials,
         const CoinOracle coins(seed + static_cast<std::uint64_t>(trial));
         DaemonMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins),
                     make(trial), coins);
-        p.set_shards(ctx.shards());
         TrialOutcome out;
         const std::int64_t max_steps = 5000000;
         while (!p.stabilized() && out.steps < max_steps) {

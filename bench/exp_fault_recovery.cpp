@@ -34,7 +34,6 @@ Summary recovery_summary(const Graph& g, const std::string& protocol,
         auto p = ProtocolRegistry::instance().make(
             protocol, g, with_init(ctx.proto_params, InitPattern::kUniformRandom),
             seed + static_cast<std::uint64_t>(trial));
-        p->set_shards(ctx.shards());
         RunResult r = p->run(2000000, TraceMode::kNone);
         if (!r.stabilized) return -1.0;
         inject_faults(*p, fraction, trial);

@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
       BeepingNetwork net(g, automaton, boot,
                          CoinOracle(ctx.seed + 31 + static_cast<std::uint64_t>(trial)));
       net.set_loss_probability(eps);
-      net.set_shards(ctx.shards());
       const std::int64_t window = 4000;
       std::int64_t first_mis = -1;
       std::int64_t in_mis_rounds = 0;

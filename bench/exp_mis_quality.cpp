@@ -31,7 +31,6 @@ Summary mis_sizes(const Graph& g, const std::string& protocol, int trials,
         config.trials = 1;
         config.seed = seed + static_cast<std::uint64_t>(trial);
         config.max_rounds = 2000000;
-        config.threads = ctx.shards();  // traced_run shards, never batches
         // Re-run through the harness trace API to recover the final black count.
         const RunResult r = traced_run(g, config);
         if (r.stabilized && !r.trace.empty())

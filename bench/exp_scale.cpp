@@ -19,9 +19,9 @@
 //
 // Other knobs: --p (overrides --avg-deg), --graph-mmap=0 (owned-read
 // reload), --compress-chunk (endpoint budget per construction chunk),
-// --max-rounds, and the standard --threads/--shard/--seed. Every stage row
-// names the storage mode it actually ran against; an unsupported
-// --graph-file format version exits 2 with a one-line error.
+// --max-rounds, and the standard --seed. Every stage row names the storage
+// mode it actually ran against; an unsupported --graph-file format version
+// exits 2 with a one-line error.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -158,7 +158,6 @@ int main(int argc, char** argv) {
     auto process = ProtocolRegistry::instance().make(
         ctx.protocol, g, with_init(ctx.proto_params, InitPattern::kUniformRandom),
         ctx.seed + 1);
-    process->set_shards(ctx.shards());
     const std::int64_t max_rounds = ctx.args.get_int("max-rounds", 1000000);
     const RunResult r = process->run(max_rounds, TraceMode::kNone);
     const double secs = seconds_since(start);

@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
     config.protocol = cell.protocol;
     config.seed = ctx.seed + 5;
     config.max_rounds = 2000000;
-    config.threads = ctx.parallel.threads;  // traced_run shards the engine
     const RunResult r = traced_run(cell.graph, config);
     print_banner(std::cout, cell.name + " (" + std::to_string(r.rounds) + " rounds)");
     const auto unstable = column(r, &RoundStats::unstable);

@@ -9,9 +9,8 @@
 //            prints every name (protocol options pass as --proto-KEY=VALUE);
 //            --process remains as an alias for --protocol
 // Inits: all-white, all-black, random, alternating, high-degree, one-black
-// Parallel runtime: --threads N shards a single run's engine; with
-// --trials M > 1 whole runs batch across the pool instead (--shard to
-// force per-run sharding). Results are identical at any thread count.
+// Parallel runtime: with --trials M > 1, --threads N batches whole runs
+// across N threads of the pool. Results are identical at any thread count.
 // Graph reuse: --save-graph=g.ssg writes the constructed graph as binary
 // CSR; --graph-file=g.ssg (with --graph-mmap=0 to force an owned read)
 // loads one instead of generating, so a 10^7-vertex graph is built once
@@ -94,9 +93,8 @@ int main(int argc, char** argv) {
     // A typo'd flag must not silently run the default configuration.
     const auto unknown = args.unknown_options(
         {"family", "n", "p", "d", "m", "seed", "init", "max-rounds", "trials",
-         "threads", "batch", "shard", "graph-file", "graph-mmap",
-         "graph-trusted", "save-graph", "csv", "dot", "protocol", "process",
-         "list-protocols", "proto-*"});
+         "threads", "graph-file", "graph-mmap", "graph-trusted", "save-graph",
+         "csv", "dot", "protocol", "process", "list-protocols", "proto-*"});
     if (!unknown.empty()) {
       for (const auto& err : unknown) std::cerr << "error: " << err << "\n";
       return 2;
@@ -111,7 +109,6 @@ int main(int argc, char** argv) {
       std::cout << "graph saved to " << out << " ("
                 << io::ssg_file_bytes(g) << " bytes)\n";
     }
-    const ParallelOptions parallel = parse_parallel_options(args);
     MeasureConfig config;
     // --protocol selects any registry entry; --process is the legacy alias.
     // An unknown name aborts loudly in ProtocolRegistry::make (its error
@@ -122,19 +119,16 @@ int main(int argc, char** argv) {
     config.init = parse_init(args.get_string("init", "random"));
     config.seed = seed;
     config.max_rounds = args.get_int("max-rounds", 1000000);
-    // A single traced run shards its engine; --trials N > 1 batches whole
-    // runs across the pool instead and reports the spread.
-    config.threads = parallel.threads;
-    config.batch = parallel.batch;
+    // --trials N > 1 batches whole runs across the pool and reports the
+    // spread; a single run is traced.
+    config.threads = parse_threads(args);
     config.trials = static_cast<int>(args.get_int("trials", 1));
 
     std::cout << "graph:   " << g.summary() << "\n";
     std::cout << "process: " << config.protocol
               << ", init: " << to_string(config.init) << ", seed: " << seed << "\n";
-    if (parallel.threads > 1) {
-      std::cout << "threads: " << parallel.threads << " ("
-                << (parallel.batch ? "batched trials" : "sharded stepping") << ")\n";
-    }
+    if (config.threads > 1)
+      std::cout << "threads: " << config.threads << " (batched trials)\n";
 
     if (config.trials > 1) {
       const Measurements m = measure_stabilization(g, config);

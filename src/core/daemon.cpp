@@ -114,8 +114,6 @@ class DaemonProcess final : public Process {
   }
   int num_colors() const override { return process_.engine().num_colors(); }
 
-  void set_shards(int shards) override { process_.set_shards(shards); }
-
  private:
   DaemonMIS process_;
 };
@@ -125,16 +123,15 @@ std::unique_ptr<ActivationDaemon> make_daemon(const std::string& kind,
   if (kind == "synchronous") return std::make_unique<SynchronousDaemon>();
   if (kind == "central") return std::make_unique<CentralDaemon>(seed);
   if (kind == "random") return std::make_unique<RandomSubsetDaemon>(rho, seed);
-  if (kind == "pairs") return std::make_unique<AdversarialPairDaemon>();
   throw std::invalid_argument(
       "protocol daemon: unknown daemon '" + kind +
-      "' (valid: synchronous, central, random, pairs)");
+      "' (valid: synchronous, central, random)");
 }
 
 const ProtocolRegistrar kDaemonProtocol{
     "daemon",
     "the 2-state rule under an activation daemon (--proto-daemon="
-    "synchronous|central|random|pairs, --proto-rho for random); the "
+    "synchronous|central|random, --proto-rho for random); the "
     "synchronous daemon is bit-identical to 2state",
     {"daemon", "rho"},
     [](const Graph& g, const ProtocolParams& params, std::uint64_t seed) {

@@ -13,10 +13,6 @@
 //   * CentralDaemon       — a single enabled vertex per step
 //   * RandomSubsetDaemon  — each enabled vertex independently w.p. rho
 //                           (rho -> 1 recovers synchronous behavior)
-//   * AdversarialPairDaemon — always activates a maximal set of *conflicting
-//                           sibling pairs* (both endpoints of black-black
-//                           edges together), the schedule that maximizes
-//                           coordinated re-collisions.
 //
 // DaemonMIS drives the same ProcessEngine<TwoStateRule> as the synchronous
 // process, through the engine's subset-transition primitive: the enabled set
@@ -84,17 +80,6 @@ class RandomSubsetDaemon final : public ActivationDaemon {
   CoinOracle coins_;
 };
 
-// Activates both endpoints of every black-black edge simultaneously (so
-// conflicting pairs re-roll together, the coordination that livelocks the
-// deterministic rule), plus every other enabled vertex.
-class AdversarialPairDaemon final : public ActivationDaemon {
- public:
-  std::vector<Vertex> activate(std::span<const Vertex> enabled, std::int64_t) override {
-    return {enabled.begin(), enabled.end()};  // = synchronous for 2-state
-  }
-  std::string name() const override { return "adversarial-pairs"; }
-};
-
 // The 2-state rule under an activation daemon. Enabled = active in the
 // Definition 4 sense; an activated vertex resamples its color with the
 // oracle coin phi_step(u) — exactly TwoStateMIS's coin stream, so the
@@ -127,12 +112,6 @@ class DaemonMIS {
   // Fault-injection / test hook: overwrite one vertex's color in O(deg(u)),
   // keeping the internal counters consistent. Not a daemon step.
   void force_color(Vertex u, Color2 c) { engine_.force_color(u, c); }
-
-  // Shards the subset-transition computation across the shared thread pool
-  // (bit-identical trajectories at any value; 1 = sequential). The daemon's
-  // own choice of subset stays sequential — only the chosen vertices'
-  // simultaneous coin flips fan out.
-  void set_shards(int shards) { engine_.set_shards(shards); }
 
   const Engine& engine() const { return engine_; }
 

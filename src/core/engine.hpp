@@ -28,11 +28,6 @@
 // same coins, in any iteration order. The differential tests assert this
 // round-by-round against the naive transcriptions of Definitions 4, 5, 26
 // and 28.
-//
-// The same purity makes the decide phase shardable: set_shards(s) fans the
-// worklist out across the shared worker pool and merges per-shard change
-// lists in shard order, keeping trajectories bit-identical at any shard
-// count (docs/architecture.md, "Parallel runtime").
 #pragma once
 
 #include <algorithm>
@@ -45,7 +40,6 @@
 
 #include "graph/graph.hpp"
 #include "support/narrow.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ssmis {
 
@@ -261,8 +255,6 @@ class ProcessEngine {
   // set, no extra branches in refresh, accessors stay raw).
   static constexpr bool kFastForward = FastForwardRule<Rule>;
   static constexpr int kMaxCounters = 32;
-  // Minimum worklist items a shard must get before fan-out pays for itself.
-  static constexpr std::size_t kShardGrain = 256;
 
   // `init` must have size g.num_vertices() and only colors with raw value
   // below rule.num_colors(); the graph must outlive the engine. Throws
@@ -291,14 +283,6 @@ class ProcessEngine {
   // One synchronous round: every scheduled vertex transitions against the
   // frozen end-of-round state; counters, worklist, and aggregates are
   // patched in O(|A_t| + sum deg(changed)). Advances round() by one.
-  //
-  // With set_shards(s > 1) the decide phase is partitioned into contiguous
-  // slices of the worklist and run on the shared thread pool; the per-shard
-  // change lists are merged in shard order, which reproduces the sequential
-  // change order exactly, so the whole trajectory — colors, counters,
-  // worklist contents and internal ordering, aggregates — is bit-identical
-  // to a sequential run (transitions are pure functions of their arguments
-  // and the counter-based coins; see docs/architecture.md).
   void step() {
     const std::int64_t t = round_ + 1;
     decide(worklist_.items(), t);
@@ -316,8 +300,6 @@ class ProcessEngine {
   // round() and does NOT run the rule's end-of-round hook; the caller owns
   // the schedule's notion of time. Duplicate entries are transitioned once.
   void apply_transitions(std::span<const Vertex> chosen, std::int64_t t) {
-    // Validation + dedup stay sequential (which duplicate survives is
-    // bookkeeping order); the transition computation itself then shards.
     ++stage_gen_;
     chosen_unique_.clear();
     for (Vertex u : chosen) {
@@ -341,25 +323,6 @@ class ProcessEngine {
     decide(chosen_unique_, t);
     apply();
   }
-
-  // --- parallelism ---------------------------------------------------------
-
-  // Shards the decide phase across the shared thread pool. `shards` <= 1
-  // (the default) keeps sequential stepping; any value yields bit-identical
-  // trajectories, so this is purely a throughput knob. Worklists below the
-  // per-shard grain run sequentially regardless (fan-out would cost more
-  // than the work).
-  void set_shards(int shards) {
-    shards_ = shards < 1 ? 1 : shards;
-    if (shards_ > 1) ThreadPool::shared().ensure_workers(shards_ - 1);
-    // One decode scratch per shard: any engine phase — today's sequential
-    // apply/refresh walks or a future sharded one — has a private buffer,
-    // so parallel stepping on compressed graphs stays allocation-free (the
-    // buffers are reused across rounds) and bit-identical (decoding is a
-    // pure read of the shared payload).
-    nbr_scratch_.resize(static_cast<std::size_t>(shards_));
-  }
-  [[nodiscard]] int shards() const { return shards_; }
 
   // Fault-injection / test hook: overwrite one vertex's color, keeping every
   // counter, worklist entry, and aggregate consistent in O(deg(u)). Counts
@@ -601,15 +564,12 @@ class ProcessEngine {
 
   static constexpr std::uint8_t raw(Color c) { return static_cast<std::uint8_t>(c); }
 
-  // Transition kernel: computes next colors for items[begin, end) against
-  // the frozen state, staging changes and appending changed vertices to
-  // `out`. Pure reads of colors_/counters_ plus writes to disjoint staged_
-  // slots (items are unique), so concurrent shards never touch the same
-  // memory. `items` must contain currently valid, duplicate-free vertices.
-  void transition_range(const Vertex* items, std::size_t begin, std::size_t end,
-                        std::int64_t t, std::vector<Vertex>& out) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const Vertex u = items[i];
+  // Phase 1: compute next colors for `items` against the frozen state,
+  // staging changes and recording the changed vertices in changed_. `items`
+  // must contain currently valid, duplicate-free vertices.
+  void decide(const std::vector<Vertex>& items, std::int64_t t) {
+    changed_.clear();
+    for (const Vertex u : items) {
       const std::size_t su = static_cast<std::size_t>(u);
       const Color next = rule_.transition(u, colors_[su], cnt_ptr(u), t);
       if (next != colors_[su]) {
@@ -618,47 +578,9 @@ class ProcessEngine {
         if (static_cast<int>(raw(next)) >= num_colors_)
           throw std::logic_error("ProcessEngine: rule produced a color out of range");
         staged_[su] = next;
-        out.push_back(u);
+        changed_.push_back(u);
       }
     }
-  }
-
-  // Phase 1: compute next colors against the frozen state; stage changes.
-  // Sequential by default; with shards > 1 the index range is cut into
-  // contiguous slices decided in parallel, and the per-shard change lists
-  // are concatenated in shard order — exactly the sequential change order.
-  void decide(const std::vector<Vertex>& items, std::int64_t t) {
-    changed_.clear();
-    const std::size_t n = items.size();
-    const int s = effective_shards(n);
-    if (s <= 1) {
-      transition_range(items.data(), 0, n, t, changed_);
-      return;
-    }
-    shard_changed_.resize(static_cast<std::size_t>(s));
-    ThreadPool::shared().parallel_for(s, shards_, [&](int i) {
-      const std::size_t b = n * static_cast<std::size_t>(i) /
-                            static_cast<std::size_t>(s);
-      const std::size_t e = n * (static_cast<std::size_t>(i) + 1) /
-                            static_cast<std::size_t>(s);
-      std::vector<Vertex>& out = shard_changed_[static_cast<std::size_t>(i)];
-      out.clear();
-      transition_range(items.data(), b, e, t, out);
-    });
-    for (int i = 0; i < s; ++i) {
-      const std::vector<Vertex>& part = shard_changed_[static_cast<std::size_t>(i)];
-      changed_.insert(changed_.end(), part.begin(), part.end());
-    }
-  }
-
-  // How many shards this decide pass actually uses: never more than the
-  // configured budget, and never so many that a shard falls below the grain
-  // (fan-out overhead would dominate the coin flips it buys).
-  int effective_shards(std::size_t items) const {
-    if (shards_ <= 1 || items < 2 * kShardGrain) return 1;
-    const std::size_t cap = items / kShardGrain;
-    return narrow_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(shards_), cap));
   }
 
   // Phase 2: commit staged colors, patch counters of N(changed), and
@@ -846,14 +768,12 @@ class ProcessEngine {
     for (Vertex u : snap) refresh(u);
   }
 
-  // Decode-aware neighbor view for the sequential engine phases (apply,
-  // refresh): the raw CSR span on plain graphs, a decode into this engine's
-  // shard-0 scratch on compressed graphs. The scratch vector is sized by
-  // set_shards so every shard owns a slot; all *current* neighbor walks
-  // happen in the sequential phases (the sharded decide phase reads only
-  // colors and counters), so slot 0 suffices there.
+  // Decode-aware neighbor view for the engine phases that walk rows
+  // (apply, refresh): the raw CSR span on plain graphs, a decode into this
+  // engine's scratch on compressed graphs. The view is valid until the next
+  // call.
   std::span<const Vertex> nbrs(Vertex u) {
-    return graph_->neighbors(u, nbr_scratch_[0]);
+    return graph_->neighbors(u, nbr_scratch_);
   }
 
   void bump_covered(Vertex x, Vertex d) {
@@ -880,7 +800,7 @@ class ProcessEngine {
         rows.skip();
         continue;
       }
-      const auto nb = rows.next(nbr_scratch_[0]);
+      const auto nb = rows.next(nbr_scratch_);
       for (int j = 0; j < k_; ++j) {
         const Vertex d = rule_.contribution(c, j);
         if (d == 0) continue;
@@ -921,7 +841,7 @@ class ProcessEngine {
         if (f & kStableBlackBit) {
           ++num_stable_black_;
           ++covered_[static_cast<std::size_t>(u)];
-          for (Vertex v : rows.next(nbr_scratch_[0]))
+          for (Vertex v : rows.next(nbr_scratch_))
             ++covered_[static_cast<std::size_t>(v)];
           row_used = true;
         }
@@ -963,16 +883,13 @@ class ProcessEngine {
   std::vector<std::uint64_t> stage_mark_;
   std::vector<Vertex> changed_;
   std::vector<Vertex> chosen_unique_;
-  std::vector<std::vector<Vertex>> shard_changed_;
   std::vector<std::uint64_t> touch_mark_;
   std::vector<Vertex> touched_;
   std::uint64_t stage_gen_ = 0;
   std::uint64_t touch_gen_ = 0;
-  // Per-shard compressed-row decode buffers (see nbrs()); untouched on
-  // plain graphs.
-  std::vector<NeighborScratch> nbr_scratch_ = std::vector<NeighborScratch>(1);
+  // Compressed-row decode buffer (see nbrs()); untouched on plain graphs.
+  NeighborScratch nbr_scratch_;
 
-  int shards_ = 1;
   std::int64_t round_ = 0;
   int k_ = 0;
   int num_colors_ = 0;

@@ -177,8 +177,6 @@ class MatchingProcess final : public Process {
     return true;
   }
 
-  void set_shards(int shards) override { process_.set_shards(shards); }
-
  private:
   MaximalMatching process_;
 };

@@ -106,9 +106,6 @@ class MaximalMatching {
     line_process_.force_color(edge_id, c);
   }
 
-  // Shards the line engine's decide phase (bit-identical at any value).
-  void set_shards(int shards) { line_process_.set_shards(shards); }
-
   const TwoStateMIS& line_process() const { return line_process_; }
 
  private:

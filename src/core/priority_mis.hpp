@@ -107,7 +107,6 @@ class PriorityMIS {
   std::vector<Vertex> black_set() const;
 
   void force_color(Vertex u, Color2 c) { engine_.force_color(u, c); }
-  void set_shards(int shards) { engine_.set_shards(shards); }
 
   const Engine& engine() const { return engine_; }
 

@@ -5,8 +5,8 @@
 // other protocol (daemon runs, the communication-model networks, any new
 // workload) needed bespoke driver code. `Process` erases the concrete
 // wrapper type behind the interface the harness actually needs —
-// step/round/stabilized/trace snapshot/output/verify/force-state/shards —
-// so trial scheduling, timeout accounting, per-vertex times, and the CLI
+// step/round/stabilized/trace snapshot/output/verify/force-state — so
+// trial scheduling, timeout accounting, per-vertex times, and the CLI
 // all work for any registered protocol (harness/registry.hpp).
 //
 // Cost model: type erasure sits at TRIAL granularity, not step granularity.
@@ -104,10 +104,6 @@ class Process {
     return true;
   }
 
-  // Shards the engine's decide phase across the shared thread pool
-  // (bit-identical trajectories at any value; 1 = sequential).
-  virtual void set_shards(int shards) = 0;
-
   // Toggles the stable-periodic fast-forward optimization (on by default
   // where the protocol supports it; a no-op elsewhere). Purely a schedule
   // change: trajectories, aggregates, and outputs are bit-identical either
@@ -139,7 +135,6 @@ class MisProcessAdapter : public Process {
   RunResult run(std::int64_t max_rounds, TraceMode mode) override {
     return run_until_stabilized(process_, max_rounds, mode);
   }
-  void set_shards(int shards) override { process_.set_shards(shards); }
   void set_fast_forward(bool on) override {
     if constexpr (ProcessHasFastForwardToggle<P>)
       process_.set_fast_forward(on);

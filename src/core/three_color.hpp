@@ -193,11 +193,6 @@ class ThreeColorMIS {
   // full O(n + m) counter rebuild).
   void force_color(Vertex u, ColorG c) { engine_.force_color(u, c); }
 
-  // Shards the decide phase across the shared thread pool (bit-identical
-  // trajectories at any value; 1 = sequential). The switch still advances
-  // in the sequential end-of-round hook, after decided colors commit.
-  void set_shards(int shards) { engine_.set_shards(shards); }
-
   // Stable-periodic fast-forward toggle (on by default): for 3-color the
   // optimization is the lazy switch above — the engine side has no orbits
   // to declare (stable blacks and covered whites already leave the

@@ -151,12 +151,8 @@ class ThreeStateMIS {
   // full O(n + m) counter rebuild).
   void force_color(Vertex u, Color3 c) { engine_.force_color(u, c); }
 
-  // Shards the decide phase across the shared thread pool (bit-identical
-  // trajectories at any value; 1 = sequential).
-  void set_shards(int shards) { engine_.set_shards(shards); }
-
   // Stable-periodic fast-forward toggle (on by default; bit-identical
-  // trajectories either way — a throughput knob, like set_shards).
+  // trajectories either way — a pure throughput knob).
   void set_fast_forward(bool on) { engine_.set_fast_forward(on); }
   bool fast_forward_enabled() const { return engine_.fast_forward_enabled(); }
   Vertex num_fast_forwarded() const { return engine_.num_fast_forwarded(); }

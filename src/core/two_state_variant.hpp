@@ -108,10 +108,6 @@ class TwoStateVariant {
   // keeping the internal counters consistent.
   void force_color(Vertex u, Color2 c) { engine_.force_color(u, c); }
 
-  // Shards the decide phase across the shared thread pool (bit-identical
-  // trajectories at any value; 1 = sequential).
-  void set_shards(int shards) { engine_.set_shards(shards); }
-
   const Engine& engine() const { return engine_; }
 
  private:

@@ -56,7 +56,7 @@ using Edge = std::pair<Vertex, Vertex>;
 
 // Caller-owned decode buffer for Graph::neighbors(u, scratch). Reused across
 // calls (no allocation once grown to the max degree seen); one scratch per
-// concurrent decoder — the engine keeps one per shard.
+// concurrent decoder — each engine and each phase-clock range has its own.
 struct NeighborScratch {
   std::vector<Vertex> buf;
 };

@@ -15,25 +15,24 @@ ProtocolParams params_for(const MeasureConfig& config) {
 }
 
 // One trial: construct the protocol's process for `seed` via the registry,
-// shard its engine `shards` ways (1 = sequential), run to stabilization or
-// the horizon, and check the stabilized output's validity. Thread-safe
-// across concurrent calls with distinct seeds: the graph is read-only and
-// every process owns its state. Type erasure sits here, at trial
-// granularity — run() devirtualizes into the wrapper's hot loop.
+// run to stabilization or the horizon, and check the stabilized output's
+// validity. Thread-safe across concurrent calls with distinct seeds: the
+// graph is read-only and every process owns its state. Type erasure sits
+// here, at trial granularity — run() devirtualizes into the wrapper's hot
+// loop.
 RunResult run_one(const Graph& g, const MeasureConfig& config, std::uint64_t seed,
-                  TraceMode mode, int shards) {
+                  TraceMode mode) {
   const std::unique_ptr<Process> process =
       ProtocolRegistry::instance().make(config.protocol, g, params_for(config), seed);
-  process->set_shards(shards);
   const RunResult result = process->run(config.max_rounds, mode);
   if (result.stabilized) process->verify_output();  // throws on invalid output
   return result;
 }
 
-// Batched trials shard nothing (one core per trial); sharded mode gives the
-// whole budget to each trial in turn.
-int shards_per_trial(const MeasureConfig& config) {
-  return config.batch ? 1 : config.threads;
+// The cell's trial scheduler: config.threads workers when batching,
+// otherwise index order on the calling thread.
+TrialBatch trial_batch(const MeasureConfig& config) {
+  return TrialBatch(config.trials, config.batch ? config.threads : 1);
 }
 
 }  // namespace
@@ -43,12 +42,11 @@ Measurements measure_stabilization(const Graph& g, const MeasureConfig& config) 
     std::int64_t rounds = 0;
     bool stabilized = false;
   };
-  const TrialBatch batch(config.trials, config.batch ? config.threads : 1);
-  const int shards = shards_per_trial(config);
+  const TrialBatch batch = trial_batch(config);
   std::vector<Outcome> outcomes(static_cast<std::size_t>(batch.trials()));
   batch.run([&](int trial) {
     const RunResult result =
-        run_one(g, config, trial_seed(config, trial), TraceMode::kNone, shards);
+        run_one(g, config, trial_seed(config, trial), TraceMode::kNone);
     outcomes[static_cast<std::size_t>(trial)] = {result.rounds, result.stabilized};
   });
   // Index-order reduce: the reported sequences match a sequential run.
@@ -67,7 +65,7 @@ Measurements measure_stabilization(const Graph& g, const MeasureConfig& config) 
 }
 
 RunResult traced_run(const Graph& g, const MeasureConfig& config) {
-  return run_one(g, config, config.seed, TraceMode::kPerRound, config.threads);
+  return run_one(g, config, config.seed, TraceMode::kPerRound);
 }
 
 namespace {
@@ -86,10 +84,9 @@ void record_settled(const Process& process, std::int64_t round,
 
 std::vector<std::int64_t> per_vertex_times_one(const Graph& g,
                                                const MeasureConfig& config,
-                                               std::uint64_t seed, int shards) {
+                                               std::uint64_t seed) {
   const std::unique_ptr<Process> process =
       ProtocolRegistry::instance().make(config.protocol, g, params_for(config), seed);
-  process->set_shards(shards);
   std::vector<std::int64_t> times(static_cast<std::size_t>(g.num_vertices()), -1);
   record_settled(*process, 0, &times);
   std::int64_t round = 0;
@@ -105,15 +102,13 @@ std::vector<std::int64_t> per_vertex_times_one(const Graph& g,
 
 std::vector<std::int64_t> vertex_stabilization_times(const Graph& g,
                                                      const MeasureConfig& config) {
-  return per_vertex_times_one(g, config, config.seed, config.threads);
+  return per_vertex_times_one(g, config, config.seed);
 }
 
 std::vector<std::vector<std::int64_t>> vertex_stabilization_times_batch(
     const Graph& g, const MeasureConfig& config) {
-  const TrialBatch batch(config.trials, config.batch ? config.threads : 1);
-  const int shards = shards_per_trial(config);
-  return batch.map<std::vector<std::int64_t>>([&](int trial) {
-    return per_vertex_times_one(g, config, trial_seed(config, trial), shards);
+  return trial_batch(config).map<std::vector<std::int64_t>>([&](int trial) {
+    return per_vertex_times_one(g, config, trial_seed(config, trial));
   });
 }
 

@@ -33,10 +33,10 @@ struct MeasureConfig {
   std::int64_t max_rounds = 1000000;
   // Parallel runtime (defaults keep the old sequential behavior). With
   // threads > 1 and batch == true, whole trials interleave across the
-  // shared thread pool (TrialBatch); with batch == false, trials run in
-  // index order and each trial's engine decide phase is sharded `threads`
-  // ways instead. Either way results are bit-identical to threads == 1 —
-  // see docs/architecture.md ("Parallel runtime") for when each wins.
+  // shared thread pool (TrialBatch); batch == false runs the trials in
+  // index order on the calling thread. Either way results are
+  // bit-identical to threads == 1 (docs/architecture.md, "Parallel
+  // runtime").
   int threads = 1;
   bool batch = true;
 };
@@ -65,8 +65,8 @@ struct Measurements {
 // every thread count.
 Measurements measure_stabilization(const Graph& g, const MeasureConfig& config);
 
-// Single traced run, for shape plots. config.threads > 1 shards the
-// engine's decide phase (config.batch is irrelevant for one run).
+// Single traced run, for shape plots (config.threads and config.batch are
+// irrelevant for one run).
 RunResult traced_run(const Graph& g, const MeasureConfig& config);
 
 // Per-vertex stabilization times of one run: entry u is the first round at

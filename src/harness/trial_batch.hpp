@@ -1,6 +1,6 @@
-// Deterministic batched trial scheduler: the harness-side half of the
-// parallel runtime (the engine-side half is sharded stepping,
-// core/engine.hpp).
+// Deterministic batched trial scheduler: the parallel runtime's fan-out
+// across trials (the other is the 3-color phase clock's fan-out within one
+// trial, core/phase_clock.hpp).
 //
 // An experiment cell is `trials` independent executions over one shared
 // immutable Graph. TrialBatch hands out trial indices one at a time from a
@@ -29,8 +29,7 @@ namespace ssmis {
 
 class TrialBatch {
  public:
-  // threads <= 1 runs trials in index order on the calling thread — exactly
-  // the pre-batching per-trial loop.
+  // threads <= 1 runs trials in index order on the calling thread.
   TrialBatch(int trials, int threads)
       : trials_(trials < 0 ? 0 : trials), threads_(threads < 1 ? 1 : threads) {}
 

@@ -158,10 +158,6 @@ class BeepingNetwork {
   void set_loss_probability(double p);
   double loss_probability() const { return engine_.rule().loss_probability(); }
 
-  // Shards the decide phase across the shared thread pool (bit-identical
-  // executions at any value; 1 = sequential).
-  void set_shards(int shards) { engine_.set_shards(shards); }
-
   // Stable-periodic fast-forward toggle: accepted for A/B symmetry with
   // the other networks, but a no-op here — BeepingAutomaton declares no
   // orbits (the 2-state family's stable states are quiescent, i.e. already

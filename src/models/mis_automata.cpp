@@ -177,7 +177,6 @@ class BeepingMisProcess final : public Process {
   }
   std::uint8_t raw_state(Vertex u) const override { return net_.state(u); }
   int num_colors() const override { return net_.engine().num_colors(); }
-  void set_shards(int shards) override { net_.set_shards(shards); }
   void set_fast_forward(bool on) override { net_.set_fast_forward(on); }
 
  private:
@@ -246,7 +245,6 @@ class StoneAgeMisProcess final : public Process {
   }
   std::uint8_t raw_state(Vertex u) const override { return net_.state(u); }
   int num_colors() const override { return net_.engine().num_colors(); }
-  void set_shards(int shards) override { net_.set_shards(shards); }
   void set_fast_forward(bool on) override { net_.set_fast_forward(on); }
 
  private:

@@ -150,10 +150,6 @@ class StoneAgeNetwork {
 
   const Graph& graph() const { return engine_.graph(); }
 
-  // Shards the decide phase across the shared thread pool (bit-identical
-  // executions at any value; 1 = sequential).
-  void set_shards(int shards) { engine_.set_shards(shards); }
-
   // Stable-periodic fast-forward toggle (on by default; engages only for
   // automata that declare orbits — bit-identical trajectories either way).
   void set_fast_forward(bool on) { engine_.set_fast_forward(on); }

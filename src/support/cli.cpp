@@ -110,14 +110,10 @@ std::vector<std::string> CliArgs::unknown_options(
   return out;
 }
 
-ParallelOptions parse_parallel_options(const CliArgs& args) {
-  ParallelOptions out;
-  out.threads = static_cast<int>(args.get_int("threads", 1));
-  if (out.threads == 0) out.threads = ThreadPool::host_width();
-  if (out.threads < 1) out.threads = 1;
-  // --shard is shorthand for --batch=0; an explicit --batch value wins.
-  out.batch = args.get_bool("batch", !args.get_bool("shard", false));
-  return out;
+int parse_threads(const CliArgs& args) {
+  const int threads = static_cast<int>(args.get_int("threads", 1));
+  if (threads == 0) return ThreadPool::host_width();
+  return threads < 1 ? 1 : threads;
 }
 
 }  // namespace ssmis

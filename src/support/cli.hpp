@@ -13,22 +13,6 @@
 
 namespace ssmis {
 
-// Shared parallel-runtime knobs, parsed uniformly by every experiment and
-// example binary:
-//   --threads N   parallelism budget across trials and decide shards
-//                 (1 = sequential, the default; 0 = ThreadPool::host_width()).
-//                 The 3-color phase clock fans out on its own, at any N
-//   --batch[=0|1] with N > 1: interleave whole trials across the pool
-//                 (default) vs. --batch=0 / --shard: run trials in order,
-//                 sharding each engine's decide phase N ways
-// Both modes are bit-identical to sequential; see docs/architecture.md.
-struct ParallelOptions {
-  int threads = 1;
-  bool batch = true;
-};
-
-ParallelOptions parse_parallel_options(const class CliArgs& args);
-
 // Parsed view of argv. Values are stored as strings and converted on access.
 class CliArgs {
  public:
@@ -69,5 +53,13 @@ class CliArgs {
   std::vector<std::string> positional_;
   mutable std::vector<std::string> errors_;
 };
+
+// The one parallel-runtime knob, parsed uniformly by every experiment and
+// example binary: `--threads N` interleaves whole trials across N threads
+// of the shared pool. Absent or negative gives 1 (sequential, in trial
+// order); 0 gives ThreadPool::host_width(). Results are bit-identical at
+// any N. The 3-color phase clock fans out on its own whatever N says
+// (docs/architecture.md, "Parallel runtime").
+int parse_threads(const CliArgs& args);
 
 }  // namespace ssmis

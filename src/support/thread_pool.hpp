@@ -1,8 +1,8 @@
 // A small persistent worker pool shared by the whole parallel runtime:
-// sharded engine stepping (core/engine.hpp), batched trial scheduling
-// (harness/trial_batch.hpp), the phase-clock round (core/phase_clock.hpp)
-// and the `.ssg` audit all fan out through this one pool, so threads are
-// spawned once per process, not once per round or per experiment cell.
+// batched trial scheduling (harness/trial_batch.hpp), the phase-clock round
+// (core/phase_clock.hpp) and the `.ssg` audit all fan out through this one
+// pool, so threads are spawned once per process, not once per round or per
+// experiment cell.
 //
 // Determinism contract: `parallel_for` addresses work by index. Callers
 // write results into per-index slots and merge them in index order, so what
@@ -33,7 +33,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   // The process-wide pool. Starts with zero workers and grows on demand
-  // (ensure_workers / parallel_for); it is never shrunk.
+  // inside parallel_for; it is never shrunk.
   static ThreadPool& shared();
 
   // The host's hardware thread count clamped to [1, kMaxWorkers] (the
@@ -42,8 +42,6 @@ class ThreadPool {
   // what an index computes.
   static int host_width();
 
-  // Grows the pool to at least min(n, kMaxWorkers) workers.
-  void ensure_workers(int n);
   int num_workers() const;
 
   // Runs body(i) for every i in [0, tasks), using at most `concurrency`
@@ -55,8 +53,8 @@ class ThreadPool {
   // are skipped once an exception is recorded).
   //
   // Calls made from inside a pool task run inline on the calling thread:
-  // nested fan-out (a batched trial whose engine also wants shards) degrades
-  // to sequential instead of deadlocking or oversubscribing.
+  // nested fan-out (a batched 3color trial whose phase clock also wants the
+  // pool) degrades to sequential instead of deadlocking or oversubscribing.
   void parallel_for(int tasks, int concurrency,
                     const std::function<void(int)>& body);
 
@@ -74,6 +72,8 @@ class ThreadPool {
     std::exception_ptr error;  // guarded by the pool's mu_
   };
 
+  // Grows the pool to at least min(n, kMaxWorkers) workers.
+  void ensure_workers(int n);
   void worker_loop();
   void run_tasks(Job& job);
 

@@ -134,11 +134,11 @@ TEST(CompressedCodec, RawAccessorsThrowAcrossStorageModes) {
   const Graph g = gen::path(10);
   const Graph c = Graph::compress(g);
   NeighborScratch scratch;
-  EXPECT_THROW(c.neighbors(3), std::logic_error);
-  EXPECT_THROW(c.offsets(), std::logic_error);
-  EXPECT_THROW(c.adjacency(), std::logic_error);
-  EXPECT_THROW(g.compressed_index(), std::logic_error);
-  EXPECT_THROW(g.compressed_payload(), std::logic_error);
+  EXPECT_THROW((void)c.neighbors(3), std::logic_error);
+  EXPECT_THROW((void)c.offsets(), std::logic_error);
+  EXPECT_THROW((void)c.adjacency(), std::logic_error);
+  EXPECT_THROW((void)g.compressed_index(), std::logic_error);
+  EXPECT_THROW((void)g.compressed_payload(), std::logic_error);
   // The decode-aware paths work on both.
   EXPECT_EQ(c.neighbors(3, scratch).size(), 2u);
   EXPECT_EQ(g.neighbors(3, scratch).size(), 2u);
@@ -638,7 +638,7 @@ TEST_F(SsgV2Test, TrustedDecodeOfGarbageThrowsInsteadOfReadingOutOfBounds) {
     NeighborScratch scratch;
     bool threw = false;
     try {
-      for (Vertex u = 0; u < g.num_vertices(); ++u) g.neighbors(u, scratch);
+      for (Vertex u = 0; u < g.num_vertices(); ++u) (void)g.neighbors(u, scratch);
     } catch (const std::runtime_error&) {
       threw = true;
     }

@@ -7,10 +7,9 @@
 //
 //   1. Long-horizon bit-identity: every registered protocol that declares
 //      the fast-forward knob runs >= 10x its stabilization time with the
-//      optimization on and off, at 1 and 4 shards, and the round-by-round
-//      fingerprints over (raw per-vertex state + every snapshot aggregate)
-//      must match exactly. Protocols without the knob are pinned 1-shard
-//      vs 4-shard over the same deep post-stabilization horizon.
+//      optimization on and off, and the round-by-round fingerprints over
+//      (raw per-vertex state + every snapshot aggregate) must match
+//      exactly.
 //
 //   2. Adversarial re-activation: faults injected while the MIS sits parked
 //      in periodic orbits — including repeated hits on the same vertices —
@@ -71,9 +70,8 @@ std::uint64_t fold_round(std::uint64_t h, const Process& p) {
 std::uint64_t long_horizon_fingerprint(const std::string& name,
                                        const ProtocolParams& params,
                                        const Graph& g, std::uint64_t seed,
-                                       std::int64_t rounds, int shards) {
+                                       std::int64_t rounds) {
   const auto p = ProtocolRegistry::instance().make(name, g, params, seed);
-  if (shards > 1) p->set_shards(shards);
   std::uint64_t h = fold_round(kFnv1aBasis, *p);
   for (std::int64_t i = 0; i < rounds; ++i) {
     p->step();
@@ -98,31 +96,12 @@ TEST(FastForward, LongHorizonBitIdenticalForEveryProtocol) {
   const Graph g = gen::gnp(300, 0.03, 7);
   const std::uint64_t seed = 42;
   for (const std::string& name : ProtocolRegistry::instance().names()) {
+    if (!declares_fast_forward(name)) continue;
     const std::int64_t horizon = deep_horizon(name, g, seed);
-    if (declares_fast_forward(name)) {
-      const std::uint64_t off =
-          long_horizon_fingerprint(name, ff_params(false), g, seed, horizon, 1);
-      for (const int shards : {1, 4}) {
-        ASSERT_EQ(long_horizon_fingerprint(name, ff_params(true), g, seed,
-                                           horizon, shards),
-                  off)
-            << name << " fast-forward diverged over " << horizon
-            << " rounds at " << shards << " shard(s)";
-      }
-      // The optimized engine must also be shard-independent against itself
-      // with the knob off (the baseline the A/B above compares against).
-      ASSERT_EQ(long_horizon_fingerprint(name, ff_params(false), g, seed,
-                                         horizon, 4),
-                off)
-          << name << " ff-off sharding diverged";
-    } else {
-      const std::uint64_t one = long_horizon_fingerprint(
-          name, ProtocolParams(), g, seed, horizon, 1);
-      ASSERT_EQ(long_horizon_fingerprint(name, ProtocolParams(), g, seed,
-                                         horizon, 4),
-                one)
-          << name << " sharding diverged over " << horizon << " rounds";
-    }
+    ASSERT_EQ(
+        long_horizon_fingerprint(name, ff_params(true), g, seed, horizon),
+        long_horizon_fingerprint(name, ff_params(false), g, seed, horizon))
+        << name << " fast-forward diverged over " << horizon << " rounds";
   }
 }
 

@@ -1,12 +1,11 @@
 // Determinism regression tests for the parallel trial runtime.
 //
-// The contract under test (ISSUE 2 / docs/architecture.md "Parallel
-// runtime"): sharded engine stepping and batched trial scheduling are pure
-// throughput knobs — trajectories, Measurements, and every per-trial
-// artifact are bit-identical at any thread/shard count, for every rule
-// (all five MIS processes and both communication-model simulators).
+// The contract under test (docs/architecture.md, "Parallel runtime"):
+// batched trial scheduling is a pure throughput knob — Measurements and
+// every per-trial artifact are bit-identical at any thread count. The
+// phase clock's own fan-out is pinned in test_phase_clock.cpp.
 //
-// The shard counts exercised include values above the host's core count
+// The thread counts exercised include values above the host's core count
 // (oversubscription must not change results either) and can be raised via
 // the SSMIS_TEST_THREADS environment variable — the CI ThreadSanitizer job
 // runs this suite with SSMIS_TEST_THREADS=4 to race-check the pool.
@@ -14,21 +13,12 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
+#include <stdexcept>
 #include <vector>
 
-#include "core/daemon.hpp"
-#include "core/init.hpp"
-#include "core/three_color.hpp"
-#include "core/three_state.hpp"
-#include "core/two_state.hpp"
-#include "core/two_state_variant.hpp"
 #include "graph/generators.hpp"
 #include "harness/experiment.hpp"
 #include "harness/trial_batch.hpp"
-#include "models/beeping.hpp"
-#include "models/mis_automata.hpp"
-#include "models/stone_age.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ssmis {
@@ -39,180 +29,6 @@ int env_threads() {
   if (s == nullptr) return 8;
   const int v = std::atoi(s);
   return v >= 1 ? v : 8;
-}
-
-// A graph big enough that the engine's shard grain (kShardGrain = 256) is
-// exceeded and decide really fans out.
-const Graph& test_graph() {
-  static const Graph g = gen::gnp(2048, 0.004, 99);
-  return g;
-}
-
-// Steps `make()`-constructed processes side by side, sequential vs sharded,
-// asserting bit-identical colors every round.
-template <typename Make>
-void expect_sharded_identical(Make make, int rounds) {
-  for (int shards : {2, env_threads()}) {
-    auto seq = make();
-    auto par = make();
-    par->set_shards(shards);
-    for (int r = 0; r < rounds; ++r) {
-      seq->step();
-      par->step();
-      ASSERT_EQ(seq->colors(), par->colors())
-          << "diverged at round " << r << " with " << shards << " shards";
-    }
-  }
-}
-
-TEST(ShardedStepping, TwoStateBitIdentical) {
-  const Graph& g = test_graph();
-  expect_sharded_identical(
-      [&] {
-        const CoinOracle coins(7);
-        return std::make_unique<TwoStateMIS>(
-            g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-      },
-      60);
-}
-
-TEST(ShardedStepping, TwoStateVariantBitIdentical) {
-  const Graph& g = test_graph();
-  expect_sharded_identical(
-      [&] {
-        const CoinOracle coins(11);
-        return std::make_unique<TwoStateVariant>(
-            g, make_init2(g, InitPattern::kUniformRandom, coins), coins, 0.25,
-            true);
-      },
-      60);
-}
-
-TEST(ShardedStepping, ThreeStateBitIdentical) {
-  const Graph& g = test_graph();
-  expect_sharded_identical(
-      [&] {
-        const CoinOracle coins(13);
-        return std::make_unique<ThreeStateMIS>(
-            g, make_init3(g, InitPattern::kUniformRandom, coins), coins);
-      },
-      60);
-}
-
-TEST(ShardedStepping, ThreeColorBitIdentical) {
-  const Graph& g = test_graph();
-  for (int shards : {2, env_threads()}) {
-    const CoinOracle coins(17);
-    auto seq = ThreeColorMIS::with_randomized_switch(
-        g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
-    auto par = ThreeColorMIS::with_randomized_switch(
-        g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
-    par.set_shards(shards);
-    for (int r = 0; r < 60; ++r) {
-      seq.step();
-      par.step();
-      ASSERT_EQ(seq.colors(), par.colors()) << "round " << r;
-      ASSERT_EQ(seq.num_gray(), par.num_gray()) << "round " << r;
-    }
-  }
-}
-
-// The aggregates are maintained incrementally through the same merged apply
-// pass — check them against the sequential run, not just the colors.
-TEST(ShardedStepping, AggregatesMatchSequential) {
-  const Graph& g = test_graph();
-  const CoinOracle coins(23);
-  TwoStateMIS seq(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-  TwoStateMIS par(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-  par.set_shards(env_threads());
-  for (int r = 0; r < 80; ++r) {
-    seq.step();
-    par.step();
-    ASSERT_EQ(seq.num_black(), par.num_black());
-    ASSERT_EQ(seq.num_active(), par.num_active());
-    ASSERT_EQ(seq.num_stable_black(), par.num_stable_black());
-    ASSERT_EQ(seq.num_unstable(), par.num_unstable());
-    ASSERT_EQ(seq.engine().num_scheduled(), par.engine().num_scheduled());
-  }
-}
-
-TEST(ShardedStepping, DaemonSubsetTransitionsBitIdentical) {
-  const Graph& g = test_graph();
-  for (int shards : {2, env_threads()}) {
-    const CoinOracle coins(29);
-    DaemonMIS seq(g, make_init2(g, InitPattern::kUniformRandom, coins),
-                  std::make_unique<RandomSubsetDaemon>(0.7, 31), coins);
-    DaemonMIS par(g, make_init2(g, InitPattern::kUniformRandom, coins),
-                  std::make_unique<RandomSubsetDaemon>(0.7, 31), coins);
-    par.set_shards(shards);
-    for (int s = 0; s < 60 && !seq.stabilized(); ++s) {
-      ASSERT_EQ(seq.step(), par.step()) << "step " << s;
-      ASSERT_EQ(seq.colors(), par.colors()) << "step " << s;
-    }
-  }
-}
-
-TEST(ShardedStepping, BeepingNetworkBitIdentical) {
-  const Graph& g = test_graph();
-  const TwoStateBeepAutomaton automaton;
-  for (int shards : {2, env_threads()}) {
-    const CoinOracle coins(37);
-    std::vector<std::uint8_t> init(static_cast<std::size_t>(g.num_vertices()),
-                                   TwoStateBeepAutomaton::kBlack);
-    BeepingNetwork seq(g, automaton, init, coins);
-    BeepingNetwork par(g, automaton, init, coins);
-    par.set_shards(shards);
-    // Loss makes the transition draw an extra coin per heard vertex — the
-    // parallel path must consume the identical pure-function coins.
-    seq.set_loss_probability(0.05);
-    par.set_loss_probability(0.05);
-    for (int r = 0; r < 60; ++r) {
-      seq.step();
-      par.step();
-      ASSERT_EQ(seq.states(), par.states()) << "round " << r;
-      ASSERT_EQ(seq.total_beeps(), par.total_beeps()) << "round " << r;
-    }
-  }
-}
-
-TEST(ShardedStepping, StoneAgeNetworkBitIdentical) {
-  const Graph& g = test_graph();
-  const ThreeStateStoneAgeAutomaton automaton;
-  for (int shards : {2, env_threads()}) {
-    const CoinOracle coins(41);
-    const auto c3 = make_init3(g, InitPattern::kUniformRandom, coins);
-    std::vector<std::uint8_t> init(c3.size());
-    for (std::size_t i = 0; i < c3.size(); ++i)
-      init[i] = ThreeStateStoneAgeAutomaton::encode(c3[i]);
-    StoneAgeNetwork seq(g, automaton, init, coins);
-    StoneAgeNetwork par(g, automaton, init, coins);
-    par.set_shards(shards);
-    for (int r = 0; r < 60; ++r) {
-      seq.step();
-      par.step();
-      ASSERT_EQ(seq.states(), par.states()) << "round " << r;
-    }
-  }
-}
-
-// Faults injected mid-run route through the same merged apply pass; the
-// sharded engine must keep counters consistent across them.
-TEST(ShardedStepping, ForceColorInterleavedBitIdentical) {
-  const Graph& g = test_graph();
-  const CoinOracle coins(43);
-  TwoStateMIS seq(g, make_init2(g, InitPattern::kAllWhite, coins), coins);
-  TwoStateMIS par(g, make_init2(g, InitPattern::kAllWhite, coins), coins);
-  par.set_shards(env_threads());
-  for (int r = 0; r < 40; ++r) {
-    seq.step();
-    par.step();
-    if (r % 7 == 3) {
-      const Vertex u = static_cast<Vertex>((r * 131) % g.num_vertices());
-      seq.force_color(u, Color2::kBlack);
-      par.force_color(u, Color2::kBlack);
-    }
-    ASSERT_EQ(seq.colors(), par.colors()) << "round " << r;
-  }
 }
 
 // --- harness: batched trial scheduling ------------------------------------
@@ -238,12 +54,8 @@ TEST(TrialBatchScheduling, MeasurementsIdenticalAcrossThreadCounts) {
     const Measurements seq = measure_stabilization(g, config);
     for (int threads : {2, env_threads()}) {
       config.threads = threads;
-      config.batch = true;
-      const Measurements batched = measure_stabilization(g, config);
-      expect_measurements_equal(seq, batched, "batched");
-      config.batch = false;  // sharded stepping per trial instead
-      const Measurements sharded = measure_stabilization(g, config);
-      expect_measurements_equal(seq, sharded, "sharded");
+      expect_measurements_equal(seq, measure_stabilization(g, config),
+                                "batched");
     }
   }
 }

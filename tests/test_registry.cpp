@@ -11,7 +11,7 @@
 //   2. Every registered protocol — current and future — passes the same
 //      table-driven smoke: construction, stabilization on a small graph
 //      suite, validity of the stabilized output via the protocol's own
-//      verify predicate, shard-independence, and fault recovery. A new
+//      verify predicate, storage-independence, and fault recovery. A new
 //      workload gets all of this by registering, with zero new test code.
 #include <gtest/gtest.h>
 
@@ -46,9 +46,8 @@ namespace {
 std::uint64_t trajectory_fingerprint(const std::string& name,
                                      const ProtocolParams& params,
                                      const Graph& g, std::uint64_t seed,
-                                     int steps, int shards = 1) {
+                                     int steps) {
   const auto process = ProtocolRegistry::instance().make(name, g, params, seed);
-  if (shards > 1) process->set_shards(shards);
   std::uint64_t h = kFnv1aBasis;
   const auto fold = [&] {
     for (Vertex u = 0; u < g.num_vertices(); ++u) {
@@ -180,9 +179,8 @@ TEST(Registry, CrossRepresentationStorageKeepsTheGoldens) {
 
 // Table-driven over every registered protocol — current and future: each
 // one must produce the identical trajectory on plain, mmap'd-v1,
-// compressed, and mmap'd-v2 storage of the same graph, sequential and
-// sharded. A new workload gets this proof by registering, with zero new
-// test code.
+// compressed, and mmap'd-v2 storage of the same graph. A new workload gets
+// this proof by registering, with zero new test code.
 TEST(Registry, CrossRepresentationBitIdentityForEveryProtocol) {
   const auto storages = golden_graph_storages();
   const ProtocolParams none;
@@ -190,13 +188,9 @@ TEST(Registry, CrossRepresentationBitIdentityForEveryProtocol) {
     const std::uint64_t baseline =
         trajectory_fingerprint(name, none, storages.front().graph, 42, 48);
     for (const StorageCase& storage : storages) {
-      for (const int shards : {1, 4}) {
-        ASSERT_EQ(trajectory_fingerprint(name, none, storage.graph, 42, 48,
-                                         shards),
-                  baseline)
-            << name << " diverged on " << storage.name << " at " << shards
-            << " shard(s)";
-      }
+      ASSERT_EQ(trajectory_fingerprint(name, none, storage.graph, 42, 48),
+                baseline)
+          << name << " diverged on " << storage.name;
     }
   }
 }
@@ -321,29 +315,6 @@ TEST(Registry, OutputSetsMatchTheProtocolsOwnPredicates) {
   }
 }
 
-TEST(Registry, ShardingIsBitIdenticalForEveryProtocol) {
-  // n = 512 with a dense-enough worklist: unlike the 96-vertex golden
-  // graph, this engages the engine's sharded decide (kShardGrain = 256).
-  // The sharded run additionally steps on COMPRESSED storage, so parallel
-  // stepping through the decode scratch is what is being race- and
-  // bit-checked, not just the sequential path.
-  const Graph g = gen::gnp(512, 0.02, 17);
-  const Graph c = Graph::compress(g);
-  const ProtocolParams params;
-  for (const std::string& name : ProtocolRegistry::instance().names()) {
-    const auto seq = ProtocolRegistry::instance().make(name, g, params, 3);
-    const auto par = ProtocolRegistry::instance().make(name, c, params, 3);
-    par->set_shards(4);
-    for (int r = 0; r < 40; ++r) {
-      seq->step();
-      par->step();
-      for (Vertex u = 0; u < g.num_vertices(); ++u)
-        ASSERT_EQ(seq->raw_state(u), par->raw_state(u))
-            << name << " diverged at round " << r;
-    }
-  }
-}
-
 TEST(Registry, EveryProtocolRecoversFromInjectedFaults) {
   const Graph g = gen::gnp(48, 0.12, 19);
   const ProtocolParams params;
@@ -402,6 +373,11 @@ TEST(Registry, MalformedOptionValuesThrow) {
   ProtocolParams params;
   params.set("black-bias", "zz");
   EXPECT_THROW(ProtocolRegistry::instance().make("2state-variant", g, params, 1),
+               std::invalid_argument);
+  // Removed daemon kinds are unknown values, not silent aliases.
+  ProtocolParams pairs;
+  pairs.set("daemon", "pairs");
+  EXPECT_THROW(ProtocolRegistry::instance().make("daemon", g, pairs, 1),
                std::invalid_argument);
   // --proto-switch-d outside [1, 253] fails loudly, naming the option: -3
   // and 0 (no clock), 254 (top level d + 2 past a byte), 2^31 - 1 (d + 3

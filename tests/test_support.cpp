@@ -5,6 +5,7 @@
 #include "support/cli.hpp"
 #include "support/csv.hpp"
 #include "support/table.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ssmis {
 namespace {
@@ -68,8 +69,8 @@ TEST(Cli, HasDetectsPresence) {
 }
 
 TEST(Cli, UnknownOptionsAcceptsKnownFlags) {
-  const auto args = parse({"--trials=5", "--seed", "9", "--shard"});
-  EXPECT_TRUE(args.unknown_options({"trials", "seed", "shard"}).empty());
+  const auto args = parse({"--trials=5", "--seed", "9", "--verbose"});
+  EXPECT_TRUE(args.unknown_options({"trials", "seed", "verbose"}).empty());
 }
 
 TEST(Cli, UnknownOptionsRejectsTyposListingValidFlags) {
@@ -99,6 +100,13 @@ TEST(Cli, OptionsExposesParsedMap) {
   const auto args = parse({"--proto-loss=0.1", "--n=4"});
   ASSERT_EQ(args.options().size(), 2u);
   EXPECT_EQ(args.options().at("proto-loss"), "0.1");
+}
+
+TEST(Cli, ParseThreads) {
+  EXPECT_EQ(parse_threads(parse({})), 1);
+  EXPECT_EQ(parse_threads(parse({"--threads=3"})), 3);
+  EXPECT_EQ(parse_threads(parse({"--threads=-5"})), 1);
+  EXPECT_EQ(parse_threads(parse({"--threads=0"})), ThreadPool::host_width());
 }
 
 TEST(Table, AlignsColumns) {
