@@ -34,6 +34,7 @@
 #include <concepts>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -50,9 +51,30 @@ class VertexWorklist {
   // Empties the set and resizes the universe to [0, n).
   void reset(Vertex n);
 
+  // Makes the set exactly {u : flags[u] & bit} over the universe
+  // [0, flags.size()), in ascending order, without a branch per vertex.
+  void assign(std::span<const std::uint8_t> flags, std::uint8_t bit);
+
   [[nodiscard]] bool contains(Vertex u) const { return pos_[static_cast<std::size_t>(u)] >= 0; }
-  void insert(Vertex u);  // no-op if already present
-  void erase(Vertex u);   // no-op if absent (swap-with-last removal)
+
+  // No-op if already present.
+  void insert(Vertex u) {
+    Vertex& p = pos_[static_cast<std::size_t>(u)];
+    if (p >= 0) return;
+    p = narrow_cast<Vertex>(items_.size());
+    items_.push_back(u);
+  }
+
+  // No-op if absent (swap-with-last removal).
+  void erase(Vertex u) {
+    Vertex& p = pos_[static_cast<std::size_t>(u)];
+    if (p < 0) return;
+    const Vertex last = items_.back();
+    items_[static_cast<std::size_t>(p)] = last;
+    pos_[static_cast<std::size_t>(last)] = p;
+    items_.pop_back();
+    p = -1;
+  }
 
   [[nodiscard]] Vertex size() const { return narrow_cast<Vertex>(items_.size()); }
   [[nodiscard]] bool empty() const { return items_.empty(); }
@@ -267,14 +289,10 @@ class ProcessEngine {
     if (k_ < 0 || k_ > kMaxCounters)
       throw std::invalid_argument("ProcessEngine: rule needs 0..32 counters");
     num_colors_ = rule_.num_colors();
-    for (Color c : colors_) {
-      if (static_cast<int>(raw(c)) >= num_colors_)
-        throw std::invalid_argument("ProcessEngine: init color out of range");
-    }
     const std::size_t n = colors_.size();
-    staged_.resize(n);
-    stage_mark_.assign(n, 0);
-    touch_mark_.assign(n, 0);
+    changed_ = std::make_unique_for_overwrite<Vertex[]>(n);
+    changed_to_ = std::make_unique_for_overwrite<Color[]>(n);
+    touched_ = std::make_unique_for_overwrite<Vertex[]>(n + 1);
     rebuild();
   }
 
@@ -300,25 +318,24 @@ class ProcessEngine {
   // round() and does NOT run the rule's end-of-round hook; the caller owns
   // the schedule's notion of time. Duplicate entries are transitioned once.
   void apply_transitions(std::span<const Vertex> chosen, std::int64_t t) {
-    ++stage_gen_;
-    chosen_unique_.clear();
-    for (Vertex u : chosen) {
+    chosen_unique_.assign(chosen.begin(), chosen.end());
+    std::sort(chosen_unique_.begin(), chosen_unique_.end());
+    chosen_unique_.erase(std::unique(chosen_unique_.begin(), chosen_unique_.end()),
+                         chosen_unique_.end());
+    for (Vertex u : chosen_unique_) {
+      if (u < 0 || u >= graph_->num_vertices())
+        throw std::logic_error(
+            "ProcessEngine: transition requested for a non-scheduled vertex");
       // A fast-forwarded vertex is logically scheduled; bring its stored
       // color up to date before it transitions (round_ is frozen under a
       // daemon, so this is a bookkeeping no-op for parked orbits — there is
       // no synchronous time for them to have advanced along).
       if constexpr (kFastForward) {
-        if (u >= 0 && u < graph_->num_vertices() && periodic_.contains(u))
-          refresh(u);
+        if (periodic_.contains(u)) refresh(u);
       }
-      if (u < 0 || u >= graph_->num_vertices() ||
-          (flags_[static_cast<std::size_t>(u)] & kScheduledBit) == 0)
+      if ((flags_[static_cast<std::size_t>(u)] & kScheduledBit) == 0)
         throw std::logic_error(
             "ProcessEngine: transition requested for a non-scheduled vertex");
-      const std::size_t su = static_cast<std::size_t>(u);
-      if (stage_mark_[su] == stage_gen_) continue;  // duplicate in `chosen`
-      stage_mark_[su] = stage_gen_;
-      chosen_unique_.push_back(u);
     }
     decide(chosen_unique_, t);
     apply();
@@ -340,9 +357,9 @@ class ProcessEngine {
       if (periodic_.contains(u)) refresh(u);
     }
     if (colors_[static_cast<std::size_t>(u)] == c) return;
-    changed_.clear();
-    staged_[static_cast<std::size_t>(u)] = c;
-    changed_.push_back(u);
+    changed_[0] = u;
+    changed_to_[0] = c;
+    num_changed_ = 1;
     apply();
   }
 
@@ -353,7 +370,7 @@ class ProcessEngine {
   // invalidate the orbit declaration they entered under).
   void notify_rule_changed() {
     sync_fast_forward();
-    rebuild_flags();
+    rebuild();
   }
 
   // --- stable-periodic fast-forward ----------------------------------------
@@ -561,40 +578,48 @@ class ProcessEngine {
   static constexpr std::uint8_t kActiveBit = 2;
   static constexpr std::uint8_t kViolatingBit = 4;
   static constexpr std::uint8_t kStableBlackBit = 8;
+  // Set while u is on the current apply()'s touched list (never outside
+  // apply); not a predicate flag.
+  static constexpr std::uint8_t kTouchedBit = 16;
 
   static constexpr std::uint8_t raw(Color c) { return static_cast<std::uint8_t>(c); }
+  static constexpr Vertex bit(std::uint8_t f, std::uint8_t mask) { return (f & mask) != 0; }
 
-  // Phase 1: compute next colors for `items` against the frozen state,
-  // staging changes and recording the changed vertices in changed_. `items`
-  // must contain currently valid, duplicate-free vertices.
-  void decide(const std::vector<Vertex>& items, std::int64_t t) {
-    changed_.clear();
+  // Phase 1: compute next colors for `items` against the frozen state into
+  // the change list. `items` must contain currently valid, duplicate-free
+  // vertices. Every vertex is stored one past the live end of the list,
+  // which advances only if its color changes, so no step branches on the
+  // coin.
+  void decide(std::span<const Vertex> items, std::int64_t t) {
+    std::size_t len = 0;
     for (const Vertex u : items) {
-      const std::size_t su = static_cast<std::size_t>(u);
-      const Color next = rule_.transition(u, colors_[su], cnt_ptr(u), t);
-      if (next != colors_[su]) {
-        // Guard the histogram/counter indexing against a buggy rule (user
-        // automata are extension points): fail loudly instead of corrupting.
-        if (static_cast<int>(raw(next)) >= num_colors_)
-          throw std::logic_error("ProcessEngine: rule produced a color out of range");
-        staged_[su] = next;
-        changed_.push_back(u);
-      }
+      const Color cur = colors_[static_cast<std::size_t>(u)];
+      const Color next = rule_.transition(u, cur, cnt_ptr(u), t);
+      // Guard the histogram/counter indexing against a buggy rule (user
+      // automata are extension points): fail loudly instead of corrupting.
+      if (static_cast<int>(raw(next)) >= num_colors_)
+        throw std::logic_error("ProcessEngine: rule produced a color out of range");
+      changed_[len] = u;
+      changed_to_[len] = next;
+      len += static_cast<std::size_t>(next != cur);
     }
+    num_changed_ = len;
   }
 
-  // Phase 2: commit staged colors, patch counters of N(changed), and
+  // Phase 2: commit the change list, patch counters of N(changed), and
   // refresh flags/worklist/aggregates for N+(changed) only. Touched parked
   // vertices are materialized by their refresh (the re-activation point),
-  // which may touch further vertices — hence the index-based final loop.
+  // which may touch further vertices — hence the index-based refresh loop.
+  // The touched bits stay set until every refresh is done, so no vertex
+  // enters the list twice.
   void apply() {
-    ++touch_gen_;
-    touched_.clear();
+    num_touched_ = 0;
     in_apply_ = true;
-    for (Vertex u : changed_) {
+    for (std::size_t i = 0; i < num_changed_; ++i) {
+      const Vertex u = changed_[i];
       const std::size_t su = static_cast<std::size_t>(u);
       const Color prev = colors_[su];
-      const Color next = staged_[su];
+      const Color next = changed_to_[i];
       --hist_[raw(prev)];
       ++hist_[raw(next)];
       colors_[su] = next;
@@ -616,19 +641,24 @@ class ProcessEngine {
       for (Vertex v : nbrs(u)) {
         Vertex* base = counters_.data() +
                        static_cast<std::size_t>(v) * static_cast<std::size_t>(k_);
-        for (int i = 0; i < nz; ++i) base[js[i]] += ds[i];
+        for (int x = 0; x < nz; ++x) base[js[x]] += ds[x];
         touch(v);
       }
     }
-    for (std::size_t i = 0; i < touched_.size(); ++i) refresh(touched_[i]);
+    for (std::size_t i = 0; i < num_touched_; ++i) refresh(touched_[i]);
+    for (std::size_t i = 0; i < num_touched_; ++i)
+      flags_[static_cast<std::size_t>(touched_[i])] &= static_cast<std::uint8_t>(~kTouchedBit);
     in_apply_ = false;
   }
 
+  // Appends u to the touched list unless its touched bit is already set.
+  // The store always lands one past the live end (hence the list's spare
+  // slot); only the length update depends on the bit.
   void touch(Vertex u) {
-    const std::size_t su = static_cast<std::size_t>(u);
-    if (touch_mark_[su] == touch_gen_) return;
-    touch_mark_[su] = touch_gen_;
-    touched_.push_back(u);
+    std::uint8_t& f = flags_[static_cast<std::size_t>(u)];
+    touched_[num_touched_] = u;
+    num_touched_ += static_cast<std::size_t>((f & kTouchedBit) == 0);
+    f |= kTouchedBit;
   }
 
   // Raw (non-materializing) counter row — the view every internal phase and
@@ -640,20 +670,23 @@ class ProcessEngine {
            static_cast<std::size_t>(u) * static_cast<std::size_t>(k_);
   }
 
+  // u's predicate flags (never kTouchedBit).
   std::uint8_t compute_flags(Vertex u) const {
     const Color c = colors_[static_cast<std::size_t>(u)];
     const Vertex* cnt = cnt_ptr(u);
-    std::uint8_t f = rule_.scheduled(c, cnt) ? kScheduledBit : 0;
+    unsigned f = static_cast<unsigned>(rule_.scheduled(c, cnt));
     if constexpr (kTracksStability) {
-      if (rule_.active(c, cnt)) f |= kActiveBit;
-      if (rule_.violating(c, cnt)) f |= kViolatingBit;
-      if (rule_.stable_black(c, cnt)) f |= kStableBlackBit;
+      f |= static_cast<unsigned>(rule_.active(c, cnt)) << 1;
+      f |= static_cast<unsigned>(rule_.violating(c, cnt)) << 2;
+      f |= static_cast<unsigned>(rule_.stable_black(c, cnt)) << 3;
     }
-    return f;
+    return static_cast<std::uint8_t>(f);
   }
 
   // Re-evaluates u's predicate flags and patches the worklist, aggregates,
-  // and (when stability is tracked) the stable-black coverage counts.
+  // and (when stability is tracked) the stable-black coverage counts. The
+  // aggregates move by flag differences; only a worklist edit or a
+  // stable-black change (the coverage walk) branches.
   //
   // Under fast-forward this is also both the re-activation point (a parked
   // u is materialized before anything reads its flags or color) and the
@@ -667,26 +700,20 @@ class ProcessEngine {
     if constexpr (kFastForward) {
       if (periodic_.contains(u)) materialize(u);
     }
-    const std::uint8_t now = compute_flags(u);
     const std::uint8_t before = flags_[su];
-    if (now != before) {
-      flags_[su] = now;
-      if ((now ^ before) & kScheduledBit) {
-        if (now & kScheduledBit)
-          worklist_.insert(u);
-        else
-          worklist_.erase(u);
-      }
-      if constexpr (kTracksStability) {
-        num_active_ += ((now >> 1) & 1) - ((before >> 1) & 1);
-        num_violations_ += ((now >> 2) & 1) - ((before >> 2) & 1);
-        num_stable_black_ += ((now >> 3) & 1) - ((before >> 3) & 1);
-        if ((now ^ before) & kStableBlackBit) {
-          const Vertex d = (now & kStableBlackBit) ? 1 : -1;
-          bump_covered(u, d);
-          for (Vertex v : nbrs(u)) bump_covered(v, d);
-        }
-      }
+    const std::uint8_t now = compute_flags(u);
+    flags_[su] = static_cast<std::uint8_t>(now | (before & kTouchedBit));
+    if ((now ^ before) & kScheduledBit) {
+      if (now & kScheduledBit)
+        worklist_.insert(u);
+      else
+        worklist_.erase(u);
+    }
+    if constexpr (kTracksStability) {
+      num_active_ += bit(now, kActiveBit) - bit(before, kActiveBit);
+      num_violations_ += bit(now, kViolatingBit) - bit(before, kViolatingBit);
+      num_stable_black_ += bit(now, kStableBlackBit) - bit(before, kStableBlackBit);
+      if ((now ^ before) & kStableBlackBit) cover(u, (now & kStableBlackBit) ? 1 : -1);
     }
     if constexpr (kFastForward) {
       if (fast_forward_ && (now & kScheduledBit) &&
@@ -776,84 +803,82 @@ class ProcessEngine {
     return graph_->neighbors(u, nbr_scratch_);
   }
 
-  void bump_covered(Vertex x, Vertex d) {
-    Vertex& c = covered_[static_cast<std::size_t>(x)];
-    if (c == 0 && d > 0) --num_unstable_;
-    c += d;
-    if (c == 0 && d < 0) ++num_unstable_;
+  // Adds d (+1 when u became a stable black, -1 when it stopped being one)
+  // to the coverage counts of N+[u], and the resulting change in the number
+  // of uncovered vertices to num_unstable_.
+  void cover(Vertex u, Vertex d) {
+    const auto bump = [d](Vertex& c) {
+      const Vertex was_zero = c == 0;
+      c += d;
+      return static_cast<Vertex>(c == 0) - was_zero;
+    };
+    Vertex unstable = bump(covered_[static_cast<std::size_t>(u)]);
+    for (Vertex v : nbrs(u)) unstable += bump(covered_[static_cast<std::size_t>(v)]);
+    num_unstable_ += unstable;
   }
 
-  // Full O(n + m) derivation of counters + histogram (construction only).
-  // Rows are swept sequentially through a RowStream: on compressed graphs
-  // that costs one pass over the payload instead of n random row seeks.
+  // Full O(n + m) derivation of every piece of engine state from the colors
+  // (construction, and notify_rule_changed after a sync): histogram,
+  // counters, flags, worklist, aggregates and coverage. Each counter is one
+  // sequential adjacency sweep pulling the neighbors' contributions
+  // (Graph::neighbor_sums); one pass over the vertices then sets the
+  // flags, aggregates and histogram, counting the uncovered vertices while
+  // it marks coverage, and one more builds the worklist from the flags.
   void rebuild() {
     const Vertex n = graph_->num_vertices();
-    hist_.assign(static_cast<std::size_t>(num_colors_), 0);
-    counters_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(k_), 0);
-    Graph::RowStream rows(*graph_);
+    const std::size_t k = static_cast<std::size_t>(k_);
+    std::uint8_t max_color = 0;
+    for (const Color c : colors_) max_color = std::max(max_color, raw(c));
+    if (n > 0 && static_cast<int>(max_color) >= num_colors_)
+      throw std::invalid_argument("ProcessEngine: init color out of range");
+    const std::size_t nc = static_cast<std::size_t>(num_colors_);
+    counters_.resize(static_cast<std::size_t>(n) * k);
+    for (std::size_t j = 0; j < k; ++j) {
+      // adds[c]: what a neighbor of raw color c adds to counter j.
+      std::vector<Vertex> adds(nc);
+      for (std::size_t c = 0; c < nc; ++c)
+        adds[c] = rule_.contribution(static_cast<Color>(c), static_cast<int>(j));
+      graph_->neighbor_sums(
+          [&](Vertex v) { return adds[raw(colors_[static_cast<std::size_t>(v)])]; },
+          [&](Vertex u, std::int64_t sum) {
+            counters_[static_cast<std::size_t>(u) * k + j] = narrow_cast<Vertex>(sum);
+          });
+    }
+    hist_.assign(nc, 0);
+    flags_.resize(static_cast<std::size_t>(n));
+    covered_.assign(static_cast<std::size_t>(n), 0);
+    Vertex active = 0, violations = 0, stable_black = 0, covered = 0;
+    // Stable blacks' rows, read in order: one pass over the payload on
+    // compressed graphs instead of a row seek per stable black.
+    [[maybe_unused]] Graph::RowStream rows(*graph_);
     for (Vertex u = 0; u < n; ++u) {
-      const Color c = colors_[static_cast<std::size_t>(u)];
-      ++hist_[raw(c)];
-      bool any = false;
-      for (int j = 0; j < k_ && !any; ++j) any = rule_.contribution(c, j) != 0;
-      if (!any) {
-        rows.skip();
-        continue;
-      }
-      const auto nb = rows.next(nbr_scratch_);
-      for (int j = 0; j < k_; ++j) {
-        const Vertex d = rule_.contribution(c, j);
-        if (d == 0) continue;
-        for (Vertex v : nb) {
-          counters_[static_cast<std::size_t>(v) * static_cast<std::size_t>(k_) +
-                    static_cast<std::size_t>(j)] += d;
+      const std::size_t su = static_cast<std::size_t>(u);
+      ++hist_[raw(colors_[su])];
+      const std::uint8_t f = compute_flags(u);
+      flags_[su] = f;
+      if constexpr (kTracksStability) {
+        active += bit(f, kActiveBit);
+        violations += bit(f, kViolatingBit);
+        stable_black += bit(f, kStableBlackBit);
+        if (f & kStableBlackBit) {
+          covered += covered_[su]++ == 0;
+          for (const Vertex v : rows.next(nbr_scratch_))
+            covered += covered_[static_cast<std::size_t>(v)]++ == 0;
+        } else {
+          rows.skip();
         }
       }
     }
-    rebuild_flags();
-  }
-
-  // O(n) re-derivation of flags, worklist, and aggregates from the current
-  // colors/counters (plus O(m) coverage marking when stability is tracked).
-  void rebuild_flags() {
-    const Vertex n = graph_->num_vertices();
-    flags_.assign(static_cast<std::size_t>(n), 0);
-    worklist_.reset(n);
+    num_active_ = active;
+    num_violations_ = violations;
+    num_stable_black_ = stable_black;
+    num_unstable_ = kTracksStability ? n - covered : 0;
+    worklist_.assign(flags_, kScheduledBit);
     if constexpr (kFastForward) {
       // Callers materialize first (notify_rule_changed) or are starting
       // from exact colors (construction), so dropping the set is safe.
       periodic_.reset(n);
       ff_entry_.assign(static_cast<std::size_t>(n), round_);
-    }
-    num_active_ = 0;
-    num_violations_ = 0;
-    num_stable_black_ = 0;
-    covered_.assign(static_cast<std::size_t>(n), 0);
-    Graph::RowStream rows(*graph_);
-    for (Vertex u = 0; u < n; ++u) {
-      const std::uint8_t f = compute_flags(u);
-      flags_[static_cast<std::size_t>(u)] = f;
-      if (f & kScheduledBit) worklist_.insert(u);
-      bool row_used = false;
-      if constexpr (kTracksStability) {
-        if (f & kActiveBit) ++num_active_;
-        if (f & kViolatingBit) ++num_violations_;
-        if (f & kStableBlackBit) {
-          ++num_stable_black_;
-          ++covered_[static_cast<std::size_t>(u)];
-          for (Vertex v : rows.next(nbr_scratch_))
-            ++covered_[static_cast<std::size_t>(v)];
-          row_used = true;
-        }
-      }
-      if (!row_used) rows.skip();
-    }
-    num_unstable_ = 0;
-    if constexpr (kTracksStability) {
-      for (Vertex u = 0; u < n; ++u)
-        if (covered_[static_cast<std::size_t>(u)] == 0) ++num_unstable_;
-    }
-    if constexpr (kFastForward) {
       if (fast_forward_) scan_worklist_for_orbits();
     }
   }
@@ -876,17 +901,16 @@ class ProcessEngine {
   bool fast_forward_ = kFastForward;
   bool in_apply_ = false;
 
-  // Scratch for decide/apply (generation-marked to avoid per-round clears;
-  // 64-bit so the marks cannot wrap and collide within any feasible run).
-  // stage_mark_ backs only apply_transitions's duplicate detection.
-  std::vector<Color> staged_;
-  std::vector<std::uint64_t> stage_mark_;
-  std::vector<Vertex> changed_;
-  std::vector<Vertex> chosen_unique_;
-  std::vector<std::uint64_t> touch_mark_;
-  std::vector<Vertex> touched_;
-  std::uint64_t stage_gen_ = 0;
-  std::uint64_t touch_gen_ = 0;
+  // Scratch for decide/apply, sized at construction and written before it
+  // is read: the change list (vertices and their next colors; at most n
+  // entries) and the touched list (at most n entries plus the spare slot
+  // touch() stores into). Membership in the touched list is kTouchedBit.
+  std::unique_ptr<Vertex[]> changed_;
+  std::unique_ptr<Color[]> changed_to_;
+  std::size_t num_changed_ = 0;
+  std::unique_ptr<Vertex[]> touched_;
+  std::size_t num_touched_ = 0;
+  std::vector<Vertex> chosen_unique_;  // apply_transitions's sorted input
   // Compressed-row decode buffer (see nbrs()); untouched on plain graphs.
   NeighborScratch nbr_scratch_;
 

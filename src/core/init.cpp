@@ -49,55 +49,58 @@ const std::vector<InitPattern>& all_init_patterns() {
 
 namespace {
 
-// Degree above (strictly) the median => black. Uses nth_element on a copy.
-bool high_degree(const Graph& g, Vertex u) {
-  static thread_local const Graph* cached_graph = nullptr;
-  static thread_local Vertex cached_median = 0;
-  if (cached_graph != &g) {
+// Which vertices start "black" under a pattern. Built once per make_init*
+// call, so the median degree is computed once for that call's graph.
+class BlackStart {
+ public:
+  BlackStart(const Graph& g, InitPattern pattern, const CoinOracle& coins)
+      : g_(g), pattern_(pattern), coins_(coins) {
+    if (pattern != InitPattern::kHighDegreeBlack) return;
     std::vector<Vertex> degrees = g.degrees();
-    if (!degrees.empty()) {
-      auto mid = degrees.begin() + degrees.size() / 2;
-      std::nth_element(degrees.begin(), mid, degrees.end());
-      cached_median = *mid;
-    } else {
-      cached_median = 0;
-    }
-    cached_graph = &g;
+    if (degrees.empty()) return;
+    auto mid = degrees.begin() + static_cast<std::ptrdiff_t>(degrees.size() / 2);
+    std::nth_element(degrees.begin(), mid, degrees.end());
+    median_degree_ = *mid;
   }
-  return g.degree(u) > cached_median;
-}
 
-// Shared pattern logic: returns true if the vertex starts "black".
-bool black_at(const Graph& g, InitPattern pattern, const CoinOracle& coins,
-              Vertex u) {
-  switch (pattern) {
-    case InitPattern::kAllWhite: return false;
-    case InitPattern::kAllBlack: return true;
-    case InitPattern::kUniformRandom:
-      return coins.fair_coin(0, u, CoinTag::kInit);
-    case InitPattern::kAlternating: return (u % 2) == 0;
-    case InitPattern::kHighDegreeBlack: return high_degree(g, u);
-    case InitPattern::kOneBlack: return u == 0;
+  bool operator()(Vertex u) const {
+    switch (pattern_) {
+      case InitPattern::kAllWhite: return false;
+      case InitPattern::kAllBlack: return true;
+      case InitPattern::kUniformRandom:
+        return coins_.fair_coin(0, u, CoinTag::kInit);
+      case InitPattern::kAlternating: return (u % 2) == 0;
+      // Degree above (strictly) the median.
+      case InitPattern::kHighDegreeBlack: return g_.degree(u) > median_degree_;
+      case InitPattern::kOneBlack: return u == 0;
+    }
+    return false;
   }
-  return false;
-}
+
+ private:
+  const Graph& g_;
+  InitPattern pattern_;
+  const CoinOracle& coins_;
+  Vertex median_degree_ = 0;
+};
 
 }  // namespace
 
 std::vector<Color2> make_init2(const Graph& g, InitPattern pattern,
                                const CoinOracle& coins) {
+  const BlackStart black(g, pattern, coins);
   std::vector<Color2> init(static_cast<std::size_t>(g.num_vertices()));
   for (Vertex u = 0; u < g.num_vertices(); ++u)
-    init[static_cast<std::size_t>(u)] =
-        black_at(g, pattern, coins, u) ? Color2::kBlack : Color2::kWhite;
+    init[static_cast<std::size_t>(u)] = black(u) ? Color2::kBlack : Color2::kWhite;
   return init;
 }
 
 std::vector<Color3> make_init3(const Graph& g, InitPattern pattern,
                                const CoinOracle& coins) {
+  const BlackStart black(g, pattern, coins);
   std::vector<Color3> init(static_cast<std::size_t>(g.num_vertices()));
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (!black_at(g, pattern, coins, u)) {
+    if (!black(u)) {
       init[static_cast<std::size_t>(u)] = Color3::kWhite;
     } else {
       // Split black starts between the two black states deterministically.
@@ -110,9 +113,10 @@ std::vector<Color3> make_init3(const Graph& g, InitPattern pattern,
 
 std::vector<ColorG> make_init_g(const Graph& g, InitPattern pattern,
                                 const CoinOracle& coins) {
+  const BlackStart black(g, pattern, coins);
   std::vector<ColorG> init(static_cast<std::size_t>(g.num_vertices()));
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (black_at(g, pattern, coins, u)) {
+    if (black(u)) {
       init[static_cast<std::size_t>(u)] = ColorG::kBlack;
     } else {
       // A third of non-black starters begin gray: adversarial inits must

@@ -47,7 +47,7 @@ class PriorityMisRule {
   Vertex contribution(Color2 c, int) const { return is_black(c) ? 1 : 0; }
 
   bool active(Color2 c, const Vertex* cnt) const {
-    return is_black(c) ? cnt[0] > 0 : cnt[0] == 0;
+    return is_black(c) == (cnt[0] > 0);
   }
   bool scheduled(Color2 c, const Vertex* cnt) const { return active(c, cnt); }
   bool violating(Color2 c, const Vertex* cnt) const { return active(c, cnt); }

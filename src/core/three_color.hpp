@@ -64,7 +64,7 @@ class ThreeColorRule {
   // MIS violation: every non-black vertex (white *or* gray) needs a black
   // neighbor, and blacks must have none.
   bool violating(ColorG c, const Vertex* cnt) const {
-    return is_black(c) ? cnt[0] > 0 : cnt[0] == 0;
+    return is_black(c) == (cnt[0] > 0);
   }
   bool stable_black(ColorG c, const Vertex* cnt) const {
     return is_black(c) && cnt[0] == 0;

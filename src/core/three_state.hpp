@@ -68,7 +68,7 @@ class ThreeStateRule {
   }
   // Black-set violation: black with a black neighbor, or white without one.
   bool violating(Color3 c, const Vertex* cnt) const {
-    return is_black(c) ? cnt[kBlackNbr] > 0 : cnt[kBlackNbr] == 0;
+    return is_black(c) == (cnt[kBlackNbr] > 0);
   }
   bool stable_black(Color3 c, const Vertex* cnt) const {
     return is_black(c) && cnt[kBlackNbr] == 0;

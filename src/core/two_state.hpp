@@ -38,8 +38,11 @@ class TwoStateRule {
   int num_counters() const { return 1; }  // cnt[0] = black neighbors
   Vertex contribution(Color2 c, int) const { return is_black(c) ? 1 : 0; }
 
+  // Black with a black neighbor, or white without one — written as a
+  // comparison, so the engine's per-vertex refresh does not branch on the
+  // coin-driven color.
   bool active(Color2 c, const Vertex* cnt) const {
-    return is_black(c) ? cnt[0] > 0 : cnt[0] == 0;
+    return is_black(c) == (cnt[0] > 0);
   }
   // For the 2-state rule, the scheduled, active, and violating sets coincide.
   bool scheduled(Color2 c, const Vertex* cnt) const { return active(c, cnt); }

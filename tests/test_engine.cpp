@@ -205,12 +205,16 @@ TEST(EngineInvariants, TwoStateVariantUnderStepping) {
 }
 
 // The engine's subset-transition primitive (the daemon path) must uphold
-// the same invariants and reject non-scheduled vertices.
+// the same invariants and reject non-scheduled vertices. A twin engine gets
+// each chosen list followed by its own reversal, so every vertex appears
+// twice: duplicates are transitioned once, so the twins stay identical.
 TEST(EngineInvariants, SubsetTransitions) {
   const Graph g = gen::gnp(40, 0.12, 31);
   const CoinOracle coins(37);
   ProcessEngine<TwoStateRule> e(g, make_init2(g, InitPattern::kAllBlack, coins),
                                 TwoStateRule(coins));
+  ProcessEngine<TwoStateRule> twin(g, make_init2(g, InitPattern::kAllBlack, coins),
+                                   TwoStateRule(coins));
   const CoinOracle pick(41);
   for (int step = 1; step <= 200 && !e.stabilized(); ++step) {
     const auto enabled = e.scheduled_set();
@@ -218,8 +222,13 @@ TEST(EngineInvariants, SubsetTransitions) {
     for (Vertex u : enabled)
       if (pick.bernoulli(step, u, CoinTag::kScheduler, 0.5)) chosen.push_back(u);
     if (chosen.empty()) chosen = enabled;
+    std::vector<Vertex> doubled = chosen;
+    doubled.insert(doubled.end(), chosen.rbegin(), chosen.rend());
     e.apply_transitions({chosen.data(), chosen.size()}, step);
+    twin.apply_transitions({doubled.data(), doubled.size()}, step);
     expect_engine_consistent(e, ctx("subset", g, step));
+    expect_engine_consistent(twin, ctx("subset twin", g, step));
+    ASSERT_EQ(twin.colors(), e.colors()) << ctx("subset twin", g, step);
   }
   // Activating a non-scheduled vertex is a daemon bug, not a silent no-op.
   for (Vertex u = 0; u < g.num_vertices(); ++u) {

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 
@@ -89,6 +90,33 @@ TEST(Graph, SummaryMentionsCounts) {
   const std::string s = g.summary();
   EXPECT_NE(s.find("n=4"), std::string::npos);
   EXPECT_NE(s.find("m=2"), std::string::npos);
+}
+
+// neighbor_sums must equal per-row sums on both storages, in vertex order,
+// including a row spanning several of the plain sweep's chunks (the hub
+// of a 600-leaf star) and runs of empty rows at the start, in the middle
+// and at the end.
+TEST(Graph, NeighborSumsMatchPerRowSums) {
+  std::vector<Edge> edges;
+  for (Vertex v = 2; v < 602; ++v) edges.emplace_back(1, v);
+  for (Vertex v = 700; v < 900; ++v) edges.emplace_back(v, v + 1);
+  const Graph mixed = Graph::from_edges(1000, edges);
+  const Graph gnp = gen::gnp(3000, 0.004, 5);
+  const auto value = [](Vertex v) { return static_cast<std::int64_t>(v % 7) - 3; };
+  for (const Graph& g : {mixed, Graph::compress(mixed), gnp, Graph::compress(gnp),
+                         Graph::from_edges(5, {}), Graph()}) {
+    const auto n = static_cast<std::size_t>(g.num_vertices());
+    std::vector<std::int64_t> want(n, 0);
+    NeighborScratch scratch;
+    for (Vertex u = 0; u < g.num_vertices(); ++u)
+      for (const Vertex v : g.neighbors(u, scratch)) want[static_cast<std::size_t>(u)] += value(v);
+    std::vector<std::int64_t> got;
+    g.neighbor_sums(value, [&](Vertex u, std::int64_t sum) {
+      ASSERT_EQ(static_cast<std::size_t>(u), got.size()) << g.summary();
+      got.push_back(sum);
+    });
+    EXPECT_EQ(got, want) << g.summary();
+  }
 }
 
 TEST(GraphBuilder, NegativeSizeThrows) {

@@ -45,6 +45,22 @@ TEST(Init, HighDegreeBlackPicksHub) {
     EXPECT_EQ(init[static_cast<std::size_t>(u)], Color2::kWhite);
 }
 
+// The median is taken from the graph passed in, even when a variable that
+// held another graph is reused: K_10's vertices all have the median degree
+// 9, so none is black, whatever star_10 gave before.
+TEST(Init, HighDegreeBlackFollowsReassignedGraph) {
+  const CoinOracle coins(1);
+  Graph g = gen::star(10);
+  (void)make_init2(g, InitPattern::kHighDegreeBlack, coins);
+  g = gen::complete(10);
+  for (Color2 c : make_init2(g, InitPattern::kHighDegreeBlack, coins))
+    EXPECT_EQ(c, Color2::kWhite);
+  for (Color3 c : make_init3(g, InitPattern::kHighDegreeBlack, coins))
+    EXPECT_EQ(c, Color3::kWhite);
+  for (ColorG c : make_init_g(g, InitPattern::kHighDegreeBlack, coins))
+    EXPECT_EQ(c, ColorG::kWhite);
+}
+
 TEST(Init, UniformRandomRoughlyBalanced) {
   const Graph g = Graph::from_edges(4000, {});
   const CoinOracle coins(99);
