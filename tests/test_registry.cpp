@@ -136,6 +136,24 @@ void expect_new_workload_goldens(const Graph& g, const std::string& where) {
   EXPECT_EQ(trajectory_fingerprint("priority", none, g, 42, 48),
             0x38816e73a077402aULL)
       << where;
+  // The non-default bias sources: a constant q with the deterministic
+  // white -> black move, and the degree and random per-vertex tables.
+  ProtocolParams eager;
+  eager.set("black-bias", "0.3");
+  eager.set("eager-white", "1");
+  EXPECT_EQ(trajectory_fingerprint("2state-variant", eager, g, 42, 48),
+            0xbfa38ab4bfc21049ULL)
+      << where;
+  ProtocolParams degree;
+  degree.set("priority", "degree");
+  EXPECT_EQ(trajectory_fingerprint("priority", degree, g, 42, 48),
+            0x092390d765cfc586ULL)
+      << where;
+  ProtocolParams random;
+  random.set("priority", "random");
+  EXPECT_EQ(trajectory_fingerprint("priority", random, g, 42, 48),
+            0xd553b000d7c22113ULL)
+      << where;
 }
 
 TEST(Registry, AllSevenLegacyProtocolsRegistered) {
