@@ -33,7 +33,6 @@
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
 #include "core/two_state.hpp"
-#include "core/two_state_variant.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
 #include "graph/ssg.hpp"
@@ -394,9 +393,9 @@ void append_process_rows(std::vector<EngineBenchRow>& rows, const std::string& g
                                 mode));
     rows.push_back(full_run_row("two_state_variant", gname, g,
                                 [&] {
-                                  return TwoStateVariant(
+                                  return TwoStateMIS(
                                       g, make_init2(g, InitPattern::kUniformRandom, coins),
-                                      coins, 0.5, false);
+                                      TwoStateRule(coins, 0.5, false));
                                 },
                                 mode));
     rows.push_back(full_run_row("three_state", gname, g,

@@ -8,6 +8,7 @@
 
 #include "core/faults.hpp"
 #include "core/init.hpp"
+#include "core/process.hpp"
 #include "core/runner.hpp"
 #include "core/two_state.hpp"
 #include "core/verify.hpp"
@@ -31,22 +32,23 @@ int main(int argc, char** argv) {
             << fraction * 100 << "% of vertices to random states\n\n";
 
   const CoinOracle coins(seed + 1);
-  TwoStateMIS process(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
+  MisFamilyAdapter<TwoStateMIS> process(
+      TwoStateMIS(g, make_init2(g, InitPattern::kUniformRandom, coins), coins));
 
   TextTable table({"burst", "corrupted", "MIS broken after fault?",
                    "recovery rounds", "valid MIS after"});
-  RunResult r = run_until_stabilized(process, 100000);
+  RunResult r = process.run(100000, TraceMode::kNone);
   std::cout << "initial convergence: " << r.rounds << " rounds\n";
   for (int burst = 1; burst <= bursts; ++burst) {
     const FaultReport report = inject_faults(process, fraction, burst);
-    const bool broken = !is_mis(g, process.black_set());
-    r = run_until_stabilized(process, 100000);
+    const bool broken = !is_mis(g, process.output_set());
+    r = process.run(100000, TraceMode::kNone);
     table.begin_row();
     table.add_cell(static_cast<std::int64_t>(burst));
     table.add_cell(static_cast<std::int64_t>(report.corrupted));
     table.add_cell(broken ? "yes" : "no (lucky)");
     table.add_cell(r.rounds);
-    table.add_cell(is_mis(g, process.black_set()) ? "yes" : "NO");
+    table.add_cell(is_mis(g, process.output_set()) ? "yes" : "NO");
     if (!r.stabilized) {
       std::cerr << "did not re-stabilize within horizon\n";
       return 1;

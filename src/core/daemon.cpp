@@ -62,61 +62,7 @@ std::vector<Vertex> DaemonMIS::black_set() const {
   return engine_.select([this](Vertex u) { return black(u); });
 }
 
-std::int64_t DaemonMIS::run(std::int64_t max_steps) {
-  const std::int64_t start = steps_;
-  while (!stabilized() && steps_ - start < max_steps) step();
-  return steps_ - start;
-}
-
 namespace {
-
-// Process adapter: one daemon STEP is the unit the harness counts (a
-// central step activates one vertex, a synchronous step up to n — steps are
-// not comparable across daemons, but the horizon semantics are uniform).
-class DaemonProcess final : public Process {
- public:
-  explicit DaemonProcess(DaemonMIS process) : process_(std::move(process)) {}
-
-  const Graph& graph() const override { return process_.graph(); }
-  void step() override { process_.step(); }
-  std::int64_t round() const override { return process_.steps(); }
-  bool stabilized() const override { return process_.stabilized(); }
-
-  RoundStats snapshot() const override {
-    const DaemonMIS::Engine& e = process_.engine();
-    RoundStats s;
-    s.round = process_.steps();
-    s.black = e.color_count(Color2::kBlack);
-    s.active = e.num_active();
-    s.stable_black = e.num_stable_black();
-    s.unstable = e.num_unstable();
-    s.gray = 0;
-    return s;
-  }
-
-  // The base-class run() loop over the virtual step()/stabilized() is the
-  // right driver here: one daemon step is small, and the per-step virtual
-  // dispatch is noise next to the subset activation itself.
-
-  std::vector<Vertex> output_set() const override { return process_.black_set(); }
-  bool settled(Vertex u) const override { return !process_.engine().unstable(u); }
-
-  void verify_output() const override {
-    verify_mis_output(graph(), process_.black_set());
-  }
-
-  void force_state(Vertex u, std::uint8_t raw) override {
-    process_.force_color(u, static_cast<Color2>(raw));
-  }
-  std::uint8_t raw_state(Vertex u) const override {
-    return static_cast<std::uint8_t>(
-        process_.colors()[static_cast<std::size_t>(u)]);
-  }
-  int num_colors() const override { return process_.engine().num_colors(); }
-
- private:
-  DaemonMIS process_;
-};
 
 std::unique_ptr<ActivationDaemon> make_daemon(const std::string& kind,
                                               double rho, std::uint64_t seed) {
@@ -138,7 +84,7 @@ const ProtocolRegistrar kDaemonProtocol{
       const CoinOracle coins(seed);
       // The daemon's private scheduler coins must not alias the process's
       // phi_t(u) stream: derive its seed with one avalanching mix.
-      return std::make_unique<DaemonProcess>(DaemonMIS(
+      return std::make_unique<MisFamilyAdapter<DaemonMIS>>(DaemonMIS(
           g, make_init2(g, params.init, coins),
           make_daemon(params.get_string("daemon", "synchronous"),
                       params.get_double("rho", 0.5), splitmix64_mix(seed)),

@@ -17,7 +17,9 @@
 // DaemonMIS drives the same ProcessEngine<TwoStateRule> as the synchronous
 // process, through the engine's subset-transition primitive: the enabled set
 // IS the engine's scheduled worklist, so enabled-set queries are O(|enabled|)
-// rather than O(n) scans.
+// rather than O(n) scans. It has the MisProcess surface, with one daemon
+// step as its round, so run_until_stabilized drives it and the registry
+// wraps it in the shared MisFamilyAdapter.
 #pragma once
 
 #include <cstdint>
@@ -94,7 +96,10 @@ class DaemonMIS {
   // One daemon step (activates one chosen subset). Returns the number of
   // vertices activated.
   Vertex step();
-  std::int64_t steps() const { return steps_; }
+  // Daemon steps so far: a central step activates one vertex, a synchronous
+  // one up to n, so steps are not comparable across daemons, but the
+  // horizon semantics are uniform.
+  std::int64_t round() const { return steps_; }
 
   const Graph& graph() const { return engine_.graph(); }
   const std::vector<Color2>& colors() const { return engine_.colors(); }
@@ -106,8 +111,11 @@ class DaemonMIS {
   std::vector<Vertex> black_set() const;
   std::vector<Vertex> enabled_set() const { return engine_.scheduled_set(); }
 
-  // Runs until stabilized or `max_steps`; returns steps used.
-  std::int64_t run(std::int64_t max_steps);
+  Vertex num_black() const { return engine_.color_count(Color2::kBlack); }
+  Vertex num_active() const { return engine_.num_active(); }
+  Vertex num_stable_black() const { return engine_.num_stable_black(); }
+  Vertex num_unstable() const { return engine_.num_unstable(); }
+  Vertex num_gray() const { return 0; }
 
   // Fault-injection / test hook: overwrite one vertex's color in O(deg(u)),
   // keeping the internal counters consistent. Not a daemon step.

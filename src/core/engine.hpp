@@ -16,10 +16,11 @@
 //
 // The engine is policy-based: `ProcessEngine<Rule>` owns colors, counters,
 // the worklist, and the aggregates; the Rule supplies only the paper's
-// transition table and predicates (see `ProcessRule` below). The four direct
-// processes (2-state, 2-state variant, 3-state, 3-color), the daemon
-// adapter, and both communication-model network simulators are all thin
-// rules/wrappers over this one stepping core.
+// transition table and predicates (see `ProcessRule` below). Five rules
+// cover every process: the 2-state rule (with its bias sources it also runs
+// the ablation, priority, daemon and matching workloads), 3-state, 3-color,
+// and the beeping and stone-age network simulators' automaton rules — all
+// over this one stepping core.
 //
 // Randomness: rules draw coins from the counter-based CoinOracle, where
 // every coin is a pure function of (seed, round, vertex, tag). Because no

@@ -1,18 +1,8 @@
 #include "core/faults.hpp"
 
-#include "support/narrow.hpp"
+#include "rng/coin_oracle.hpp"
 
 namespace ssmis {
-
-namespace {
-
-// Decision stream for fault injection: salted rounds far below zero so they
-// can never collide with process rounds.
-std::int64_t fault_round(std::int64_t salt, int which) {
-  return -1000000 - salt * 4 - which;
-}
-
-}  // namespace
 
 FaultReport inject_faults(Process& process, double fraction, std::int64_t salt) {
   FaultReport report;
@@ -21,57 +11,6 @@ FaultReport inject_faults(Process& process, double fraction, std::int64_t salt) 
     if (!fault_coins.bernoulli(0, u, CoinTag::kFault, fraction)) continue;
     if (process.inject_fault(u, fault_coins.word(1, u, CoinTag::kFault)))
       ++report.corrupted;
-  }
-  return report;
-}
-
-FaultReport inject_faults(TwoStateMIS& process, double fraction, std::int64_t salt) {
-  FaultReport report;
-  const CoinOracle& coins = process.coins();
-  for (Vertex u = 0; u < process.graph().num_vertices(); ++u) {
-    if (!coins.bernoulli(fault_round(salt, 0), u, CoinTag::kFault, fraction)) continue;
-    const Color2 c = coins.fair_coin(fault_round(salt, 1), u, CoinTag::kFault)
-                         ? Color2::kBlack
-                         : Color2::kWhite;
-    process.force_color(u, c);
-    ++report.corrupted;
-  }
-  return report;
-}
-
-FaultReport inject_faults(ThreeStateMIS& process, double fraction, std::int64_t salt) {
-  FaultReport report;
-  // ThreeStateMIS does not expose its oracle; derive decisions from a salt-
-  // seeded oracle instead. Determinism per salt is all the experiments need.
-  CoinOracle fault_coins(static_cast<std::uint64_t>(salt) * 0x9e3779b97f4a7c15ULL + 17);
-  for (Vertex u = 0; u < process.graph().num_vertices(); ++u) {
-    if (!fault_coins.bernoulli(0, u, CoinTag::kFault, fraction)) continue;
-    const std::uint64_t w = fault_coins.word(1, u, CoinTag::kFault);
-    const Color3 c = static_cast<Color3>(w % 3);
-    process.force_color(u, c);
-    ++report.corrupted;
-  }
-  return report;
-}
-
-FaultReport inject_faults(ThreeColorMIS& process, double fraction, std::int64_t salt) {
-  FaultReport report;
-  CoinOracle fault_coins(static_cast<std::uint64_t>(salt) * 0x9e3779b97f4a7c15ULL + 29);
-  auto* rand_switch = dynamic_cast<RandomizedLogSwitch*>(&process.switch_process());
-  auto* clock_switch = dynamic_cast<PhaseClockSwitch*>(&process.switch_process());
-  for (Vertex u = 0; u < process.graph().num_vertices(); ++u) {
-    if (!fault_coins.bernoulli(0, u, CoinTag::kFault, fraction)) continue;
-    const std::uint64_t w = fault_coins.word(1, u, CoinTag::kFault);
-    process.force_color(u, static_cast<ColorG>(w % 3));
-    PhaseClock* clock = rand_switch != nullptr ? &rand_switch->clock()
-                        : clock_switch != nullptr ? &clock_switch->clock()
-                                                  : nullptr;
-    if (clock != nullptr) {
-      const int lvl = narrow_cast<int>((w >> 8) %
-                                       static_cast<std::uint64_t>(clock->num_states()));
-      clock->force_level(u, lvl);
-    }
-    ++report.corrupted;
   }
   return report;
 }

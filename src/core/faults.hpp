@@ -3,19 +3,15 @@
 // Self-stabilization (Dijkstra 1974) means convergence from *any* state, so
 // a transient fault — an adversary rewriting a subset of vertex states — is
 // survived by construction: the post-fault configuration is just another
-// initial state. The injector makes this concrete for experiments E14 and
-// the fault-recovery example: it corrupts a random fraction of vertices to
-// uniformly random states (colors, and switch levels for the 3-color
-// process), deterministically per (oracle seed, salt).
+// initial state. The injector makes this concrete for the fault-recovery
+// experiment and example: it corrupts a random fraction of vertices to
+// uniformly random states, deterministically per (fraction, salt), through
+// the one type-erased path every registered protocol shares.
 #pragma once
 
 #include <cstdint>
 
 #include "core/process.hpp"
-#include "core/three_color.hpp"
-#include "core/three_state.hpp"
-#include "core/two_state.hpp"
-#include "rng/coin_oracle.hpp"
 
 namespace ssmis {
 
@@ -23,19 +19,11 @@ struct FaultReport {
   Vertex corrupted = 0;  // number of vertices rewritten
 };
 
-// Type-erased injection for any registry protocol: corrupts each vertex
-// independently w.p. `fraction` through Process::inject_fault (which covers
-// the full per-vertex state, switch levels included). Deterministic per
+// Corrupts each vertex independently w.p. `fraction` through
+// Process::inject_fault, which covers the full per-vertex state (the 3-color
+// switch level included) and may find nothing to corrupt at a vertex (an
+// isolated vertex under the edge-state matching protocol). Deterministic per
 // (fraction, salt); `salt` decorrelates successive injections.
 FaultReport inject_faults(Process& process, double fraction, std::int64_t salt);
-
-// Each vertex is independently corrupted with probability `fraction`; a
-// corrupted vertex gets a uniformly random color (which may equal its
-// current one). `salt` decorrelates successive injections.
-FaultReport inject_faults(TwoStateMIS& process, double fraction, std::int64_t salt);
-FaultReport inject_faults(ThreeStateMIS& process, double fraction, std::int64_t salt);
-// Also randomizes the phase-clock level of corrupted vertices when the
-// switch is a RandomizedLogSwitch or PhaseClockSwitch.
-FaultReport inject_faults(ThreeColorMIS& process, double fraction, std::int64_t salt);
 
 }  // namespace ssmis

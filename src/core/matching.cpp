@@ -128,19 +128,11 @@ bool MaximalMatching::settled(Vertex u) const {
 
 namespace {
 
-class MatchingProcess final : public Process {
+// Stepping, snapshots and the run loop come from MisProcessAdapter; the
+// output, validity and state hooks are the matching's own.
+class MatchingProcess final : public MisProcessAdapter<MaximalMatching> {
  public:
-  explicit MatchingProcess(MaximalMatching process)
-      : process_(std::move(process)) {}
-
-  const Graph& graph() const override { return process_.graph(); }
-  void step() override { process_.step(); }
-  std::int64_t round() const override { return process_.round(); }
-  bool stabilized() const override { return process_.stabilized(); }
-  RoundStats snapshot() const override { return ssmis::snapshot(process_); }
-  RunResult run(std::int64_t max_rounds, TraceMode mode) override {
-    return run_until_stabilized(process_, max_rounds, mode);
-  }
+  using MisProcessAdapter::MisProcessAdapter;
 
   std::vector<Vertex> output_set() const override {
     return process_.matched_set();
@@ -176,9 +168,6 @@ class MatchingProcess final : public Process {
                         ((w >> 32) & 1) != 0 ? Color2::kBlack : Color2::kWhite);
     return true;
   }
-
- private:
-  MaximalMatching process_;
 };
 
 const ProtocolRegistrar kMatchingProtocol{

@@ -1,21 +1,26 @@
 // Type-erased process runtime: ONE measurement path for every rule.
 //
-// The harness used to dispatch on a closed `ProcessKind` enum, so only the
-// three headline processes could reach `measure_stabilization` and every
-// other protocol (daemon runs, the communication-model networks, any new
-// workload) needed bespoke driver code. `Process` erases the concrete
-// wrapper type behind the interface the harness actually needs —
-// step/round/stabilized/trace snapshot/output/verify/force-state — so
-// trial scheduling, timeout accounting, per-vertex times, and the CLI
-// all work for any registered protocol (harness/registry.hpp).
+// `Process` erases the concrete wrapper type behind the interface the
+// harness needs — step/round/stabilized/trace snapshot/output/verify/
+// force-state/fault — so trial scheduling, timeout accounting, per-vertex
+// times, fault injection (core/faults.hpp) and the CLI all work for any
+// registered protocol (harness/registry.hpp).
+//
+// Adapters: `MisProcessAdapter<P>` supplies the stepping half for any
+// wrapper satisfying MisProcess (core/runner.hpp); `MisFamilyAdapter<P>`
+// adds the MIS family's output, validity, coverage and fault half, and
+// routes faults through the wrapper's own `inject_fault` when it has one
+// (the 3-color switch level). Every engine-backed MIS wrapper registers
+// through MisFamilyAdapter; `matching` derives from MisProcessAdapter and
+// the communication-model networks implement Process directly.
 //
 // Cost model: type erasure sits at TRIAL granularity, not step granularity.
 // A trial calls the virtual `run()` once; the adapter's override immediately
 // re-enters the templated `run_until_stabilized` loop on the concrete
-// wrapper, so the hot stepping loop is exactly the pre-refactor code with
-// zero added indirection. Drivers that interleave work between rounds
-// (per-vertex times, the interactive simulator) pay one virtual call per
-// ROUND — noise next to the O(|A_t| + sum deg(changed)) round body.
+// wrapper, so the hot stepping loop has zero added indirection. Drivers
+// that interleave work between rounds (per-vertex times, the interactive
+// simulator) pay one virtual call per ROUND — noise next to the
+// O(|A_t| + sum deg(changed)) round body.
 #pragma once
 
 #include <cstdint>
@@ -118,6 +123,14 @@ concept ProcessHasFastForwardToggle = requires(P& p, bool on) {
   p.set_fast_forward(on);
 };
 
+// Optional per-wrapper fault hook for protocols whose per-vertex state is
+// more than the engine color (the 3-color switch level); wrappers without
+// it get Process's default, a random color through force_state.
+template <typename P>
+concept ProcessHasFaultHook = requires(P& p, Vertex u, std::uint64_t w) {
+  { p.inject_fault(u, w) } -> std::convertible_to<bool>;
+};
+
 // Adapter for wrappers satisfying the MisProcess concept (the direct
 // engine-backed processes). Derived classes supply output/verify/settled/
 // force-state; stepping, snapshots, and the devirtualized run loop are
@@ -167,9 +180,9 @@ concept MisFamilyProcess =
 
 // Shared adapter for the MIS-family wrappers: output is the black set, the
 // validity predicate is is_mis, settled(u) is membership in N+(I_t) (the
-// engine's coverage counters), and faults route through force_color.
-// Protocols with auxiliary per-vertex state (the 3-color switch) subclass
-// and override inject_fault.
+// engine's coverage counters), and faults route through force_color — or
+// through the wrapper's own inject_fault (ProcessHasFaultHook) when its
+// per-vertex state carries more than the color.
 template <MisFamilyProcess P>
 class MisFamilyAdapter : public MisProcessAdapter<P> {
  public:
@@ -193,6 +206,12 @@ class MisFamilyAdapter : public MisProcessAdapter<P> {
         this->process_.colors()[static_cast<std::size_t>(u)]);
   }
   int num_colors() const override { return this->process_.engine().num_colors(); }
+  bool inject_fault(Vertex u, std::uint64_t w) override {
+    if constexpr (ProcessHasFaultHook<P>)
+      return this->process_.inject_fault(u, w);
+    else
+      return Process::inject_fault(u, w);
+  }
 };
 
 }  // namespace ssmis

@@ -13,29 +13,22 @@ std::vector<Vertex> ThreeColorMIS::black_set() const {
   return engine_.select([this](Vertex u) { return black(u); });
 }
 
-namespace {
-
-// The 3-color per-vertex state includes the switch level: a transient fault
-// corrupts both (mirroring inject_faults(ThreeColorMIS&) in core/faults.cpp).
-class ThreeColorProcess final : public MisFamilyAdapter<ThreeColorMIS> {
- public:
-  using MisFamilyAdapter<ThreeColorMIS>::MisFamilyAdapter;
-
-  bool inject_fault(Vertex u, std::uint64_t w) override {
-    process_.force_color(u, static_cast<ColorG>(w % 3));
-    PhaseClock* clock = nullptr;
-    if (auto* sw = dynamic_cast<RandomizedLogSwitch*>(&process_.switch_process()))
-      clock = &sw->clock();
-    else if (auto* sw = dynamic_cast<PhaseClockSwitch*>(&process_.switch_process()))
-      clock = &sw->clock();
-    if (clock != nullptr) {
-      clock->force_level(u, narrow_cast<int>(
-                                (w >> 8) %
-                                static_cast<std::uint64_t>(clock->num_states())));
-    }
-    return true;
+bool ThreeColorMIS::inject_fault(Vertex u, std::uint64_t w) {
+  force_color(u, static_cast<ColorG>(w % 3));
+  PhaseClock* clock = nullptr;
+  if (auto* sw = dynamic_cast<RandomizedLogSwitch*>(&switch_process()))
+    clock = &sw->clock();
+  else if (auto* sw = dynamic_cast<PhaseClockSwitch*>(&switch_process()))
+    clock = &sw->clock();
+  if (clock != nullptr) {
+    clock->force_level(u, narrow_cast<int>(
+                              (w >> 8) %
+                              static_cast<std::uint64_t>(clock->num_states())));
   }
-};
+  return true;
+}
+
+namespace {
 
 const ProtocolRegistrar kThreeColorProtocol{
     "3color",
@@ -46,18 +39,16 @@ const ProtocolRegistrar kThreeColorProtocol{
     {"switch-d", "fast-forward"},
     [](const Graph& g, const ProtocolParams& params, std::uint64_t seed) {
       const CoinOracle coins(seed);
-      auto init = make_init_g(g, params.init, coins);
-      std::unique_ptr<ThreeColorProcess> p;
+      std::unique_ptr<SwitchProcess> sw;
       if (params.has("switch-d")) {
         const int d = narrow_cast<int>(
             params.get_int("switch-d", 3, 1, PhaseClock::kMaxD));
-        p = std::make_unique<ThreeColorProcess>(ThreeColorMIS(
-            g, std::move(init), std::make_unique<PhaseClockSwitch>(g, d, coins),
-            coins));
+        sw = std::make_unique<PhaseClockSwitch>(g, d, coins);
       } else {
-        p = std::make_unique<ThreeColorProcess>(
-            ThreeColorMIS::with_randomized_switch(g, std::move(init), coins));
+        sw = std::make_unique<RandomizedLogSwitch>(g, coins);
       }
+      auto p = std::make_unique<MisFamilyAdapter<ThreeColorMIS>>(ThreeColorMIS(
+          g, make_init_g(g, params.init, coins), std::move(sw), coins));
       p->impl().set_fast_forward(params.get_bool("fast-forward", true));
       return p;
     }};

@@ -193,6 +193,12 @@ class ThreeColorMIS {
   // full O(n + m) counter rebuild).
   void force_color(Vertex u, ColorG c) { engine_.force_color(u, c); }
 
+  // Transient fault at u from 64 random bits: a random color and, when the
+  // switch is a phase clock (RandomizedLogSwitch, PhaseClockSwitch), a
+  // random clock level — the full per-vertex state. MisFamilyAdapter routes
+  // Process::inject_fault here.
+  bool inject_fault(Vertex u, std::uint64_t w);
+
   // Stable-periodic fast-forward toggle (on by default): for 3-color the
   // optimization is the lazy switch above — the engine side has no orbits
   // to declare (stable blacks and covered whites already leave the

@@ -1,14 +1,25 @@
-// The 2-state MIS process (Definition 4 of the paper).
+// The 2-state MIS process (Definition 4 of the paper) and the variants that
+// change only which coin an active vertex flips.
 //
 // Each vertex holds a binary color. In every synchronous round, every
 // *active* vertex — black with a black neighbor, or white with no black
-// neighbor — resamples its color uniformly at random; all other vertices
-// keep their color. Once the black set is a maximal independent set nothing
-// is active and the process has stabilized.
+// neighbor — draws a new color; all other vertices keep their color. Once
+// the black set is a maximal independent set nothing is active and the
+// process has stabilized.
 //
-// Randomness: the color drawn by vertex u in round t is CoinOracle's
-// phi_t(u), exactly the coupling device of Section 2.1, so runs are
-// reproducible and bit-identical to the beeping-model simulation.
+// Randomness: the draw comes from one of three bias sources, each on its own
+// CoinOracle tag so every trajectory pinned per protocol stays put:
+//  * the fair coin phi_t(u) on CoinTag::kMisColor — Definition 4, and
+//    exactly the coupling device of Section 2.1, so runs are bit-identical
+//    to the beeping-model simulation (`2state`, `daemon`, `matching`);
+//  * a constant q on CoinTag::kAblation, optionally with the deterministic
+//    white -> black move of the paper's footnote 1 (`2state-variant`, the
+//    ablation of the q = 1/2 choice);
+//  * a per-vertex table p_u on CoinTag::kPriority (`priority`, see
+//    make_priority_biases): the MIS skews toward high-p vertices.
+// Any bias in (0, 1) keeps every absorbing configuration an MIS and
+// stabilization almost sure; only the speed and the distribution over MISes
+// move.
 //
 // Implementation: a thin rule over ProcessEngine (core/engine.hpp). A round
 // costs O(|A_t| + sum of deg(u) over vertices that changed color), and all
@@ -17,6 +28,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/color.hpp"
@@ -32,7 +45,16 @@ class TwoStateRule {
   using Color = Color2;
   static constexpr bool kTracksStability = true;
 
+  // The fair coin phi_t(u).
   explicit TwoStateRule(const CoinOracle& coins) : coins_(coins) {}
+  // Black with probability q; with `eager_white` a white active vertex turns
+  // black deterministically. Throws std::invalid_argument unless 0 < q < 1
+  // (q = 0 or 1 can deadlock).
+  TwoStateRule(const CoinOracle& coins, double black_bias, bool eager_white);
+  // Black with probability (*biases)[u]. Throws std::invalid_argument on a
+  // null table or an entry outside (0, 1); TwoStateMIS checks its length.
+  TwoStateRule(const CoinOracle& coins,
+               std::shared_ptr<const std::vector<double>> biases);
 
   int num_colors() const { return 2; }
   int num_counters() const { return 1; }  // cnt[0] = black neighbors
@@ -51,25 +73,61 @@ class TwoStateRule {
     return is_black(c) && cnt[0] == 0;
   }
 
-  // Called only for active vertices: resample with phi_t(u).
-  Color2 transition(Vertex u, Color2, const Vertex*, std::int64_t t) const {
-    return coins_.fair_coin(t, u) ? Color2::kBlack : Color2::kWhite;
+  // Called only for active vertices.
+  Color2 transition(Vertex u, Color2 c, const Vertex*, std::int64_t t) const {
+    return black_coin(u, c, t) ? Color2::kBlack : Color2::kWhite;
   }
 
-  const CoinOracle& coins() const { return coins_; }
+  // Whether the bias source has a coin for every vertex of an n-vertex graph.
+  bool covers(Vertex n) const {
+    return source_ != Source::kTable ||
+           biases_->size() == static_cast<std::size_t>(n);
+  }
 
  private:
+  enum class Source : std::uint8_t { kFair, kConstant, kTable };
+
+  // The source is fixed at construction, so the dispatch is a branch that
+  // goes the same way on every call of a run.
+  bool black_coin(Vertex u, Color2 c, std::int64_t t) const {
+    if (source_ == Source::kFair) return coins_.fair_coin(t, u);
+    if (source_ == Source::kConstant)
+      return (eager_white_ && !is_black(c)) ||
+             coins_.bernoulli(t, u, CoinTag::kAblation, black_bias_);
+    return coins_.bernoulli(t, u, CoinTag::kPriority,
+                            (*biases_)[static_cast<std::size_t>(u)]);
+  }
+
   CoinOracle coins_;
+  Source source_ = Source::kFair;
+  double black_bias_ = 0.5;
+  bool eager_white_ = false;
+  // Shared: the engine copies the rule by value; the table is per-trial
+  // immutable, so one allocation serves every copy.
+  std::shared_ptr<const std::vector<double>> biases_;
 };
+
+// The per-vertex bias table of the `priority` workload: p_u = lo + (hi - lo)
+// * w_u for a priority weight w_u in [0, 1] — "id" (w = u / (n-1)),
+// "degree" (w = deg(u) / max_deg) or "random" (w drawn once per (seed,
+// vertex)). Throws std::invalid_argument on an unknown mode or unless
+// 0 < lo <= hi < 1.
+std::shared_ptr<const std::vector<double>> make_priority_biases(
+    const Graph& g, const std::string& mode, double lo, double hi,
+    std::uint64_t seed);
 
 class TwoStateMIS {
  public:
   using Engine = ProcessEngine<TwoStateRule>;
 
   // `init` must have size g.num_vertices(); the graph must outlive the
-  // process. Throws std::invalid_argument on size mismatch.
+  // process. Throws std::invalid_argument on size mismatch, including a
+  // bias table whose size is not g.num_vertices().
+  TwoStateMIS(const Graph& g, std::vector<Color2> init, TwoStateRule rule)
+      : engine_(g, std::move(init), checked(g, std::move(rule))) {}
+  // Definition 4: the fair coin.
   TwoStateMIS(const Graph& g, std::vector<Color2> init, const CoinOracle& coins)
-      : engine_(g, std::move(init), TwoStateRule(coins)) {}
+      : TwoStateMIS(g, std::move(init), TwoStateRule(coins)) {}
 
   // Executes one synchronous round (round counter advances by one).
   void step() { engine_.step(); }
@@ -111,11 +169,11 @@ class TwoStateMIS {
   // internal counters consistent. Counts as a transient fault, not a round.
   void force_color(Vertex u, Color2 c) { engine_.force_color(u, c); }
 
-  const CoinOracle& coins() const { return engine_.rule().coins(); }
-
   const Engine& engine() const { return engine_; }
 
  private:
+  static TwoStateRule checked(const Graph& g, TwoStateRule rule);
+
   Engine engine_;
 };
 

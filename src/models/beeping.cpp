@@ -26,7 +26,7 @@ void BeepingNetwork::step() {
 }
 
 void BeepingNetwork::set_loss_probability(double p) {
-  if (p < 0.0 || p >= 1.0)
+  if (!(p >= 0.0 && p < 1.0))  // NaN fails both comparisons
     throw std::invalid_argument("set_loss_probability: need p in [0, 1)");
   engine_.rule().set_loss_probability(p);
   // The loss probability is part of the scheduling predicate (a lossy

@@ -153,8 +153,8 @@ class BeepingNetwork {
   // bit is independently suppressed (heard -> silence) with this probability
   // — modeling fading/interference misses. The MIS processes tolerate this:
   // losses can re-activate settled vertices, but self-stabilization pulls
-  // the system back (see exp_lossy). Throws std::invalid_argument outside
-  // [0, 1).
+  // the system back (see exp_lossy). Throws std::invalid_argument unless
+  // p is in [0, 1) (NaN included).
   void set_loss_probability(double p);
   double loss_probability() const { return engine_.rule().loss_probability(); }
 

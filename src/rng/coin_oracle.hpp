@@ -28,9 +28,9 @@ enum class CoinTag : std::uint32_t {
   kInit = 4,          // random initial states
   kFault = 5,         // transient-fault injection choices
   kScheduler = 6,     // randomized sequential scheduler
-  kAblation = 7,      // ablation variants (biased update coin, etc.)
+  kAblation = 7,      // 2-state constant-bias source (2state-variant)
   kNoise = 8,         // lossy-channel carrier-sense suppression
-  kPriority = 9,      // weight/ID-biased update coin (PriorityMIS)
+  kPriority = 9,      // 2-state per-vertex bias table (priority workload)
 };
 
 class CoinOracle {

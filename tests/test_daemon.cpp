@@ -2,6 +2,7 @@
 
 #include "core/daemon.hpp"
 #include "core/init.hpp"
+#include "core/runner.hpp"
 #include "core/two_state.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
@@ -54,7 +55,7 @@ TEST(Daemon, StabilizesUnderAllDaemons) {
     const std::string name = daemon->name();
     DaemonMIS p(g, make_init2(g, InitPattern::kAllBlack, coins), std::move(daemon),
                 coins);
-    const auto steps = p.run(5000000);
+    const auto steps = run_until_stabilized(p, 5000000).rounds;
     ASSERT_TRUE(p.stabilized()) << name << " after " << steps << " steps";
     EXPECT_TRUE(is_mis(g, p.black_set())) << name;
   }
@@ -79,7 +80,7 @@ TEST(Daemon, EmptySubsetFallsBackToAll) {
   const CoinOracle coins(41);
   DaemonMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins),
               std::make_unique<RandomSubsetDaemon>(0.01, 43), coins);
-  const auto steps = p.run(200000);
+  const auto steps = run_until_stabilized(p, 200000).rounds;
   EXPECT_TRUE(p.stabilized()) << steps;
 }
 
@@ -89,6 +90,7 @@ TEST(Daemon, StabilizedStepIsNoOp) {
               std::make_unique<SynchronousDaemon>(), CoinOracle(1));
   EXPECT_TRUE(p.stabilized());
   EXPECT_EQ(p.step(), 0);
+  EXPECT_EQ(p.round(), 1);  // a step is counted even when nothing is enabled
   EXPECT_EQ(p.colors()[0], Color2::kBlack);
 }
 

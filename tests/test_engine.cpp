@@ -20,7 +20,6 @@
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
 #include "core/two_state.hpp"
-#include "core/two_state_variant.hpp"
 #include "graph/generators.hpp"
 #include "reference_processes.hpp"
 #include "rng/coin_oracle.hpp"
@@ -196,8 +195,8 @@ TEST(EngineInvariants, ThreeColorUnderSteppingAndFaults) {
 TEST(EngineInvariants, TwoStateVariantUnderStepping) {
   const Graph g = gen::gnp(50, 0.1, 23);
   const CoinOracle coins(29);
-  TwoStateVariant p(g, make_init2(g, InitPattern::kAlternating, coins), coins, 0.3,
-                    true);
+  TwoStateMIS p(g, make_init2(g, InitPattern::kAlternating, coins),
+                TwoStateRule(coins, 0.3, true));
   for (int round = 1; round <= 80; ++round) {
     p.step();
     expect_engine_consistent(p.engine(), ctx("variant", g, round));
@@ -287,15 +286,15 @@ TEST(EngineDifferential, ThreeStateMatchesReferenceAcrossFaults) {
   }
 }
 
-// The variant rule with q = 1/2 and eager_white = false is Definition 4 on
-// the kAblation coin stream: check against an inline transcription.
+// The constant-bias source (q, with and without eager white) draws on the
+// kAblation coin stream: check it against an inline transcription.
 TEST(EngineDifferential, VariantMatchesInlineReference) {
   const Graph g = gen::gnp(40, 0.15, 61);
   const CoinOracle coins(67);
   for (const bool eager : {false, true}) {
     const double q = 0.35;
     std::vector<Color2> ref = make_init2(g, InitPattern::kUniformRandom, coins);
-    TwoStateVariant p(g, ref, coins, q, eager);
+    TwoStateMIS p(g, ref, TwoStateRule(coins, q, eager));
     for (std::int64_t t = 1; t <= 100; ++t) {
       std::vector<Color2> next = ref;
       for (Vertex u = 0; u < g.num_vertices(); ++u) {

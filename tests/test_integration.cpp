@@ -112,11 +112,12 @@ TEST(Integration, BeepingNetworkSurvivesFaultsViaUnderlyingProcess) {
 TEST(Integration, RepeatedFaultBurstsAlwaysReconverge) {
   const Graph g = gen::gnp(100, 0.06, 47);
   const CoinOracle coins(53);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
+  MisFamilyAdapter<TwoStateMIS> p(
+      TwoStateMIS(g, make_init2(g, InitPattern::kUniformRandom, coins), coins));
   for (int burst = 0; burst < 5; ++burst) {
-    const RunResult r = run_until_stabilized(p, 100000);
+    const RunResult r = p.run(100000, TraceMode::kNone);
     ASSERT_TRUE(r.stabilized) << "burst " << burst;
-    ASSERT_TRUE(is_mis(g, p.black_set()));
+    ASSERT_TRUE(is_mis(g, p.output_set()));
     inject_faults(p, 0.3, burst);
   }
 }

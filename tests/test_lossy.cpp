@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
@@ -19,6 +20,7 @@ TEST(Lossy, Validation) {
   BeepingNetwork net(g, automaton, {0, 0}, CoinOracle(1));
   EXPECT_THROW(net.set_loss_probability(-0.1), std::invalid_argument);
   EXPECT_THROW(net.set_loss_probability(1.0), std::invalid_argument);
+  EXPECT_THROW(net.set_loss_probability(std::nan("")), std::invalid_argument);
   net.set_loss_probability(0.5);
   EXPECT_DOUBLE_EQ(net.loss_probability(), 0.5);
 }

@@ -1,13 +1,12 @@
 // The two post-registry workloads: MaximalMatching (2-state process on the
-// line graph) and PriorityMIS (weight/ID-biased 2-state variant), plus the
-// new maximal-matching verifier they are checked against.
+// line graph) and `priority` (the 2-state process drawing from a per-vertex
+// bias table), plus the maximal-matching verifier they are checked against.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
 #include "core/matching.hpp"
-#include "core/priority_mis.hpp"
 #include "core/runner.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
@@ -142,14 +141,15 @@ TEST(MaximalMatchingProcess, SizeWithinTwoApproximationBand) {
   }
 }
 
-// --- PriorityMIS -----------------------------------------------------------
+// --- priority: the per-vertex bias table -----------------------------------
 
 TEST(PriorityMis, StabilizesToValidMisForAllModes) {
   const Graph g = gen::gnp(80, 0.08, 23);
   for (const char* mode : {"id", "degree", "random"}) {
     const CoinOracle coins(29);
-    PriorityMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins,
-                  PriorityMIS::make_biases(g, mode, 0.25, 0.75, 29));
+    TwoStateMIS p(
+        g, make_init2(g, InitPattern::kUniformRandom, coins),
+        TwoStateRule(coins, make_priority_biases(g, mode, 0.25, 0.75, 29)));
     const RunResult r = run_until_stabilized(p, 500000);
     ASSERT_TRUE(r.stabilized) << mode;
     EXPECT_TRUE(is_mis(g, p.black_set())) << mode;
@@ -158,13 +158,13 @@ TEST(PriorityMis, StabilizesToValidMisForAllModes) {
 
 TEST(PriorityMis, BiasValidation) {
   const Graph g = gen::path(4);
-  EXPECT_THROW(PriorityMIS::make_biases(g, "id", 0.0, 0.5, 1),
+  EXPECT_THROW(make_priority_biases(g, "id", 0.0, 0.5, 1),
                std::invalid_argument);
-  EXPECT_THROW(PriorityMIS::make_biases(g, "id", 0.5, 1.0, 1),
+  EXPECT_THROW(make_priority_biases(g, "id", 0.5, 1.0, 1),
                std::invalid_argument);
-  EXPECT_THROW(PriorityMIS::make_biases(g, "nope", 0.2, 0.8, 1),
+  EXPECT_THROW(make_priority_biases(g, "nope", 0.2, 0.8, 1),
                std::invalid_argument);
-  const auto biases = PriorityMIS::make_biases(g, "id", 0.2, 0.8, 1);
+  const auto biases = make_priority_biases(g, "id", 0.2, 0.8, 1);
   EXPECT_DOUBLE_EQ((*biases)[0], 0.2);
   EXPECT_DOUBLE_EQ((*biases)[3], 0.8);
 }

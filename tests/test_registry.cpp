@@ -392,6 +392,12 @@ TEST(Registry, MalformedOptionValuesThrow) {
   params.set("black-bias", "zz");
   EXPECT_THROW(ProtocolRegistry::instance().make("2state-variant", g, params, 1),
                std::invalid_argument);
+  // A NaN loss probability fails the range check instead of running
+  // lossless.
+  ProtocolParams nan_loss;
+  nan_loss.set("loss", "nan");
+  EXPECT_THROW(ProtocolRegistry::instance().make("beeping", g, nan_loss, 1),
+               std::invalid_argument);
   // Removed daemon kinds are unknown values, not silent aliases.
   ProtocolParams pairs;
   pairs.set("daemon", "pairs");

@@ -2,6 +2,7 @@
 
 #include "core/faults.hpp"
 #include "core/init.hpp"
+#include "core/process.hpp"
 #include "core/runner.hpp"
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
@@ -9,6 +10,7 @@
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
 #include "harness/experiment.hpp"
+#include "harness/registry.hpp"
 
 namespace ssmis {
 namespace {
@@ -87,53 +89,99 @@ TEST(Runner, TraceCsvFormat) {
 TEST(Faults, TwoStateRecoversFromCorruption) {
   const Graph g = gen::gnp(60, 0.1, 11);
   const CoinOracle coins(13);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
-  RunResult r = run_until_stabilized(p, 50000);
+  MisFamilyAdapter<TwoStateMIS> p(
+      TwoStateMIS(g, make_init2(g, InitPattern::kUniformRandom, coins), coins));
+  RunResult r = p.run(50000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
   const auto report = inject_faults(p, 0.5, /*salt=*/1);
   EXPECT_GT(report.corrupted, 0);
   // Self-stabilization: it re-converges to some (possibly different) MIS.
-  r = run_until_stabilized(p, 50000);
+  r = p.run(50000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
-  EXPECT_TRUE(is_mis(g, p.black_set()));
+  EXPECT_TRUE(is_mis(g, p.output_set()));
 }
 
 TEST(Faults, ThreeStateRecovers) {
   const Graph g = gen::gnp(60, 0.1, 17);
   const CoinOracle coins(19);
-  ThreeStateMIS p(g, make_init3(g, InitPattern::kAllWhite, coins), coins);
-  RunResult r = run_until_stabilized(p, 50000);
+  MisFamilyAdapter<ThreeStateMIS> p(
+      ThreeStateMIS(g, make_init3(g, InitPattern::kAllWhite, coins), coins));
+  RunResult r = p.run(50000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
   inject_faults(p, 0.4, 2);
-  r = run_until_stabilized(p, 50000);
+  r = p.run(50000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
-  EXPECT_TRUE(is_mis(g, p.black_set()));
+  EXPECT_TRUE(is_mis(g, p.output_set()));
+}
+
+// The phase-clock levels of a 3-color switch, read through the exact-state
+// accessor (which replays any deferred clock rounds first).
+std::vector<int> clock_levels(const ThreeColorMIS& p) {
+  return dynamic_cast<const RandomizedLogSwitch&>(p.switch_process())
+      .clock()
+      .levels();
+}
+
+int count_changed(const std::vector<int>& a, const std::vector<int>& b) {
+  int changed = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) changed += a[i] != b[i] ? 1 : 0;
+  return changed;
 }
 
 TEST(Faults, ThreeColorRecoversIncludingClockCorruption) {
   const Graph g = gen::gnp(50, 0.2, 23);
   const CoinOracle coins(29);
-  auto p = ThreeColorMIS::with_randomized_switch(
-      g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
-  RunResult r = run_until_stabilized(p, 100000);
+  MisFamilyAdapter<ThreeColorMIS> p(ThreeColorMIS::with_randomized_switch(
+      g, make_init_g(g, InitPattern::kUniformRandom, coins), coins));
+  RunResult r = p.run(100000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
+  const std::vector<int> before = clock_levels(p.impl());
   inject_faults(p, 0.5, 3);
-  r = run_until_stabilized(p, 100000);
+  EXPECT_GT(count_changed(before, clock_levels(p.impl())), 0);
+  r = p.run(100000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
-  EXPECT_TRUE(is_mis(g, p.black_set()));
+  EXPECT_TRUE(is_mis(g, p.output_set()));
+}
+
+// A 3-color fault corrupts the switch whichever way the process is built:
+// the adapter over a directly built ThreeColorMIS and the registry's
+// `3color` take the same faults from the same seed, and end identical.
+TEST(Faults, ThreeColorFaultCorruptsTheClockWhicheverWayBuilt) {
+  const Graph g = gen::gnp(200, 0.05, 31);
+  const std::uint64_t seed = 37;
+  const CoinOracle coins(seed);
+  MisFamilyAdapter<ThreeColorMIS> direct(ThreeColorMIS::with_randomized_switch(
+      g, make_init_g(g, InitPattern::kUniformRandom, coins), coins));
+  const auto registry_process =
+      ProtocolRegistry::instance().make("3color", g, ProtocolParams(), seed);
+  auto& registered =
+      dynamic_cast<MisFamilyAdapter<ThreeColorMIS>&>(*registry_process);
+  for (MisFamilyAdapter<ThreeColorMIS>* p : {&direct, &registered}) {
+    for (int i = 0; i < 20; ++i) p->step();
+    const std::vector<int> before = clock_levels(p->impl());
+    EXPECT_EQ(inject_faults(*p, 1.0, 5).corrupted, g.num_vertices());
+    EXPECT_GT(count_changed(before, clock_levels(p->impl())),
+              g.num_vertices() / 2);
+    ASSERT_TRUE(p->run(100000, TraceMode::kNone).stabilized);
+  }
+  EXPECT_EQ(direct.impl().colors(), registered.impl().colors());
+  EXPECT_EQ(clock_levels(direct.impl()), clock_levels(registered.impl()));
+  EXPECT_EQ(direct.round(), registered.round());
 }
 
 TEST(Faults, ZeroFractionCorruptsNothing) {
   const Graph g = gen::path(10);
   const CoinOracle coins(31);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kAllWhite, coins), coins);
+  MisFamilyAdapter<TwoStateMIS> p(
+      TwoStateMIS(g, make_init2(g, InitPattern::kAllWhite, coins), coins));
   EXPECT_EQ(inject_faults(p, 0.0, 1).corrupted, 0);
 }
 
 TEST(Faults, FullFractionTouchesEveryVertex) {
   const Graph g = gen::path(10);
   const CoinOracle coins(37);
-  TwoStateMIS p(g, make_init2(g, InitPattern::kAllWhite, coins), coins);
+  MisFamilyAdapter<TwoStateMIS> p(
+      TwoStateMIS(g, make_init2(g, InitPattern::kAllWhite, coins), coins));
   EXPECT_EQ(inject_faults(p, 1.0, 1).corrupted, 10);
 }
 
