@@ -3,16 +3,20 @@
 //
 // The structural fact the engine exploits is Giakkoupis-Ziccardi's: only
 // *scheduled* vertices take a transition in a round, and whether a vertex is
-// scheduled depends solely on its own color and on incrementally maintained
-// neighbor counters — so scheduling can change only inside the closed
-// neighborhood N+(changed) of the vertices that changed color. A round
-// therefore costs
+// scheduled depends solely on its own color and on what it hears — for each
+// incrementally maintained neighbor counter, whether it is positive (`Heard`
+// below: "some neighbor is black", or "some neighbor beeps on channel j").
+// So scheduling can change only at the vertices that changed color and at
+// the neighbors one of whose counters crossed zero. A round therefore costs
 //
 //     O(|A_t| + sum of deg(u) over vertices whose color class changed)
 //
-// instead of the O(n + m) dense rescan of the hand-rolled per-process loops,
-// and every aggregate the tracer wants (|B_t|, |A_t|, |I_t|, |V_t|,
-// |Gamma_t|) is maintained incrementally and read in O(1).
+// counter patches, but re-evaluates only the changed vertices and the
+// neighbors whose hearing changed, instead of the O(n + m) dense rescan of
+// the hand-rolled per-process loops. Every aggregate the tracer wants
+// (|B_t|, |A_t|, |I_t|, |Gamma_t|) is maintained incrementally and read in
+// O(1); |V_t|'s stable-black coverage is built by its first reader and
+// maintained from then on.
 //
 // The engine is policy-based: `ProcessEngine<Rule>` owns colors, counters,
 // the worklist, and the aggregates; the Rule supplies only the paper's
@@ -91,6 +95,35 @@ class VertexWorklist {
   std::vector<Vertex> pos_;  // index into items_, or -1 if absent
 };
 
+// What a vertex hears of its neighborhood: bit j is set exactly when its
+// neighbor counter j is positive. It is all the paper's processes observe —
+// "some neighbor is black", or in the beeping and stone-age translations
+// "some neighbor beeps on channel j", the carrier-sense bit — and all a
+// rule callback is given, so a counter patch that crosses no zero cannot
+// change any rule predicate. Exact counts stay public through
+// ProcessEngine::counter.
+class Heard {
+ public:
+  constexpr Heard() = default;
+  constexpr explicit Heard(std::uint32_t bits) : bits_(bits) {}
+
+  // The hearing of a counter row of length k <= 32.
+  static Heard of(const Vertex* cnt, int k) {
+    std::uint32_t bits = 0;
+    for (int j = 0; j < k; ++j)
+      bits |= static_cast<std::uint32_t>(cnt[j] > 0) << j;
+    return Heard(bits);
+  }
+
+  // Some neighbor contributes to counter j.
+  [[nodiscard]] constexpr bool has(int j) const { return ((bits_ >> j) & 1u) != 0; }
+  // Bit j = has(j): the stone-age heard mask.
+  [[nodiscard]] constexpr std::uint32_t bits() const { return bits_; }
+
+ private:
+  std::uint32_t bits_ = 0;
+};
+
 // The policy interface. A rule is a value type describing one process:
 //
 //   using Color = ...;                 // uint8-backed enum or std::uint8_t
@@ -99,20 +132,21 @@ class VertexWorklist {
 //   int num_counters() const;          // neighbor counters per vertex (<= 32)
 //   Vertex contribution(Color c, int j) const;
 //                                      // how much a c-colored neighbor adds
-//                                      // to counter j (typically 0/1)
-//   bool scheduled(Color c, const Vertex* cnt) const;
+//                                      // to counter j (typically 0/1; never
+//                                      // negative)
+//   bool scheduled(Color c, Heard h) const;
 //                                      // u takes SOME transition next round
-//   Color transition(Vertex u, Color c, const Vertex* cnt, int64_t t) const;
+//   Color transition(Vertex u, Color c, Heard h, int64_t t) const;
 //                                      // the next color; called only for
 //                                      // scheduled vertices, must be a pure
 //                                      // function of its arguments + coins
 //
 // Rules with kTracksStability additionally provide the paper's bookkeeping
-// predicates over (color, counters):
+// predicates over (color, hearing):
 //
-//   bool active(Color c, const Vertex* cnt) const;       // u ∈ A_t
-//   bool violating(Color c, const Vertex* cnt) const;    // MIS violation
-//   bool stable_black(Color c, const Vertex* cnt) const; // u ∈ I_t
+//   bool active(Color c, Heard h) const;        // u ∈ A_t
+//   bool violating(Color c, Heard h) const;     // MIS violation
+//   bool stable_black(Color c, Heard h) const;  // u ∈ I_t
 //
 // and may provide `void end_round(int64_t t)` — a hook run once per
 // synchronous round after the colors were committed (the 3-color process
@@ -145,21 +179,19 @@ concept RuleHasContribution =
       { r.contribution(c, j) } -> std::convertible_to<Vertex>;
     };
 
-// scheduled(c, cnt) — does the vertex take SOME transition next round?
+// scheduled(c, h) — does the vertex take SOME transition next round?
 template <typename R>
 concept RuleHasScheduling =
-    RuleHasColor<R> &&
-    requires(const R r, typename R::Color c, const Vertex* cnt) {
-      { r.scheduled(c, cnt) } -> std::convertible_to<bool>;
+    RuleHasColor<R> && requires(const R r, typename R::Color c, Heard h) {
+      { r.scheduled(c, h) } -> std::convertible_to<bool>;
     };
 
-// transition(u, c, cnt, t) — the next color; pure in its arguments + coins.
+// transition(u, c, h, t) — the next color; pure in its arguments + coins.
 template <typename R>
 concept RuleHasTransition =
     RuleHasColor<R> &&
-    requires(const R r, typename R::Color c, const Vertex* cnt, Vertex u,
-             std::int64_t t) {
-      { r.transition(u, c, cnt, t) } -> std::convertible_to<typename R::Color>;
+    requires(const R r, typename R::Color c, Heard h, Vertex u, std::int64_t t) {
+      { r.transition(u, c, h, t) } -> std::convertible_to<typename R::Color>;
     };
 
 template <typename R>
@@ -172,11 +204,10 @@ concept ProcessRule = RuleHasColor<R> && RuleDeclaresStabilityTracking<R> &&
 // instantiation (they used to be documentation only).
 template <typename R>
 concept StabilityTrackingRule =
-    RuleHasColor<R> &&
-    requires(const R r, typename R::Color c, const Vertex* cnt) {
-      { r.active(c, cnt) } -> std::convertible_to<bool>;
-      { r.violating(c, cnt) } -> std::convertible_to<bool>;
-      { r.stable_black(c, cnt) } -> std::convertible_to<bool>;
+    RuleHasColor<R> && requires(const R r, typename R::Color c, Heard h) {
+      { r.active(c, h) } -> std::convertible_to<bool>;
+      { r.violating(c, h) } -> std::convertible_to<bool>;
+      { r.stable_black(c, h) } -> std::convertible_to<bool>;
     };
 
 // Optional once-per-round hook, run after the colors were committed.
@@ -187,11 +218,10 @@ concept RuleHasEndRoundHook = requires(R& r, std::int64_t t) {
 
 // Optional stable-periodic fast-forward extension (docs/architecture.md,
 // "Stable-periodic fast-forward"). A rule that implements it declares, for
-// some (color, counters) pairs, that the vertex's future orbit is
-// AUTONOMOUS: as long as its own neighbor counters stay frozen, its color
-// at any later round T is a pure function of (entry color, frozen counters,
-// entry round, T) plus the counter-based coins — and the rule promises that
-// along the orbit
+// some (color, hearing) pairs, that the vertex's future orbit is
+// AUTONOMOUS: as long as what it hears stays put, its color at any later
+// round T is a pure function of (entry color, hearing, entry round, T) plus
+// the counter-based coins — and the rule promises that along the orbit
 //
 //   * every engine predicate the rule defines (scheduled, and for
 //     stability-tracking rules active/violating/stable_black) is constant,
@@ -201,18 +231,19 @@ concept RuleHasEndRoundHook = requires(R& r, std::int64_t t) {
 //     changes would move are components no live vertex's predicates or
 //     transition can observe while the mover is on its orbit (the "output
 //     projection" contract: the MIS-relevant projection of the orbit is
-//     constant, and neighbors can only see the projection).
+//     constant, and neighbors can only hear the projection).
 //
 // Under that contract the engine parks such vertices in a periodic set off
 // the hot worklist, leaves their stored color at the entry round, and
-// re-materializes them by ONE orbit_color evaluation exactly when a
-// neighbor's color change patches their counters, when a fault
-// (force_color) touches them or a neighbor, or when an exact-state query
-// needs them — so trajectories and fingerprints are bit-identical to the
-// dense semantics while near-stabilized rounds cost O(1).
+// re-materializes them by ONE orbit_color evaluation exactly when their
+// hearing changes (a neighbor's color change moves one of their counters
+// across zero), when a fault (force_color) hits them or changes their
+// hearing, or when an exact-state query needs them — so trajectories and
+// fingerprints are bit-identical to the dense semantics while
+// near-stabilized rounds cost O(1).
 //
-//   bool fast_forwardable(Color c, const Vertex* cnt) const;
-//   Color orbit_color(Vertex u, Color c, const Vertex* cnt,
+//   bool fast_forwardable(Color c, Heard h) const;
+//   Color orbit_color(Vertex u, Color c, Heard h,
 //                     std::int64_t entry_round, std::int64_t now) const;
 //       // the orbit color at round `now` >= entry_round, given the color
 //       // held at the end of round `entry_round`; must cost O(1) (the
@@ -224,11 +255,10 @@ concept RuleHasEndRoundHook = requires(R& r, std::int64_t t) {
 // documentation and diagnostics.
 template <typename R>
 concept FastForwardRule =
-    ProcessRule<R> &&
-    requires(const R r, typename R::Color c, const Vertex* cnt, Vertex u,
-             std::int64_t t0, std::int64_t t1) {
-      { r.fast_forwardable(c, cnt) } -> std::convertible_to<bool>;
-      { r.orbit_color(u, c, cnt, t0, t1) } -> std::convertible_to<typename R::Color>;
+    ProcessRule<R> && requires(const R r, typename R::Color c, Heard h, Vertex u,
+                               std::int64_t t0, std::int64_t t1) {
+      { r.fast_forwardable(c, h) } -> std::convertible_to<bool>;
+      { r.orbit_color(u, c, h, t0, t1) } -> std::convertible_to<typename R::Color>;
     };
 
 template <typename Rule>
@@ -256,11 +286,11 @@ class ProcessEngine {
   static_assert(RuleHasScheduling<Rule>,
                 "ProcessEngine<Rule>: Rule violates concept "
                 "ssmis::RuleHasScheduling — it must provide const "
-                "scheduled(Color, const Vertex*) -> bool");
+                "scheduled(Color, Heard) -> bool");
   static_assert(RuleHasTransition<Rule>,
                 "ProcessEngine<Rule>: Rule violates concept "
                 "ssmis::RuleHasTransition — it must provide const "
-                "transition(Vertex, Color, const Vertex*, int64_t) -> Color");
+                "transition(Vertex, Color, Heard, int64_t) -> Color");
   static_assert(ProcessRule<Rule>,
                 "ProcessEngine<Rule>: Rule does not satisfy "
                 "ssmis::ProcessRule (see the failed sub-concept above)");
@@ -272,7 +302,7 @@ class ProcessEngine {
                 "ProcessEngine<Rule>: Rule sets kTracksStability but "
                 "violates concept ssmis::StabilityTrackingRule — it must "
                 "provide const active/violating/stable_black"
-                "(Color, const Vertex*) -> bool");
+                "(Color, Heard) -> bool");
   // Rules satisfying FastForwardRule get stable-periodic fast-forward; for
   // everything else the machinery folds away at compile time (no periodic
   // set, no extra branches in refresh, accessors stay raw).
@@ -281,7 +311,9 @@ class ProcessEngine {
 
   // `init` must have size g.num_vertices() and only colors with raw value
   // below rule.num_colors(); the graph must outlive the engine. Throws
-  // std::invalid_argument otherwise.
+  // std::invalid_argument otherwise, and on a negative contribution (the
+  // zero-crossing test in patch_neighbors relies on counters that never go
+  // negative).
   ProcessEngine(const Graph& g, std::vector<Color> init, Rule rule)
       : graph_(&g), rule_(std::move(rule)), colors_(std::move(init)) {
     if (colors_.size() != static_cast<std::size_t>(g.num_vertices()))
@@ -290,6 +322,10 @@ class ProcessEngine {
     if (k_ < 0 || k_ > kMaxCounters)
       throw std::invalid_argument("ProcessEngine: rule needs 0..32 counters");
     num_colors_ = rule_.num_colors();
+    for (int c = 0; c < num_colors_; ++c)
+      for (int j = 0; j < k_; ++j)
+        if (rule_.contribution(static_cast<Color>(c), j) < 0)
+          throw std::invalid_argument("ProcessEngine: negative rule contribution");
     const std::size_t n = colors_.size();
     changed_ = std::make_unique_for_overwrite<Vertex[]>(n);
     changed_to_ = std::make_unique_for_overwrite<Color[]>(n);
@@ -332,7 +368,7 @@ class ProcessEngine {
       // daemon, so this is a bookkeeping no-op for parked orbits — there is
       // no synchronous time for them to have advanced along).
       if constexpr (kFastForward) {
-        if (periodic_.contains(u)) refresh(u);
+        if (periodic_.contains(u)) refresh_all({&u, 1});
       }
       if ((flags_[static_cast<std::size_t>(u)] & kScheduledBit) == 0)
         throw std::logic_error(
@@ -355,7 +391,7 @@ class ProcessEngine {
     // comparison (and the commit's prev-color accounting) sees the logical
     // state, not the parked entry-round state.
     if constexpr (kFastForward) {
-      if (periodic_.contains(u)) refresh(u);
+      if (periodic_.contains(u)) refresh_all({&u, 1});
     }
     if (colors_[static_cast<std::size_t>(u)] == c) return;
     changed_[0] = u;
@@ -384,12 +420,9 @@ class ProcessEngine {
     if constexpr (kFastForward) {
       if (on == fast_forward_) return;
       fast_forward_ = on;
-      if (on) {
-        scan_worklist_for_orbits();
-      } else {
-        const std::vector<Vertex> snap = periodic_.items();
-        for (Vertex u : snap) refresh(u);  // flag is off: no re-entry
-      }
+      // On: park every eligible member of the live worklist. Off: the flag
+      // is already down, so the materialized vertices do not re-enter.
+      refresh_all(on ? worklist_.items() : periodic_.items());
     } else {
       (void)on;
     }
@@ -417,9 +450,7 @@ class ProcessEngine {
   void sync_fast_forward() const {
     if constexpr (kFastForward) {
       if (periodic_.empty()) return;
-      ProcessEngine* self = const_cast<ProcessEngine*>(this);
-      const std::vector<Vertex> snap = periodic_.items();
-      for (Vertex u : snap) self->refresh(u);
+      const_cast<ProcessEngine*>(this)->refresh_all(periodic_.items());
     }
   }
 
@@ -443,7 +474,7 @@ class ProcessEngine {
   }
   Color color(Vertex u) const {
     if constexpr (kFastForward) {
-      if (periodic_.contains(u)) const_cast<ProcessEngine*>(this)->refresh(u);
+      if (periodic_.contains(u)) const_cast<ProcessEngine*>(this)->refresh_all({&u, 1});
     }
     return colors_[static_cast<std::size_t>(u)];
   }
@@ -537,14 +568,17 @@ class ProcessEngine {
     return (flags_[static_cast<std::size_t>(u)] & kStableBlackBit) != 0;
   }
   // u ∈ V_t: not covered by the closed neighborhood of any stable black.
+  // The first coverage read builds it in O(n + m); the engine maintains it
+  // from then on.
   bool unstable(Vertex u) const
     requires(kTracksStability)
   {
-    return covered_[static_cast<std::size_t>(u)] == 0;
+    return coverage()[static_cast<std::size_t>(u)] == 0;
   }
 
-  // |A_t|, violation count, |I_t|, |V_t| — all O(1), maintained
-  // incrementally (the seed implementations rescanned O(n + m) per query).
+  // |A_t|, violation count, |I_t|, |V_t| — O(1), maintained incrementally
+  // (the seed implementations rescanned O(n + m) per query); |V_t| after
+  // the coverage build its first read pays.
   Vertex num_active() const
     requires(kTracksStability)
   {
@@ -563,6 +597,7 @@ class ProcessEngine {
   Vertex num_unstable() const
     requires(kTracksStability)
   {
+    coverage();
     return num_unstable_;
   }
 
@@ -579,8 +614,8 @@ class ProcessEngine {
   static constexpr std::uint8_t kActiveBit = 2;
   static constexpr std::uint8_t kViolatingBit = 4;
   static constexpr std::uint8_t kStableBlackBit = 8;
-  // Set while u is on the current apply()'s touched list (never outside
-  // apply); not a predicate flag.
+  // Set while u is on the touched list (never outside a refresh pass); not
+  // a predicate flag.
   static constexpr std::uint8_t kTouchedBit = 16;
 
   static constexpr std::uint8_t raw(Color c) { return static_cast<std::uint8_t>(c); }
@@ -595,7 +630,7 @@ class ProcessEngine {
     std::size_t len = 0;
     for (const Vertex u : items) {
       const Color cur = colors_[static_cast<std::size_t>(u)];
-      const Color next = rule_.transition(u, cur, cnt_ptr(u), t);
+      const Color next = rule_.transition(u, cur, heard(u), t);
       // Guard the histogram/counter indexing against a buggy rule (user
       // automata are extension points): fail loudly instead of corrupting.
       if (static_cast<int>(raw(next)) >= num_colors_)
@@ -608,14 +643,10 @@ class ProcessEngine {
   }
 
   // Phase 2: commit the change list, patch counters of N(changed), and
-  // refresh flags/worklist/aggregates for N+(changed) only. Touched parked
-  // vertices are materialized by their refresh (the re-activation point),
-  // which may touch further vertices — hence the index-based refresh loop.
-  // The touched bits stay set until every refresh is done, so no vertex
-  // enters the list twice.
+  // refresh flags/worklist/aggregates for the changed vertices and the
+  // neighbors whose hearing changed.
   void apply() {
     num_touched_ = 0;
-    in_apply_ = true;
     for (std::size_t i = 0; i < num_changed_; ++i) {
       const Vertex u = changed_[i];
       const std::size_t su = static_cast<std::size_t>(u);
@@ -625,31 +656,61 @@ class ProcessEngine {
       ++hist_[raw(next)];
       colors_[su] = next;
       touch(u);
-      // Sparse counter patch: only the counters whose contribution differs
-      // between prev and next (at most 2 for one-hot emission rules).
-      int nz = 0;
-      int js[kMaxCounters];
-      Vertex ds[kMaxCounters];
-      for (int j = 0; j < k_; ++j) {
-        const Vertex d = rule_.contribution(next, j) - rule_.contribution(prev, j);
-        if (d != 0) {
-          js[nz] = j;
-          ds[nz] = d;
-          ++nz;
-        }
-      }
-      if (nz == 0) continue;
-      for (Vertex v : nbrs(u)) {
-        Vertex* base = counters_.data() +
-                       static_cast<std::size_t>(v) * static_cast<std::size_t>(k_);
-        for (int x = 0; x < nz; ++x) base[js[x]] += ds[x];
-        touch(v);
+      patch_neighbors(u, prev, next);
+    }
+    drain();
+  }
+
+  // Moves u's contribution to its neighbors' counters from color `prev` to
+  // `next`, touching each neighbor one of whose counters crosses zero — the
+  // only patches that change what it hears. Only the counters whose
+  // contribution differs are patched (at most 2 for one-hot emission
+  // rules). Counters never go negative, so counter j moved by d crosses
+  // zero exactly when its old value is d < 0 ? -d : 0. The crossing test is
+  // a branch, not a flag: crossings are rare on sparse rows (13% of patches
+  // on G(2^15, 8/n)) and almost absent on dense ones, so it predicts well
+  // and skips the touch, the refresh and the touched-bit clear.
+  void patch_neighbors(Vertex u, Color prev, Color next) {
+    int nz = 0;
+    int js[kMaxCounters];
+    Vertex ds[kMaxCounters];
+    Vertex zs[kMaxCounters];
+    for (int j = 0; j < k_; ++j) {
+      const Vertex d = rule_.contribution(next, j) - rule_.contribution(prev, j);
+      if (d != 0) {
+        js[nz] = j;
+        ds[nz] = d;
+        zs[nz] = d < 0 ? -d : 0;
+        ++nz;
       }
     }
-    for (std::size_t i = 0; i < num_touched_; ++i) refresh(touched_[i]);
-    for (std::size_t i = 0; i < num_touched_; ++i)
-      flags_[static_cast<std::size_t>(touched_[i])] &= static_cast<std::uint8_t>(~kTouchedBit);
-    in_apply_ = false;
+    if (nz == 0) return;
+    // One patched counter (every change under a one-counter rule) loops
+    // without the per-counter arrays: 14% off `sweep-mix` `solve_s` on a
+    // 4-vCPU Xeon, whose dense rows patch many neighbors per change.
+    if (nz == 1) {
+      const std::size_t k = static_cast<std::size_t>(k_);
+      Vertex* col = counters_.data() + js[0];
+      const Vertex d = ds[0], z = zs[0];
+      for (Vertex v : nbrs(u)) {
+        Vertex& c = col[static_cast<std::size_t>(v) * k];
+        const bool crossed = c == z;
+        c += d;
+        if (crossed) touch(v);
+      }
+      return;
+    }
+    for (Vertex v : nbrs(u)) {
+      Vertex* base = counters_.data() +
+                     static_cast<std::size_t>(v) * static_cast<std::size_t>(k_);
+      bool crossed = false;
+      for (int x = 0; x < nz; ++x) {
+        Vertex& c = base[js[x]];
+        crossed |= c == zs[x];
+        c += ds[x];
+      }
+      if (crossed) touch(v);
+    }
   }
 
   // Appends u to the touched list unless its touched bit is already set.
@@ -662,32 +723,49 @@ class ProcessEngine {
     f |= kTouchedBit;
   }
 
-  // Raw (non-materializing) counter row — the view every internal phase and
-  // rule callback reads; live vertices' rows are exact in every component a
-  // rule predicate can observe (the fast-forward output-projection
-  // contract).
+  // Refreshes every touched vertex, then clears the touched bits. A refresh
+  // can materialize a parked vertex whose patch touches further vertices —
+  // hence the index-based loop; the bits stay set until every refresh is
+  // done, so no vertex enters the list twice.
+  void drain() {
+    for (std::size_t i = 0; i < num_touched_; ++i) refresh(touched_[i]);
+    for (std::size_t i = 0; i < num_touched_; ++i)
+      flags_[static_cast<std::size_t>(touched_[i])] &= static_cast<std::uint8_t>(~kTouchedBit);
+  }
+
+  // Refreshes `us` and whatever their materializations touch, outside a
+  // round: the exact-state accessors, faults and fast-forward toggles. The
+  // touched list copies `us` before any refresh edits the set it came from.
+  void refresh_all(std::span<const Vertex> us) {
+    num_touched_ = 0;
+    for (const Vertex u : us) touch(u);
+    drain();
+  }
+
+  // Raw (non-materializing) counter row — the view every internal phase
+  // reads; live vertices' rows are exact in every component a rule
+  // predicate can observe (the fast-forward output-projection contract).
   const Vertex* cnt_ptr(Vertex u) const {
     return counters_.data() +
            static_cast<std::size_t>(u) * static_cast<std::size_t>(k_);
   }
+  Heard heard(Vertex u) const { return Heard::of(cnt_ptr(u), k_); }
 
   // u's predicate flags (never kTouchedBit).
-  std::uint8_t compute_flags(Vertex u) const {
-    const Color c = colors_[static_cast<std::size_t>(u)];
-    const Vertex* cnt = cnt_ptr(u);
-    unsigned f = static_cast<unsigned>(rule_.scheduled(c, cnt));
+  std::uint8_t compute_flags(Color c, Heard h) const {
+    unsigned f = static_cast<unsigned>(rule_.scheduled(c, h));
     if constexpr (kTracksStability) {
-      f |= static_cast<unsigned>(rule_.active(c, cnt)) << 1;
-      f |= static_cast<unsigned>(rule_.violating(c, cnt)) << 2;
-      f |= static_cast<unsigned>(rule_.stable_black(c, cnt)) << 3;
+      f |= static_cast<unsigned>(rule_.active(c, h)) << 1;
+      f |= static_cast<unsigned>(rule_.violating(c, h)) << 2;
+      f |= static_cast<unsigned>(rule_.stable_black(c, h)) << 3;
     }
     return static_cast<std::uint8_t>(f);
   }
 
   // Re-evaluates u's predicate flags and patches the worklist, aggregates,
-  // and (when stability is tracked) the stable-black coverage counts. The
-  // aggregates move by flag differences; only a worklist edit or a
-  // stable-black change (the coverage walk) branches.
+  // and (once built) the stable-black coverage counts. The aggregates move
+  // by flag differences; only a worklist edit or a stable-black change (the
+  // coverage walk) branches.
   //
   // Under fast-forward this is also both the re-activation point (a parked
   // u is materialized before anything reads its flags or color) and the
@@ -701,8 +779,10 @@ class ProcessEngine {
     if constexpr (kFastForward) {
       if (periodic_.contains(u)) materialize(u);
     }
+    const Color c = colors_[su];
+    const Heard h = heard(u);
     const std::uint8_t before = flags_[su];
-    const std::uint8_t now = compute_flags(u);
+    const std::uint8_t now = compute_flags(c, h);
     flags_[su] = static_cast<std::uint8_t>(now | (before & kTouchedBit));
     if ((now ^ before) & kScheduledBit) {
       if (now & kScheduledBit)
@@ -714,11 +794,11 @@ class ProcessEngine {
       num_active_ += bit(now, kActiveBit) - bit(before, kActiveBit);
       num_violations_ += bit(now, kViolatingBit) - bit(before, kViolatingBit);
       num_stable_black_ += bit(now, kStableBlackBit) - bit(before, kStableBlackBit);
-      if ((now ^ before) & kStableBlackBit) cover(u, (now & kStableBlackBit) ? 1 : -1);
+      if (((now ^ before) & kStableBlackBit) && coverage_built_)
+        cover(u, (now & kStableBlackBit) ? 1 : -1);
     }
     if constexpr (kFastForward) {
-      if (fast_forward_ && (now & kScheduledBit) &&
-          rule_.fast_forwardable(colors_[su], cnt_ptr(u))) {
+      if (fast_forward_ && (now & kScheduledBit) && rule_.fast_forwardable(c, h)) {
         worklist_.erase(u);
         periodic_.insert(u);
         ff_entry_[su] = round_;
@@ -728,80 +808,72 @@ class ProcessEngine {
 
   // Exit the periodic set: advance u's stored color to the current round by
   // one orbit evaluation, rejoin the live worklist, and patch the histogram
-  // and neighbor counters if the orbit moved. Callers re-derive u's flags
-  // right after (refresh). Only reached under kFastForward.
+  // and neighbor counters if the orbit moved. The caller (refresh)
+  // re-derives u's flags right after; the neighbors whose hearing the move
+  // changed join the touched list. Only reached under kFastForward.
   void materialize(Vertex u) {
     const std::size_t su = static_cast<std::size_t>(u);
     periodic_.erase(u);
     worklist_.insert(u);  // kScheduledBit is still set — orbit invariant
     const Color prev = colors_[su];
-    const Color now =
-        rule_.orbit_color(u, prev, cnt_ptr(u), ff_entry_[su], round_);
+    const Color now = rule_.orbit_color(u, prev, heard(u), ff_entry_[su], round_);
     if (now == prev) return;
     if (static_cast<int>(raw(now)) >= num_colors_)
       throw std::logic_error("ProcessEngine: orbit produced a color out of range");
     --hist_[raw(prev)];
     ++hist_[raw(now)];
     colors_[su] = now;
-    int nz = 0;
-    int js[kMaxCounters];
-    Vertex ds[kMaxCounters];
-    for (int j = 0; j < k_; ++j) {
-      const Vertex d = rule_.contribution(now, j) - rule_.contribution(prev, j);
-      if (d != 0) {
-        js[nz] = j;
-        ds[nz] = d;
-        ++nz;
-      }
-    }
-    if (nz == 0) return;
-    // Local neighbor copy: outside apply() the refresh pass below can
-    // materialize further vertices, which would reuse the shared decode
-    // scratch mid-iteration. Materializations that move a counter are rare
-    // (re-activation events), so the allocation is off the hot path.
-    const auto view = nbrs(u);
-    const std::vector<Vertex> nb(view.begin(), view.end());
-    for (Vertex v : nb) {
-      Vertex* base = counters_.data() +
-                     static_cast<std::size_t>(v) * static_cast<std::size_t>(k_);
-      for (int i = 0; i < nz; ++i) base[js[i]] += ds[i];
-    }
-    if (in_apply_) {
-      for (Vertex v : nb) touch(v);
-    } else {
-      for (Vertex v : nb) refresh(v);
-    }
+    patch_neighbors(u, prev, now);
   }
 
   // Materializes the parked neighbors of u (exact-counter accessor path).
   void sync_neighbors(Vertex u) {
-    bool any = false;
-    for (Vertex v : nbrs(u)) {
-      if (periodic_.contains(v)) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) return;
-    const auto view = nbrs(u);
-    const std::vector<Vertex> nb(view.begin(), view.end());
-    for (Vertex v : nb)
-      if (periodic_.contains(v)) refresh(v);
-  }
-
-  // Parks every eligible member of the live worklist (fast-forward enable /
-  // full rebuild). refresh() is a no-op for the ineligible.
-  void scan_worklist_for_orbits() {
-    const std::vector<Vertex> snap = worklist_.items();
-    for (Vertex u : snap) refresh(u);
+    num_touched_ = 0;
+    for (Vertex v : nbrs(u))
+      if (periodic_.contains(v)) touch(v);
+    drain();
   }
 
   // Decode-aware neighbor view for the engine phases that walk rows
-  // (apply, refresh): the raw CSR span on plain graphs, a decode into this
+  // (patch, cover): the raw CSR span on plain graphs, a decode into this
   // engine's scratch on compressed graphs. The view is valid until the next
-  // call.
+  // call; no phase walks a row while it holds another.
   std::span<const Vertex> nbrs(Vertex u) {
     return graph_->neighbors(u, nbr_scratch_);
+  }
+
+  // The stable-black coverage counts, built on first use.
+  const std::vector<Vertex>& coverage() const
+    requires(kTracksStability)
+  {
+    if (!coverage_built_) const_cast<ProcessEngine*>(this)->build_coverage();
+    return covered_;
+  }
+
+  // O(n + m) derivation of the coverage counts and |V_t| from the
+  // stable-black flags (exact for parked vertices too: their flags are
+  // frozen by the orbit's constancy promise). Stable blacks' rows are read
+  // in order: one pass over the payload on compressed graphs instead of a
+  // row seek per stable black.
+  void build_coverage()
+    requires(kTracksStability)
+  {
+    const Vertex n = graph_->num_vertices();
+    covered_.assign(static_cast<std::size_t>(n), 0);
+    Vertex covered = 0;
+    Graph::RowStream rows(*graph_);
+    for (Vertex u = 0; u < n; ++u) {
+      const std::size_t su = static_cast<std::size_t>(u);
+      if (flags_[su] & kStableBlackBit) {
+        covered += covered_[su]++ == 0;
+        for (const Vertex v : rows.next(nbr_scratch_))
+          covered += covered_[static_cast<std::size_t>(v)]++ == 0;
+      } else {
+        rows.skip();
+      }
+    }
+    num_unstable_ = n - covered;
+    coverage_built_ = true;
   }
 
   // Adds d (+1 when u became a stable black, -1 when it stopped being one)
@@ -820,11 +892,11 @@ class ProcessEngine {
 
   // Full O(n + m) derivation of every piece of engine state from the colors
   // (construction, and notify_rule_changed after a sync): histogram,
-  // counters, flags, worklist, aggregates and coverage. Each counter is one
-  // sequential adjacency sweep pulling the neighbors' contributions
-  // (Graph::neighbor_sums); one pass over the vertices then sets the
-  // flags, aggregates and histogram, counting the uncovered vertices while
-  // it marks coverage, and one more builds the worklist from the flags.
+  // counters, flags, worklist and aggregates, plus the coverage counts once
+  // a reader has built them. Each counter is one sequential adjacency sweep
+  // pulling the neighbors' contributions (Graph::neighbor_sums); one pass
+  // over the vertices then sets the flags, aggregates and histogram, and
+  // one more builds the worklist from the flags.
   void rebuild() {
     const Vertex n = graph_->num_vertices();
     const std::size_t k = static_cast<std::size_t>(k_);
@@ -847,40 +919,29 @@ class ProcessEngine {
     }
     hist_.assign(nc, 0);
     flags_.resize(static_cast<std::size_t>(n));
-    covered_.assign(static_cast<std::size_t>(n), 0);
-    Vertex active = 0, violations = 0, stable_black = 0, covered = 0;
-    // Stable blacks' rows, read in order: one pass over the payload on
-    // compressed graphs instead of a row seek per stable black.
-    [[maybe_unused]] Graph::RowStream rows(*graph_);
+    Vertex active = 0, violations = 0, stable_black = 0;
     for (Vertex u = 0; u < n; ++u) {
       const std::size_t su = static_cast<std::size_t>(u);
       ++hist_[raw(colors_[su])];
-      const std::uint8_t f = compute_flags(u);
+      const std::uint8_t f = compute_flags(colors_[su], heard(u));
       flags_[su] = f;
-      if constexpr (kTracksStability) {
-        active += bit(f, kActiveBit);
-        violations += bit(f, kViolatingBit);
-        stable_black += bit(f, kStableBlackBit);
-        if (f & kStableBlackBit) {
-          covered += covered_[su]++ == 0;
-          for (const Vertex v : rows.next(nbr_scratch_))
-            covered += covered_[static_cast<std::size_t>(v)]++ == 0;
-        } else {
-          rows.skip();
-        }
-      }
+      active += bit(f, kActiveBit);
+      violations += bit(f, kViolatingBit);
+      stable_black += bit(f, kStableBlackBit);
     }
     num_active_ = active;
     num_violations_ = violations;
     num_stable_black_ = stable_black;
-    num_unstable_ = kTracksStability ? n - covered : 0;
+    if constexpr (kTracksStability) {
+      if (coverage_built_) build_coverage();
+    }
     worklist_.assign(flags_, kScheduledBit);
     if constexpr (kFastForward) {
       // Callers materialize first (notify_rule_changed) or are starting
       // from exact colors (construction), so dropping the set is safe.
       periodic_.reset(n);
       ff_entry_.assign(static_cast<std::size_t>(n), round_);
-      if (fast_forward_) scan_worklist_for_orbits();
+      if (fast_forward_) refresh_all(worklist_.items());
     }
   }
 
@@ -891,7 +952,10 @@ class ProcessEngine {
   std::vector<Vertex> hist_;      // vertices per raw color value
   std::vector<std::uint8_t> flags_;
   VertexWorklist worklist_;
-  std::vector<Vertex> covered_;  // stable blacks in N+[u] (stability rules)
+  // Stable blacks in N+[u] (stability rules), empty until coverage() first
+  // builds it.
+  std::vector<Vertex> covered_;
+  bool coverage_built_ = false;
 
   // Stable-periodic fast-forward state (empty / unused unless the rule
   // satisfies FastForwardRule). Invariant: periodic_ and worklist_ are
@@ -900,7 +964,6 @@ class ProcessEngine {
   VertexWorklist periodic_;
   std::vector<std::int64_t> ff_entry_;
   bool fast_forward_ = kFastForward;
-  bool in_apply_ = false;
 
   // Scratch for decide/apply, sized at construction and written before it
   // is read: the change list (vertices and their next colors; at most n

@@ -47,33 +47,29 @@ class ThreeColorRule {
       : coins_(coins), switch_(sw) {}
 
   int num_colors() const { return 3; }
-  int num_counters() const { return 1; }  // cnt[0] = black neighbors
+  int num_counters() const { return 1; }  // counter 0: black neighbors
   Vertex contribution(ColorG c, int) const { return is_black(c) ? 1 : 0; }
 
   // u takes a random transition next round (gray vertices never do).
-  bool active(ColorG c, const Vertex* cnt) const {
-    if (c == ColorG::kBlack) return cnt[0] > 0;
-    if (c == ColorG::kWhite) return cnt[0] == 0;
+  bool active(ColorG c, Heard h) const {
+    if (c == ColorG::kBlack) return h.has(0);
+    if (c == ColorG::kWhite) return !h.has(0);
     return false;
   }
   // Gray is always scheduled: its transition fires whenever its own switch
   // turns on, independent of any neighborhood color change.
-  bool scheduled(ColorG c, const Vertex* cnt) const {
-    return c == ColorG::kGray || active(c, cnt);
+  bool scheduled(ColorG c, Heard h) const {
+    return c == ColorG::kGray || active(c, h);
   }
   // MIS violation: every non-black vertex (white *or* gray) needs a black
   // neighbor, and blacks must have none.
-  bool violating(ColorG c, const Vertex* cnt) const {
-    return is_black(c) == (cnt[0] > 0);
-  }
-  bool stable_black(ColorG c, const Vertex* cnt) const {
-    return is_black(c) && cnt[0] == 0;
-  }
+  bool violating(ColorG c, Heard h) const { return is_black(c) == h.has(0); }
+  bool stable_black(ColorG c, Heard h) const { return is_black(c) && !h.has(0); }
 
-  ColorG transition(Vertex u, ColorG c, const Vertex* cnt, std::int64_t t) const {
-    if (c == ColorG::kBlack && cnt[0] > 0)
+  ColorG transition(Vertex u, ColorG c, Heard h, std::int64_t t) const {
+    if (c == ColorG::kBlack && h.has(0))
       return coins_.fair_coin(t, u) ? ColorG::kBlack : ColorG::kGray;
-    if (c == ColorG::kWhite && cnt[0] == 0)
+    if (c == ColorG::kWhite && !h.has(0))
       return coins_.fair_coin(t, u) ? ColorG::kBlack : ColorG::kWhite;
     // Gray: reads sigma_{t-1} (the switch advances after this round commits).
     return switch_->on(u) ? ColorG::kWhite : ColorG::kGray;

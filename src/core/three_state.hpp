@@ -56,26 +56,24 @@ class ThreeStateRule {
   }
 
   // u takes the random {black1, black0} transition next round.
-  bool active(Color3 c, const Vertex* cnt) const {
+  bool active(Color3 c, Heard h) const {
     if (c == Color3::kBlack1) return true;
-    if (c == Color3::kBlack0) return cnt[kBlack1Nbr] == 0;
-    return cnt[kBlackNbr] == 0;  // white with no black neighbor
+    if (c == Color3::kBlack0) return !h.has(kBlack1Nbr);
+    return !h.has(kBlackNbr);  // white with no black neighbor
   }
   // Takes ANY transition: active, or black0 demoting to white. Equivalently,
   // everything except a white vertex that already has a black neighbor.
-  bool scheduled(Color3 c, const Vertex* cnt) const {
-    return !(c == Color3::kWhite && cnt[kBlackNbr] > 0);
+  bool scheduled(Color3 c, Heard h) const {
+    return !(c == Color3::kWhite && h.has(kBlackNbr));
   }
   // Black-set violation: black with a black neighbor, or white without one.
-  bool violating(Color3 c, const Vertex* cnt) const {
-    return is_black(c) == (cnt[kBlackNbr] > 0);
-  }
-  bool stable_black(Color3 c, const Vertex* cnt) const {
-    return is_black(c) && cnt[kBlackNbr] == 0;
+  bool violating(Color3 c, Heard h) const { return is_black(c) == h.has(kBlackNbr); }
+  bool stable_black(Color3 c, Heard h) const {
+    return is_black(c) && !h.has(kBlackNbr);
   }
 
-  Color3 transition(Vertex u, Color3 c, const Vertex* cnt, std::int64_t t) const {
-    if (active(c, cnt))
+  Color3 transition(Vertex u, Color3 c, Heard h, std::int64_t t) const {
+    if (active(c, h))
       return coins_.fair_coin(t, u) ? Color3::kBlack1 : Color3::kBlack0;
     return Color3::kWhite;  // scheduled non-active: black0 with black1 neighbor
   }
@@ -87,13 +85,11 @@ class ThreeStateRule {
   // orbit (period-1 output projection: "black"). Along it every predicate
   // above is constant (active/scheduled/stable_black true, violating
   // false), and the only neighbor-counter component the orbit moves is
-  // kBlack1Nbr — which only black0 vertices read, and no black vertex can
+  // kBlack1Nbr — which only black0 vertices hear, and no black vertex can
   // be adjacent to a stable black. That is the output-projection contract.
   static constexpr std::int64_t kOrbitPeriodHint = 1;
-  bool fast_forwardable(Color3 c, const Vertex* cnt) const {
-    return is_black(c) && cnt[kBlackNbr] == 0;
-  }
-  Color3 orbit_color(Vertex u, Color3 c, const Vertex* /*cnt*/,
+  bool fast_forwardable(Color3 c, Heard h) const { return stable_black(c, h); }
+  Color3 orbit_color(Vertex u, Color3 c, Heard /*h*/,
                      std::int64_t entry_round, std::int64_t now) const {
     if (now == entry_round) return c;
     return coins_.fair_coin(now, u) ? Color3::kBlack1 : Color3::kBlack0;

@@ -57,24 +57,20 @@ class TwoStateRule {
                std::shared_ptr<const std::vector<double>> biases);
 
   int num_colors() const { return 2; }
-  int num_counters() const { return 1; }  // cnt[0] = black neighbors
+  int num_counters() const { return 1; }  // counter 0: black neighbors
   Vertex contribution(Color2 c, int) const { return is_black(c) ? 1 : 0; }
 
   // Black with a black neighbor, or white without one — written as a
   // comparison, so the engine's per-vertex refresh does not branch on the
   // coin-driven color.
-  bool active(Color2 c, const Vertex* cnt) const {
-    return is_black(c) == (cnt[0] > 0);
-  }
+  bool active(Color2 c, Heard h) const { return is_black(c) == h.has(0); }
   // For the 2-state rule, the scheduled, active, and violating sets coincide.
-  bool scheduled(Color2 c, const Vertex* cnt) const { return active(c, cnt); }
-  bool violating(Color2 c, const Vertex* cnt) const { return active(c, cnt); }
-  bool stable_black(Color2 c, const Vertex* cnt) const {
-    return is_black(c) && cnt[0] == 0;
-  }
+  bool scheduled(Color2 c, Heard h) const { return active(c, h); }
+  bool violating(Color2 c, Heard h) const { return active(c, h); }
+  bool stable_black(Color2 c, Heard h) const { return is_black(c) && !h.has(0); }
 
   // Called only for active vertices.
-  Color2 transition(Vertex u, Color2 c, const Vertex*, std::int64_t t) const {
+  Color2 transition(Vertex u, Color2 c, Heard, std::int64_t t) const {
     return black_coin(u, c, t) ? Color2::kBlack : Color2::kWhite;
   }
 

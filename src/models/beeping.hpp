@@ -13,12 +13,12 @@
 //
 // Simulation substrate: the network runs on the same ProcessEngine as the
 // direct processes (core/engine.hpp) — states are engine colors and the
-// carrier-sense bit is an incrementally maintained beeping-neighbor counter,
-// so a round costs O(|scheduled| + sum deg(nodes that changed state))
-// instead of an O(n + m) rescan. Automata that declare quiescent states
-// (see `BeepingAutomaton::quiescent`) get sparse scheduling; others run
-// dense with identical semantics, since every coin is a pure function of
-// (seed, round, node, tag).
+// carrier-sense bit is the engine's Heard over an incrementally maintained
+// beeping-neighbor counter, so a round costs O(|scheduled| + sum deg(nodes
+// that changed state)) instead of an O(n + m) rescan. Automata that declare
+// quiescent states (see `BeepingAutomaton::quiescent`) get sparse
+// scheduling; others run dense with identical semantics, since every coin is
+// a pure function of (seed, round, node, tag).
 #pragma once
 
 #include <cstdint>
@@ -79,15 +79,14 @@ class BeepingRule {
 
   // Scheduled unless the state is quiescent for every carrier-sense bit the
   // node could receive this round (loss can only turn heard -> silence).
-  bool scheduled(std::uint8_t s, const Vertex* cnt) const {
-    const bool heard = effective_heard(s, cnt);
+  bool scheduled(std::uint8_t s, Heard h) const {
+    const bool heard = effective_heard(s, h);
     if (!automaton_->quiescent(s, heard)) return true;
     return heard && loss_probability_ > 0.0 && !automaton_->quiescent(s, false);
   }
 
-  std::uint8_t transition(Vertex u, std::uint8_t s, const Vertex* cnt,
-                          std::int64_t t) const {
-    bool heard = effective_heard(s, cnt);
+  std::uint8_t transition(Vertex u, std::uint8_t s, Heard h, std::int64_t t) const {
+    bool heard = effective_heard(s, h);
     if (heard && loss_probability_ > 0.0 &&
         coins_.bernoulli(t, u, CoinTag::kNoise, loss_probability_)) {
       heard = false;  // the carrier-sense bit was lost this round
@@ -101,11 +100,11 @@ class BeepingRule {
   void set_loss_probability(double p) { loss_probability_ = p; }
 
  private:
-  bool effective_heard(std::uint8_t s, const Vertex* cnt) const {
+  bool effective_heard(std::uint8_t s, Heard h) const {
     // Without sender collision detection, a beeping node's radio is busy
     // transmitting: it receives nothing this round.
     if (!sender_cd_ && automaton_->emit(s) == BeepAction::kBeep) return false;
-    return cnt[0] > 0;
+    return h.has(0);
   }
 
   const BeepingAutomaton* automaton_;

@@ -10,10 +10,11 @@
 //
 // Simulation substrate: the network runs on ProcessEngine (core/engine.hpp)
 // with one incrementally maintained counter per channel — the per-node heard
-// mask is read off the counters instead of an O(m) neighborhood rescan, so a
-// round costs O(|scheduled| + sum deg(nodes that changed state)). Automata
-// that declare quiescent (state, heard-mask) pairs get sparse scheduling;
-// others run dense with identical semantics.
+// mask is the engine's Heard (which channel counters are positive) instead
+// of an O(m) neighborhood rescan, so a round costs O(|scheduled| + sum
+// deg(nodes that changed state)), and only a node whose mask changed is
+// re-evaluated. Automata that declare quiescent (state, heard-mask) pairs
+// get sparse scheduling; others run dense with identical semantics.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +71,8 @@ class StoneAgeAutomaton {
 };
 
 // Engine policy wrapping a StoneAgeAutomaton: counter j counts the
-// neighbors currently beeping on channel j.
+// neighbors currently beeping on channel j, and the automaton's heard mask
+// is Heard::bits().
 class StoneAgeRule {
  public:
   using Color = std::uint8_t;
@@ -85,13 +87,12 @@ class StoneAgeRule {
     return automaton_->emit(s) == j ? 1 : 0;
   }
 
-  bool scheduled(std::uint8_t s, const Vertex* cnt) const {
-    return !automaton_->quiescent(s, heard_mask(cnt));
+  bool scheduled(std::uint8_t s, Heard h) const {
+    return !automaton_->quiescent(s, h.bits());
   }
 
-  std::uint8_t transition(Vertex u, std::uint8_t s, const Vertex* cnt,
-                          std::int64_t t) const {
-    return automaton_->next(s, heard_mask(cnt),
+  std::uint8_t transition(Vertex u, std::uint8_t s, Heard h, std::int64_t t) const {
+    return automaton_->next(s, h.bits(),
                             coins_.word(t, u, CoinTag::kMisColor),
                             coins_.word(t, u, CoinTag::kSwitchBit));
   }
@@ -100,13 +101,13 @@ class StoneAgeRule {
   // orbit declaration, drawing the same coin words transition() would, so
   // a materialized state is bit-identical to having stepped every round.
   static constexpr std::int64_t kOrbitPeriodHint = 1;
-  bool fast_forwardable(std::uint8_t s, const Vertex* cnt) const {
-    return automaton_->orbit(s, heard_mask(cnt));
+  bool fast_forwardable(std::uint8_t s, Heard h) const {
+    return automaton_->orbit(s, h.bits());
   }
-  std::uint8_t orbit_color(Vertex u, std::uint8_t s, const Vertex* cnt,
+  std::uint8_t orbit_color(Vertex u, std::uint8_t s, Heard h,
                            std::int64_t entry_round, std::int64_t now) const {
     if (now == entry_round) return s;
-    return automaton_->orbit_state(s, heard_mask(cnt),
+    return automaton_->orbit_state(s, h.bits(),
                                    coins_.word(now, u, CoinTag::kMisColor),
                                    coins_.word(now, u, CoinTag::kSwitchBit));
   }
@@ -114,14 +115,6 @@ class StoneAgeRule {
   const StoneAgeAutomaton& automaton() const { return *automaton_; }
 
  private:
-  std::uint32_t heard_mask(const Vertex* cnt) const {
-    std::uint32_t mask = 0;
-    const int k = automaton_->num_channels();
-    for (int j = 0; j < k; ++j)
-      if (cnt[j] > 0) mask |= (static_cast<std::uint32_t>(1) << j);
-    return mask;
-  }
-
   const StoneAgeAutomaton* automaton_;
   CoinOracle coins_;
 };

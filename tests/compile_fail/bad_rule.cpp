@@ -16,8 +16,8 @@ struct NoTransitionRule {
   int num_colors() const { return 2; }
   int num_counters() const { return 1; }
   ssmis::Vertex contribution(Color, int) const { return 1; }
-  bool scheduled(Color, const ssmis::Vertex*) const { return false; }
-  // transition(u, c, cnt, t) deliberately missing.
+  bool scheduled(Color, ssmis::Heard) const { return false; }
+  // transition(u, c, h, t) deliberately missing.
 };
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Negative-control fixture: idiomatic code that every rule must pass with
 // zero findings. Mirrors the repo's sanctioned patterns — decode-aware
 // adjacency access, seeded counter-based randomness, checked narrowing,
-// per-shard decide writes, const rule callbacks.
+// const rule callbacks.
 #include <cstdint>
 #include <vector>
 
@@ -40,23 +40,17 @@ Vertex checked_size(const std::vector<Vertex>& items) {
   return fake::narrow_cast<Vertex>(items.size());
 }
 
-class GoodEngine {
- public:
-  void transition_range(const Vertex* items, int count, int shard) {
-    for (int i = 0; i < count; ++i) staged_[items[i]] = 1;
-    shard_changed_[shard] = count;
-  }
-
- private:
-  std::vector<int> staged_;
-  std::vector<int> shard_changed_;
+struct Heard {
+  bool has(int j) const { return j < 0; }
 };
 
 struct GoodRule {
   using Color = std::uint8_t;
-  Color transition(Vertex u, Color c, int cnt, std::int64_t t) const {
-    return static_cast<Color>((c + u + cnt + static_cast<int>(t)) % 2);
+  Color transition(Vertex u, Color c, Heard h, std::int64_t t) const {
+    return static_cast<Color>((c + u + h.has(0) + static_cast<int>(t)) % 2);
   }
-  bool scheduled(Vertex u, std::int64_t t) const { return ((u + t) & 1) == 0; }
+  bool scheduled(Color c, Heard h) const { return (c == 1) == h.has(0); }
+  bool active(Color c, Heard h) const { return (c == 1) == h.has(0); }
+  bool stable_black(Color c, Heard h) const { return c == 1 && !h.has(0); }
   int contribution(Color c, int j) const { return c == j ? 1 : 0; }
 };

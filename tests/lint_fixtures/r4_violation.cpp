@@ -1,50 +1,33 @@
-// Seeded R4 violations: decide-phase shard-discipline breaches. The
-// sharded decide phase is bit-identical only because transition_range and
-// the parallel_for lambdas write nothing but per-shard state, and because
-// the rule callbacks they invoke are const. Each breach below must be
-// flagged.
+// Seeded R4 violations: rule callbacks that are not const member functions.
+// The engine re-evaluates a vertex's predicates only when its color or what
+// it hears changed, so a callback that mutates the rule would make the
+// trajectory depend on how often the engine calls it. Each non-const
+// callback below must be flagged; the const ones must not.
 #include <cstdint>
-#include <vector>
 
-struct FakePool {
-  template <typename F>
-  void parallel_for(int jobs, F&& f) {
-    for (int j = 0; j < jobs; ++j) f(j);
-  }
-};
-
-class BadEngine {
- public:
-  void transition_range(const int* items, int count, int shard) {
-    for (int i = 0; i < count; ++i) {
-      staged_[items[i]] = 1;     // ok: staged_ is per-shard by contract
-      ++num_changed_;            // R4: shared member mutated in decide
-    }
-    shard_changed_[shard] = count;  // ok: per-shard slot
-  }
-
-  void decide(FakePool& pool, int shards) {
-    pool.parallel_for(shards, [&](int s) {
-      shard_changed_[s] = 0;     // ok: per-shard slot
-      round_flips_ += s;         // R4: shared member mutated in lambda
-    });
-  }
-
- private:
-  std::vector<int> staged_;
-  std::vector<int> shard_changed_;
-  std::int64_t num_changed_ = 0;
-  std::int64_t round_flips_ = 0;
+struct Heard {
+  bool has(int j) const { return j < 0; }
 };
 
 struct BadRule {
   using Color = std::uint8_t;
   int flips = 0;
-  Color transition(int u, Color c, int cnt, std::int64_t t) {  // R4: non-const
+  int reads = 0;
+  Color transition(int u, Color c, Heard h, std::int64_t t) {  // R4: non-const
     ++flips;
-    return static_cast<Color>((c + u + cnt + static_cast<int>(t)) % 2);
+    return static_cast<Color>((c + u + static_cast<int>(t) + h.has(0)) % 2);
   }
-  bool scheduled(int u, std::int64_t t) const {  // ok: const callback
-    return ((u + t) & 1) == 0;
+  bool active(Color c, Heard h) {  // R4: non-const predicate
+    ++reads;
+    return (c == 1) == h.has(0);
+  }
+  bool violating(Color c, Heard h) noexcept {  // R4: noexcept is not const
+    return (c == 1) == h.has(0);
+  }
+  bool scheduled(Color c, Heard h) const {  // ok: const callback
+    return (c == 1) == h.has(0);
+  }
+  bool stable_black(Color c, Heard h) const {  // ok: const callback
+    return c == 1 && !h.has(0);
   }
 };

@@ -5,24 +5,38 @@
 //    aggregates (num_active, num_stable_black, num_unstable, histogram) —
 //    is compared against brute-force recomputation from the raw colors,
 //    every round, on random graphs, and under random force_color fault
-//    injection between rounds.
+//    injection between rounds. Every rule is covered, the network rules
+//    included: the engine re-evaluates only vertices whose hearing changed,
+//    so a missed zero crossing shows up here as a stale flag.
 //
 // 2. Differential check: the engine-backed processes must produce
 //    bit-identical color trajectories to the seed semantics (the naive
 //    Definition 4/5 transcriptions in reference_processes.hpp), including
 //    across force_color faults.
+//
+// 3. Coverage on demand: a process whose stable-black coverage is first
+//    read late (after faults applied while it was off) reports exactly
+//    what its twin reading it from round 0 reports.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/init.hpp"
+#include "core/process.hpp"
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
 #include "core/two_state.hpp"
 #include "graph/generators.hpp"
+#include "harness/experiment.hpp"
+#include "harness/registry.hpp"
+#include "models/beeping.hpp"
+#include "models/mis_automata.hpp"
+#include "models/stone_age.hpp"
 #include "reference_processes.hpp"
 #include "rng/coin_oracle.hpp"
+#include "support/hash.hpp"
 
 namespace ssmis {
 namespace {
@@ -74,7 +88,7 @@ void expect_engine_consistent(const Engine& e, const std::string& context) {
   // false and this degenerates to worklist == scheduled.)
   Vertex want_scheduled = 0;
   for (Vertex u = 0; u < n; ++u) {
-    const bool want = rule.scheduled(e.color(u), e.counters(u));
+    const bool want = rule.scheduled(e.color(u), Heard::of(e.counters(u), k));
     const bool live = e.worklist().contains(u);
     const bool parked = e.fast_forwarded(u);
     ASSERT_EQ(e.scheduled(u), want) << context << ": scheduled flag of " << u;
@@ -90,13 +104,13 @@ void expect_engine_consistent(const Engine& e, const std::string& context) {
     std::vector<char> covered(static_cast<std::size_t>(n), 0);
     for (Vertex u = 0; u < n; ++u) {
       const auto c = e.color(u);
-      const Vertex* cnt = e.counters(u);
-      const bool active = rule.active(c, cnt);
-      const bool stable = rule.stable_black(c, cnt);
+      const Heard h = Heard::of(e.counters(u), k);
+      const bool active = rule.active(c, h);
+      const bool stable = rule.stable_black(c, h);
       ASSERT_EQ(e.active(u), active) << context << ": active flag of " << u;
       ASSERT_EQ(e.stable_black(u), stable) << context << ": stable flag of " << u;
       if (active) ++want_active;
-      if (rule.violating(c, cnt)) ++want_violations;
+      if (rule.violating(c, h)) ++want_violations;
       if (stable) {
         ++want_stable;
         covered[static_cast<std::size_t>(u)] = 1;
@@ -200,6 +214,85 @@ TEST(EngineInvariants, TwoStateVariantUnderStepping) {
   for (int round = 1; round <= 80; ++round) {
     p.step();
     expect_engine_consistent(p.engine(), ctx("variant", g, round));
+  }
+}
+
+// The beeping rule: lossless, then a loss probability switched on mid-run
+// (set_loss_probability re-derives the schedule through
+// notify_rule_changed), with fault bursts throughout.
+TEST(EngineInvariants, BeepingLosslessThenLossy) {
+  const std::vector<Graph> graphs = {gen::gnp(60, 0.08, 71), gen::complete(16),
+                                     gen::star(21)};
+  const CoinOracle fault_coins(1004);
+  const TwoStateBeepAutomaton automaton;
+  for (const Graph& g : graphs) {
+    const CoinOracle coins(73);
+    std::vector<std::uint8_t> init;
+    for (const Color2 c : make_init2(g, InitPattern::kUniformRandom, coins))
+      init.push_back(TwoStateBeepAutomaton::encode(c));
+    BeepingNetwork net(g, automaton, init, coins);
+    expect_engine_consistent(net.engine(), ctx("beeping init", g, 0));
+    for (int round = 1; round <= 60; ++round) {
+      if (round == 25) {
+        net.set_loss_probability(0.3);
+        expect_engine_consistent(net.engine(), ctx("beeping lossy", g, round));
+      }
+      net.step();
+      expect_engine_consistent(net.engine(), ctx("beeping", g, round));
+      if (round % 8 == 0) {
+        for (Vertex u = 0; u < g.num_vertices(); ++u) {
+          if (!fault_coins.bernoulli(round, u, CoinTag::kFault, 0.2)) continue;
+          net.force_state(u, static_cast<std::uint8_t>(
+                                 fault_coins.word(round, u, CoinTag::kFault) % 2));
+        }
+        expect_engine_consistent(net.engine(), ctx("beeping post-fault", g, round));
+      }
+    }
+  }
+}
+
+// The stone-age rule is the multi-counter one: a state change moves two
+// channel counters, each of which may cross zero. Both automata run with
+// fast-forward on, off, and toggled every few rounds, under fault bursts;
+// the 3-color automaton announces on 18 channels.
+TEST(EngineInvariants, StoneAgeFastForwardOnOffAndFaults) {
+  const std::vector<Graph> graphs = {gen::gnp(50, 0.1, 79), gen::cycle(19),
+                                     gen::complete(12)};
+  const CoinOracle fault_coins(1005);
+  const ThreeStateStoneAgeAutomaton three_state;
+  const ThreeColorStoneAgeAutomaton three_color;
+  const std::vector<const StoneAgeAutomaton*> automata = {&three_state, &three_color};
+  enum class Mode { kOn, kOff, kToggled };
+  for (const StoneAgeAutomaton* automaton : automata) {
+    const auto states = static_cast<std::uint64_t>(automaton->num_states());
+    for (const Mode mode : {Mode::kOn, Mode::kOff, Mode::kToggled}) {
+      for (const Graph& g : graphs) {
+        const CoinOracle coins(83);
+        std::vector<std::uint8_t> init;
+        for (Vertex u = 0; u < g.num_vertices(); ++u)
+          init.push_back(static_cast<std::uint8_t>(
+              coins.word(0, u, CoinTag::kInit) % states));
+        StoneAgeNetwork net(g, *automaton, init, coins);
+        net.set_fast_forward(mode != Mode::kOff);
+        const std::string name = "stone-age/" + std::to_string(states) + " mode " +
+                                 std::to_string(static_cast<int>(mode));
+        expect_engine_consistent(net.engine(), ctx(name.c_str(), g, 0));
+        for (int round = 1; round <= 60; ++round) {
+          if (mode == Mode::kToggled && round % 5 == 0)
+            net.set_fast_forward(!net.fast_forward_enabled());
+          net.step();
+          expect_engine_consistent(net.engine(), ctx(name.c_str(), g, round));
+          if (round % 9 == 0) {
+            for (Vertex u = 0; u < g.num_vertices(); ++u) {
+              if (!fault_coins.bernoulli(round, u, CoinTag::kFault, 0.2)) continue;
+              net.force_state(u, static_cast<std::uint8_t>(
+                                     fault_coins.word(round, u, CoinTag::kFault) % states));
+            }
+            expect_engine_consistent(net.engine(), ctx(name.c_str(), g, round));
+          }
+        }
+      }
+    }
   }
 }
 
@@ -339,6 +432,132 @@ TEST(Engine, ConstructionValidation) {
   EXPECT_THROW(ProcessEngine<TwoStateRule>(g, std::vector<Color2>(2, Color2::kWhite),
                                            TwoStateRule(coins)),
                std::invalid_argument);
+}
+
+// A rule whose contributions can go negative would break the zero-crossing
+// test, so the engine rejects it at construction.
+struct NegativeRule {
+  using Color = std::uint8_t;
+  static constexpr bool kTracksStability = false;
+  int num_colors() const { return 2; }
+  int num_counters() const { return 1; }
+  Vertex contribution(Color c, int) const { return c == 1 ? -1 : 0; }
+  bool scheduled(Color, Heard) const { return false; }
+  Color transition(Vertex, Color c, Heard, std::int64_t) const { return c; }
+};
+
+TEST(Engine, RejectsNegativeContributions) {
+  const Graph g = gen::path(3);
+  EXPECT_THROW(ProcessEngine<NegativeRule>(g, {0, 1, 0}, NegativeRule{}),
+               std::invalid_argument);
+}
+
+// --------------------------------------------------- coverage on demand --
+
+// What a Process reports about coverage in one round: the trace snapshot
+// and the settled flag of every vertex (for the MIS family, u ∈ N+(I_t)).
+struct CoverageView {
+  RoundStats stats;
+  std::vector<bool> settled;
+};
+
+CoverageView coverage_view(const Process& p) {
+  CoverageView view{p.snapshot(), {}};
+  for (Vertex u = 0; u < p.graph().num_vertices(); ++u)
+    view.settled.push_back(p.settled(u));
+  return view;
+}
+
+void expect_same_view(const CoverageView& a, const CoverageView& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.stats.round, b.stats.round) << where;
+  EXPECT_EQ(a.stats.black, b.stats.black) << where;
+  EXPECT_EQ(a.stats.active, b.stats.active) << where;
+  EXPECT_EQ(a.stats.stable_black, b.stats.stable_black) << where;
+  EXPECT_EQ(a.stats.unstable, b.stats.unstable) << where;
+  EXPECT_EQ(a.stats.gray, b.stats.gray) << where;
+  ASSERT_EQ(a.settled, b.settled) << where;
+}
+
+// Coverage is off until its first reader builds it. One twin reads it from
+// round 0; the other first reads it at round kFirstRead, after a fault
+// burst applied while its coverage was off. From then on both must report
+// the same snapshots and settled flags every round.
+TEST(CoverageOnDemand, LateFirstReadMatchesRoundZeroRead) {
+  const Graph g = gen::gnp(90, 0.06, 103);
+  const CoinOracle fault_coins(1006);
+  constexpr int kFirstRead = 5;
+  for (const std::string name : {"2state", "3state", "3color", "daemon", "matching"}) {
+    const ProtocolParams params = with_init({}, InitPattern::kUniformRandom);
+    const auto early = ProtocolRegistry::instance().make(name, g, params, 107);
+    const auto late = ProtocolRegistry::instance().make(name, g, params, 107);
+    early->set_fast_forward(true);
+    late->set_fast_forward(true);
+    (void)early->snapshot();
+    for (int round = 1; round <= 40; ++round) {
+      early->step();
+      late->step();
+      if (round == 2) {
+        for (Vertex u = 0; u < g.num_vertices(); ++u) {
+          if (!fault_coins.bernoulli(round, u, CoinTag::kFault, 0.3)) continue;
+          const auto raw = static_cast<std::uint8_t>(
+              fault_coins.word(round, u, CoinTag::kFault) %
+              static_cast<std::uint64_t>(early->num_colors()));
+          early->force_state(u, raw);
+          late->force_state(u, raw);
+        }
+      }
+      const CoverageView want = coverage_view(*early);
+      if (round < kFirstRead) continue;
+      expect_same_view(want, coverage_view(*late),
+                       name + " round " + std::to_string(round));
+    }
+  }
+}
+
+// The wrapper-level V_t set agrees too, for a 2-state twin built late.
+TEST(CoverageOnDemand, TwoStateUnstableSetAfterLateBuild) {
+  const Graph g = gen::gnp(70, 0.07, 109);
+  const CoinOracle coins(113);
+  const auto init = make_init2(g, InitPattern::kUniformRandom, coins);
+  TwoStateMIS early(g, init, coins);
+  TwoStateMIS late(g, init, coins);
+  (void)early.num_unstable();
+  for (int round = 1; round <= 30 && !early.stabilized(); ++round) {
+    early.step();
+    late.step();
+    if (round == 1) {
+      early.force_color(0, Color2::kBlack);
+      late.force_color(0, Color2::kBlack);
+    }
+    if (round < 3) {
+      (void)early.num_unstable();
+      continue;
+    }
+    EXPECT_EQ(late.unstable_set(), early.unstable_set()) << "round " << round;
+    EXPECT_EQ(late.num_unstable(), early.num_unstable()) << "round " << round;
+  }
+}
+
+// Per-vertex stabilization times read coverage from round 0. Their tables
+// are pinned to the values the engine produced when coverage was built
+// eagerly at construction.
+TEST(CoverageOnDemand, VertexStabilizationTimesUnchanged) {
+  const Graph g = gen::gnp(150, 0.04, 127);
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"2state", 0x1ffaa2dc546f7a60ULL},   {"3state", 0x4e1b08cbedf08a83ULL},
+      {"3color", 0xd2834a8844bc6755ULL},   {"daemon", 0x1ffaa2dc546f7a60ULL},
+      {"matching", 0xa5da9b51569c43a0ULL}};
+  for (const auto& [name, want] : pinned) {
+    MeasureConfig config;
+    config.protocol = name;
+    config.seed = 131;
+    config.max_rounds = 100000;
+    const std::vector<std::int64_t> times = vertex_stabilization_times(g, config);
+    const std::uint64_t got =
+        fnv1a(kFnv1aBasis, times.data(), times.size() * sizeof(std::int64_t));
+    EXPECT_EQ(got, want) << name;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """ssmis_lint: repo-specific determinism & invariant linter.
 
 The golden-fingerprint suites pin *runtime* behavior (bit-identical
-trajectories at any shard count, the compressed-storage access contract,
+trajectories at any thread count, the compressed-storage access contract,
 narrowing-safe id handling). This linter moves the same invariants to lint
 time, so a violation fails CI before it can corrupt a trajectory that only a
 fingerprint mismatch would catch. Four rules:
@@ -34,15 +34,16 @@ fingerprint mismatch would catch. Four rules:
       std::size_t, adj_len/payload_bytes/file_bytes/...) must go through the
       checked `ssmis::narrow_cast<T>` (src/support/narrow.hpp) instead.
 
-  R4  decide-phase-shard-discipline
-      The sharded decide phase is only bit-identical because its parallel
-      region is pure: `transition_range` bodies and lambdas handed to
-      `ThreadPool::parallel_for` may write only per-shard state (staged_,
-      shard_changed_, locals), and the rule callbacks the decide phase
-      invokes (transition / scheduled / contribution / fast_forwardable /
-      orbit_color) must be const member functions. Writes to any other
-      `trailing_underscore_` member from those contexts, or a non-const
-      rule callback, are flagged.
+  R4  rule-callback-constness
+      A trajectory is a pure function of each vertex's (color, hearing) and
+      the counter-based coins only if the rule callbacks the engine invokes
+      (transition / scheduled / contribution / active / violating /
+      stable_black / fast_forwardable / orbit_color) keep no state. The
+      engine re-evaluates a vertex's predicates only when its color or what
+      it hears changed, so a callback that mutates the rule would make the
+      trajectory depend on how often the engine happens to call it. A
+      definition of one of these callbacks that is not a const member
+      function is flagged.
 
 Suppressions: append `// ssmis-lint: allow(R1) reason` (multiple ids:
 `allow(R1,R3)`) to the offending line, or place the comment alone on the
@@ -74,7 +75,7 @@ RULES = {
     "R1": "raw-adjacency-access",
     "R2": "nondeterminism-source",
     "R3": "narrowing-cast",
-    "R4": "decide-phase-shard-discipline",
+    "R4": "rule-callback-constness",
 }
 
 # R1: files allowed to touch the raw CSR views (the storage internals and
@@ -117,19 +118,16 @@ R3_WIDE_MARKERS = re.compile(
 )
 R3_WIDE_TOKEN_SEQS = ((".", "size", "(", ")"), (".", "tellg", "(", ")"))
 
-# R4: per-shard state the parallel decide region may legitimately write.
-R4_PER_SHARD_MEMBERS = {"staged_", "shard_changed_"}
-# R4: rule callbacks the decide phase invokes — must be const members.
+# R4: rule callbacks the engine invokes — must be const members.
 R4_CONST_CALLBACKS = {
     "transition",
     "scheduled",
     "contribution",
+    "active",
+    "violating",
+    "stable_black",
     "fast_forwardable",
     "orbit_color",
-}
-R4_MUTATORS = {
-    "push_back", "emplace_back", "clear", "insert", "erase", "resize",
-    "assign", "reserve", "pop_back", "swap",
 }
 
 SUPPRESS_RE = re.compile(
@@ -502,97 +500,8 @@ def check_r3(src: SourceFile, rel: str, out: list[Finding]) -> None:
             "release"))
 
 
-def _lambda_body_ranges_of_parallel_for(src: SourceFile) -> list[tuple[int, int]]:
-    """Token index ranges of lambda bodies passed to parallel_for(...)."""
-    toks = src.tokens
-    ranges = []
-    for i, tok in enumerate(toks):
-        if tok.text != "parallel_for":
-            continue
-        if i + 1 >= len(toks) or toks[i + 1].text != "(":
-            continue
-        close = src.match_paren(i + 1)
-        j = i + 2
-        while j < close:
-            if toks[j].text == "[":
-                cap_close = src.match_paren(j)
-                k = cap_close + 1
-                if k < close and toks[k].text == "(":
-                    k = src.match_paren(k) + 1
-                while k < close and toks[k].text in ("mutable", "noexcept",
-                                                     "->", "void", "int",
-                                                     "auto", "const", "&"):
-                    k += 1
-                if k < close and toks[k].text == "{":
-                    ranges.append((k, src.match_paren(k)))
-                    j = src.match_paren(k)
-            j += 1
-    return ranges
-
-
-def _function_body_range(src: SourceFile, name: str) -> list[tuple[int, int]]:
-    """Token ranges of the bodies of function *definitions* named `name`."""
-    toks = src.tokens
-    ranges = []
-    for i, tok in enumerate(toks):
-        if tok.text != name:
-            continue
-        if i > 0 and toks[i - 1].text in (".", "->"):
-            continue  # call on an object
-        if i + 1 >= len(toks) or toks[i + 1].text != "(":
-            continue
-        close = src.match_paren(i + 1)
-        k = close + 1
-        while k < len(toks) and toks[k].text in ("const", "noexcept",
-                                                 "override", "final", "&",
-                                                 "&&"):
-            k += 1
-        if k < len(toks) and toks[k].text == "{":
-            ranges.append((k, src.match_paren(k)))
-    return ranges
-
-
 def check_r4(src: SourceFile, rel: str, out: list[Finding]) -> None:
     toks = src.tokens
-
-    # (a) Parallel-region write discipline: transition_range bodies and
-    # parallel_for lambdas may write only per-shard members.
-    regions = _function_body_range(src, "transition_range")
-    regions += _lambda_body_ranges_of_parallel_for(src)
-    hint = ("the sharded decide phase must stay pure: stage into per-shard "
-            "state (staged_, shard_changed_, locals) and merge in shard "
-            "order after the join")
-    for (b, e) in regions:
-        for i in range(b + 1, e):
-            t = toks[i]
-            if not t.text.endswith("_") or not re.fullmatch(r"[A-Za-z_]\w*",
-                                                            t.text):
-                continue
-            if t.text in R4_PER_SHARD_MEMBERS:
-                continue
-            if i > 0 and toks[i - 1].text in (".", "->", "::"):
-                continue  # member of something else
-            # Direct mutation?
-            j = i + 1
-            if j < len(toks) and toks[j].text == "[":
-                j = src.match_paren(j) + 1
-            nxt = toks[j].text if j < len(toks) else ""
-            nxt2 = toks[j + 1].text if j + 1 < len(toks) else ""
-            mutated = False
-            if nxt in ("=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=",
-                       "++", "--") and nxt != "==":
-                mutated = nxt != "=" or nxt2 != "="
-            if not mutated and i > 0 and toks[i - 1].text in ("++", "--"):
-                mutated = True
-            if not mutated and nxt == "." and nxt2 in R4_MUTATORS:
-                mutated = True
-            if mutated:
-                out.append(Finding(
-                    rel, t.line, "R4",
-                    f"write to non-per-shard engine member `{t.text}` "
-                    "inside the parallel decide region", hint))
-
-    # (b) Rule callback constness: decide-path callbacks must be const.
     for name in sorted(R4_CONST_CALLBACKS):
         for i, tok in enumerate(toks):
             if tok.text != name:
@@ -617,11 +526,10 @@ def check_r4(src: SourceFile, rel: str, out: list[Finding]) -> None:
             if "const" not in quals:
                 out.append(Finding(
                     rel, tok.line, "R4",
-                    f"decide-path rule callback `{name}` is not a const "
-                    "member function (the sharded decide phase calls it "
-                    "concurrently)",
-                    "declare the callback const; mutable rule state on the "
-                    "decide path breaks shard bit-identity"))
+                    f"rule callback `{name}` is not a const member function",
+                    "declare the callback const; a rule that mutates itself "
+                    "makes the trajectory depend on how often the engine "
+                    "re-evaluates it"))
 
 
 # --------------------------------------------------------------------------
