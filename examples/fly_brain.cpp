@@ -57,11 +57,11 @@ int main(int argc, char** argv) {
   StoneAgeNetwork net(tissue, automaton, init, coins);
 
   std::int64_t round = 0;
-  while (round < 100000 && !is_mis(tissue, net.claimed_mis())) {
+  while (round < 100000 && !net.stabilized()) {
     net.step();
     ++round;
   }
-  const auto sops = net.claimed_mis();
+  const auto sops = net.black_set();
   std::cout << "developmental rounds: " << round << "\n";
   std::cout << "SOPs selected: " << sops.size() << " of " << tissue.num_vertices()
             << " cells (" << 100.0 * static_cast<double>(sops.size()) /

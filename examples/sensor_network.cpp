@@ -43,18 +43,19 @@ int main(int argc, char** argv) {
   const CoinOracle coins(seed + 1);
   BeepingNetwork radio(g, automaton, boot, coins);
 
-  // Run the radio protocol until the claimed head set is an MIS. A real
-  // deployment cannot test this globally — termination detection is not
-  // part of the model — but the protocol is silent once stable: heads beep
-  // into silence, members hear their head.
+  // Run the radio protocol until the claimed head set is an MIS, which the
+  // simulator reads off its violation count. A real deployment cannot test
+  // this globally — termination detection is not part of the model — but
+  // no state changes once stable: heads beep into silence, members hear
+  // their head.
   std::int64_t round = 0;
   const std::int64_t horizon = 100000;
-  while (round < horizon && !is_mis(g, radio.claimed_mis())) {
+  while (round < horizon && !radio.stabilized()) {
     radio.step();
     ++round;
   }
 
-  const auto heads = radio.claimed_mis();
+  const auto heads = radio.black_set();
   std::cout << "rounds until stable head set: " << round << "\n";
   std::cout << "cluster heads: " << heads.size() << " / " << sensors << " sensors\n";
   std::cout << "valid MIS (no adjacent heads, full coverage): "

@@ -24,7 +24,7 @@
 // cover every process: the 2-state rule (with its bias sources it also runs
 // the ablation, priority, daemon and matching workloads), 3-state, 3-color,
 // and the beeping and stone-age network simulators' automaton rules — all
-// over this one stepping core.
+// over this one stepping core, with the same MIS bookkeeping for each.
 //
 // Randomness: rules draw coins from the counter-based CoinOracle, where
 // every coin is a pure function of (seed, round, vertex, tag). Because no
@@ -127,7 +127,6 @@ class Heard {
 // The policy interface. A rule is a value type describing one process:
 //
 //   using Color = ...;                 // uint8-backed enum or std::uint8_t
-//   static constexpr bool kTracksStability;  // MIS bookkeeping on/off
 //   int num_colors() const;            // histogram size (raw color values)
 //   int num_counters() const;          // neighbor counters per vertex (<= 32)
 //   Vertex contribution(Color c, int j) const;
@@ -140,15 +139,14 @@ class Heard {
 //                                      // the next color; called only for
 //                                      // scheduled vertices, must be a pure
 //                                      // function of its arguments + coins
-//
-// Rules with kTracksStability additionally provide the paper's bookkeeping
-// predicates over (color, hearing):
-//
 //   bool active(Color c, Heard h) const;        // u ∈ A_t
 //   bool violating(Color c, Heard h) const;     // MIS violation
 //   bool stable_black(Color c, Heard h) const;  // u ∈ I_t
+//                                      // the paper's bookkeeping predicates;
+//                                      // every rule is an MIS process, so
+//                                      // every rule defines them
 //
-// and may provide `void end_round(int64_t t)` — a hook run once per
+// A rule may also provide `void end_round(int64_t t)` — a hook run once per
 // synchronous round after the colors were committed (the 3-color process
 // steps its logarithmic switch there).
 //
@@ -158,12 +156,6 @@ class Heard {
 // tests/compile_fail/bad_rule.cpp) instead of an overload-resolution spew.
 template <typename R>
 concept RuleHasColor = requires { typename R::Color; };
-
-// `static constexpr bool kTracksStability` — MIS bookkeeping on/off.
-template <typename R>
-concept RuleDeclaresStabilityTracking = requires {
-  { R::kTracksStability } -> std::convertible_to<bool>;
-};
 
 // num_colors()/num_counters() — the engine's array shapes.
 template <typename R>
@@ -194,21 +186,19 @@ concept RuleHasTransition =
       { r.transition(u, c, h, t) } -> std::convertible_to<typename R::Color>;
     };
 
+// active/violating/stable_black(c, h) — the paper's bookkeeping predicates.
 template <typename R>
-concept ProcessRule = RuleHasColor<R> && RuleDeclaresStabilityTracking<R> &&
-                      RuleHasShape<R> && RuleHasContribution<R> &&
-                      RuleHasScheduling<R> && RuleHasTransition<R>;
-
-// The paper's bookkeeping predicates (active/violating/stable_black) —
-// required exactly when the rule sets kTracksStability, asserted at engine
-// instantiation (they used to be documentation only).
-template <typename R>
-concept StabilityTrackingRule =
+concept RuleHasMisPredicates =
     RuleHasColor<R> && requires(const R r, typename R::Color c, Heard h) {
       { r.active(c, h) } -> std::convertible_to<bool>;
       { r.violating(c, h) } -> std::convertible_to<bool>;
       { r.stable_black(c, h) } -> std::convertible_to<bool>;
     };
+
+template <typename R>
+concept ProcessRule = RuleHasColor<R> && RuleHasShape<R> && RuleHasContribution<R> &&
+                      RuleHasScheduling<R> && RuleHasTransition<R> &&
+                      RuleHasMisPredicates<R>;
 
 // Optional once-per-round hook, run after the colors were committed.
 template <typename R>
@@ -223,10 +213,9 @@ concept RuleHasEndRoundHook = requires(R& r, std::int64_t t) {
 // round T is a pure function of (entry color, hearing, entry round, T) plus
 // the counter-based coins — and the rule promises that along the orbit
 //
-//   * every engine predicate the rule defines (scheduled, and for
-//     stability-tracking rules active/violating/stable_black) is constant,
-//     with the scheduled predicate TRUE (a quiescent vertex is already off
-//     the worklist for free);
+//   * every engine predicate (scheduled, active, violating, stable_black)
+//     is constant, with the scheduled predicate TRUE (a quiescent vertex is
+//     already off the worklist for free);
 //   * the only counter components of OTHER vertices that the orbit's color
 //     changes would move are components no live vertex's predicates or
 //     transition can observe while the mover is on its orbit (the "output
@@ -271,10 +260,6 @@ class ProcessEngine {
                 "ProcessEngine<Rule>: Rule violates concept "
                 "ssmis::RuleHasColor — it must define a nested Color type "
                 "(the raw per-vertex state)");
-  static_assert(RuleDeclaresStabilityTracking<Rule>,
-                "ProcessEngine<Rule>: Rule violates concept "
-                "ssmis::RuleDeclaresStabilityTracking — it must declare "
-                "`static constexpr bool kTracksStability`");
   static_assert(RuleHasShape<Rule>,
                 "ProcessEngine<Rule>: Rule violates concept "
                 "ssmis::RuleHasShape — it must provide const "
@@ -291,18 +276,16 @@ class ProcessEngine {
                 "ProcessEngine<Rule>: Rule violates concept "
                 "ssmis::RuleHasTransition — it must provide const "
                 "transition(Vertex, Color, Heard, int64_t) -> Color");
+  static_assert(RuleHasMisPredicates<Rule>,
+                "ProcessEngine<Rule>: Rule violates concept "
+                "ssmis::RuleHasMisPredicates — it must provide const "
+                "active/violating/stable_black(Color, Heard) -> bool");
   static_assert(ProcessRule<Rule>,
                 "ProcessEngine<Rule>: Rule does not satisfy "
                 "ssmis::ProcessRule (see the failed sub-concept above)");
 
  public:
   using Color = typename Rule::Color;
-  static constexpr bool kTracksStability = Rule::kTracksStability;
-  static_assert(!kTracksStability || StabilityTrackingRule<Rule>,
-                "ProcessEngine<Rule>: Rule sets kTracksStability but "
-                "violates concept ssmis::StabilityTrackingRule — it must "
-                "provide const active/violating/stable_black"
-                "(Color, Heard) -> bool");
   // Rules satisfying FastForwardRule get stable-periodic fast-forward; for
   // everything else the machinery folds away at compile time (no periodic
   // set, no extra branches in refresh, accessors stay raw).
@@ -509,6 +492,15 @@ class ProcessEngine {
   [[nodiscard]] Vertex raw_color_count(Color c) const {
     return hist_[static_cast<std::size_t>(raw(c))];
   }
+  // The raw histogram summed over the colors `pred` accepts — O(num_colors),
+  // exact under fast-forward for the same closed sets.
+  template <typename Pred>
+  [[nodiscard]] Vertex raw_color_count_if(Pred pred) const {
+    Vertex count = 0;
+    for (int c = 0; c < num_colors_; ++c)
+      if (pred(static_cast<Color>(c))) count += hist_[static_cast<std::size_t>(c)];
+    return count;
+  }
 
   // --- worklist ------------------------------------------------------------
 
@@ -552,62 +544,33 @@ class ProcessEngine {
     return out;
   }
 
-  // --- paper bookkeeping (rules with kTracksStability) ---------------------
+  // --- paper bookkeeping ---------------------------------------------------
 
-  // These queries only exist for stability-tracking rules — for anything
-  // else (the network rules) they would be vacuously wrong, so misuse is a
-  // compile error rather than a bad answer.
-  bool active(Vertex u) const
-    requires(kTracksStability)
-  {
+  bool active(Vertex u) const {
     return (flags_[static_cast<std::size_t>(u)] & kActiveBit) != 0;
   }
-  bool stable_black(Vertex u) const
-    requires(kTracksStability)
-  {
+  bool stable_black(Vertex u) const {
     return (flags_[static_cast<std::size_t>(u)] & kStableBlackBit) != 0;
   }
   // u ∈ V_t: not covered by the closed neighborhood of any stable black.
   // The first coverage read builds it in O(n + m); the engine maintains it
   // from then on.
-  bool unstable(Vertex u) const
-    requires(kTracksStability)
-  {
-    return coverage()[static_cast<std::size_t>(u)] == 0;
-  }
+  bool unstable(Vertex u) const { return coverage()[static_cast<std::size_t>(u)] == 0; }
 
   // |A_t|, violation count, |I_t|, |V_t| — O(1), maintained incrementally
   // (the seed implementations rescanned O(n + m) per query); |V_t| after
   // the coverage build its first read pays.
-  Vertex num_active() const
-    requires(kTracksStability)
-  {
-    return num_active_;
-  }
-  Vertex num_violations() const
-    requires(kTracksStability)
-  {
-    return num_violations_;
-  }
-  Vertex num_stable_black() const
-    requires(kTracksStability)
-  {
-    return num_stable_black_;
-  }
-  Vertex num_unstable() const
-    requires(kTracksStability)
-  {
+  Vertex num_active() const { return num_active_; }
+  Vertex num_violations() const { return num_violations_; }
+  Vertex num_stable_black() const { return num_stable_black_; }
+  Vertex num_unstable() const {
     coverage();
     return num_unstable_;
   }
 
   // Stabilized ⟺ no MIS violation remains (for the 2-state family this
   // coincides with A_t = ∅).
-  bool stabilized() const
-    requires(kTracksStability)
-  {
-    return num_violations_ == 0;
-  }
+  bool stabilized() const { return num_violations_ == 0; }
 
  private:
   static constexpr std::uint8_t kScheduledBit = 1;
@@ -754,11 +717,9 @@ class ProcessEngine {
   // u's predicate flags (never kTouchedBit).
   std::uint8_t compute_flags(Color c, Heard h) const {
     unsigned f = static_cast<unsigned>(rule_.scheduled(c, h));
-    if constexpr (kTracksStability) {
-      f |= static_cast<unsigned>(rule_.active(c, h)) << 1;
-      f |= static_cast<unsigned>(rule_.violating(c, h)) << 2;
-      f |= static_cast<unsigned>(rule_.stable_black(c, h)) << 3;
-    }
+    f |= static_cast<unsigned>(rule_.active(c, h)) << 1;
+    f |= static_cast<unsigned>(rule_.violating(c, h)) << 2;
+    f |= static_cast<unsigned>(rule_.stable_black(c, h)) << 3;
     return static_cast<std::uint8_t>(f);
   }
 
@@ -790,13 +751,11 @@ class ProcessEngine {
       else
         worklist_.erase(u);
     }
-    if constexpr (kTracksStability) {
-      num_active_ += bit(now, kActiveBit) - bit(before, kActiveBit);
-      num_violations_ += bit(now, kViolatingBit) - bit(before, kViolatingBit);
-      num_stable_black_ += bit(now, kStableBlackBit) - bit(before, kStableBlackBit);
-      if (((now ^ before) & kStableBlackBit) && coverage_built_)
-        cover(u, (now & kStableBlackBit) ? 1 : -1);
-    }
+    num_active_ += bit(now, kActiveBit) - bit(before, kActiveBit);
+    num_violations_ += bit(now, kViolatingBit) - bit(before, kViolatingBit);
+    num_stable_black_ += bit(now, kStableBlackBit) - bit(before, kStableBlackBit);
+    if (((now ^ before) & kStableBlackBit) && coverage_built_)
+      cover(u, (now & kStableBlackBit) ? 1 : -1);
     if constexpr (kFastForward) {
       if (fast_forward_ && (now & kScheduledBit) && rule_.fast_forwardable(c, h)) {
         worklist_.erase(u);
@@ -843,9 +802,7 @@ class ProcessEngine {
   }
 
   // The stable-black coverage counts, built on first use.
-  const std::vector<Vertex>& coverage() const
-    requires(kTracksStability)
-  {
+  const std::vector<Vertex>& coverage() const {
     if (!coverage_built_) const_cast<ProcessEngine*>(this)->build_coverage();
     return covered_;
   }
@@ -855,9 +812,7 @@ class ProcessEngine {
   // frozen by the orbit's constancy promise). Stable blacks' rows are read
   // in order: one pass over the payload on compressed graphs instead of a
   // row seek per stable black.
-  void build_coverage()
-    requires(kTracksStability)
-  {
+  void build_coverage() {
     const Vertex n = graph_->num_vertices();
     covered_.assign(static_cast<std::size_t>(n), 0);
     Vertex covered = 0;
@@ -932,9 +887,7 @@ class ProcessEngine {
     num_active_ = active;
     num_violations_ = violations;
     num_stable_black_ = stable_black;
-    if constexpr (kTracksStability) {
-      if (coverage_built_) build_coverage();
-    }
+    if (coverage_built_) build_coverage();
     worklist_.assign(flags_, kScheduledBit);
     if constexpr (kFastForward) {
       // Callers materialize first (notify_rule_changed) or are starting
@@ -952,8 +905,7 @@ class ProcessEngine {
   std::vector<Vertex> hist_;      // vertices per raw color value
   std::vector<std::uint8_t> flags_;
   VertexWorklist worklist_;
-  // Stable blacks in N+[u] (stability rules), empty until coverage() first
-  // builds it.
+  // Stable blacks in N+[u], empty until coverage() first builds it.
   std::vector<Vertex> covered_;
   bool coverage_built_ = false;
 

@@ -11,8 +11,9 @@
 // adds the MIS family's output, validity, coverage and fault half, and
 // routes faults through the wrapper's own `inject_fault` when it has one
 // (the 3-color switch level). Every engine-backed MIS wrapper registers
-// through MisFamilyAdapter; `matching` derives from MisProcessAdapter and
-// the communication-model networks implement Process directly.
+// through MisFamilyAdapter, the beeping and stone-age networks included;
+// `matching` derives from MisProcessAdapter, because its output and faults
+// live on edges. These three are the only Process classes.
 //
 // Cost model: type erasure sits at TRIAL granularity, not step granularity.
 // A trial calls the virtual `run()` once; the adapter's override immediately
@@ -171,7 +172,6 @@ concept MisFamilyProcess =
     MisProcess<P> &&
     requires(P p, const P cp, Vertex u, typename P::Engine::Color c) {
       typename P::Engine;
-      cp.colors();
       { cp.black_set() } -> std::convertible_to<std::vector<Vertex>>;
       p.force_color(u, c);
       { cp.engine().unstable(u) } -> std::convertible_to<bool>;
@@ -202,8 +202,7 @@ class MisFamilyAdapter : public MisProcessAdapter<P> {
     this->process_.force_color(u, static_cast<Color>(raw));
   }
   std::uint8_t raw_state(Vertex u) const override {
-    return static_cast<std::uint8_t>(
-        this->process_.colors()[static_cast<std::size_t>(u)]);
+    return static_cast<std::uint8_t>(this->process_.engine().color(u));
   }
   int num_colors() const override { return this->process_.engine().num_colors(); }
   bool inject_fault(Vertex u, std::uint64_t w) override {

@@ -40,7 +40,6 @@ namespace ssmis {
 class ThreeColorRule {
  public:
   using Color = ColorG;
-  static constexpr bool kTracksStability = true;
 
   // The switch is owned by the wrapping process; the rule only reads/steps it.
   ThreeColorRule(const CoinOracle& coins, SwitchProcess* sw)

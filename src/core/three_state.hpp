@@ -43,7 +43,6 @@ namespace ssmis {
 class ThreeStateRule {
  public:
   using Color = Color3;
-  static constexpr bool kTracksStability = true;
   static constexpr int kBlackNbr = 0;   // neighbors in {black0, black1}
   static constexpr int kBlack1Nbr = 1;  // neighbors in {black1}
 

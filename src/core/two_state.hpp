@@ -43,7 +43,6 @@ namespace ssmis {
 class TwoStateRule {
  public:
   using Color = Color2;
-  static constexpr bool kTracksStability = true;
 
   // The fair coin phi_t(u).
   explicit TwoStateRule(const CoinOracle& coins) : coins_(coins) {}

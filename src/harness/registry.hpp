@@ -2,10 +2,11 @@
 //
 // Each rule's translation unit self-registers a factory (a static
 // `ProtocolRegistrar` constructed before main), so adding a workload is ONE
-// file: the rule + its Process adapter + a registrar. The harness, the
-// shared `--protocol` CLI flag, the registry test suite, and the bench
-// near-stabilized rows all enumerate `names()` — a new protocol reaches all
-// of them with zero scheduling or driver code.
+// file: the rule + its wrapper (registered as MisFamilyAdapter<wrapper>, or
+// a MisProcessAdapter subclass for non-MIS output) + a registrar. The
+// harness, the shared `--protocol` CLI flag and the registry test suite all
+// enumerate `names()` — a new protocol reaches all of them with zero
+// scheduling or driver code.
 //
 // Factories are pure: factory(graph, params, seed) builds a fresh process
 // whose entire trajectory is a function of (graph, params, seed). The
@@ -80,8 +81,8 @@ class ProtocolRegistry {
 
   // The `--proto-*` option keys the protocol declared (as registered, not
   // sorted); throws std::invalid_argument on an unknown name. Lets generic
-  // drivers (the bench's fast-forward A/B rows) discover which protocols
-  // accept a knob without hardcoding the list.
+  // drivers (the fast-forward tests) discover which protocols accept a knob
+  // without hardcoding the list.
   const std::vector<std::string>& options(const std::string& name) const;
 
   // describe() of every protocol, one per line — the `--list-protocols`

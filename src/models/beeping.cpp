@@ -4,6 +4,18 @@
 
 namespace ssmis {
 
+BeepingRule::BeepingRule(const BeepingAutomaton* automaton, const CoinOracle& coins,
+                         bool sender_collision_detection)
+    : automaton_(automaton), coins_(coins), sender_cd_(sender_collision_detection) {
+  for (int s = 0; s < automaton->num_states(); ++s) {
+    const auto state = static_cast<std::uint8_t>(s);
+    in_mis_.push_back(automaton->in_mis(state) ? 1 : 0);
+    if (in_mis(state) != (automaton->emit(state) == BeepAction::kBeep))
+      throw std::invalid_argument(
+          "BeepingNetwork: the automaton must beep in exactly its MIS states");
+  }
+}
+
 BeepingNetwork::BeepingNetwork(const Graph& g, const BeepingAutomaton& automaton,
                                std::vector<std::uint8_t> init,
                                const CoinOracle& coins,
@@ -12,32 +24,25 @@ BeepingNetwork::BeepingNetwork(const Graph& g, const BeepingAutomaton& automaton
               BeepingRule(&automaton, coins, sender_collision_detection)) {}
 
 void BeepingNetwork::step() {
-  // Broadcast accounting against the frozen states: the number of beeping
-  // nodes is a histogram sum over the (constant-size) state alphabet.
-  const BeepingAutomaton& automaton = engine_.rule().automaton();
-  Vertex beeps = 0;
-  for (int s = 0; s < automaton.num_states(); ++s) {
-    if (automaton.emit(static_cast<std::uint8_t>(s)) == BeepAction::kBeep)
-      beeps += engine_.color_count(static_cast<std::uint8_t>(s));
-  }
-  beeps_last_round_ = beeps;
-  total_beeps_ += beeps;
+  // Broadcast accounting against the frozen states: exactly the MIS states
+  // beep, so the beeping nodes are B_t.
+  beeps_last_round_ = num_black();
+  total_beeps_ += beeps_last_round_;
   engine_.step();
 }
 
 void BeepingNetwork::set_loss_probability(double p) {
   if (!(p >= 0.0 && p < 1.0))  // NaN fails both comparisons
     throw std::invalid_argument("set_loss_probability: need p in [0, 1)");
+  if (p == engine_.rule().loss_probability()) return;
   engine_.rule().set_loss_probability(p);
   // The loss probability is part of the scheduling predicate (a lossy
   // carrier-sense bit can wake otherwise-quiescent states).
   engine_.notify_rule_changed();
 }
 
-std::vector<Vertex> BeepingNetwork::claimed_mis() const {
-  const BeepingAutomaton& automaton = engine_.rule().automaton();
-  return engine_.select(
-      [&](Vertex u) { return automaton.in_mis(state(u)); });
+std::vector<Vertex> BeepingNetwork::black_set() const {
+  return engine_.select([&](Vertex u) { return engine_.rule().in_mis(state(u)); });
 }
 
 }  // namespace ssmis

@@ -18,7 +18,9 @@
 // that changed state)) instead of an O(n + m) rescan. Automata that declare
 // quiescent states (see `BeepingAutomaton::quiescent`) get sparse
 // scheduling; others run dense with identical semantics, since every coin is
-// a pure function of (seed, round, node, tag).
+// a pure function of (seed, round, node, tag). The engine keeps the MIS
+// bookkeeping too — the violation count, I_t and V_t — so the network is an
+// MIS-family wrapper like TwoStateMIS (core/process.hpp, MisFamilyAdapter).
 #pragma once
 
 #include <cstdint>
@@ -61,15 +63,18 @@ class BeepingAutomaton {
 };
 
 // Engine policy wrapping a BeepingAutomaton: one counter (beeping
-// neighbors), carrier-sense/loss resolution in the transition.
+// neighbors), carrier-sense/loss resolution in the transition. The MIS
+// bookkeeping compares the automaton's in_mis with counter 0, i.e. with
+// what a node hears before loss and sender collision detection: violations
+// count the true configuration, not the node's possibly wrong view of it.
 class BeepingRule {
  public:
   using Color = std::uint8_t;
-  static constexpr bool kTracksStability = false;
 
+  // Throws std::invalid_argument unless the automaton beeps in exactly its
+  // MIS states — the premise that lets counter 0 count MIS neighbors.
   BeepingRule(const BeepingAutomaton* automaton, const CoinOracle& coins,
-              bool sender_collision_detection)
-      : automaton_(automaton), coins_(coins), sender_cd_(sender_collision_detection) {}
+              bool sender_collision_detection);
 
   int num_colors() const { return automaton_->num_states(); }
   int num_counters() const { return 1; }
@@ -94,6 +99,12 @@ class BeepingRule {
     return automaton_->next(s, heard, coins_.word(t, u, CoinTag::kMisColor));
   }
 
+  // The activity column is the schedule: the nodes that act next round.
+  bool active(std::uint8_t s, Heard h) const { return scheduled(s, h); }
+  bool violating(std::uint8_t s, Heard h) const { return in_mis(s) == h.has(0); }
+  bool stable_black(std::uint8_t s, Heard h) const { return in_mis(s) && !h.has(0); }
+
+  bool in_mis(std::uint8_t s) const { return in_mis_[s] != 0; }
   const BeepingAutomaton& automaton() const { return *automaton_; }
   bool sender_collision_detection() const { return sender_cd_; }
   double loss_probability() const { return loss_probability_; }
@@ -111,6 +122,7 @@ class BeepingRule {
   CoinOracle coins_;
   bool sender_cd_;
   double loss_probability_ = 0.0;
+  std::vector<std::uint8_t> in_mis_;  // automaton_->in_mis, per state
 };
 
 class BeepingNetwork {
@@ -118,7 +130,8 @@ class BeepingNetwork {
   using Engine = ProcessEngine<BeepingRule>;
 
   // The automaton must outlive the network. Throws std::invalid_argument on
-  // init size mismatch or states outside [0, num_states).
+  // init size mismatch, states outside [0, num_states), or an automaton
+  // that does not beep in exactly its MIS states.
   //
   // `sender_collision_detection` selects the model variant: with it (the
   // paper's full-duplex assumption), a beeping node also receives the
@@ -136,7 +149,19 @@ class BeepingNetwork {
   const std::vector<std::uint8_t>& states() const { return engine_.colors(); }
   std::uint8_t state(Vertex u) const { return engine_.color(u); }
 
-  std::vector<Vertex> claimed_mis() const;
+  // The MIS family's reads (core/runner.hpp, MisProcess): B_t is the nodes
+  // in MIS states, A_t the scheduled nodes; stabilized() is the engine's
+  // O(1) "no violation", so it equals is_mis(graph(), black_set()) with or
+  // without loss and sender collision detection.
+  std::vector<Vertex> black_set() const;
+  bool stabilized() const { return engine_.stabilized(); }
+  Vertex num_black() const {
+    return engine_.raw_color_count_if([this](std::uint8_t s) { return engine_.rule().in_mis(s); });
+  }
+  Vertex num_active() const { return engine_.num_active(); }
+  Vertex num_stable_black() const { return engine_.num_stable_black(); }
+  Vertex num_unstable() const { return engine_.num_unstable(); }
+  Vertex num_gray() const { return 0; }
 
   // Communication accounting for experiment E13: every node sends at most
   // one bit per round (beep or silence).
@@ -153,7 +178,8 @@ class BeepingNetwork {
   // — modeling fading/interference misses. The MIS processes tolerate this:
   // losses can re-activate settled vertices, but self-stabilization pulls
   // the system back (see exp_lossy). Throws std::invalid_argument unless
-  // p is in [0, 1) (NaN included).
+  // p is in [0, 1) (NaN included). Changing p re-derives the schedule in
+  // O(n + m); setting the current value again costs nothing.
   void set_loss_probability(double p);
   double loss_probability() const { return engine_.rule().loss_probability(); }
 
@@ -166,7 +192,7 @@ class BeepingNetwork {
 
   // Fault-injection / test hook: overwrite one node's automaton state in
   // O(deg(u)), keeping the beep counters consistent. Not a round.
-  void force_state(Vertex u, std::uint8_t s) { engine_.force_color(u, s); }
+  void force_color(Vertex u, std::uint8_t s) { engine_.force_color(u, s); }
 
   const Engine& engine() const { return engine_; }
 

@@ -4,25 +4,31 @@
 
 namespace ssmis {
 
-namespace {
-
-const StoneAgeAutomaton& checked(const StoneAgeAutomaton& automaton) {
-  if (automaton.num_channels() > 32)
+StoneAgeRule::StoneAgeRule(const StoneAgeAutomaton* automaton, const CoinOracle& coins)
+    : automaton_(automaton), coins_(coins) {
+  if (automaton->num_channels() > 32)
     throw std::invalid_argument("StoneAgeNetwork: more than 32 channels");
-  for (int s = 0; s < automaton.num_states(); ++s) {
-    const int c = automaton.emit(static_cast<std::uint8_t>(s));
-    if (c >= automaton.num_channels() || c < -1)
+  std::uint32_t other_channels = 0;
+  for (int s = 0; s < automaton->num_states(); ++s) {
+    const auto state = static_cast<std::uint8_t>(s);
+    const int c = automaton->emit(state);
+    if (c >= automaton->num_channels() || c < -1)
       throw std::logic_error("StoneAgeNetwork: automaton emitted bad channel");
+    in_mis_.push_back(automaton->in_mis(state) ? 1 : 0);
+    if (in_mis(state) && c < 0)
+      throw std::invalid_argument("StoneAgeNetwork: an MIS state must beep");
+    const std::uint32_t bit = c < 0 ? 0 : 1u << c;
+    (in_mis(state) ? mis_channels_ : other_channels) |= bit;
   }
-  return automaton;
+  if ((mis_channels_ & other_channels) != 0)
+    throw std::invalid_argument(
+        "StoneAgeNetwork: a non-MIS state beeps on an MIS channel");
 }
-
-}  // namespace
 
 StoneAgeNetwork::StoneAgeNetwork(const Graph& g, const StoneAgeAutomaton& automaton,
                                  std::vector<std::uint8_t> init,
                                  const CoinOracle& coins)
-    : engine_(g, std::move(init), StoneAgeRule(&checked(automaton), coins)) {}
+    : engine_(g, std::move(init), StoneAgeRule(&automaton, coins)) {}
 
 void StoneAgeNetwork::step() {
   // Broadcast accounting against the frozen states (histogram sum over the
@@ -33,17 +39,13 @@ void StoneAgeNetwork::step() {
   // exact-state accessor keeps the per-round cost O(states), not
   // O(periodic set).
   const StoneAgeAutomaton& automaton = engine_.rule().automaton();
-  for (int s = 0; s < automaton.num_states(); ++s) {
-    if (automaton.emit(static_cast<std::uint8_t>(s)) >= 0)
-      total_transmissions_ += engine_.raw_color_count(static_cast<std::uint8_t>(s));
-  }
+  total_transmissions_ +=
+      engine_.raw_color_count_if([&](std::uint8_t s) { return automaton.emit(s) >= 0; });
   engine_.step();
 }
 
-std::vector<Vertex> StoneAgeNetwork::claimed_mis() const {
-  const StoneAgeAutomaton& automaton = engine_.rule().automaton();
-  return engine_.select(
-      [&](Vertex u) { return automaton.in_mis(state(u)); });
+std::vector<Vertex> StoneAgeNetwork::black_set() const {
+  return engine_.select([&](Vertex u) { return engine_.rule().in_mis(state(u)); });
 }
 
 }  // namespace ssmis

@@ -14,7 +14,10 @@
 // of an O(m) neighborhood rescan, so a round costs O(|scheduled| + sum
 // deg(nodes that changed state)), and only a node whose mask changed is
 // re-evaluated. Automata that declare quiescent (state, heard-mask) pairs
-// get sparse scheduling; others run dense with identical semantics.
+// get sparse scheduling; others run dense with identical semantics. The
+// engine keeps the MIS bookkeeping too — the violation count, I_t and V_t —
+// so the network is an MIS-family wrapper like ThreeStateMIS
+// (core/process.hpp, MisFamilyAdapter).
 #pragma once
 
 #include <cstdint>
@@ -72,14 +75,18 @@ class StoneAgeAutomaton {
 
 // Engine policy wrapping a StoneAgeAutomaton: counter j counts the
 // neighbors currently beeping on channel j, and the automaton's heard mask
-// is Heard::bits().
+// is Heard::bits(). The MIS bookkeeping compares the automaton's in_mis
+// with whether the node hears an MIS channel — one that MIS states beep on.
 class StoneAgeRule {
  public:
   using Color = std::uint8_t;
-  static constexpr bool kTracksStability = false;
 
-  StoneAgeRule(const StoneAgeAutomaton* automaton, const CoinOracle& coins)
-      : automaton_(automaton), coins_(coins) {}
+  // Throws std::invalid_argument if the automaton declares more than 32
+  // channels, or unless MIS membership is exactly what neighbors hear:
+  // every MIS state beeps, and no other state beeps on an MIS channel.
+  // Throws std::logic_error if a state emits a channel outside
+  // [-1, num_channels).
+  StoneAgeRule(const StoneAgeAutomaton* automaton, const CoinOracle& coins);
 
   int num_colors() const { return automaton_->num_states(); }
   int num_counters() const { return automaton_->num_channels(); }
@@ -97,6 +104,11 @@ class StoneAgeRule {
                             coins_.word(t, u, CoinTag::kSwitchBit));
   }
 
+  // The activity column is the schedule: the nodes that act next round.
+  bool active(std::uint8_t s, Heard h) const { return scheduled(s, h); }
+  bool violating(std::uint8_t s, Heard h) const { return in_mis(s) == hears_mis(h); }
+  bool stable_black(std::uint8_t s, Heard h) const { return in_mis(s) && !hears_mis(h); }
+
   // Stable-periodic fast-forward (engine.hpp): forwards the automaton's
   // orbit declaration, drawing the same coin words transition() would, so
   // a materialized state is bit-identical to having stepped every round.
@@ -112,20 +124,25 @@ class StoneAgeRule {
                                    coins_.word(now, u, CoinTag::kSwitchBit));
   }
 
+  bool in_mis(std::uint8_t s) const { return in_mis_[s] != 0; }
   const StoneAgeAutomaton& automaton() const { return *automaton_; }
 
  private:
+  bool hears_mis(Heard h) const { return (h.bits() & mis_channels_) != 0; }
+
   const StoneAgeAutomaton* automaton_;
   CoinOracle coins_;
+  std::vector<std::uint8_t> in_mis_;  // automaton_->in_mis, per state
+  std::uint32_t mis_channels_ = 0;    // bit j: MIS states beep on channel j
 };
 
 class StoneAgeNetwork {
  public:
   using Engine = ProcessEngine<StoneAgeRule>;
 
-  // Throws std::invalid_argument on init size/state range violations or if
-  // the automaton declares more than 32 channels, and std::logic_error if
-  // any state emits a channel outside [-1, num_channels).
+  // Throws std::invalid_argument on init size/state range violations and
+  // std::invalid_argument / std::logic_error on an automaton StoneAgeRule
+  // rejects.
   StoneAgeNetwork(const Graph& g, const StoneAgeAutomaton& automaton,
                   std::vector<std::uint8_t> init, const CoinOracle& coins);
 
@@ -135,7 +152,20 @@ class StoneAgeNetwork {
   const std::vector<std::uint8_t>& states() const { return engine_.colors(); }
   std::uint8_t state(Vertex u) const { return engine_.color(u); }
 
-  std::vector<Vertex> claimed_mis() const;
+  // The MIS family's reads (core/runner.hpp, MisProcess): B_t is the nodes
+  // in MIS states, A_t the scheduled nodes; stabilized() is the engine's
+  // O(1) "no violation", so it equals is_mis(graph(), black_set()).
+  std::vector<Vertex> black_set() const;
+  bool stabilized() const { return engine_.stabilized(); }
+  // Exact under fast-forward: orbits keep in_mis constant (the orbit
+  // contract in StoneAgeAutomaton).
+  Vertex num_black() const {
+    return engine_.raw_color_count_if([this](std::uint8_t s) { return engine_.rule().in_mis(s); });
+  }
+  Vertex num_active() const { return engine_.num_active(); }
+  Vertex num_stable_black() const { return engine_.num_stable_black(); }
+  Vertex num_unstable() const { return engine_.num_unstable(); }
+  Vertex num_gray() const { return 0; }
 
   // Messages are letters from a constant alphabet: log2(channels+1) bits
   // of information per node per round.
@@ -151,7 +181,7 @@ class StoneAgeNetwork {
 
   // Fault-injection / test hook: overwrite one node's automaton state in
   // O(deg(u)), keeping the channel counters consistent. Not a round.
-  void force_state(Vertex u, std::uint8_t s) { engine_.force_color(u, s); }
+  void force_color(Vertex u, std::uint8_t s) { engine_.force_color(u, s); }
 
   const Engine& engine() const { return engine_; }
 

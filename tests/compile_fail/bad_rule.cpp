@@ -12,12 +12,14 @@ namespace {
 
 struct NoTransitionRule {
   using Color = std::uint8_t;
-  static constexpr bool kTracksStability = false;
   int num_colors() const { return 2; }
   int num_counters() const { return 1; }
   ssmis::Vertex contribution(Color, int) const { return 1; }
   bool scheduled(Color, ssmis::Heard) const { return false; }
   // transition(u, c, h, t) deliberately missing.
+  bool active(Color, ssmis::Heard) const { return false; }
+  bool violating(Color, ssmis::Heard) const { return false; }
+  bool stable_black(Color, ssmis::Heard) const { return false; }
 };
 
 }  // namespace

@@ -99,36 +99,34 @@ void expect_engine_consistent(const Engine& e, const std::string& context) {
   ASSERT_EQ(e.num_scheduled(), want_scheduled) << context;
 
   // Stability aggregates.
-  if constexpr (Engine::kTracksStability) {
-    Vertex want_active = 0, want_violations = 0, want_stable = 0;
-    std::vector<char> covered(static_cast<std::size_t>(n), 0);
-    for (Vertex u = 0; u < n; ++u) {
-      const auto c = e.color(u);
-      const Heard h = Heard::of(e.counters(u), k);
-      const bool active = rule.active(c, h);
-      const bool stable = rule.stable_black(c, h);
-      ASSERT_EQ(e.active(u), active) << context << ": active flag of " << u;
-      ASSERT_EQ(e.stable_black(u), stable) << context << ": stable flag of " << u;
-      if (active) ++want_active;
-      if (rule.violating(c, h)) ++want_violations;
-      if (stable) {
-        ++want_stable;
-        covered[static_cast<std::size_t>(u)] = 1;
-        for (Vertex v : g.neighbors(u)) covered[static_cast<std::size_t>(v)] = 1;
-      }
+  Vertex want_active = 0, want_violations = 0, want_stable = 0;
+  std::vector<char> covered(static_cast<std::size_t>(n), 0);
+  for (Vertex u = 0; u < n; ++u) {
+    const auto c = e.color(u);
+    const Heard h = Heard::of(e.counters(u), k);
+    const bool active = rule.active(c, h);
+    const bool stable = rule.stable_black(c, h);
+    ASSERT_EQ(e.active(u), active) << context << ": active flag of " << u;
+    ASSERT_EQ(e.stable_black(u), stable) << context << ": stable flag of " << u;
+    if (active) ++want_active;
+    if (rule.violating(c, h)) ++want_violations;
+    if (stable) {
+      ++want_stable;
+      covered[static_cast<std::size_t>(u)] = 1;
+      for (Vertex v : g.neighbors(u)) covered[static_cast<std::size_t>(v)] = 1;
     }
-    Vertex want_unstable = 0;
-    for (Vertex u = 0; u < n; ++u) {
-      ASSERT_EQ(e.unstable(u), covered[static_cast<std::size_t>(u)] == 0)
-          << context << ": unstable flag of " << u;
-      if (!covered[static_cast<std::size_t>(u)]) ++want_unstable;
-    }
-    ASSERT_EQ(e.num_active(), want_active) << context;
-    ASSERT_EQ(e.num_violations(), want_violations) << context;
-    ASSERT_EQ(e.num_stable_black(), want_stable) << context;
-    ASSERT_EQ(e.num_unstable(), want_unstable) << context;
-    ASSERT_EQ(e.stabilized(), want_violations == 0) << context;
   }
+  Vertex want_unstable = 0;
+  for (Vertex u = 0; u < n; ++u) {
+    ASSERT_EQ(e.unstable(u), covered[static_cast<std::size_t>(u)] == 0)
+        << context << ": unstable flag of " << u;
+    if (!covered[static_cast<std::size_t>(u)]) ++want_unstable;
+  }
+  ASSERT_EQ(e.num_active(), want_active) << context;
+  ASSERT_EQ(e.num_violations(), want_violations) << context;
+  ASSERT_EQ(e.num_stable_black(), want_stable) << context;
+  ASSERT_EQ(e.num_unstable(), want_unstable) << context;
+  ASSERT_EQ(e.stabilized(), want_violations == 0) << context;
 }
 
 std::string ctx(const char* name, const Graph& g, int round) {
@@ -242,7 +240,7 @@ TEST(EngineInvariants, BeepingLosslessThenLossy) {
       if (round % 8 == 0) {
         for (Vertex u = 0; u < g.num_vertices(); ++u) {
           if (!fault_coins.bernoulli(round, u, CoinTag::kFault, 0.2)) continue;
-          net.force_state(u, static_cast<std::uint8_t>(
+          net.force_color(u, static_cast<std::uint8_t>(
                                  fault_coins.word(round, u, CoinTag::kFault) % 2));
         }
         expect_engine_consistent(net.engine(), ctx("beeping post-fault", g, round));
@@ -285,7 +283,7 @@ TEST(EngineInvariants, StoneAgeFastForwardOnOffAndFaults) {
           if (round % 9 == 0) {
             for (Vertex u = 0; u < g.num_vertices(); ++u) {
               if (!fault_coins.bernoulli(round, u, CoinTag::kFault, 0.2)) continue;
-              net.force_state(u, static_cast<std::uint8_t>(
+              net.force_color(u, static_cast<std::uint8_t>(
                                      fault_coins.word(round, u, CoinTag::kFault) % states));
             }
             expect_engine_consistent(net.engine(), ctx(name.c_str(), g, round));
@@ -438,12 +436,14 @@ TEST(Engine, ConstructionValidation) {
 // test, so the engine rejects it at construction.
 struct NegativeRule {
   using Color = std::uint8_t;
-  static constexpr bool kTracksStability = false;
   int num_colors() const { return 2; }
   int num_counters() const { return 1; }
   Vertex contribution(Color c, int) const { return c == 1 ? -1 : 0; }
   bool scheduled(Color, Heard) const { return false; }
   Color transition(Vertex, Color c, Heard, std::int64_t) const { return c; }
+  bool active(Color, Heard) const { return false; }
+  bool violating(Color, Heard) const { return false; }
+  bool stable_black(Color, Heard) const { return false; }
 };
 
 TEST(Engine, RejectsNegativeContributions) {
@@ -487,7 +487,8 @@ TEST(CoverageOnDemand, LateFirstReadMatchesRoundZeroRead) {
   const Graph g = gen::gnp(90, 0.06, 103);
   const CoinOracle fault_coins(1006);
   constexpr int kFirstRead = 5;
-  for (const std::string name : {"2state", "3state", "3color", "daemon", "matching"}) {
+  for (const std::string name :
+       {"2state", "3state", "3color", "daemon", "matching", "beeping", "stoneage"}) {
     const ProtocolParams params = with_init({}, InitPattern::kUniformRandom);
     const auto early = ProtocolRegistry::instance().make(name, g, params, 107);
     const auto late = ProtocolRegistry::instance().make(name, g, params, 107);
@@ -541,22 +542,38 @@ TEST(CoverageOnDemand, TwoStateUnstableSetAfterLateBuild) {
 
 // Per-vertex stabilization times read coverage from round 0. Their tables
 // are pinned to the values the engine produced when coverage was built
-// eagerly at construction.
+// eagerly at construction, and for the networks to the values their own
+// O(deg) settled walks produced before the engine kept their bookkeeping.
 TEST(CoverageOnDemand, VertexStabilizationTimesUnchanged) {
   const Graph g = gen::gnp(150, 0.04, 127);
-  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
-      {"2state", 0x1ffaa2dc546f7a60ULL},   {"3state", 0x4e1b08cbedf08a83ULL},
-      {"3color", 0xd2834a8844bc6755ULL},   {"daemon", 0x1ffaa2dc546f7a60ULL},
-      {"matching", 0xa5da9b51569c43a0ULL}};
-  for (const auto& [name, want] : pinned) {
+  struct Pinned {
+    std::string protocol;
+    std::string option;  // "" or "key=value"
+    std::uint64_t fnv;
+  };
+  const std::vector<Pinned> pinned = {
+      {"2state", "", 0x1ffaa2dc546f7a60ULL},
+      {"3state", "", 0x4e1b08cbedf08a83ULL},
+      {"3color", "", 0xd2834a8844bc6755ULL},
+      {"daemon", "", 0x1ffaa2dc546f7a60ULL},
+      {"matching", "", 0xa5da9b51569c43a0ULL},
+      {"beeping", "", 0x1ffaa2dc546f7a60ULL},
+      {"beeping", "loss=0.02", 0x88259b7a626b9a83ULL},
+      {"stoneage", "fast-forward=1", 0x4e1b08cbedf08a83ULL},
+      {"stoneage", "fast-forward=0", 0x4e1b08cbedf08a83ULL}};
+  for (const Pinned& row : pinned) {
     MeasureConfig config;
-    config.protocol = name;
+    config.protocol = row.protocol;
+    if (!row.option.empty()) {
+      const std::size_t eq = row.option.find('=');
+      config.params.set(row.option.substr(0, eq), row.option.substr(eq + 1));
+    }
     config.seed = 131;
     config.max_rounds = 100000;
     const std::vector<std::int64_t> times = vertex_stabilization_times(g, config);
     const std::uint64_t got =
         fnv1a(kFnv1aBasis, times.data(), times.size() * sizeof(std::int64_t));
-    EXPECT_EQ(got, want) << name;
+    EXPECT_EQ(got, row.fnv) << row.protocol << " " << row.option;
   }
 }
 

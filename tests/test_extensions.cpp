@@ -118,10 +118,15 @@ TEST(NoCollisionDetection, TwoBlackNeighborsStuckForever) {
   const TwoStateBeepAutomaton automaton;
   BeepingNetwork net(g, automaton, {1, 1}, CoinOracle(3),
                      /*sender_collision_detection=*/false);
-  for (int i = 0; i < 1000; ++i) net.step();
+  for (int i = 0; i < 1000; ++i) {
+    net.step();
+    // The violation count reads the true configuration, not what the
+    // deafened beepers hear: the stuck network never reports stabilized.
+    ASSERT_FALSE(net.stabilized()) << "round " << i + 1;
+  }
   EXPECT_EQ(net.state(0), TwoStateBeepAutomaton::kBlack);
   EXPECT_EQ(net.state(1), TwoStateBeepAutomaton::kBlack);
-  EXPECT_FALSE(is_mis(g, net.claimed_mis()));
+  EXPECT_FALSE(is_mis(g, net.black_set()));
 }
 
 TEST(NoCollisionDetection, WithCdSameStartResolves) {
@@ -129,8 +134,8 @@ TEST(NoCollisionDetection, WithCdSameStartResolves) {
   const TwoStateBeepAutomaton automaton;
   BeepingNetwork net(g, automaton, {1, 1}, CoinOracle(3),
                      /*sender_collision_detection=*/true);
-  for (int i = 0; i < 1000 && !is_mis(g, net.claimed_mis()); ++i) net.step();
-  EXPECT_TRUE(is_mis(g, net.claimed_mis()));
+  for (int i = 0; i < 1000 && !is_mis(g, net.black_set()); ++i) net.step();
+  EXPECT_TRUE(is_mis(g, net.black_set()));
 }
 
 TEST(NoCollisionDetection, ListenersUnaffected) {

@@ -104,9 +104,9 @@ TEST(Integration, BeepingNetworkSurvivesFaultsViaUnderlyingProcess) {
   BeepingNetwork net2(g, automaton, corrupted, coins);
   for (int i = 0; i < 5000; ++i) {
     net2.step();
-    if (is_mis(g, net2.claimed_mis())) break;
+    if (is_mis(g, net2.black_set())) break;
   }
-  EXPECT_TRUE(is_mis(g, net2.claimed_mis()));
+  EXPECT_TRUE(is_mis(g, net2.black_set()));
 }
 
 TEST(Integration, RepeatedFaultBurstsAlwaysReconverge) {
