@@ -3,8 +3,9 @@
 // construction throughput (edges/sec), wall times, and peak-RSS accounting
 // at every stage. This is the receipt for ROADMAP's "tens of millions of
 // vertices" item: the whole pipeline at n = 10^7 fits CI-class memory
-// because construction peaks at ~the final CSR footprint (two-pass build,
-// no buffered edge list) and reuse goes through the mmap'd file.
+// because construction peaks near the final CSR footprint (one-pass G(n,p)
+// build, no buffered edge list, 4 bytes/vertex of counts on top) and reuse
+// goes through the mmap'd file.
 //
 //   ./exp_scale --n=10000000 --avg-deg=8 --save=g.ssg   # generate + persist
 //   ./exp_scale --graph-file=g.ssg                      # reuse (mmap)
@@ -52,7 +53,7 @@ double mb(std::int64_t bytes) { return static_cast<double>(bytes) / (1024.0 * 10
 int main(int argc, char** argv) {
   auto ctx = bench::init_experiment(
       argc, argv, "SCALE: large-graph substrate pipeline",
-      "streaming two-pass CSR + binary mmap reuse unlock n >= 10^7 within "
+      "streaming CSR construction + binary mmap reuse unlock n >= 10^7 within "
       "CI-class memory; the protocol itself is polylog and never the bottleneck",
       1, bench::GraphFilePolicy::kDefer, "2state",
       bench::ProtocolPolicy::kSelectable,

@@ -40,4 +40,45 @@ Graph CsrBuilder::finalize(Vertex n, std::vector<std::int64_t> offsets,
   return Graph(n, std::move(offsets), std::move(adj));
 }
 
+Graph CsrBuilder::lay_out_columns(Vertex n, std::vector<std::int64_t> offsets,
+                                  std::vector<Vertex> upper,
+                                  std::vector<Vertex> adj) {
+  const std::int64_t m = offsets[static_cast<std::size_t>(n)];
+  adj.resize(2 * static_cast<std::size_t>(m));
+
+  // Row v starts at its column's stream start plus the upper neighbours of
+  // the rows before it, so no column moves left, and the columns still to
+  // move all end at or before its start: moving the last column first never
+  // overwrites one still to move. Each row's upper part begins where its
+  // column ends, which is where upper[v] now points, relative to the row.
+  std::int64_t upper_before = m;  // upper neighbours of rows < v
+  std::int64_t column_end = m;
+  for (std::size_t v = static_cast<std::size_t>(n); v-- > 0;) {
+    const std::int64_t column_start = offsets[v];
+    upper_before -= upper[v];
+    const std::int64_t row_start = column_start + upper_before;
+    if (row_start > column_start)
+      std::copy_backward(adj.begin() + column_start, adj.begin() + column_end,
+                         adj.begin() + row_start + (column_end - column_start));
+    offsets[v] = row_start;
+    upper[v] = narrow_cast<Vertex>(column_end - column_start);
+    column_end = column_start;
+  }
+  offsets[static_cast<std::size_t>(n)] = 2 * m;
+
+  // Mirror each column into the upper parts of its lower neighbours' rows.
+  // Columns go in ascending order, so every upper part fills in ascending
+  // order; only later columns write to row v, so upper[v] still is the
+  // length of column v when its turn comes.
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+    const std::int64_t row_start = offsets[v];
+    const std::int64_t lower_end = row_start + upper[v];
+    for (std::int64_t i = row_start; i < lower_end; ++i) {
+      const auto u = static_cast<std::size_t>(adj[static_cast<std::size_t>(i)]);
+      adj[static_cast<std::size_t>(offsets[u] + upper[u]++)] = narrow_cast<Vertex>(v);
+    }
+  }
+  return Graph(n, std::move(offsets), std::move(adj));
+}
+
 }  // namespace ssmis

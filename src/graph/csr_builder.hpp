@@ -1,36 +1,43 @@
-// Streaming CSR construction: builds a Graph directly from an edge stream in
-// two passes, with no buffered edge list.
+// Streaming CSR construction: builds a Graph directly from an edge stream,
+// with no buffered edge list. Compare GraphBuilder, which materializes a
+// std::vector<Edge> (16 bytes/edge), sorts it, and only then lays out the
+// CSR — roughly 3x the final footprint at peak. There are three builds:
 //
-// The classic GraphBuilder materializes a std::vector<Edge> (16 bytes/edge),
-// sorts it, and only then lays out the CSR — roughly 3x the final footprint
-// at peak. CsrBuilder instead asks the caller to *replay* its edge stream
-// twice:
+// `from_source` takes any edge stream — duplicates, self-loops and either
+// orientation allowed — and asks the caller to *replay* it twice:
 //
 //   pass 1  counts degrees (offsets array),
 //   pass 2  places endpoints through a cursor folded into the offsets array,
 //
 // then sorts and deduplicates each row in place. Peak memory is the final
 // CSR (8 bytes/vertex offsets + 4 bytes/endpoint adjacency) plus the
-// duplicate slack of the stream itself — for duplicate-free generators like
-// G(n,p) skip-sampling that is exactly the final footprint (~1.0x; <= ~1.3x
-// with the transient slack of dup-emitting sources like the configuration
-// model), which is what makes 10^7-vertex graphs constructible in CI memory.
+// duplicate slack of the stream itself (<= ~1.3x for dup-emitting sources
+// like the configuration model). The edge source must be *replayable*:
+// invoking it twice must emit the identical multiset of edges.
+// Deterministic generators satisfy this for free by re-seeding their RNG
+// per pass. Self-loops are dropped and endpoints validated exactly like
+// GraphBuilder, and the resulting Graph is byte-identical to the
+// GraphBuilder output for the same edge multiset (rows end up sorted and
+// deduplicated either way).
 //
-// The edge source must be *replayable*: invoking it twice must emit the
-// identical multiset of edges. Deterministic generators satisfy this for
-// free by re-seeding their RNG per pass. Self-loops are dropped and
-// endpoints validated exactly like GraphBuilder, and the resulting Graph is
-// byte-identical to the GraphBuilder output for the same edge multiset
-// (rows end up sorted and deduplicated either way).
+// `from_column_source` is the one-pass build for a source that already
+// emits each edge once, as (u, v) with u < v, in strictly increasing
+// (v, u) order: column v of the lower triangle is v's lower neighbours in
+// ascending order, and columns come in ascending order. G(n,p) skip
+// sampling emits exactly this. The stream is appended to the adjacency
+// array; each column is then moved to the front of its row, and mirrored
+// into its neighbours' upper row parts in column order, which leaves every
+// row sorted without a sort, a dedup or a replay. Peak memory is the final
+// CSR plus a 4 bytes/vertex count array.
 //
-// `from_source_compressed` is the 10^8-vertex variant: instead of
-// materializing the 12-bytes-per-endpoint plain CSR it encodes rows
-// straight into the varint/delta codec, chunk by chunk. The source replays
-// once for the degree pass and once per chunk; peak memory is the growing
-// compressed payload plus one bounded chunk buffer (default 2^26 endpoints
-// = 256 MB) plus the 4-bytes-per-vertex degree array — ~1.0x the final
-// *compressed* size in the large sparse regime, where the plain builder's
-// peak is the (much larger) plain CSR.
+// `from_source_compressed` is the 10^8-vertex variant of `from_source`:
+// instead of materializing the 12-bytes-per-endpoint plain CSR it encodes
+// rows straight into the varint/delta codec, chunk by chunk. The source
+// replays once for the degree pass and once per chunk; peak memory is the
+// growing compressed payload plus one bounded chunk buffer (default 2^26
+// endpoints = 256 MB) plus the 4-bytes-per-vertex degree array — ~1.0x the
+// final *compressed* size in the large sparse regime, where the plain
+// builder's peak is the (much larger) plain CSR.
 #pragma once
 
 #include <algorithm>
@@ -94,6 +101,45 @@ class CsrBuilder {
           "CsrBuilder: edge source is not replayable (the two passes emitted "
           "different edge multisets)");
     return finalize(n, std::move(offsets), std::move(adj));
+  }
+
+  // Builds a Graph on n vertices in one pass from `source`, a callable
+  // invoked exactly once as `source(emit)` that emits every edge exactly
+  // once as emit(u, v) with u < v, in strictly increasing (v, u) order.
+  // `edge_capacity` sizes the adjacency array for the whole build, so a
+  // stream of at most that many edges never regrows it (a longer one still
+  // builds correctly). Throws std::invalid_argument on negative n or an
+  // out-of-range endpoint, and std::logic_error on an edge that breaks the
+  // order: a repeated pair, a column going backwards, or u >= v. The result
+  // equals from_source over the same edges.
+  template <typename Source>
+  static Graph from_column_source(Vertex n, std::int64_t edge_capacity,
+                                  Source&& source) {
+    if (n < 0) throw std::invalid_argument("CsrBuilder: negative vertex count");
+    std::vector<std::int64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+    std::vector<Vertex> upper(static_cast<std::size_t>(n), 0);
+    std::vector<Vertex> adj;
+    adj.reserve(2 * static_cast<std::size_t>(std::max<std::int64_t>(edge_capacity, 0)));
+    std::uint64_t last = 0;  // (v, u) of the previous edge, packed
+    Vertex column = 0;
+    source([&](Vertex u, Vertex v) {
+      check_endpoints(n, u, v);
+      const std::uint64_t key =
+          (static_cast<std::uint64_t>(v) << 32) | static_cast<std::uint64_t>(u);
+      if (u >= v || key <= last)
+        throw std::logic_error("CsrBuilder: edge (" + std::to_string(u) + "," +
+                               std::to_string(v) +
+                               ") breaks the column order (u < v, strictly "
+                               "increasing (v, u))");
+      last = key;
+      while (column < v)
+        offsets[static_cast<std::size_t>(++column)] = static_cast<std::int64_t>(adj.size());
+      adj.push_back(u);
+      ++upper[static_cast<std::size_t>(u)];
+    });
+    while (column < n)
+      offsets[static_cast<std::size_t>(++column)] = static_cast<std::int64_t>(adj.size());
+    return lay_out_columns(n, std::move(offsets), std::move(upper), std::move(adj));
   }
 
   // Default cap on the compressed sink's chunk buffer, in endpoints
@@ -241,6 +287,12 @@ class CsrBuilder {
   // place, and wraps the arrays in a Graph.
   static Graph finalize(Vertex n, std::vector<std::int64_t> offsets,
                         std::vector<Vertex> adj);
+
+  // Turns from_column_source's stream (adj[0, m) holding the columns in
+  // order, offsets[v] the start of column v, upper[u] the count of u's
+  // neighbours above it) into the CSR, in place in adj.
+  static Graph lay_out_columns(Vertex n, std::vector<std::int64_t> offsets,
+                               std::vector<Vertex> upper, std::vector<Vertex> adj);
 };
 
 }  // namespace ssmis

@@ -35,9 +35,10 @@ std::int64_t geometric_skip(double r, double log_1mp) {
   return static_cast<std::int64_t>(skip_f);
 }
 
-// Emits G(n,p) via skip-sampling over the lexicographic enumeration of pairs
-// (u < v): the gap between successive present edges is geometric(p).
-// Deterministic in (n, p, seed), so the stream replays for the two-pass CSR
+// Emits G(n,p) via skip-sampling over the pairs (u < v) in increasing (v, u)
+// order: the gap between successive present edges is geometric(p). That is
+// the order CsrBuilder::from_column_source takes in one pass; the stream is
+// deterministic in (n, p, seed), so it also replays for the compressed
 // build. Requires 0 < p < 1.
 template <typename Emit>
 void emit_gnp(Vertex n, double p, std::uint64_t seed, Emit&& emit) {
@@ -238,8 +239,14 @@ Graph gnp(Vertex n, double p, std::uint64_t seed) {
   require(p >= 0.0 && p <= 1.0, "gnp: p must be in [0,1]");
   if (p >= 1.0) return complete(n);
   if (p <= 0.0) return CsrBuilder::from_source(n, [](auto&&) {});
-  return CsrBuilder::from_source(
-      n, [n, p, seed](auto&& emit) { emit_gnp(n, p, seed, emit); });
+  // The edge count is Binomial(pairs, p): eight standard deviations over its
+  // mean, capped at every pair, leaves the adjacency array room to spare.
+  const double pairs = static_cast<double>(n) * (static_cast<double>(n) - 1) / 2;
+  const double mean = p * pairs;
+  const double edge_capacity = std::min(pairs, std::ceil(mean + 8 * std::sqrt(mean) + 16));
+  return CsrBuilder::from_column_source(
+      n, static_cast<std::int64_t>(edge_capacity),
+      [n, p, seed](auto&& emit) { emit_gnp(n, p, seed, emit); });
 }
 
 Graph gnp_compressed(Vertex n, double p, std::uint64_t seed,

@@ -55,7 +55,8 @@ Graph barbell(Vertex k);
 
 // --- Randomized families ----------------------------------------------------
 
-// Erdos-Renyi G(n,p), sampled edge-by-edge with geometric skips: O(n + m).
+// Erdos-Renyi G(n,p), sampled edge-by-edge with geometric skips and built
+// in one pass (CsrBuilder::from_column_source): O(n + m).
 Graph gnp(Vertex n, double p, std::uint64_t seed);
 
 // G(n,p) built straight into compressed adjacency storage (the 10^8-vertex

@@ -137,6 +137,58 @@ TEST(CsrBuilder, RowsSortedDeduplicated) {
   EXPECT_TRUE(std::adjacent_find(nbrs.begin(), nbrs.end()) == nbrs.end());
 }
 
+// A random column-ordered stream: column v holds each u < v with a
+// per-column probability, so some columns are empty, and one column takes
+// every u < v.
+std::vector<Edge> random_columns(Vertex n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const Vertex dense =
+      n > 0 ? static_cast<Vertex>(rng.next_below(static_cast<std::uint64_t>(n))) : 0;
+  std::vector<Edge> edges;
+  for (Vertex v = 1; v < n; ++v) {
+    const double p = v == dense ? 1.0 : rng.next_bool() ? 0.0 : rng.next_double() * 0.3;
+    for (Vertex u = 0; u < v; ++u)
+      if (rng.next_double() < p) edges.emplace_back(u, v);
+  }
+  return edges;
+}
+
+TEST(CsrBuilder, ColumnSourceMatchesTwoPassBuild) {
+  // The one-pass layout must equal the replaying build over the same edges,
+  // for n = 0 through 9 and larger n, whether the edge capacity is exact,
+  // short (the array regrows) or generous.
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    const Vertex n = static_cast<Vertex>(seed % 4 == 0 ? seed / 4 : 2 + seed * 7 % 90);
+    const std::vector<Edge> edges = random_columns(n, seed);
+    const Graph replayed = CsrBuilder::from_source(n, list_source(edges));
+    const auto m = static_cast<std::int64_t>(edges.size());
+    for (const std::int64_t capacity : {m, std::int64_t{0}, m / 2, 3 * m + 10}) {
+      const Graph one_pass =
+          CsrBuilder::from_column_source(n, capacity, list_source(edges));
+      EXPECT_EQ(one_pass, replayed)
+          << "seed " << seed << " n " << n << " capacity " << capacity;
+    }
+  }
+}
+
+TEST(CsrBuilder, ColumnSourceOrderViolationsThrow) {
+  const auto build = [](Vertex n, const std::vector<Edge>& edges) {
+    return CsrBuilder::from_column_source(n, 8, list_source(edges));
+  };
+  // A repeated pair, a column going backwards, a row going backwards within
+  // a column, and u >= v each break the order.
+  EXPECT_THROW(build(3, {{0, 1}, {0, 1}}), std::logic_error);
+  EXPECT_THROW(build(3, {{0, 2}, {0, 1}}), std::logic_error);
+  EXPECT_THROW(build(3, {{1, 2}, {0, 2}}), std::logic_error);
+  EXPECT_THROW(build(3, {{1, 0}}), std::logic_error);
+  EXPECT_THROW(build(3, {{1, 1}}), std::logic_error);
+  // Out-of-range endpoints and a negative n are invalid arguments.
+  EXPECT_THROW(build(3, {{0, 3}}), std::invalid_argument);
+  EXPECT_THROW(build(3, {{-1, 1}}), std::invalid_argument);
+  EXPECT_THROW(build(3, {{0, 1}, {1, 5}}), std::invalid_argument);
+  EXPECT_THROW(build(-1, {}), std::invalid_argument);
+}
+
 TEST(GraphHandle, CopiesShareStorageAndCompareEqual) {
   const Graph a = Graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   const Graph b = a;  // shallow handle copy

@@ -7,6 +7,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "rng/splitmix64.hpp"
 #include "support/hash.hpp"
 
 namespace ssmis {
@@ -247,9 +248,15 @@ TEST(Generators, SmallWorldBetaZeroIsRingLattice) {
 //     sampling was coupon-collector-degenerate near max_m).
 // Their fingerprints were re-captured from the fixed implementations and
 // pin determinism going forward.
+//
+// The "bench" entries are the G(n,p) graphs perfbench generates for its
+// workload seed 1 (its derive(1, 1) and derive(1, 4) seeds), pinned with
+// the n <= 2 corner cases before gnp moved to the one-pass column build.
 // ---------------------------------------------------------------------------
 
 TEST(GeneratorGoldens, FixedSeedByteIdentity) {
+  const std::uint64_t bench_s1 = splitmix64_mix(0x9E3779B97F4A7C15ULL + 1);
+  const std::uint64_t bench_s4 = splitmix64_mix(0x9E3779B97F4A7C15ULL + 4);
   const std::map<std::string, std::uint64_t> golden = {
       {"gnp_n1000_p0.01_s7", 0x7edf8714190be531ULL},
       {"gnp_n500_p0.3_s42", 0x8ca1f45597c3eb77ULL},
@@ -277,6 +284,14 @@ TEST(GeneratorGoldens, FixedSeedByteIdentity) {
       // Intentional stream changes (bugfixes), re-captured:
       {"forest_union_n300_k3_s17", 0xe9e6fe0f24650fbaULL},
       {"gnm_dense_n60_m1600_s5", 0x4d8c016a962eaca2ULL},
+      // The benchmark's graphs and the smallest n:
+      {"gnp_n32768_p8/(n-1)_bench", 0x0bdec1673c6eba28ULL},
+      {"gnp_n4096_pln(n)/n_bench", 0x3e68b32536748238ULL},
+      {"gnp_n1024_p0.25_bench", 0x5665e5cdf0036ba7ULL},
+      {"gnp_n0_p0.5_s1", 0x47fe0d7eaf8e51e3ULL},
+      {"gnp_n1_p0.5_s1", 0x5420115802dc1402ULL},
+      {"gnp_n2_p0.5_s1", 0x8b038a41009b3de1ULL},
+      {"gnp_n2_p0.5_s3", 0x3f7d3abc7dd1f930ULL},
   };
   const std::map<std::string, Graph> actual = {
       {"gnp_n1000_p0.01_s7", gen::gnp(1000, 0.01, 7)},
@@ -304,6 +319,14 @@ TEST(GeneratorGoldens, FixedSeedByteIdentity) {
       {"small_world_n200_k3_b0.1_s2", gen::small_world(200, 3, 0.1, 2)},
       {"forest_union_n300_k3_s17", gen::forest_union(300, 3, 17)},
       {"gnm_dense_n60_m1600_s5", gen::gnm(60, 1600, 5)},
+      {"gnp_n32768_p8/(n-1)_bench", gen::gnp(32768, 8.0 / 32767.0, bench_s1)},
+      {"gnp_n4096_pln(n)/n_bench",
+       gen::gnp(4096, std::log(4096.0) / 4096.0, bench_s1)},
+      {"gnp_n1024_p0.25_bench", gen::gnp(1024, 0.25, bench_s4)},
+      {"gnp_n0_p0.5_s1", gen::gnp(0, 0.5, 1)},
+      {"gnp_n1_p0.5_s1", gen::gnp(1, 0.5, 1)},
+      {"gnp_n2_p0.5_s1", gen::gnp(2, 0.5, 1)},
+      {"gnp_n2_p0.5_s3", gen::gnp(2, 0.5, 3)},
   };
   ASSERT_EQ(golden.size(), actual.size());
   for (const auto& [name, g] : actual) {
