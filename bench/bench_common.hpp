@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -167,7 +168,8 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
     for (const auto& err : unknown) std::cerr << "error: " << err << "\n";
     std::exit(2);
   }
-  ctx.trials = static_cast<int>(ctx.args.get_int("trials", default_trials));
+  ctx.trials = static_cast<int>(ctx.args.get_int(
+      "trials", default_trials, 1, std::numeric_limits<int>::max()));
   ctx.seed = static_cast<std::uint64_t>(ctx.args.get_int("seed", 1));
   ctx.scale = ctx.args.get_double("scale", 1.0);
   ctx.threads = parse_threads(ctx.args);
@@ -235,7 +237,6 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
   }
   if (ctx.threads > 1)
     std::cout << "# threads: " << ctx.threads << " (batched trials)\n";
-  for (const auto& err : ctx.args.errors()) std::cout << "# CLI warning: " << err << "\n";
   return ctx;
 }
 

@@ -92,7 +92,7 @@ void BM_TwoStateStabilizedTracedStep(benchmark::State& state) {
   run_until_stabilized(p, 1000000);
   for (auto _ : state) {
     p.step();
-    benchmark::DoNotOptimize(snapshot(p));
+    benchmark::DoNotOptimize(p.snapshot());
   }
 }
 BENCHMARK(BM_TwoStateStabilizedTracedStep)->Arg(16384)->Arg(65536);

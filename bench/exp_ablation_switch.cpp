@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
     TextTable table({"D", "states", "on-levels", "max-off", "min-off", "max-on"});
     for (int d : {2, 3, 4}) {
       const Graph g = ctx.cell_graph([&] { return gen::complete(64); });
-      PhaseClockSwitch sw(g, d, CoinOracle(ctx.seed + static_cast<std::uint64_t>(d)));
+      RandomizedLogSwitch sw(PhaseClock::with_random_levels(
+          g, d, CoinOracle(ctx.seed + static_cast<std::uint64_t>(d))));
       const auto stats = measure_switch_runs(sw, 64, 20000, 50);
       table.begin_row();
       table.add_cell(static_cast<std::int64_t>(d));

@@ -47,7 +47,8 @@ DaemonResult run_daemon(const Graph& g, MakeDaemon make, int trials,
         TrialOutcome out;
         const std::int64_t max_steps = 5000000;
         while (!p.stabilized() && out.steps < max_steps) {
-          out.activations += p.step();
+          p.step();
+          out.activations += p.last_activations();
           ++out.steps;
         }
         out.ok = p.stabilized() && is_mis(g, p.black_set());

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                     std::vector<Color2>(static_cast<std::size_t>(k) + 1, Color2::kBlack),
                     CoinOracle(ctx.seed + static_cast<std::uint64_t>(trial)));
       for (std::int64_t r = 0; r < rounds; ++r) p.step();
-      return p.stable_black(0) ? 1 : 0;
+      return p.engine().stable_black(0) ? 1 : 0;
     });
     int hits = 0;
     for (char h : hit) hits += h;

@@ -133,7 +133,8 @@ int main(int argc, char** argv) {
   TextTable ztable({"zeta", "a=4/zeta", "max-off", "min-off", "max-on"});
   for (unsigned den : {5u, 6u, 7u, 8u}) {
     const Graph g = ctx.cell_graph([&] { return gen::complete(64); });
-    RandomizedLogSwitch sw(g, CoinOracle(ctx.seed + 23), 1, den);
+    RandomizedLogSwitch sw(
+        PhaseClock::with_random_levels(g, 3, CoinOracle(ctx.seed + 23), 1, den));
     const auto stats = measure_switch_runs(sw, 64, 20000, 50);
     ztable.begin_row();
     ztable.add_cell(1.0 / std::pow(2.0, den), 5);

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
         direct.step();
         net.step();
         for (Vertex u = 0; u < g.num_vertices(); ++u)
-          if (TwoStateBeepAutomaton::decode(net.state(u)) != direct.color(u)) ++mismatches;
+          if (TwoStateBeepAutomaton::decode(net.color(u)) != direct.color(u)) ++mismatches;
       }
       row.beeping = std::to_string(rounds) + " rounds, " +
                     std::to_string(mismatches) + " mism";
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
         direct.step();
         net.step();
         for (Vertex u = 0; u < g.num_vertices(); ++u)
-          if (ThreeStateStoneAgeAutomaton::decode(net.state(u)) != direct.color(u))
+          if (ThreeStateStoneAgeAutomaton::decode(net.color(u)) != direct.color(u))
             ++mismatches;
       }
       row.stoneage = std::to_string(rounds) + " rounds, " +
@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
         direct.step();
         net.step();
         for (Vertex u = 0; u < g.num_vertices(); ++u) {
-          if (ThreeColorStoneAgeAutomaton::decode_color(net.state(u)) != direct.color(u) ||
-              ThreeColorStoneAgeAutomaton::decode_level(net.state(u)) !=
+          if (ThreeColorStoneAgeAutomaton::decode_color(net.color(u)) != direct.color(u) ||
+              ThreeColorStoneAgeAutomaton::decode_level(net.color(u)) !=
                   sw->clock().level(u))
             ++mismatches;
         }

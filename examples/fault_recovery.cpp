@@ -32,8 +32,7 @@ int main(int argc, char** argv) {
             << fraction * 100 << "% of vertices to random states\n\n";
 
   const CoinOracle coins(seed + 1);
-  MisFamilyAdapter<TwoStateMIS> process(
-      TwoStateMIS(g, make_init2(g, InitPattern::kUniformRandom, coins), coins));
+  TwoStateMIS process(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
 
   TextTable table({"burst", "corrupted", "MIS broken after fault?",
                    "recovery rounds", "valid MIS after"});

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "core/process.hpp"
@@ -99,7 +100,6 @@ int main(int argc, char** argv) {
       for (const auto& err : unknown) std::cerr << "error: " << err << "\n";
       return 2;
     }
-    for (const auto& err : args.errors()) std::cerr << "warning: " << err << "\n";
     const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
     const Graph g = make_graph(args, seed);
@@ -122,7 +122,8 @@ int main(int argc, char** argv) {
     // --trials N > 1 batches whole runs across the pool and reports the
     // spread; a single run is traced.
     config.threads = parse_threads(args);
-    config.trials = static_cast<int>(args.get_int("trials", 1));
+    config.trials = static_cast<int>(
+        args.get_int("trials", 1, 1, std::numeric_limits<int>::max()));
 
     std::cout << "graph:   " << g.summary() << "\n";
     std::cout << "process: " << config.protocol

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/init.hpp"
-#include "core/process.hpp"
 #include "harness/registry.hpp"
 #include "rng/splitmix64.hpp"
 #include "support/narrow.hpp"
@@ -35,31 +34,27 @@ std::string RandomSubsetDaemon::name() const {
 
 DaemonMIS::DaemonMIS(const Graph& g, std::vector<Color2> init,
                      std::unique_ptr<ActivationDaemon> daemon, const CoinOracle& coins)
-    : engine_(g, std::move(init), TwoStateRule(coins)), daemon_(std::move(daemon)) {
+    : EngineProcess(g, std::move(init), TwoStateRule(coins)),
+      daemon_(std::move(daemon)) {
   if (daemon_ == nullptr)
     throw std::invalid_argument("DaemonMIS: daemon must not be null");
 }
 
-Vertex DaemonMIS::step() {
-  if (stabilized()) {
-    ++steps_;
-    return 0;
+void DaemonMIS::step() {
+  last_activations_ = 0;
+  if (!stabilized()) {
+    const std::vector<Vertex> enabled_now = engine_.scheduled_set();
+    std::vector<Vertex> chosen = daemon_->activate(
+        std::span<const Vertex>(enabled_now.data(), enabled_now.size()), steps_ + 1);
+    if (chosen.empty()) chosen = enabled_now;  // liveness fallback
+    // All chosen vertices resample simultaneously against the frozen state;
+    // the engine throws std::logic_error if the daemon activated a vertex
+    // that is not enabled.
+    engine_.apply_transitions(
+        std::span<const Vertex>(chosen.data(), chosen.size()), steps_ + 1);
+    last_activations_ = narrow_cast<Vertex>(chosen.size());
   }
-  const std::vector<Vertex> enabled_now = enabled_set();
-  std::vector<Vertex> chosen = daemon_->activate(
-      std::span<const Vertex>(enabled_now.data(), enabled_now.size()), steps_ + 1);
-  if (chosen.empty()) chosen = enabled_now;  // liveness fallback
-  // All chosen vertices resample simultaneously against the frozen state;
-  // the engine throws std::logic_error if the daemon activated a vertex that
-  // is not enabled.
-  engine_.apply_transitions(
-      std::span<const Vertex>(chosen.data(), chosen.size()), steps_ + 1);
   ++steps_;
-  return narrow_cast<Vertex>(chosen.size());
-}
-
-std::vector<Vertex> DaemonMIS::black_set() const {
-  return engine_.select([this](Vertex u) { return black(u); });
 }
 
 namespace {
@@ -84,11 +79,11 @@ const ProtocolRegistrar kDaemonProtocol{
       const CoinOracle coins(seed);
       // The daemon's private scheduler coins must not alias the process's
       // phi_t(u) stream: derive its seed with one avalanching mix.
-      return std::make_unique<MisFamilyAdapter<DaemonMIS>>(DaemonMIS(
+      return std::make_unique<DaemonMIS>(
           g, make_init2(g, params.init, coins),
           make_daemon(params.get_string("daemon", "synchronous"),
                       params.get_double("rho", 0.5), splitmix64_mix(seed)),
-          coins));
+          coins);
     }};
 
 }  // namespace

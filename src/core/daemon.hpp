@@ -17,9 +17,8 @@
 // DaemonMIS drives the same ProcessEngine<TwoStateRule> as the synchronous
 // process, through the engine's subset-transition primitive: the enabled set
 // IS the engine's scheduled worklist, so enabled-set queries are O(|enabled|)
-// rather than O(n) scans. It has the MisProcess surface, with one daemon
-// step as its round, so run_until_stabilized drives it and the registry
-// wraps it in the shared MisFamilyAdapter.
+// rather than O(n) scans. It is an EngineProcess whose round is one daemon
+// step, so run_until_stabilized and the harness drive it unchanged.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +28,7 @@
 #include <vector>
 
 #include "core/color.hpp"
-#include "core/engine.hpp"
+#include "core/engine_process.hpp"
 #include "core/two_state.hpp"
 #include "graph/graph.hpp"
 #include "rng/coin_oracle.hpp"
@@ -83,50 +82,29 @@ class RandomSubsetDaemon final : public ActivationDaemon {
 };
 
 // The 2-state rule under an activation daemon. Enabled = active in the
-// Definition 4 sense; an activated vertex resamples its color with the
-// oracle coin phi_step(u) — exactly TwoStateMIS's coin stream, so the
-// SynchronousDaemon run is bit-identical to the synchronous process.
-class DaemonMIS {
+// Definition 4 sense (the engine's scheduled set); an activated vertex
+// resamples its color with the oracle coin phi_step(u) — exactly
+// TwoStateMIS's coin stream, so the SynchronousDaemon run is bit-identical
+// to the synchronous process.
+class DaemonMIS final : public EngineProcess<TwoStateRule> {
  public:
-  using Engine = ProcessEngine<TwoStateRule>;
-
+  // Throws std::invalid_argument on a null daemon or an init size mismatch.
   DaemonMIS(const Graph& g, std::vector<Color2> init,
             std::unique_ptr<ActivationDaemon> daemon, const CoinOracle& coins);
 
-  // One daemon step (activates one chosen subset). Returns the number of
-  // vertices activated.
-  Vertex step();
+  // One daemon step: activates one chosen subset of the enabled vertices.
+  void step() override;
   // Daemon steps so far: a central step activates one vertex, a synchronous
   // one up to n, so steps are not comparable across daemons, but the
   // horizon semantics are uniform.
-  std::int64_t round() const { return steps_; }
-
-  const Graph& graph() const { return engine_.graph(); }
-  const std::vector<Color2>& colors() const { return engine_.colors(); }
-  bool black(Vertex u) const { return is_black(engine_.color(u)); }
-  Vertex black_neighbor_count(Vertex u) const { return engine_.counter(u, 0); }
-  bool enabled(Vertex u) const { return engine_.scheduled(u); }
-  bool stabilized() const { return engine_.stabilized(); }
-  Vertex num_enabled() const { return engine_.num_scheduled(); }
-  std::vector<Vertex> black_set() const;
-  std::vector<Vertex> enabled_set() const { return engine_.scheduled_set(); }
-
-  Vertex num_black() const { return engine_.color_count(Color2::kBlack); }
-  Vertex num_active() const { return engine_.num_active(); }
-  Vertex num_stable_black() const { return engine_.num_stable_black(); }
-  Vertex num_unstable() const { return engine_.num_unstable(); }
-  Vertex num_gray() const { return 0; }
-
-  // Fault-injection / test hook: overwrite one vertex's color in O(deg(u)),
-  // keeping the internal counters consistent. Not a daemon step.
-  void force_color(Vertex u, Color2 c) { engine_.force_color(u, c); }
-
-  const Engine& engine() const { return engine_; }
+  std::int64_t round() const override { return steps_; }
+  // Vertices the last step() activated (0 once stabilized).
+  Vertex last_activations() const { return last_activations_; }
 
  private:
-  Engine engine_;
   std::unique_ptr<ActivationDaemon> daemon_;
   std::int64_t steps_ = 0;
+  Vertex last_activations_ = 0;
 };
 
 }  // namespace ssmis

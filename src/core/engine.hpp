@@ -215,7 +215,10 @@ concept RuleHasEndRoundHook = requires(R& r, std::int64_t t) {
 //
 //   * every engine predicate (scheduled, active, violating, stable_black)
 //     is constant, with the scheduled predicate TRUE (a quiescent vertex is
-//     already off the worklist for free);
+//     already off the worklist for free), and so is the rule's MIS
+//     membership `in_mis(c)` where it has one (EngineProcess counts |B_t|
+//     from the raw histogram, which a parked orbit leaves at its entry
+//     color);
 //   * the only counter components of OTHER vertices that the orbit's color
 //     changes would move are components no live vertex's predicates or
 //     transition can observe while the mover is on its orbit (the "output
@@ -293,12 +296,12 @@ class ProcessEngine {
   static constexpr int kMaxCounters = 32;
 
   // `init` must have size g.num_vertices() and only colors with raw value
-  // below rule.num_colors(); the graph must outlive the engine. Throws
-  // std::invalid_argument otherwise, and on a negative contribution (the
-  // zero-crossing test in patch_neighbors relies on counters that never go
-  // negative).
+  // below rule.num_colors(). Throws std::invalid_argument otherwise, and on
+  // a negative contribution (the zero-crossing test in patch_neighbors
+  // relies on counters that never go negative). The engine keeps its own
+  // handle on g: a Graph copy shares the storage, so g need not outlive it.
   ProcessEngine(const Graph& g, std::vector<Color> init, Rule rule)
-      : graph_(&g), rule_(std::move(rule)), colors_(std::move(init)) {
+      : graph_(g), rule_(std::move(rule)), colors_(std::move(init)) {
     if (colors_.size() != static_cast<std::size_t>(g.num_vertices()))
       throw std::invalid_argument("ProcessEngine: init size != num_vertices");
     k_ = rule_.num_counters();
@@ -343,7 +346,7 @@ class ProcessEngine {
     chosen_unique_.erase(std::unique(chosen_unique_.begin(), chosen_unique_.end()),
                          chosen_unique_.end());
     for (Vertex u : chosen_unique_) {
-      if (u < 0 || u >= graph_->num_vertices())
+      if (u < 0 || u >= graph_.num_vertices())
         throw std::logic_error(
             "ProcessEngine: transition requested for a non-scheduled vertex");
       // A fast-forwarded vertex is logically scheduled; bring its stored
@@ -366,7 +369,7 @@ class ProcessEngine {
   // as a transient fault, not a round. Throws std::out_of_range on a bad
   // vertex and std::invalid_argument on a color outside the rule's range.
   void force_color(Vertex u, Color c) {
-    if (u < 0 || u >= graph_->num_vertices())
+    if (u < 0 || u >= graph_.num_vertices())
       throw std::out_of_range("force_color: vertex out of range");
     if (static_cast<int>(raw(c)) >= num_colors_)
       throw std::invalid_argument("force_color: color out of range");
@@ -440,7 +443,7 @@ class ProcessEngine {
   // --- state queries -------------------------------------------------------
 
   [[nodiscard]] std::int64_t round() const { return round_; }
-  [[nodiscard]] const Graph& graph() const { return *graph_; }
+  [[nodiscard]] const Graph& graph() const { return graph_; }
   [[nodiscard]] const Rule& rule() const { return rule_; }
   Rule& rule() { return rule_; }
 
@@ -484,16 +487,11 @@ class ProcessEngine {
     sync_fast_forward();
     return hist_[static_cast<std::size_t>(raw(c))];
   }
-  // The raw histogram entry, without materializing parked orbits — O(1).
-  // Individual entries may be stale under fast-forward, but any sum over a
-  // set of colors closed under every declared orbit (e.g. black0 + black1
-  // for the 3-state family) is exact, which is what the wrappers' hot
-  // per-round accounting reads.
-  [[nodiscard]] Vertex raw_color_count(Color c) const {
-    return hist_[static_cast<std::size_t>(raw(c))];
-  }
-  // The raw histogram summed over the colors `pred` accepts — O(num_colors),
-  // exact under fast-forward for the same closed sets.
+  // The raw histogram summed over the colors `pred` accepts, without
+  // materializing parked orbits — O(num_colors). Individual entries may be
+  // stale under fast-forward, but a sum over a set of colors closed under
+  // every declared orbit (e.g. black0 + black1 for the 3-state family) is
+  // exact, which is what the hot per-round accounting reads.
   template <typename Pred>
   [[nodiscard]] Vertex raw_color_count_if(Pred pred) const {
     Vertex count = 0;
@@ -535,11 +533,11 @@ class ProcessEngine {
   }
 
   // Ascending list of the vertices satisfying `pred` (O(n) scan) — the
-  // shared backing for the wrappers' black_set()/active_set()/... queries.
+  // backing for EngineProcess::black_set() and other per-flag vertex sets.
   template <typename Pred>
   std::vector<Vertex> select(Pred pred) const {
     std::vector<Vertex> out;
-    for (Vertex u = 0; u < graph_->num_vertices(); ++u)
+    for (Vertex u = 0; u < graph_.num_vertices(); ++u)
       if (pred(u)) out.push_back(u);
     return out;
   }
@@ -798,7 +796,7 @@ class ProcessEngine {
   // engine's scratch on compressed graphs. The view is valid until the next
   // call; no phase walks a row while it holds another.
   std::span<const Vertex> nbrs(Vertex u) {
-    return graph_->neighbors(u, nbr_scratch_);
+    return graph_.neighbors(u, nbr_scratch_);
   }
 
   // The stable-black coverage counts, built on first use.
@@ -813,10 +811,10 @@ class ProcessEngine {
   // in order: one pass over the payload on compressed graphs instead of a
   // row seek per stable black.
   void build_coverage() {
-    const Vertex n = graph_->num_vertices();
+    const Vertex n = graph_.num_vertices();
     covered_.assign(static_cast<std::size_t>(n), 0);
     Vertex covered = 0;
-    Graph::RowStream rows(*graph_);
+    Graph::RowStream rows(graph_);
     for (Vertex u = 0; u < n; ++u) {
       const std::size_t su = static_cast<std::size_t>(u);
       if (flags_[su] & kStableBlackBit) {
@@ -853,7 +851,7 @@ class ProcessEngine {
   // over the vertices then sets the flags, aggregates and histogram, and
   // one more builds the worklist from the flags.
   void rebuild() {
-    const Vertex n = graph_->num_vertices();
+    const Vertex n = graph_.num_vertices();
     const std::size_t k = static_cast<std::size_t>(k_);
     std::uint8_t max_color = 0;
     for (const Color c : colors_) max_color = std::max(max_color, raw(c));
@@ -866,7 +864,7 @@ class ProcessEngine {
       std::vector<Vertex> adds(nc);
       for (std::size_t c = 0; c < nc; ++c)
         adds[c] = rule_.contribution(static_cast<Color>(c), static_cast<int>(j));
-      graph_->neighbor_sums(
+      graph_.neighbor_sums(
           [&](Vertex v) { return adds[raw(colors_[static_cast<std::size_t>(v)])]; },
           [&](Vertex u, std::int64_t sum) {
             counters_[static_cast<std::size_t>(u) * k + j] = narrow_cast<Vertex>(sum);
@@ -898,7 +896,7 @@ class ProcessEngine {
     }
   }
 
-  const Graph* graph_;
+  Graph graph_;  // a handle: copies share the storage
   Rule rule_;
   std::vector<Color> colors_;
   std::vector<Vertex> counters_;  // flat [u * k_ + j]

@@ -2,31 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 #include <vector>
 
 namespace ssmis {
 
-RandomizedLogSwitch::RandomizedLogSwitch(const Graph& g, const CoinOracle& coins,
-                                         std::uint64_t zeta_num,
-                                         unsigned zeta_log2_den)
-    : clock_(PhaseClock::with_random_levels(g, 3, coins, zeta_num, zeta_log2_den)) {}
-
-RandomizedLogSwitch::RandomizedLogSwitch(const Graph& g, const std::vector<int>& init_levels,
-                                         const CoinOracle& coins,
-                                         std::uint64_t zeta_num,
-                                         unsigned zeta_log2_den)
-    : clock_(g, 3, init_levels, coins, zeta_num, zeta_log2_den) {}
-
-PhaseClockSwitch::PhaseClockSwitch(const Graph& g, int d, const CoinOracle& coins,
-                                   std::uint64_t zeta_num, unsigned zeta_log2_den)
-    : clock_(PhaseClock::with_random_levels(g, d, coins, zeta_num, zeta_log2_den)) {}
-
-PeriodicSwitch::PeriodicSwitch(std::int64_t off_len, std::int64_t on_len)
-    : off_len_(off_len), on_len_(on_len) {
-  if (off_len < 0 || on_len <= 0)
-    throw std::invalid_argument("PeriodicSwitch: need off_len >= 0, on_len > 0");
-}
+RandomizedLogSwitch::RandomizedLogSwitch(const Graph& g, const CoinOracle& coins)
+    : clock_(PhaseClock::with_random_levels(g, 3, coins)) {}
 
 SwitchRunStats measure_switch_runs(SwitchProcess& sw, Vertex n, std::int64_t rounds,
                                    std::int64_t warmup) {

@@ -6,21 +6,16 @@
 //   S2 (diam <= 2): after warm-up, every off-run has length >= (a/6) ln n;
 //   S3 (diam <= 2): after O(1) rounds, every on-run has length <= b.
 //
-// `SwitchProcess` is the interface consumed by the 3-color MIS process;
-// implementations:
-//   * RandomizedLogSwitch — the paper's construction: a D = 3 phase clock
-//     with levels {0..5}; sigma = on iff level <= 2. Uses 6 states/vertex,
-//     giving the 3-color process its 3 x 6 = 18 total states.
-//   * PhaseClockSwitch — same mapping over an arbitrary-D clock (for the
-//     D = 2 vs 3 ablation). on iff level <= D - 1.
-//   * AlwaysOnSwitch / NeverOnSwitch — degenerate test doubles.
-//   * PeriodicSwitch — deterministic oracle switch (off for `off_len`
-//     rounds, then on for `on_len`), for unit-testing the 3-color color
-//     dynamics independently of clock randomness.
+// `SwitchProcess` is the interface consumed by the 3-color MIS process. Its
+// implementation is RandomizedLogSwitch, the paper's construction: a phase
+// clock with sigma = on iff level <= D - 1. The paper's D = 3 clock has
+// levels {0..5} and 6 states/vertex, giving the 3-color process its
+// 3 x 6 = 18 total states; other D serve the D = 2 vs 3 vs 4 ablation.
+// Deterministic test doubles live in tests/switch_doubles.hpp.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 
 #include "core/phase_clock.hpp"
 #include "graph/graph.hpp"
@@ -54,19 +49,19 @@ class SwitchProcess {
   virtual int num_states() const = 0;
 };
 
-// The paper's randomized logarithmic switch (Definition 26): 6 levels,
-// sigma(u) = on iff level(u) <= 2, zeta = 2^-7 by default (a = 4/zeta = 512).
+// The paper's randomized logarithmic switch (Definition 26) over a phase
+// clock: sigma(u) = on iff level(u) <= D - 1.
 class RandomizedLogSwitch final : public SwitchProcess {
  public:
-  RandomizedLogSwitch(const Graph& g, const CoinOracle& coins,
-                      std::uint64_t zeta_num = 1, unsigned zeta_log2_den = 7);
-  RandomizedLogSwitch(const Graph& g, const std::vector<int>& init_levels,
-                      const CoinOracle& coins, std::uint64_t zeta_num = 1,
-                      unsigned zeta_log2_den = 7);
+  // The paper's switch: D = 3 (6 levels, on iff level <= 2), zeta = 2^-7
+  // (a = 4/zeta = 512), random initial levels.
+  RandomizedLogSwitch(const Graph& g, const CoinOracle& coins);
+  // Any clock: another D, zeta or set of initial levels.
+  explicit RandomizedLogSwitch(PhaseClock clock) : clock_(std::move(clock)) {}
 
   void step() override { clock_.step(); }
   void advance(std::int64_t rounds) override { clock_.advance(rounds); }
-  bool on(Vertex u) const override { return clock_.level(u) <= 2; }
+  bool on(Vertex u) const override { return clock_.level(u) <= clock_.d() - 1; }
   std::int64_t round() const override { return clock_.round(); }
   int num_states() const override { return clock_.num_states(); }
 
@@ -78,75 +73,6 @@ class RandomizedLogSwitch final : public SwitchProcess {
 
  private:
   PhaseClock clock_;
-};
-
-// Arbitrary-D clock with the generalized mapping on iff level <= D-1.
-class PhaseClockSwitch final : public SwitchProcess {
- public:
-  PhaseClockSwitch(const Graph& g, int d, const CoinOracle& coins,
-                   std::uint64_t zeta_num = 1, unsigned zeta_log2_den = 7);
-
-  void step() override { clock_.step(); }
-  void advance(std::int64_t rounds) override { clock_.advance(rounds); }
-  bool on(Vertex u) const override { return clock_.level(u) <= clock_.d() - 1; }
-  std::int64_t round() const override { return clock_.round(); }
-  int num_states() const override { return clock_.num_states(); }
-
-  PhaseClock& clock() { return clock_; }
-
- private:
-  PhaseClock clock_;
-};
-
-class AlwaysOnSwitch final : public SwitchProcess {
- public:
-  void step() override { ++round_; }
-  void advance(std::int64_t rounds) override {
-    if (rounds > 0) round_ += rounds;
-  }
-  bool on(Vertex) const override { return true; }
-  std::int64_t round() const override { return round_; }
-  int num_states() const override { return 1; }
-
- private:
-  std::int64_t round_ = 0;
-};
-
-class NeverOnSwitch final : public SwitchProcess {
- public:
-  void step() override { ++round_; }
-  void advance(std::int64_t rounds) override {
-    if (rounds > 0) round_ += rounds;
-  }
-  bool on(Vertex) const override { return false; }
-  std::int64_t round() const override { return round_; }
-  int num_states() const override { return 1; }
-
- private:
-  std::int64_t round_ = 0;
-};
-
-// Deterministic global cycle: off for `off_len` rounds, on for `on_len`.
-class PeriodicSwitch final : public SwitchProcess {
- public:
-  PeriodicSwitch(std::int64_t off_len, std::int64_t on_len);
-
-  void step() override { ++round_; }
-  void advance(std::int64_t rounds) override {
-    if (rounds > 0) round_ += rounds;
-  }
-  bool on(Vertex) const override {
-    return round_ % (off_len_ + on_len_) >= off_len_;
-  }
-  std::int64_t round() const override { return round_; }
-  int num_states() const override {
-    return static_cast<int>(off_len_ + on_len_);
-  }
-
- private:
-  std::int64_t off_len_;
-  std::int64_t on_len_;
-  std::int64_t round_ = 0;
 };
 
 // Measured on/off run-length statistics of a switch execution; the

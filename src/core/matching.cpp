@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/process.hpp"
 #include "core/verify.hpp"
 #include "graph/csr_builder.hpp"
 #include "harness/registry.hpp"
@@ -69,13 +68,11 @@ Graph build_line_graph(const Graph& g, const std::vector<Edge>& edges) {
 Graph line_graph(const Graph& g) { return build_line_graph(g, g.edge_list()); }
 
 MaximalMatching::MaximalMatching(const Graph& g, std::vector<Edge> edges,
-                                 std::unique_ptr<Graph> lg,
-                                 std::vector<Color2> init,
+                                 const Graph& lg, std::vector<Color2> init,
                                  const CoinOracle& coins)
-    : graph_(&g),
-      edges_(std::move(edges)),
-      line_graph_(std::move(lg)),
-      line_process_(*line_graph_, std::move(init), coins) {
+    : EngineProcess(lg, std::move(init), TwoStateRule(coins)),
+      graph_(g),
+      edges_(std::move(edges)) {
   IncidentCsr inc = incident_edge_csr(g, edges_);
   incident_offsets_ = std::move(inc.offsets);
   incident_ids_ = std::move(inc.ids);
@@ -87,88 +84,64 @@ MaximalMatching MaximalMatching::from_pattern(const Graph& g,
   // The factory path (one construction per trial): edge list and line
   // graph are each computed exactly once.
   auto edges = g.edge_list();
-  auto lg = std::make_unique<Graph>(build_line_graph(g, edges));
-  auto init = make_init2(*lg, pattern, coins);
-  return MaximalMatching(g, std::move(edges), std::move(lg), std::move(init),
-                         coins);
+  const Graph lg = build_line_graph(g, edges);
+  auto init = make_init2(lg, pattern, coins);
+  return MaximalMatching(g, std::move(edges), lg, std::move(init), coins);
 }
 
 MaximalMatching::MaximalMatching(const Graph& g, std::vector<Color2> init,
                                  const CoinOracle& coins)
-    : MaximalMatching(g, g.edge_list(),
-                      std::make_unique<Graph>(ssmis::line_graph(g)),
-                      std::move(init), coins) {}
+    : MaximalMatching(g, g.edge_list(), ssmis::line_graph(g), std::move(init),
+                      coins) {}
 
 bool MaximalMatching::matched(Vertex u) const {
   for (Vertex k : incident_edges(u))
-    if (claimed(k)) return true;
+    if (black(k)) return true;
   return false;
 }
 
 std::vector<Edge> MaximalMatching::matching() const {
   std::vector<Edge> out;
-  for (Vertex k : line_process_.black_set())
-    out.push_back(edges_[static_cast<std::size_t>(k)]);
+  for (Vertex k : black_set()) out.push_back(edges_[static_cast<std::size_t>(k)]);
   return out;
 }
 
 std::vector<Vertex> MaximalMatching::matched_set() const {
   std::vector<Vertex> out;
-  for (Vertex u = 0; u < graph_->num_vertices(); ++u)
+  for (Vertex u = 0; u < graph_.num_vertices(); ++u)
     if (matched(u)) out.push_back(u);
   return out;
 }
 
 bool MaximalMatching::settled(Vertex u) const {
   for (Vertex k : incident_edges(u)) {
-    if (line_process_.engine().unstable(k)) return false;
+    if (engine_.unstable(k)) return false;
   }
   return true;  // isolated vertices settle at round 0
 }
 
+void MaximalMatching::verify_output() const {
+  if (const auto violation = find_matching_violation(graph_, matching()))
+    throw std::logic_error("process stabilized on an invalid matching: " +
+                           *violation);
+}
+
+void MaximalMatching::force_state(Vertex u, std::uint8_t raw) {
+  if (static_cast<int>(raw) >= 2)
+    throw std::invalid_argument("matching: force_state takes 0 (free) or 1");
+  for (Vertex k : incident_edges(u)) force_color(k, static_cast<Color2>(raw));
+}
+
+bool MaximalMatching::inject_fault(Vertex u, std::uint64_t w) {
+  const auto incident = incident_edges(u);
+  if (incident.empty()) return false;  // isolated: nothing to corrupt
+  const Vertex k = incident[static_cast<std::size_t>(
+      w % static_cast<std::uint64_t>(incident.size()))];
+  force_color(k, ((w >> 32) & 1) != 0 ? Color2::kBlack : Color2::kWhite);
+  return true;
+}
+
 namespace {
-
-// Stepping, snapshots and the run loop come from MisProcessAdapter; the
-// output, validity and state hooks are the matching's own.
-class MatchingProcess final : public MisProcessAdapter<MaximalMatching> {
- public:
-  using MisProcessAdapter::MisProcessAdapter;
-
-  std::vector<Vertex> output_set() const override {
-    return process_.matched_set();
-  }
-  bool settled(Vertex u) const override { return process_.settled(u); }
-
-  void verify_output() const override {
-    if (const auto violation =
-            find_matching_violation(graph(), process_.matching()))
-      throw std::logic_error("process stabilized on an invalid matching: " +
-                             *violation);
-  }
-
-  // The states live on edges: force_state(u, bit) sets every incident
-  // edge's claim (the node-crash reading); inject_fault corrupts ONE
-  // incident edge chosen by the random word.
-  void force_state(Vertex u, std::uint8_t raw) override {
-    if (static_cast<int>(raw) >= 2)
-      throw std::invalid_argument("matching: force_state takes 0 (free) or 1");
-    for (Vertex k : process_.incident_edges(u))
-      process_.force_edge(k, static_cast<Color2>(raw));
-  }
-  std::uint8_t raw_state(Vertex u) const override {
-    return process_.matched(u) ? 1 : 0;
-  }
-  int num_colors() const override { return 2; }
-  bool inject_fault(Vertex u, std::uint64_t w) override {
-    const auto incident = process_.incident_edges(u);
-    if (incident.empty()) return false;  // isolated: nothing to corrupt
-    const Vertex k = incident[static_cast<std::size_t>(
-        w % static_cast<std::uint64_t>(incident.size()))];
-    process_.force_edge(k,
-                        ((w >> 32) & 1) != 0 ? Color2::kBlack : Color2::kWhite);
-    return true;
-  }
-};
 
 const ProtocolRegistrar kMatchingProtocol{
     "matching",
@@ -179,7 +152,7 @@ const ProtocolRegistrar kMatchingProtocol{
     {},
     [](const Graph& g, const ProtocolParams& params, std::uint64_t seed) {
       const CoinOracle coins(seed);
-      return std::make_unique<MatchingProcess>(
+      return std::make_unique<MaximalMatching>(
           MaximalMatching::from_pattern(g, params.init, coins));
     }};
 

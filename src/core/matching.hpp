@@ -28,11 +28,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/color.hpp"
-#include "core/engine.hpp"
+#include "core/engine_process.hpp"
 #include "core/init.hpp"
 #include "core/two_state.hpp"
 #include "graph/graph.hpp"
@@ -45,13 +45,20 @@ namespace ssmis {
 // an endpoint. O(sum_v deg(v)^2) construction.
 Graph line_graph(const Graph& g);
 
-class MaximalMatching {
+// The 2-state process on L(g), an EngineProcess over the line graph whose
+// Process surface speaks about g: graph() is g, and the output, validity,
+// settled and fault hooks below read the edge states back onto vertices.
+// The aggregates count LINE vertices, i.e. EDGES of g: black = claimed
+// edges, active = edges that resample next round, stable_black = claims
+// with no claimed contender, unstable = edges not yet covered by a stable
+// claim. Stabilized ⟺ the claimed edge set is an MIS of L(g) ⟺ a maximal
+// matching of g. Engine-side reads (colors(), black(k), force_color(k, c))
+// take edge ids.
+class MaximalMatching final : public EngineProcess<TwoStateRule> {
  public:
-  using Engine = ProcessEngine<TwoStateRule>;
-
   // Starts the 2-state process on L(g) from `pattern` edge states (drawn
   // over the line graph, so e.g. high-degree-black marks high-conflict
-  // edges). The graph must outlive the process.
+  // edges).
   static MaximalMatching from_pattern(const Graph& g, InitPattern pattern,
                                       const CoinOracle& coins);
   // Explicit initial claims, one Color2 per edge of g (kBlack = claimed).
@@ -59,23 +66,15 @@ class MaximalMatching {
   MaximalMatching(const Graph& g, std::vector<Color2> init,
                   const CoinOracle& coins);
 
-  void step() { line_process_.step(); }
-  std::int64_t round() const { return line_process_.round(); }
+  // The ORIGINAL graph; the engine runs on the line graph (engine().graph()).
+  const Graph& graph() const override { return graph_; }
 
-  // The ORIGINAL graph; the line graph is an internal representation.
-  const Graph& graph() const { return *graph_; }
-  const Graph& line_graph() const { return *line_graph_; }
-
-  // Edge k of g as a (u, v) pair with u < v.
-  const std::vector<Edge>& edges() const { return edges_; }
   // Ascending edge ids incident to u (a view into the internal CSR).
   std::span<const Vertex> incident_edges(Vertex u) const {
     const auto begin = incident_offsets_[static_cast<std::size_t>(u)];
     const auto end = incident_offsets_[static_cast<std::size_t>(u) + 1];
     return {incident_ids_.data() + begin, static_cast<std::size_t>(end - begin)};
   }
-
-  bool claimed(Vertex edge_id) const { return line_process_.black(edge_id); }
   bool matched(Vertex u) const;
 
   // The matching: claimed edges, ascending by edge id.
@@ -83,44 +82,27 @@ class MaximalMatching {
   // Matched vertices, ascending — the uniform output_set encoding.
   std::vector<Vertex> matched_set() const;
 
-  // Stabilized ⟺ the claimed edge set is an MIS of L(g) ⟺ a maximal
-  // matching of g.
-  bool stabilized() const { return line_process_.stabilized(); }
-
-  // Uniform trace interface — aggregates count LINE vertices, i.e. EDGES of
-  // g: black = claimed edges, active = edges that resample next round,
-  // stable_black = claims with no claimed contender, unstable = edges not
-  // yet covered by a stable claim.
-  Vertex num_black() const { return line_process_.num_black(); }
-  Vertex num_active() const { return line_process_.num_active(); }
-  Vertex num_stable_black() const { return line_process_.num_stable_black(); }
-  Vertex num_unstable() const { return line_process_.num_unstable(); }
-  Vertex num_gray() const { return 0; }
-
+  std::vector<Vertex> output_set() const override { return matched_set(); }
   // u is settled once every incident edge is covered by a stable claim
   // (isolated vertices: immediately) — monotone, like N+(I_t) coverage.
-  bool settled(Vertex u) const;
-
-  // Fault hook: overwrite one EDGE's claim bit, O(deg_L(edge)).
-  void force_edge(Vertex edge_id, Color2 c) {
-    line_process_.force_color(edge_id, c);
-  }
-
-  const TwoStateMIS& line_process() const { return line_process_; }
+  bool settled(Vertex u) const override;
+  void verify_output() const override;
+  // The states live on edges: force_state(u, bit) sets every incident
+  // edge's claim (the node-crash reading); inject_fault corrupts ONE
+  // incident edge chosen by the random word.
+  void force_state(Vertex u, std::uint8_t raw) override;
+  std::uint8_t raw_state(Vertex u) const override { return matched(u) ? 1 : 0; }
+  int num_colors() const override { return 2; }
+  bool inject_fault(Vertex u, std::uint64_t w) override;
 
  private:
-  MaximalMatching(const Graph& g, std::vector<Edge> edges,
-                  std::unique_ptr<Graph> lg, std::vector<Color2> init,
-                  const CoinOracle& coins);
+  MaximalMatching(const Graph& g, std::vector<Edge> edges, const Graph& lg,
+                  std::vector<Color2> init, const CoinOracle& coins);
 
-  const Graph* graph_;
+  Graph graph_;
   std::vector<Edge> edges_;                     // edge_id -> (u, v), u < v
   std::vector<std::int64_t> incident_offsets_;  // CSR over incident edge ids
   std::vector<Vertex> incident_ids_;
-  // Heap-allocated so the line engine's graph pointer survives moves of
-  // this wrapper (declared before, hence constructed before, the process).
-  std::unique_ptr<Graph> line_graph_;
-  TwoStateMIS line_process_;
 };
 
 }  // namespace ssmis

@@ -1,40 +1,43 @@
 // Type-erased process runtime: ONE measurement path for every rule.
 //
-// `Process` erases the concrete wrapper type behind the interface the
-// harness needs — step/round/stabilized/trace snapshot/output/verify/
-// force-state/fault — so trial scheduling, timeout accounting, per-vertex
-// times, fault injection (core/faults.hpp) and the CLI all work for any
-// registered protocol (harness/registry.hpp).
+// `Process` erases the concrete process behind the interface the harness
+// needs — step/round/stabilized/trace snapshot/output/verify/force-state/
+// fault — so trial scheduling, timeout accounting, per-vertex times, fault
+// injection (core/faults.hpp) and the CLI all work for any registered
+// protocol (harness/registry.hpp).
 //
-// Adapters: `MisProcessAdapter<P>` supplies the stepping half for any
-// wrapper satisfying MisProcess (core/runner.hpp); `MisFamilyAdapter<P>`
-// adds the MIS family's output, validity, coverage and fault half, and
-// routes faults through the wrapper's own `inject_fault` when it has one
-// (the 3-color switch level). Every engine-backed MIS wrapper registers
-// through MisFamilyAdapter, the beeping and stone-age networks included;
-// `matching` derives from MisProcessAdapter, because its output and faults
-// live on edges. These three are the only Process classes.
+// Its one implementation is `EngineProcess<Rule>` (core/engine_process.hpp),
+// which owns the rule's ProcessEngine and answers every method from the MIS
+// bookkeeping; each protocol's wrapper derives from it and overrides only
+// what is its own (the 3-color lazy switch, the daemon's step, matching's
+// edge states).
 //
-// Cost model: type erasure sits at TRIAL granularity, not step granularity.
-// A trial calls the virtual `run()` once; the adapter's override immediately
-// re-enters the templated `run_until_stabilized` loop on the concrete
-// wrapper, so the hot stepping loop has zero added indirection. Drivers
-// that interleave work between rounds (per-vertex times, the interactive
-// simulator) pay one virtual call per ROUND — noise next to the
-// O(|A_t| + sum deg(changed)) round body.
+// Cost model: type erasure sits at ROUND granularity. The run loop below
+// makes one virtual call each to step(), stabilized() and round() per round,
+// a few ns next to a round body of O(|A_t| + sum deg(changed)): the cheapest
+// round the repository benchmark runs (`recover32k-3state`, fault recovery
+// among parked periodic vertices) costs about 5 us.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "core/runner.hpp"
 #include "core/trace.hpp"
-#include "core/verify.hpp"
 #include "graph/graph.hpp"
 
 namespace ssmis {
+
+enum class TraceMode { kNone, kPerRound };
+
+class Process;
+
+// Runs until stabilized() or until `max_rounds` further rounds have elapsed.
+// With TraceMode::kPerRound the trace includes the initial state and every
+// round end. Every snapshot aggregate is an O(1) engine read (|V_t| after
+// the coverage build its first read pays), so a traced round costs the
+// same O(|A_t| + sum deg(changed)) as an untraced one.
+RunResult run_until_stabilized(Process& process, std::int64_t max_rounds,
+                               TraceMode mode = TraceMode::kNone);
 
 class Process {
  public:
@@ -52,23 +55,12 @@ class Process {
   virtual bool stabilized() const = 0;
 
   // The paper's bookkeeping aggregates for this round (B_t, A_t, I_t, V_t,
-  // Gamma_t — protocols reinterpret them as documented in their adapter).
+  // Gamma_t — protocols reinterpret them as documented in their wrapper).
   virtual RoundStats snapshot() const = 0;
 
-  // Runs until stabilized() or `max_rounds` further rounds. The default
-  // implementation loops over the virtual step(); engine-wrapper adapters
-  // override it with the devirtualized run_until_stabilized hot loop.
-  virtual RunResult run(std::int64_t max_rounds, TraceMode mode) {
-    RunResult result;
-    if (mode == TraceMode::kPerRound) result.trace.push_back(snapshot());
-    const std::int64_t start = round();
-    while (!stabilized() && round() - start < max_rounds) {
-      step();
-      if (mode == TraceMode::kPerRound) result.trace.push_back(snapshot());
-    }
-    result.stabilized = stabilized();
-    result.rounds = round() - start;
-    return result;
+  // run_until_stabilized on this process.
+  RunResult run(std::int64_t max_rounds, TraceMode mode) {
+    return run_until_stabilized(*this, max_rounds, mode);
   }
 
   // The protocol's output: the claimed MIS / matched vertices / etc.,
@@ -102,115 +94,37 @@ class Process {
   // random bits — the transient-fault primitive behind the generic
   // inject_faults(Process&, ...). Returns whether any state was actually
   // overwritten (a protocol may have nothing to corrupt at u, e.g. an
-  // isolated vertex under edge-state protocols). Default: a uniformly
-  // random raw color.
-  virtual bool inject_fault(Vertex u, std::uint64_t w) {
-    force_state(u, static_cast<std::uint8_t>(
-                       w % static_cast<std::uint64_t>(num_colors())));
-    return true;
-  }
+  // isolated vertex under edge-state protocols).
+  virtual bool inject_fault(Vertex u, std::uint64_t w) = 0;
 
   // Toggles the stable-periodic fast-forward optimization (on by default
   // where the protocol supports it; a no-op elsewhere). Purely a schedule
   // change: trajectories, aggregates, and outputs are bit-identical either
   // way, which tests/test_fast_forward.cpp pins.
-  virtual void set_fast_forward(bool /*on*/) {}
-};
-
-// Optional per-wrapper toggle for the stable-periodic fast-forward
-// schedule; wrappers without it silently ignore the request.
-template <typename P>
-concept ProcessHasFastForwardToggle = requires(P& p, bool on) {
-  p.set_fast_forward(on);
-};
-
-// Optional per-wrapper fault hook for protocols whose per-vertex state is
-// more than the engine color (the 3-color switch level); wrappers without
-// it get Process's default, a random color through force_state.
-template <typename P>
-concept ProcessHasFaultHook = requires(P& p, Vertex u, std::uint64_t w) {
-  { p.inject_fault(u, w) } -> std::convertible_to<bool>;
-};
-
-// Adapter for wrappers satisfying the MisProcess concept (the direct
-// engine-backed processes). Derived classes supply output/verify/settled/
-// force-state; stepping, snapshots, and the devirtualized run loop are
-// shared here.
-template <MisProcess P>
-class MisProcessAdapter : public Process {
- public:
-  explicit MisProcessAdapter(P process) : process_(std::move(process)) {}
-
-  const Graph& graph() const override { return process_.graph(); }
-  void step() override { process_.step(); }
-  std::int64_t round() const override { return process_.round(); }
-  bool stabilized() const override { return process_.stabilized(); }
-  RoundStats snapshot() const override { return ssmis::snapshot(process_); }
-  RunResult run(std::int64_t max_rounds, TraceMode mode) override {
-    return run_until_stabilized(process_, max_rounds, mode);
-  }
-  void set_fast_forward(bool on) override {
-    if constexpr (ProcessHasFastForwardToggle<P>)
-      process_.set_fast_forward(on);
-    else
-      (void)on;
-  }
-
-  P& impl() { return process_; }
-  const P& impl() const { return process_; }
+  virtual void set_fast_forward(bool on) = 0;
 
  protected:
-  P process_;
+  // Processes are values (factories return them by value and the registry
+  // moves them onto the heap); only a derived class copies or moves one.
+  Process() = default;
+  Process(const Process&) = default;
+  Process(Process&&) = default;
+  Process& operator=(const Process&) = default;
+  Process& operator=(Process&&) = default;
 };
 
-// The obligations MisFamilyAdapter places on a wrapper beyond MisProcess —
-// previously a prose comment, now a named concept so a wrapper missing one
-// fails with `MisFamilyProcess` in the diagnostic instead of a template
-// error inside an override body.
-template <typename P>
-concept MisFamilyProcess =
-    MisProcess<P> &&
-    requires(P p, const P cp, Vertex u, typename P::Engine::Color c) {
-      typename P::Engine;
-      { cp.black_set() } -> std::convertible_to<std::vector<Vertex>>;
-      p.force_color(u, c);
-      { cp.engine().unstable(u) } -> std::convertible_to<bool>;
-      { cp.engine().num_colors() } -> std::convertible_to<int>;
-    };
-
-// Shared adapter for the MIS-family wrappers: output is the black set, the
-// validity predicate is is_mis, settled(u) is membership in N+(I_t) (the
-// engine's coverage counters), and faults route through force_color — or
-// through the wrapper's own inject_fault (ProcessHasFaultHook) when its
-// per-vertex state carries more than the color.
-template <MisFamilyProcess P>
-class MisFamilyAdapter : public MisProcessAdapter<P> {
- public:
-  using Color = typename P::Engine::Color;
-  using MisProcessAdapter<P>::MisProcessAdapter;
-
-  std::vector<Vertex> output_set() const override {
-    return this->process_.black_set();
+inline RunResult run_until_stabilized(Process& process, std::int64_t max_rounds,
+                                      TraceMode mode) {
+  RunResult result;
+  if (mode == TraceMode::kPerRound) result.trace.push_back(process.snapshot());
+  const std::int64_t start = process.round();
+  while (!process.stabilized() && process.round() - start < max_rounds) {
+    process.step();
+    if (mode == TraceMode::kPerRound) result.trace.push_back(process.snapshot());
   }
-  bool settled(Vertex u) const override {
-    return !this->process_.engine().unstable(u);
-  }
-  void verify_output() const override {
-    verify_mis_output(this->graph(), this->process_.black_set());
-  }
-  void force_state(Vertex u, std::uint8_t raw) override {
-    this->process_.force_color(u, static_cast<Color>(raw));
-  }
-  std::uint8_t raw_state(Vertex u) const override {
-    return static_cast<std::uint8_t>(this->process_.engine().color(u));
-  }
-  int num_colors() const override { return this->process_.engine().num_colors(); }
-  bool inject_fault(Vertex u, std::uint64_t w) override {
-    if constexpr (ProcessHasFaultHook<P>)
-      return this->process_.inject_fault(u, w);
-    else
-      return Process::inject_fault(u, w);
-  }
-};
+  result.stabilized = process.stabilized();
+  result.rounds = process.round() - start;
+  return result;
+}
 
 }  // namespace ssmis

@@ -1,65 +1,16 @@
 // Drives a process to stabilization and records traces.
 //
-// Works with any type satisfying MisProcess: the three direct processes and
-// the communication-model simulations all qualify, so every experiment is
-// written once against this interface.
+// The run loop, run_until_stabilized, is declared with Process
+// (core/process.hpp): every process — the direct ones and the
+// communication-model simulations — is a Process, so every experiment is
+// written once against that interface.
 #pragma once
 
-#include <concepts>
-#include <cstdint>
 #include <string>
 
-#include "core/trace.hpp"
+#include "core/process.hpp"
 
 namespace ssmis {
-
-template <typename P>
-concept MisProcess = requires(P p, const P cp, Vertex v) {
-  { p.step() };
-  { cp.stabilized() } -> std::convertible_to<bool>;
-  { cp.round() } -> std::convertible_to<std::int64_t>;
-  { cp.num_black() } -> std::convertible_to<Vertex>;
-  { cp.num_active() } -> std::convertible_to<Vertex>;
-  { cp.num_stable_black() } -> std::convertible_to<Vertex>;
-  { cp.num_unstable() } -> std::convertible_to<Vertex>;
-  { cp.num_gray() } -> std::convertible_to<Vertex>;
-};
-
-enum class TraceMode { kNone, kPerRound };
-
-template <MisProcess P>
-RoundStats snapshot(const P& process) {
-  RoundStats s;
-  s.round = process.round();
-  s.black = process.num_black();
-  s.active = process.num_active();
-  s.stable_black = process.num_stable_black();
-  s.unstable = process.num_unstable();
-  s.gray = process.num_gray();
-  return s;
-}
-
-// Runs until stabilized() or until `max_rounds` further rounds have elapsed.
-// With TraceMode::kPerRound the trace includes the initial state and every
-// round end. All engine-backed processes expose O(1) incrementally
-// maintained aggregates (num_stable_black, num_unstable, ...), so per-round
-// tracing adds O(1) per round — a traced round costs the same
-// O(|A_t| + sum deg(changed)) as an untraced one. (Before the engine
-// refactor the V_t snapshot alone was an O(n + m) rescan per round.)
-template <MisProcess P>
-RunResult run_until_stabilized(P& process, std::int64_t max_rounds,
-                               TraceMode mode = TraceMode::kNone) {
-  RunResult result;
-  if (mode == TraceMode::kPerRound) result.trace.push_back(snapshot(process));
-  const std::int64_t start = process.round();
-  while (!process.stabilized() && process.round() - start < max_rounds) {
-    process.step();
-    if (mode == TraceMode::kPerRound) result.trace.push_back(snapshot(process));
-  }
-  result.stabilized = process.stabilized();
-  result.rounds = process.round() - start;
-  return result;
-}
 
 // CSV rendering of a trace ("round,black,active,stable_black,unstable,gray").
 std::string trace_to_csv(const RunResult& result);

@@ -18,11 +18,12 @@
 // With the randomized 6-state switch the combined per-vertex state space is
 // 3 x 6 = 18 states, matching the paper's Theorem 3.
 //
-// Implemented as an engine rule (core/engine.hpp): the scheduled set is the
-// active set plus the gray vertices (a gray vertex can turn white purely
-// because its switch turns on, with no color change anywhere near it, so it
-// stays on the worklist until it leaves gray). The switch advances in the
-// rule's end-of-round hook, after the colors that read sigma_{t-1} commit.
+// Implemented as an engine rule (core/engine.hpp), run as an EngineProcess:
+// the scheduled set is the active set plus the gray vertices (a gray vertex
+// can turn white purely because its switch turns on, with no color change
+// anywhere near it, so it stays on the worklist until it leaves gray). The
+// switch advances in the rule's end-of-round hook, after the colors that
+// read sigma_{t-1} commit.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,7 @@
 
 #include "core/color.hpp"
 #include "core/engine.hpp"
+#include "core/engine_process.hpp"
 #include "core/log_switch.hpp"
 #include "graph/graph.hpp"
 #include "rng/coin_oracle.hpp"
@@ -41,9 +43,11 @@ class ThreeColorRule {
  public:
   using Color = ColorG;
 
-  // The switch is owned by the wrapping process; the rule only reads/steps it.
-  ThreeColorRule(const CoinOracle& coins, SwitchProcess* sw)
-      : coins_(coins), switch_(sw) {}
+  // The rule owns the switch, which must be freshly constructed (round 0)
+  // and built over the same graph; a phase-clock switch reads that graph
+  // through a pointer, so it must outlive the process. Throws
+  // std::invalid_argument on a null switch or one past round 0.
+  ThreeColorRule(const CoinOracle& coins, std::unique_ptr<SwitchProcess> sw);
 
   int num_colors() const { return 3; }
   int num_counters() const { return 1; }  // counter 0: black neighbors
@@ -64,6 +68,7 @@ class ThreeColorRule {
   // neighbor, and blacks must have none.
   bool violating(ColorG c, Heard h) const { return is_black(c) == h.has(0); }
   bool stable_black(ColorG c, Heard h) const { return is_black(c) && !h.has(0); }
+  bool in_mis(ColorG c) const { return is_black(c); }
 
   ColorG transition(Vertex u, ColorG c, Heard h, std::int64_t t) const {
     if (c == ColorG::kBlack && h.has(0))
@@ -90,30 +95,27 @@ class ThreeColorRule {
   // Lazy-switch controls, driven by ThreeColorMIS::step (which guarantees
   // replay happens before any round with gray vertices decides).
   void set_defer_switch(bool defer) { defer_switch_ = defer; }
-  std::int64_t deferred_rounds() const { return deferred_rounds_; }
-  void replay_switch() {
-    switch_->advance(deferred_rounds_);
+  // The switch at the current round: replays any deferred rounds first.
+  SwitchProcess& synced_switch() {
+    if (deferred_rounds_ > 0) switch_->advance(deferred_rounds_);
     deferred_rounds_ = 0;
+    return *switch_;
   }
 
  private:
   CoinOracle coins_;
-  SwitchProcess* switch_;
+  std::unique_ptr<SwitchProcess> switch_;
   bool defer_switch_ = false;
   std::int64_t deferred_rounds_ = 0;
 };
 
-class ThreeColorMIS {
+class ThreeColorMIS final : public EngineProcess<ThreeColorRule> {
  public:
-  using Engine = ProcessEngine<ThreeColorRule>;
-
-  // Takes ownership of the switch, which must be freshly constructed (round
-  // 0) and built over the same graph. Throws std::invalid_argument on size
-  // mismatch or null/misaligned switch.
+  // Takes ownership of the switch (see ThreeColorRule). Throws
+  // std::invalid_argument on size mismatch or a null/misaligned switch.
   ThreeColorMIS(const Graph& g, std::vector<ColorG> init,
                 std::unique_ptr<SwitchProcess> sw, const CoinOracle& coins)
-      : switch_(std::move(sw)),
-        engine_(g, std::move(init), ThreeColorRule(coins, checked(switch_.get()))) {}
+      : EngineProcess(g, std::move(init), ThreeColorRule(coins, std::move(sw))) {}
 
   // Paper-default construction: randomized 6-state logarithmic switch with
   // zeta = 2^-7 and random initial levels.
@@ -133,104 +135,32 @@ class ThreeColorMIS {
   // many zero-gray rounds whose actives re-spawn grays immediately, and a
   // one-round defer/replay cycle is pure overhead). Post-stabilization
   // (grays drained) a round is O(1); trajectories are bit-identical.
-  void step() {
-    if (fast_forward_) {
-      ThreeColorRule& r = engine_.rule();
-      const bool quiet = engine_.worklist().empty();
-      if (!quiet && r.deferred_rounds() > 0) r.replay_switch();
-      r.set_defer_switch(quiet);
-    }
-    engine_.step();
-  }
-  std::int64_t round() const { return engine_.round(); }
-
-  const Graph& graph() const { return engine_.graph(); }
-  const std::vector<ColorG>& colors() const { return engine_.colors(); }
-  ColorG color(Vertex u) const { return engine_.color(u); }
-  bool black(Vertex u) const { return is_black(color(u)); }
-  bool gray(Vertex u) const { return color(u) == ColorG::kGray; }
-
-  Vertex black_neighbor_count(Vertex u) const { return engine_.counter(u, 0); }
-
-  // u takes a random transition next round (gray vertices never do).
-  bool active(Vertex u) const { return engine_.active(u); }
-
-  bool stable_black(Vertex u) const { return engine_.stable_black(u); }
-
-  // Stabilized ⟺ black set is an MIS: no black-black edge, and every
-  // non-black vertex (white *or* gray) has a black neighbor.
-  bool stabilized() const { return engine_.stabilized(); }
-
-  Vertex num_black() const { return engine_.color_count(ColorG::kBlack); }
-  Vertex num_gray() const { return engine_.color_count(ColorG::kGray); }
-  Vertex num_active() const { return engine_.num_active(); }
-  Vertex num_stable_black() const { return engine_.num_stable_black(); }
-  Vertex num_unstable() const { return engine_.num_unstable(); }
-
-  std::vector<Vertex> black_set() const;
-
-  // Exact-switch accessors: replay any deferred clock rounds first, so
-  // external reads (and fault injections via force_level) always see — and
-  // mutate — the logical round-aligned switch state.
-  const SwitchProcess& switch_process() const {
-    const_cast<ThreeColorMIS*>(this)->sync_switch();
-    return *switch_;
-  }
-  SwitchProcess& switch_process() {
-    sync_switch();
-    return *switch_;
-  }
-
-  // Combined per-vertex state count (3 colors x switch states).
-  int num_states() const { return 3 * switch_->num_states(); }
-
-  // Overwrites one vertex's color in O(deg(u)) (the pre-engine version did a
-  // full O(n + m) counter rebuild).
-  void force_color(Vertex u, ColorG c) { engine_.force_color(u, c); }
-
-  // Transient fault at u from 64 random bits: a random color and, when the
-  // switch is a phase clock (RandomizedLogSwitch, PhaseClockSwitch), a
-  // random clock level — the full per-vertex state. MisFamilyAdapter routes
-  // Process::inject_fault here.
-  bool inject_fault(Vertex u, std::uint64_t w);
+  void step() override;
 
   // Stable-periodic fast-forward toggle (on by default): for 3-color the
   // optimization is the lazy switch above — the engine side has no orbits
   // to declare (stable blacks and covered whites already leave the
   // worklist). Turning it off replays any deferred rounds, restoring exact
   // lockstep. Bit-identical trajectories either way.
-  void set_fast_forward(bool on) {
-    if (!on) {
-      sync_switch();
-      engine_.rule().set_defer_switch(false);
-    }
-    fast_forward_ = on;
-  }
-  bool fast_forward_enabled() const { return fast_forward_; }
-  std::int64_t deferred_switch_rounds() const {
-    return engine_.rule().deferred_rounds();
-  }
+  void set_fast_forward(bool on) override;
 
-  const Engine& engine() const { return engine_; }
+  // Transient fault at u from 64 random bits: a random color and, when the
+  // switch is a phase clock (RandomizedLogSwitch), a random clock level —
+  // the full per-vertex state.
+  bool inject_fault(Vertex u, std::uint64_t w) override;
+
+  // The engine snapshot plus Gamma_t, the gray count.
+  RoundStats snapshot() const override;
+
+  // Exact-switch accessors: replay any deferred clock rounds first, so
+  // external reads (and fault injections via force_level) always see — and
+  // mutate — the logical round-aligned switch state.
+  SwitchProcess& switch_process() { return engine_.rule().synced_switch(); }
+  const SwitchProcess& switch_process() const {
+    return const_cast<ThreeColorMIS*>(this)->switch_process();
+  }
 
  private:
-  static SwitchProcess* checked(SwitchProcess* sw) {
-    if (sw == nullptr)
-      throw std::invalid_argument("ThreeColorMIS: switch must not be null");
-    if (sw->round() != 0)
-      throw std::invalid_argument("ThreeColorMIS: switch must start at round 0");
-    return sw;
-  }
-
-  void sync_switch() {
-    ThreeColorRule& r = engine_.rule();
-    if (r.deferred_rounds() > 0) r.replay_switch();
-  }
-
-  // Declaration order matters: the engine's rule holds a raw pointer into
-  // `switch_`, which must outlive (and be constructed before) the engine.
-  std::unique_ptr<SwitchProcess> switch_;
-  Engine engine_;
   bool fast_forward_ = true;
 };
 

@@ -24,10 +24,11 @@
 // ("some neighbor is black", "some neighbor is black1").
 //
 // Implemented as an engine rule (core/engine.hpp) with two incrementally
-// maintained counters per vertex. The scheduled set is everything except
-// covered whites, so a round costs O(|scheduled| + sum deg(changed)) — on a
-// stabilized graph that is O(|MIS|) per round (the stable blacks keep
-// re-randomizing their black1/black0 representation by design).
+// maintained counters per vertex, run as an EngineProcess. The scheduled
+// set is everything except covered whites, so a round costs O(|scheduled|
+// + sum deg(changed)) — on a stabilized graph that is O(|MIS|) per round
+// (the stable blacks keep re-randomizing their black1/black0
+// representation by design).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +36,7 @@
 
 #include "core/color.hpp"
 #include "core/engine.hpp"
+#include "core/engine_process.hpp"
 #include "graph/graph.hpp"
 #include "rng/coin_oracle.hpp"
 
@@ -70,6 +72,7 @@ class ThreeStateRule {
   bool stable_black(Color3 c, Heard h) const {
     return is_black(c) && !h.has(kBlackNbr);
   }
+  bool in_mis(Color3 c) const { return is_black(c); }
 
   Color3 transition(Vertex u, Color3 c, Heard h, std::int64_t t) const {
     if (active(c, h))
@@ -98,64 +101,10 @@ class ThreeStateRule {
   CoinOracle coins_;
 };
 
-class ThreeStateMIS {
+class ThreeStateMIS final : public EngineProcess<ThreeStateRule> {
  public:
-  using Engine = ProcessEngine<ThreeStateRule>;
-
   ThreeStateMIS(const Graph& g, std::vector<Color3> init, const CoinOracle& coins)
-      : engine_(g, std::move(init), ThreeStateRule(coins)) {}
-
-  void step() { engine_.step(); }
-  std::int64_t round() const { return engine_.round(); }
-
-  const Graph& graph() const { return engine_.graph(); }
-  const std::vector<Color3>& colors() const { return engine_.colors(); }
-  Color3 color(Vertex u) const { return engine_.color(u); }
-  bool black(Vertex u) const { return is_black(color(u)); }
-
-  Vertex black_neighbor_count(Vertex u) const {
-    return engine_.counter(u, ThreeStateRule::kBlackNbr);
-  }
-  Vertex black1_neighbor_count(Vertex u) const {
-    return engine_.counter(u, ThreeStateRule::kBlack1Nbr);
-  }
-
-  // u takes the random {black1, black0} transition next round.
-  bool active(Vertex u) const { return engine_.active(u); }
-
-  // Zero violations ⟺ the black set is an MIS ⟺ stabilized.
-  bool stabilized() const { return engine_.stabilized(); }
-
-  bool stable_black(Vertex u) const { return engine_.stable_black(u); }
-
-  // Raw histogram sum: exact under fast-forward (the parked orbits stay
-  // within {black0, black1}) and O(1), so the per-round tracer never forces
-  // a periodic-set sync.
-  Vertex num_black() const {
-    return engine_.raw_color_count(Color3::kBlack0) +
-           engine_.raw_color_count(Color3::kBlack1);
-  }
-  Vertex num_active() const { return engine_.num_active(); }
-  Vertex num_stable_black() const { return engine_.num_stable_black(); }
-  Vertex num_unstable() const { return engine_.num_unstable(); }
-  Vertex num_gray() const { return 0; }
-
-  std::vector<Vertex> black_set() const;
-
-  // Overwrites one vertex's color in O(deg(u)) (the pre-engine version did a
-  // full O(n + m) counter rebuild).
-  void force_color(Vertex u, Color3 c) { engine_.force_color(u, c); }
-
-  // Stable-periodic fast-forward toggle (on by default; bit-identical
-  // trajectories either way — a pure throughput knob).
-  void set_fast_forward(bool on) { engine_.set_fast_forward(on); }
-  bool fast_forward_enabled() const { return engine_.fast_forward_enabled(); }
-  Vertex num_fast_forwarded() const { return engine_.num_fast_forwarded(); }
-
-  const Engine& engine() const { return engine_; }
-
- private:
-  Engine engine_;
+      : EngineProcess(g, std::move(init), ThreeStateRule(coins)) {}
 };
 
 }  // namespace ssmis

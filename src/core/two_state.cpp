@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/init.hpp"
-#include "core/process.hpp"
 #include "harness/registry.hpp"
 
 namespace ssmis {
@@ -68,26 +67,11 @@ std::shared_ptr<const std::vector<double>> make_priority_biases(
   return biases;
 }
 
-TwoStateRule TwoStateMIS::checked(const Graph& g, TwoStateRule rule) {
-  if (!rule.covers(g.num_vertices()))
+TwoStateMIS::TwoStateMIS(const Graph& g, std::vector<Color2> init,
+                         TwoStateRule rule)
+    : EngineProcess(g, std::move(init), std::move(rule)) {
+  if (!engine_.rule().covers(g.num_vertices()))
     throw std::invalid_argument("TwoStateMIS: bias table size != num_vertices");
-  return rule;
-}
-
-std::vector<Vertex> TwoStateMIS::black_set() const {
-  return engine_.select([this](Vertex u) { return black(u); });
-}
-
-std::vector<Vertex> TwoStateMIS::active_set() const {
-  return engine_.select([this](Vertex u) { return active(u); });
-}
-
-std::vector<Vertex> TwoStateMIS::stable_black_set() const {
-  return engine_.select([this](Vertex u) { return stable_black(u); });
-}
-
-std::vector<Vertex> TwoStateMIS::unstable_set() const {
-  return engine_.select([this](Vertex u) { return engine_.unstable(u); });
 }
 
 namespace {
@@ -96,8 +80,8 @@ std::unique_ptr<Process> make_two_state(const Graph& g,
                                         const ProtocolParams& params,
                                         TwoStateRule rule,
                                         const CoinOracle& coins) {
-  return std::make_unique<MisFamilyAdapter<TwoStateMIS>>(
-      TwoStateMIS(g, make_init2(g, params.init, coins), std::move(rule)));
+  return std::make_unique<TwoStateMIS>(g, make_init2(g, params.init, coins),
+                                       std::move(rule));
 }
 
 // Registry entries. The construction matches the pre-registry harness driver

@@ -21,10 +21,11 @@
 // stabilization almost sure; only the speed and the distribution over MISes
 // move.
 //
-// Implementation: a thin rule over ProcessEngine (core/engine.hpp). A round
-// costs O(|A_t| + sum of deg(u) over vertices that changed color), and all
-// trace aggregates (num_active, num_stable_black, num_unstable, ...) are
-// O(1) incrementally maintained reads.
+// Implementation: a thin rule over ProcessEngine (core/engine.hpp), run as
+// an EngineProcess (core/engine_process.hpp). A round costs O(|A_t| + sum
+// of deg(u) over vertices that changed color), and all trace aggregates
+// (num_active, num_stable_black, num_unstable, ...) are O(1) incrementally
+// maintained reads.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,7 @@
 
 #include "core/color.hpp"
 #include "core/engine.hpp"
+#include "core/engine_process.hpp"
 #include "graph/graph.hpp"
 #include "rng/coin_oracle.hpp"
 
@@ -67,6 +69,7 @@ class TwoStateRule {
   bool scheduled(Color2 c, Heard h) const { return active(c, h); }
   bool violating(Color2 c, Heard h) const { return active(c, h); }
   bool stable_black(Color2 c, Heard h) const { return is_black(c) && !h.has(0); }
+  bool in_mis(Color2 c) const { return is_black(c); }
 
   // Called only for active vertices.
   Color2 transition(Vertex u, Color2 c, Heard, std::int64_t t) const {
@@ -111,65 +114,15 @@ std::shared_ptr<const std::vector<double>> make_priority_biases(
     const Graph& g, const std::string& mode, double lo, double hi,
     std::uint64_t seed);
 
-class TwoStateMIS {
+class TwoStateMIS final : public EngineProcess<TwoStateRule> {
  public:
-  using Engine = ProcessEngine<TwoStateRule>;
-
-  // `init` must have size g.num_vertices(); the graph must outlive the
-  // process. Throws std::invalid_argument on size mismatch, including a
-  // bias table whose size is not g.num_vertices().
-  TwoStateMIS(const Graph& g, std::vector<Color2> init, TwoStateRule rule)
-      : engine_(g, std::move(init), checked(g, std::move(rule))) {}
+  // `init` must have size g.num_vertices(). Throws std::invalid_argument on
+  // size mismatch, including a bias table whose size is not
+  // g.num_vertices().
+  TwoStateMIS(const Graph& g, std::vector<Color2> init, TwoStateRule rule);
   // Definition 4: the fair coin.
   TwoStateMIS(const Graph& g, std::vector<Color2> init, const CoinOracle& coins)
       : TwoStateMIS(g, std::move(init), TwoStateRule(coins)) {}
-
-  // Executes one synchronous round (round counter advances by one).
-  void step() { engine_.step(); }
-
-  // Rounds executed so far; colors() is c_t with t = round().
-  std::int64_t round() const { return engine_.round(); }
-
-  const Graph& graph() const { return engine_.graph(); }
-  const std::vector<Color2>& colors() const { return engine_.colors(); }
-  Color2 color(Vertex u) const { return engine_.color(u); }
-  bool black(Vertex u) const { return is_black(color(u)); }
-
-  // Number of black neighbors of u (maintained incrementally).
-  Vertex black_neighbor_count(Vertex u) const { return engine_.counter(u, 0); }
-
-  // u ∈ A_t: u takes a random transition in the next round.
-  bool active(Vertex u) const { return engine_.active(u); }
-
-  // u ∈ I_t: stable black (black with no black neighbor).
-  bool stable_black(Vertex u) const { return engine_.stable_black(u); }
-
-  // |B_t|, |A_t|, |I_t|, |V_t| — all O(1), engine-maintained (the V_t count
-  // used to be an O(n + m) rescan per traced round).
-  Vertex num_black() const { return engine_.color_count(Color2::kBlack); }
-  Vertex num_active() const { return engine_.num_active(); }
-  Vertex num_stable_black() const { return engine_.num_stable_black(); }
-  Vertex num_unstable() const { return engine_.num_unstable(); }
-  Vertex num_gray() const { return 0; }  // uniform trace interface
-
-  std::vector<Vertex> black_set() const;
-  std::vector<Vertex> active_set() const;
-  std::vector<Vertex> stable_black_set() const;
-  std::vector<Vertex> unstable_set() const;
-
-  // Stabilized ⟺ A_t = ∅ ⟺ the black set is an MIS.
-  bool stabilized() const { return engine_.stabilized(); }
-
-  // Fault-injection / test hook: overwrite one vertex's color, keeping the
-  // internal counters consistent. Counts as a transient fault, not a round.
-  void force_color(Vertex u, Color2 c) { engine_.force_color(u, c); }
-
-  const Engine& engine() const { return engine_; }
-
- private:
-  static TwoStateRule checked(const Graph& g, TwoStateRule rule);
-
-  Engine engine_;
 };
 
 }  // namespace ssmis

@@ -34,7 +34,7 @@ bool is_mis(const Graph& g, const std::vector<Vertex>& members);
 std::optional<std::string> find_mis_violation(const Graph& g,
                                               const std::vector<char>& in_set);
 
-// Harness-side validity abort shared by every MIS-family Process adapter:
+// Harness-side validity abort of every MIS-family Process (EngineProcess):
 // throws std::logic_error naming the violation unless `claimed` is an MIS.
 void verify_mis_output(const Graph& g, const std::vector<Vertex>& claimed);
 

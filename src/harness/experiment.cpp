@@ -17,9 +17,9 @@ ProtocolParams params_for(const MeasureConfig& config) {
 // One trial: construct the protocol's process for `seed` via the registry,
 // run to stabilization or the horizon, and check the stabilized output's
 // validity. Thread-safe across concurrent calls with distinct seeds: the
-// graph is read-only and every process owns its state. Type erasure sits
-// here, at trial granularity — run() devirtualizes into the wrapper's hot
-// loop.
+// graph is read-only and every process owns its state. The run loop makes
+// one virtual call each to step(), stabilized() and round() per round
+// (core/process.hpp).
 RunResult run_one(const Graph& g, const MeasureConfig& config, std::uint64_t seed,
                   TraceMode mode) {
   const std::unique_ptr<Process> process =

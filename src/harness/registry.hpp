@@ -2,11 +2,11 @@
 //
 // Each rule's translation unit self-registers a factory (a static
 // `ProtocolRegistrar` constructed before main), so adding a workload is ONE
-// file: the rule + its wrapper (registered as MisFamilyAdapter<wrapper>, or
-// a MisProcessAdapter subclass for non-MIS output) + a registrar. The
-// harness, the shared `--protocol` CLI flag and the registry test suite all
-// enumerate `names()` — a new protocol reaches all of them with zero
-// scheduling or driver code.
+// file: the rule + its wrapper (an EngineProcess<Rule> subclass,
+// core/engine_process.hpp, which the factory builds directly) + a
+// registrar. The harness, the shared `--protocol` CLI flag and the registry
+// test suite all enumerate `names()` — a new protocol reaches all of them
+// with zero scheduling or driver code.
 //
 // Factories are pure: factory(graph, params, seed) builds a fresh process
 // whose entire trajectory is a function of (graph, params, seed). The

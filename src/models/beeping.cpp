@@ -20,8 +20,8 @@ BeepingNetwork::BeepingNetwork(const Graph& g, const BeepingAutomaton& automaton
                                std::vector<std::uint8_t> init,
                                const CoinOracle& coins,
                                bool sender_collision_detection)
-    : engine_(g, std::move(init),
-              BeepingRule(&automaton, coins, sender_collision_detection)) {}
+    : EngineProcess(g, std::move(init),
+                    BeepingRule(&automaton, coins, sender_collision_detection)) {}
 
 void BeepingNetwork::step() {
   // Broadcast accounting against the frozen states: exactly the MIS states
@@ -39,10 +39,6 @@ void BeepingNetwork::set_loss_probability(double p) {
   // The loss probability is part of the scheduling predicate (a lossy
   // carrier-sense bit can wake otherwise-quiescent states).
   engine_.notify_rule_changed();
-}
-
-std::vector<Vertex> BeepingNetwork::black_set() const {
-  return engine_.select([&](Vertex u) { return engine_.rule().in_mis(state(u)); });
 }
 
 }  // namespace ssmis

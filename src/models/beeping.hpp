@@ -20,13 +20,13 @@
 // scheduling; others run dense with identical semantics, since every coin is
 // a pure function of (seed, round, node, tag). The engine keeps the MIS
 // bookkeeping too — the violation count, I_t and V_t — so the network is an
-// MIS-family wrapper like TwoStateMIS (core/process.hpp, MisFamilyAdapter).
+// EngineProcess like TwoStateMIS (core/engine_process.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/engine_process.hpp"
 #include "graph/graph.hpp"
 #include "rng/coin_oracle.hpp"
 
@@ -125,10 +125,13 @@ class BeepingRule {
   std::vector<std::uint8_t> in_mis_;  // automaton_->in_mis, per state
 };
 
-class BeepingNetwork {
+// The network as a Process: an EngineProcess whose colors are the
+// automaton states (colors(), color(u)) and whose B_t is the nodes in MIS
+// states. stabilized() is the engine's O(1) "no violation", so it equals
+// is_mis(graph(), black_set()) with or without loss and sender collision
+// detection; the activity column A_t is the scheduled nodes.
+class BeepingNetwork final : public EngineProcess<BeepingRule> {
  public:
-  using Engine = ProcessEngine<BeepingRule>;
-
   // The automaton must outlive the network. Throws std::invalid_argument on
   // init size mismatch, states outside [0, num_states), or an automaton
   // that does not beep in exactly its MIS states.
@@ -143,35 +146,13 @@ class BeepingNetwork {
                  std::vector<std::uint8_t> init, const CoinOracle& coins,
                  bool sender_collision_detection = true);
 
-  void step();
-  std::int64_t round() const { return engine_.round(); }
-
-  const std::vector<std::uint8_t>& states() const { return engine_.colors(); }
-  std::uint8_t state(Vertex u) const { return engine_.color(u); }
-
-  // The MIS family's reads (core/runner.hpp, MisProcess): B_t is the nodes
-  // in MIS states, A_t the scheduled nodes; stabilized() is the engine's
-  // O(1) "no violation", so it equals is_mis(graph(), black_set()) with or
-  // without loss and sender collision detection.
-  std::vector<Vertex> black_set() const;
-  bool stabilized() const { return engine_.stabilized(); }
-  Vertex num_black() const {
-    return engine_.raw_color_count_if([this](std::uint8_t s) { return engine_.rule().in_mis(s); });
-  }
-  Vertex num_active() const { return engine_.num_active(); }
-  Vertex num_stable_black() const { return engine_.num_stable_black(); }
-  Vertex num_unstable() const { return engine_.num_unstable(); }
-  Vertex num_gray() const { return 0; }
+  // One round, counting the beeps sent in it.
+  void step() override;
 
   // Communication accounting for experiment E13: every node sends at most
   // one bit per round (beep or silence).
   std::int64_t total_beeps() const { return total_beeps_; }
   Vertex beeps_last_round() const { return beeps_last_round_; }
-
-  const Graph& graph() const { return engine_.graph(); }
-  bool sender_collision_detection() const {
-    return engine_.rule().sender_collision_detection();
-  }
 
   // Lossy-channel robustness knob: each round, each receiver's carrier-sense
   // bit is independently suppressed (heard -> silence) with this probability
@@ -183,21 +164,7 @@ class BeepingNetwork {
   void set_loss_probability(double p);
   double loss_probability() const { return engine_.rule().loss_probability(); }
 
-  // Stable-periodic fast-forward toggle: accepted for A/B symmetry with
-  // the other networks, but a no-op here — BeepingAutomaton declares no
-  // orbits (the 2-state family's stable states are quiescent, i.e. already
-  // off the worklist), so the engine compiles the machinery away.
-  void set_fast_forward(bool on) { engine_.set_fast_forward(on); }
-  bool fast_forward_enabled() const { return engine_.fast_forward_enabled(); }
-
-  // Fault-injection / test hook: overwrite one node's automaton state in
-  // O(deg(u)), keeping the beep counters consistent. Not a round.
-  void force_color(Vertex u, std::uint8_t s) { engine_.force_color(u, s); }
-
-  const Engine& engine() const { return engine_; }
-
  private:
-  Engine engine_;
   std::int64_t total_beeps_ = 0;
   Vertex beeps_last_round_ = 0;
 };

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/init.hpp"
-#include "core/process.hpp"
 #include "harness/registry.hpp"
 
 namespace ssmis {
@@ -92,22 +91,18 @@ namespace {
 // --- registry entries -------------------------------------------------------
 //
 // The network protocols run the MIS automata through the communication-model
-// simulators. The engine keeps the MIS bookkeeping for every rule, the
-// network rules included, so each network is an MIS-family wrapper and
-// registers through MisFamilyAdapter like the direct processes: the
-// engine's violation count is stabilized(), its coverage is settled(u), and
-// the run loop is the devirtualized one. The automata are stateless, so one
-// function-local instance outlives every network built from it.
+// simulators. Each network is an EngineProcess like the direct processes:
+// the engine's violation count is stabilized(), its coverage is settled(u).
+// The automata are stateless, so one function-local instance outlives every
+// network built from it.
 
 const ProtocolRegistrar kBeepingProtocol{
     "beeping",
     "the 2-state MIS automaton in the beeping model (1 bit/round; "
     "--proto-sender-cd=0 disables sender collision detection, "
-    "--proto-loss sets the carrier-sense loss rate, "
-    "--proto-fast-forward=0 disables stable-periodic fast-forward — a no-op "
-    "A/B knob here, the automaton declares no orbits); lossless runs are "
+    "--proto-loss sets the carrier-sense loss rate); lossless runs are "
     "bit-identical to 2state",
-    {"sender-cd", "loss", "fast-forward"},
+    {"sender-cd", "loss"},
     [](const Graph& g, const ProtocolParams& params, std::uint64_t seed) {
       static const TwoStateBeepAutomaton automaton;
       const CoinOracle coins(seed);
@@ -115,14 +110,12 @@ const ProtocolRegistrar kBeepingProtocol{
       std::vector<std::uint8_t> init(c2.size());
       for (std::size_t i = 0; i < c2.size(); ++i)
         init[i] = TwoStateBeepAutomaton::encode(c2[i]);
-      BeepingNetwork net(g, automaton, std::move(init), coins,
-                         params.get_bool("sender-cd", true));
+      auto p = std::make_unique<BeepingNetwork>(
+          g, automaton, std::move(init), coins, params.get_bool("sender-cd", true));
       // Unconditional: set_loss_probability validates the range, so a bad
       // --proto-loss (negative, NaN, >= 1) aborts instead of silently
       // running lossless.
-      net.set_loss_probability(params.get_double("loss", 0.0));
-      auto p = std::make_unique<MisFamilyAdapter<BeepingNetwork>>(std::move(net));
-      p->set_fast_forward(params.get_bool("fast-forward", true));
+      p->set_loss_probability(params.get_double("loss", 0.0));
       return p;
     }};
 
@@ -139,8 +132,7 @@ const ProtocolRegistrar kStoneAgeProtocol{
       std::vector<std::uint8_t> init(c3.size());
       for (std::size_t i = 0; i < c3.size(); ++i)
         init[i] = ThreeStateStoneAgeAutomaton::encode(c3[i]);
-      auto p = std::make_unique<MisFamilyAdapter<StoneAgeNetwork>>(
-          StoneAgeNetwork(g, automaton, std::move(init), coins));
+      auto p = std::make_unique<StoneAgeNetwork>(g, automaton, std::move(init), coins);
       p->set_fast_forward(params.get_bool("fast-forward", true));
       return p;
     }};

@@ -28,7 +28,7 @@ StoneAgeRule::StoneAgeRule(const StoneAgeAutomaton* automaton, const CoinOracle&
 StoneAgeNetwork::StoneAgeNetwork(const Graph& g, const StoneAgeAutomaton& automaton,
                                  std::vector<std::uint8_t> init,
                                  const CoinOracle& coins)
-    : engine_(g, std::move(init), StoneAgeRule(&automaton, coins)) {}
+    : EngineProcess(g, std::move(init), StoneAgeRule(&automaton, coins)) {}
 
 void StoneAgeNetwork::step() {
   // Broadcast accounting against the frozen states (histogram sum over the
@@ -42,10 +42,6 @@ void StoneAgeNetwork::step() {
   total_transmissions_ +=
       engine_.raw_color_count_if([&](std::uint8_t s) { return automaton.emit(s) >= 0; });
   engine_.step();
-}
-
-std::vector<Vertex> StoneAgeNetwork::black_set() const {
-  return engine_.select([&](Vertex u) { return engine_.rule().in_mis(state(u)); });
 }
 
 }  // namespace ssmis

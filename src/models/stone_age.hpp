@@ -16,14 +16,14 @@
 // re-evaluated. Automata that declare quiescent (state, heard-mask) pairs
 // get sparse scheduling; others run dense with identical semantics. The
 // engine keeps the MIS bookkeeping too — the violation count, I_t and V_t —
-// so the network is an MIS-family wrapper like ThreeStateMIS
-// (core/process.hpp, MisFamilyAdapter).
+// so the network is an EngineProcess like ThreeStateMIS
+// (core/engine_process.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/engine_process.hpp"
 #include "graph/graph.hpp"
 #include "rng/coin_oracle.hpp"
 
@@ -136,57 +136,28 @@ class StoneAgeRule {
   std::uint32_t mis_channels_ = 0;    // bit j: MIS states beep on channel j
 };
 
-class StoneAgeNetwork {
+// The network as a Process: an EngineProcess whose colors are the
+// automaton states (colors(), color(u)) and whose B_t is the nodes in MIS
+// states. stabilized() is the engine's O(1) "no violation", so it equals
+// is_mis(graph(), black_set()); the activity column A_t is the scheduled
+// nodes. Fast-forward (on by default) engages only for automata that
+// declare orbits; trajectories are bit-identical either way.
+class StoneAgeNetwork final : public EngineProcess<StoneAgeRule> {
  public:
-  using Engine = ProcessEngine<StoneAgeRule>;
-
-  // Throws std::invalid_argument on init size/state range violations and
-  // std::invalid_argument / std::logic_error on an automaton StoneAgeRule
-  // rejects.
+  // The automaton must outlive the network. Throws std::invalid_argument on
+  // init size/state range violations and std::invalid_argument /
+  // std::logic_error on an automaton StoneAgeRule rejects.
   StoneAgeNetwork(const Graph& g, const StoneAgeAutomaton& automaton,
                   std::vector<std::uint8_t> init, const CoinOracle& coins);
 
-  void step();
-  std::int64_t round() const { return engine_.round(); }
-
-  const std::vector<std::uint8_t>& states() const { return engine_.colors(); }
-  std::uint8_t state(Vertex u) const { return engine_.color(u); }
-
-  // The MIS family's reads (core/runner.hpp, MisProcess): B_t is the nodes
-  // in MIS states, A_t the scheduled nodes; stabilized() is the engine's
-  // O(1) "no violation", so it equals is_mis(graph(), black_set()).
-  std::vector<Vertex> black_set() const;
-  bool stabilized() const { return engine_.stabilized(); }
-  // Exact under fast-forward: orbits keep in_mis constant (the orbit
-  // contract in StoneAgeAutomaton).
-  Vertex num_black() const {
-    return engine_.raw_color_count_if([this](std::uint8_t s) { return engine_.rule().in_mis(s); });
-  }
-  Vertex num_active() const { return engine_.num_active(); }
-  Vertex num_stable_black() const { return engine_.num_stable_black(); }
-  Vertex num_unstable() const { return engine_.num_unstable(); }
-  Vertex num_gray() const { return 0; }
+  // One round, counting the transmissions sent in it.
+  void step() override;
 
   // Messages are letters from a constant alphabet: log2(channels+1) bits
   // of information per node per round.
   std::int64_t total_transmissions() const { return total_transmissions_; }
 
-  const Graph& graph() const { return engine_.graph(); }
-
-  // Stable-periodic fast-forward toggle (on by default; engages only for
-  // automata that declare orbits — bit-identical trajectories either way).
-  void set_fast_forward(bool on) { engine_.set_fast_forward(on); }
-  bool fast_forward_enabled() const { return engine_.fast_forward_enabled(); }
-  Vertex num_fast_forwarded() const { return engine_.num_fast_forwarded(); }
-
-  // Fault-injection / test hook: overwrite one node's automaton state in
-  // O(deg(u)), keeping the channel counters consistent. Not a round.
-  void force_color(Vertex u, std::uint8_t s) { engine_.force_color(u, s); }
-
-  const Engine& engine() const { return engine_; }
-
  private:
-  Engine engine_;
   std::int64_t total_transmissions_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <iostream>
 
 #include "support/thread_pool.hpp"
 
@@ -12,6 +13,13 @@ namespace {
 // Returns true if `s` looks like an option token (`--name` or `--name=value`).
 bool is_option(const std::string& s) {
   return s.size() > 2 && s[0] == '-' && s[1] == '-';
+}
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& expected,
+                            const std::string& value) {
+  std::cerr << "error: --" << name << ": expected " << expected << ", got '"
+            << value << "'\n";
+  std::exit(2);
 }
 
 }  // namespace
@@ -47,10 +55,17 @@ std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) co
   std::int64_t value = 0;
   const std::string& s = it->second;
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
-    errors_.push_back("--" + name + ": expected integer, got '" + s + "'");
-    return fallback;
-  }
+  if (ec != std::errc() || ptr != s.data() + s.size()) bad_value(name, "integer", s);
+  return value;
+}
+
+std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback,
+                              std::int64_t lo, std::int64_t hi) const {
+  const std::int64_t value = get_int(name, fallback);
+  if (value < lo || value > hi)
+    bad_value(name,
+              "integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]",
+              get_string(name, ""));
   return value;
 }
 
@@ -60,10 +75,7 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   const std::string& s = it->second;
   char* end = nullptr;
   double value = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
-    errors_.push_back("--" + name + ": expected number, got '" + s + "'");
-    return fallback;
-  }
+  if (end == s.c_str() || *end != '\0') bad_value(name, "number", s);
   return value;
 }
 
@@ -78,8 +90,7 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const std::string& s = it->second;
   if (s.empty() || s == "1" || s == "true" || s == "yes" || s == "on") return true;
   if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  errors_.push_back("--" + name + ": expected boolean, got '" + s + "'");
-  return fallback;
+  bad_value(name, "boolean", s);
 }
 
 bool CliArgs::has(const std::string& name) const {

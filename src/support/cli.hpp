@@ -1,8 +1,9 @@
 // Minimal command-line argument parsing for bench and example binaries.
 //
 // Supports `--name=value`, `--name value`, and boolean `--flag` forms.
-// Unknown arguments are collected and can be reported as errors, so that
-// typos in sweep parameters do not silently run the default configuration.
+// Unknown arguments are collected and can be reported as errors, and a
+// malformed value ends the program, so that typos in sweep parameters do
+// not silently run the default configuration.
 #pragma once
 
 #include <cstdint>
@@ -18,13 +19,18 @@ class CliArgs {
  public:
   CliArgs() = default;
 
-  // Parses argv[1..argc). Never throws; malformed numeric values surface when
-  // the typed accessor is called (falling back to the provided default and
-  // recording an error).
+  // Parses argv[1..argc). Never throws; malformed values surface when the
+  // typed accessor is called.
   static CliArgs parse(int argc, const char* const* argv);
 
-  // Typed accessors; return `fallback` when the option is absent.
+  // Typed accessors; return `fallback` when the option is absent. A value
+  // that does not parse prints `error: --NAME: expected ..., got '...'` to
+  // stderr and exits with status 2, like an unknown flag.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  // The same, restricted to [lo, hi]: an out-of-range value exits like a
+  // malformed one, naming the range.
+  std::int64_t get_int(const std::string& name, std::int64_t fallback,
+                       std::int64_t lo, std::int64_t hi) const;
   double get_double(const std::string& name, double fallback) const;
   std::string get_string(const std::string& name, const std::string& fallback) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
@@ -45,13 +51,9 @@ class CliArgs {
   // Positional (non --option) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  // Conversion failures accumulated by the typed accessors.
-  const std::vector<std::string>& errors() const { return errors_; }
-
  private:
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
-  mutable std::vector<std::string> errors_;
 };
 
 // The one parallel-runtime knob, parsed uniformly by every experiment and

@@ -67,8 +67,8 @@ TEST(Daemon, CentralDaemonActivatesOnePerStep) {
   DaemonMIS p(g, std::vector<Color2>(8, Color2::kBlack),
               std::make_unique<CentralDaemon>(31), coins);
   while (!p.stabilized()) {
-    const Vertex activated = p.step();
-    ASSERT_LE(activated, 1);
+    p.step();
+    ASSERT_LE(p.last_activations(), 1);
   }
   EXPECT_TRUE(is_mis(g, p.black_set()));
 }
@@ -89,7 +89,8 @@ TEST(Daemon, StabilizedStepIsNoOp) {
   DaemonMIS p(g, {Color2::kBlack, Color2::kWhite, Color2::kBlack},
               std::make_unique<SynchronousDaemon>(), CoinOracle(1));
   EXPECT_TRUE(p.stabilized());
-  EXPECT_EQ(p.step(), 0);
+  p.step();
+  EXPECT_EQ(p.last_activations(), 0);
   EXPECT_EQ(p.round(), 1);  // a step is counted even when nothing is enabled
   EXPECT_EQ(p.colors()[0], Color2::kBlack);
 }
@@ -100,8 +101,9 @@ TEST(Daemon, EnabledMatchesDefinitionFourActivity) {
                                     Color2::kWhite};
   DaemonMIS p(g, init, std::make_unique<SynchronousDaemon>(), CoinOracle(1));
   const TwoStateMIS reference(g, init, CoinOracle(1));
-  for (Vertex u = 0; u < 4; ++u) EXPECT_EQ(p.enabled(u), reference.active(u));
-  EXPECT_EQ(p.num_enabled(), reference.num_active());
+  for (Vertex u = 0; u < 4; ++u)
+    EXPECT_EQ(p.engine().scheduled(u), reference.engine().active(u));
+  EXPECT_EQ(p.engine().num_scheduled(), reference.num_active());
 }
 
 TEST(Daemon, NamesAreInformative) {

@@ -277,7 +277,7 @@ TEST(EngineInvariants, StoneAgeFastForwardOnOffAndFaults) {
         expect_engine_consistent(net.engine(), ctx(name.c_str(), g, 0));
         for (int round = 1; round <= 60; ++round) {
           if (mode == Mode::kToggled && round % 5 == 0)
-            net.set_fast_forward(!net.fast_forward_enabled());
+            net.set_fast_forward(!net.engine().fast_forward_enabled());
           net.step();
           expect_engine_consistent(net.engine(), ctx(name.c_str(), g, round));
           if (round % 9 == 0) {
@@ -516,7 +516,7 @@ TEST(CoverageOnDemand, LateFirstReadMatchesRoundZeroRead) {
   }
 }
 
-// The wrapper-level V_t set agrees too, for a 2-state twin built late.
+// The V_t set agrees too, for a 2-state twin built late.
 TEST(CoverageOnDemand, TwoStateUnstableSetAfterLateBuild) {
   const Graph g = gen::gnp(70, 0.07, 109);
   const CoinOracle coins(113);
@@ -535,7 +535,10 @@ TEST(CoverageOnDemand, TwoStateUnstableSetAfterLateBuild) {
       (void)early.num_unstable();
       continue;
     }
-    EXPECT_EQ(late.unstable_set(), early.unstable_set()) << "round " << round;
+    const auto unstable_set = [](const TwoStateMIS& p) {
+      return p.engine().select([&p](Vertex u) { return p.engine().unstable(u); });
+    };
+    EXPECT_EQ(unstable_set(late), unstable_set(early)) << "round " << round;
     EXPECT_EQ(late.num_unstable(), early.num_unstable()) << "round " << round;
   }
 }

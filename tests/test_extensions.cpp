@@ -124,8 +124,8 @@ TEST(NoCollisionDetection, TwoBlackNeighborsStuckForever) {
     // deafened beepers hear: the stuck network never reports stabilized.
     ASSERT_FALSE(net.stabilized()) << "round " << i + 1;
   }
-  EXPECT_EQ(net.state(0), TwoStateBeepAutomaton::kBlack);
-  EXPECT_EQ(net.state(1), TwoStateBeepAutomaton::kBlack);
+  EXPECT_EQ(net.color(0), TwoStateBeepAutomaton::kBlack);
+  EXPECT_EQ(net.color(1), TwoStateBeepAutomaton::kBlack);
   EXPECT_FALSE(is_mis(g, net.black_set()));
 }
 
@@ -149,8 +149,8 @@ TEST(NoCollisionDetection, ListenersUnaffected) {
   BeepingNetwork without_cd(g, automaton, {1, 0, 0}, CoinOracle(5), false);
   with_cd.step();
   without_cd.step();
-  EXPECT_EQ(with_cd.state(1), without_cd.state(1));
-  EXPECT_EQ(with_cd.state(2), without_cd.state(2));
+  EXPECT_EQ(with_cd.color(1), without_cd.color(1));
+  EXPECT_EQ(with_cd.color(2), without_cd.color(2));
 }
 
 TEST(RandomizedSequential, StabilizesUnderAllSchedulers) {

@@ -98,7 +98,7 @@ TEST(Integration, BeepingNetworkSurvivesFaultsViaUnderlyingProcess) {
   for (int i = 0; i < 300; ++i) net.step();
   // "Fault": rebuild the network from a half-corrupted snapshot, keeping
   // the same oracle (future coins unchanged).
-  std::vector<std::uint8_t> corrupted = net.states();
+  std::vector<std::uint8_t> corrupted = net.colors();
   for (Vertex u = 0; u < g.num_vertices(); u += 2)
     corrupted[static_cast<std::size_t>(u)] ^= 1;
   BeepingNetwork net2(g, automaton, corrupted, coins);
@@ -112,8 +112,7 @@ TEST(Integration, BeepingNetworkSurvivesFaultsViaUnderlyingProcess) {
 TEST(Integration, RepeatedFaultBurstsAlwaysReconverge) {
   const Graph g = gen::gnp(100, 0.06, 47);
   const CoinOracle coins(53);
-  MisFamilyAdapter<TwoStateMIS> p(
-      TwoStateMIS(g, make_init2(g, InitPattern::kUniformRandom, coins), coins));
+  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
   for (int burst = 0; burst < 5; ++burst) {
     const RunResult r = p.run(100000, TraceMode::kNone);
     ASSERT_TRUE(r.stabilized) << "burst " << burst;

@@ -36,7 +36,7 @@ TEST(Lossy, ZeroLossMatchesDirectProcess) {
   for (int i = 0; i < 100; ++i) {
     lossless.step();
     plain.step();
-    ASSERT_EQ(lossless.states(), plain.states());
+    ASSERT_EQ(lossless.colors(), plain.colors());
   }
 }
 

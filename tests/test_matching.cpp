@@ -78,7 +78,7 @@ TEST(LineGraph, PathAndTriangleAndStar) {
 
 // --- MaximalMatching -------------------------------------------------------
 
-TEST(MaximalMatchingProcess, StabilizesToValidMatchingAcrossFamilies) {
+TEST(MaximalMatching, StabilizesToValidMatchingAcrossFamilies) {
   for (std::uint64_t seed : {3ull, 4ull}) {
     for (const Graph& g :
          {gen::gnp(100, 0.05, seed), gen::complete(20), gen::cycle(5),
@@ -104,7 +104,7 @@ TEST(MaximalMatchingProcess, StabilizesToValidMatchingAcrossFamilies) {
   }
 }
 
-TEST(MaximalMatchingProcess, AdversarialInitsRecover) {
+TEST(MaximalMatching, AdversarialInitsRecover) {
   const Graph g = gen::gnp(60, 0.1, 7);
   for (InitPattern pattern : all_init_patterns()) {
     auto p = MaximalMatching::from_pattern(g, pattern, CoinOracle(11));
@@ -114,19 +114,19 @@ TEST(MaximalMatchingProcess, AdversarialInitsRecover) {
   }
 }
 
-TEST(MaximalMatchingProcess, EdgeFaultsRecover) {
+TEST(MaximalMatching, EdgeFaultsRecover) {
   const Graph g = gen::gnp(50, 0.1, 13);
   auto p = MaximalMatching::from_pattern(g, InitPattern::kAllWhite, CoinOracle(17));
   ASSERT_TRUE(run_until_stabilized(p, 500000).stabilized);
   // Claim every edge at vertex 0 and free every edge at vertex 1: both
   // corruptions must be repaired.
-  for (Vertex k : p.incident_edges(0)) p.force_edge(k, Color2::kBlack);
-  for (Vertex k : p.incident_edges(1)) p.force_edge(k, Color2::kWhite);
+  for (Vertex k : p.incident_edges(0)) p.force_color(k, Color2::kBlack);
+  for (Vertex k : p.incident_edges(1)) p.force_color(k, Color2::kWhite);
   ASSERT_TRUE(run_until_stabilized(p, 500000).stabilized);
   EXPECT_TRUE(is_maximal_matching(g, p.matching()));
 }
 
-TEST(MaximalMatchingProcess, SizeWithinTwoApproximationBand) {
+TEST(MaximalMatching, SizeWithinTwoApproximationBand) {
   // Any maximal matching is a 2-approximation of maximum: sizes across
   // seeds stay within [greedy/2, 2*greedy].
   const Graph g = gen::gnp(200, 0.03, 19);

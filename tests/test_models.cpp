@@ -67,7 +67,7 @@ TEST(BeepingEquivalence, TwoStateBitIdenticalOnSuite) {
       for (int round = 0; round < 200; ++round) {
         direct.step();
         net.step();
-        ASSERT_EQ(net.states(), encode2(direct.colors()))
+        ASSERT_EQ(net.colors(), encode2(direct.colors()))
             << g.summary() << " seed " << seed << " round " << round;
       }
     }
@@ -122,7 +122,7 @@ TEST(StoneAgeEquivalence, ThreeStateBitIdenticalOnSuite) {
       for (int round = 0; round < 200; ++round) {
         direct.step();
         net.step();
-        ASSERT_EQ(net.states(), encode3(direct.colors()))
+        ASSERT_EQ(net.colors(), encode3(direct.colors()))
             << g.summary() << " seed " << seed << " round " << round;
       }
     }
@@ -157,10 +157,10 @@ TEST(StoneAgeEquivalence, ThreeColorFullSystemBitIdentical) {
         // round until a read forces the (bit-identical) replay.
         sw = dynamic_cast<const RandomizedLogSwitch*>(&direct.switch_process());
         for (Vertex u = 0; u < g.num_vertices(); ++u) {
-          ASSERT_EQ(ThreeColorStoneAgeAutomaton::decode_color(net.state(u)),
+          ASSERT_EQ(ThreeColorStoneAgeAutomaton::decode_color(net.color(u)),
                     direct.color(u))
               << g.summary() << " seed " << seed << " round " << round << " u " << u;
-          ASSERT_EQ(ThreeColorStoneAgeAutomaton::decode_level(net.state(u)),
+          ASSERT_EQ(ThreeColorStoneAgeAutomaton::decode_level(net.color(u)),
                     sw->clock().level(u))
               << g.summary() << " seed " << seed << " round " << round << " u " << u;
         }

@@ -7,6 +7,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "reference_processes.hpp"
+#include "switch_doubles.hpp"
 
 namespace ssmis {
 namespace {
@@ -145,7 +146,7 @@ TEST(PhaseClock, ForceLevelValidation) {
 
 TEST(LogSwitch, SigmaMappingOnIffLevelAtMost2) {
   const Graph g = gen::path(6);
-  RandomizedLogSwitch sw(g, {0, 1, 2, 3, 4, 5}, CoinOracle(1));
+  RandomizedLogSwitch sw(PhaseClock(g, 3, {0, 1, 2, 3, 4, 5}, CoinOracle(1)));
   EXPECT_TRUE(sw.on(0));
   EXPECT_TRUE(sw.on(1));
   EXPECT_TRUE(sw.on(2));
@@ -235,9 +236,9 @@ TEST(DegenerateSwitches, AlwaysAndNever) {
   EXPECT_EQ(off.round(), 5);
 }
 
-TEST(PhaseClockSwitch, GeneralizedMapping) {
+TEST(LogSwitch, GeneralizedMapping) {
   const Graph g = gen::path(2);
-  PhaseClockSwitch sw(g, 2, CoinOracle(1));
+  RandomizedLogSwitch sw(PhaseClock::with_random_levels(g, 2, CoinOracle(1)));
   EXPECT_EQ(sw.num_states(), 5);
   sw.clock().force_level(0, 1);
   sw.clock().force_level(1, 2);

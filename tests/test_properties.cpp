@@ -98,9 +98,9 @@ TEST_P(ProcessProperty, TwoStateStabilityMonotone) {
     p.step();
     for (Vertex u = 0; u < graph().num_vertices(); ++u) {
       if (ever[static_cast<std::size_t>(u)]) {
-        ASSERT_TRUE(p.stable_black(u));
+        ASSERT_TRUE(p.engine().stable_black(u));
       }
-      if (p.stable_black(u)) ever[static_cast<std::size_t>(u)] = 1;
+      if (p.engine().stable_black(u)) ever[static_cast<std::size_t>(u)] = 1;
     }
     ASSERT_LE(p.num_unstable(), prev_unstable);
     prev_unstable = p.num_unstable();

@@ -213,6 +213,90 @@ TEST(Registry, CrossRepresentationBitIdentityForEveryProtocol) {
   }
 }
 
+// FNV-1a over everything the harness reads through Process, round by round:
+// each vertex's raw_state and settled, every snapshot() field, stabilized()
+// and output_set(). After steps 16 and 32 a fixed burst of 12 faults (its
+// vertices and words from CoinOracle(7)) hits the process, and the burst's
+// inject_fault return values are folded too.
+std::uint64_t process_surface_fingerprint(const std::string& name,
+                                          const ProtocolParams& params,
+                                          const Graph& g) {
+  const auto p = ProtocolRegistry::instance().make(name, g, params, 42);
+  const CoinOracle faults(7);
+  std::uint64_t h = kFnv1aBasis;
+  const auto fold = [&h](std::int64_t x) { h = fnv1a(h, &x, sizeof x); };
+  const auto fold_round = [&] {
+    for (Vertex u = 0; u < g.num_vertices(); ++u) {
+      fold(p->raw_state(u));
+      fold(p->settled(u));
+    }
+    const RoundStats s = p->snapshot();
+    for (const std::int64_t x :
+         {s.round, std::int64_t{s.black}, std::int64_t{s.active},
+          std::int64_t{s.stable_black}, std::int64_t{s.unstable},
+          std::int64_t{s.gray}})
+      fold(x);
+    fold(p->stabilized());
+    const std::vector<Vertex> out = p->output_set();
+    fold(static_cast<std::int64_t>(out.size()));
+    for (const Vertex u : out) fold(u);
+  };
+  fold_round();
+  for (int step = 1; step <= 48; ++step) {
+    p->step();
+    if (step == 16 || step == 32) {
+      for (Vertex i = 0; i < 12; ++i) {
+        const Vertex u = static_cast<Vertex>(
+            faults.word(step, i, CoinTag::kFault) %
+            static_cast<std::uint64_t>(g.num_vertices()));
+        fold(p->inject_fault(u, faults.word(step, i, CoinTag::kNoise)));
+      }
+    }
+    fold_round();
+  }
+  return h;
+}
+
+// The Process surface on the golden graph (gnp(96, 0.06, 5), seed 42, 48
+// steps): every registered protocol with default options, plus the
+// generalized switch and a lossy beeping channel. Captured at the commit
+// before the wrappers became EngineProcess subclasses; a refactor of the
+// output, settled, snapshot or fault paths must leave every constant put.
+TEST(Registry, ProcessSurfaceGoldenFingerprints) {
+  const Graph g = gen::gnp(96, 0.06, 5);
+  struct Case {
+    const char* name;
+    const char* key;  // one option, or nullptr for the defaults
+    const char* value;
+    std::uint64_t golden;
+  };
+  const Case cases[] = {
+      {"2state", nullptr, nullptr, 0x70356b3f22dfaeabULL},
+      {"2state-variant", nullptr, nullptr, 0xd5434a90011ccda5ULL},
+      {"3color", nullptr, nullptr, 0x92711239b387f2c3ULL},
+      {"3color", "switch-d", "2", 0x9f635b34f460d880ULL},
+      {"3state", nullptr, nullptr, 0x252d1e1092dc3dccULL},
+      {"beeping", nullptr, nullptr, 0x70356b3f22dfaeabULL},
+      {"beeping", "loss", "0.02", 0xc351ea5b6785abd8ULL},
+      {"daemon", nullptr, nullptr, 0x70356b3f22dfaeabULL},
+      {"matching", nullptr, nullptr, 0x69cb2e30f420e8bcULL},
+      {"priority", nullptr, nullptr, 0x61dfb4b50d2422b6ULL},
+      {"stoneage", nullptr, nullptr, 0x4f107e22ff195386ULL},
+  };
+  std::size_t defaults = 0;
+  for (const Case& c : cases) {
+    ProtocolParams params;
+    if (c.key != nullptr) params.set(c.key, c.value);
+    defaults += c.key == nullptr ? 1 : 0;
+    const std::uint64_t got = process_surface_fingerprint(c.name, params, g);
+    EXPECT_EQ(got, c.golden) << c.name << (c.key ? " " : "")
+                             << (c.key ? c.key : "") << ": got 0x" << std::hex
+                             << got;
+  }
+  // A protocol registered later needs its own row.
+  EXPECT_EQ(defaults, ProtocolRegistry::instance().names().size());
+}
+
 // Round-by-round comparison against inline transcriptions of the deleted
 // ProcessKind dispatch (the exact construction run_one used per kind).
 TEST(Registry, BitIdenticalToEnumEraDrivers) {
@@ -286,7 +370,8 @@ TEST(Registry, EveryProtocolConstructsAndDescribes) {
   for (const std::string& name : ProtocolRegistry::instance().names()) {
     const auto p = ProtocolRegistry::instance().make(name, g, params, 1);
     ASSERT_NE(p, nullptr) << name;
-    EXPECT_EQ(&p->graph(), &g) << name;
+    // The process runs on g itself: its graph handle shares g's storage.
+    EXPECT_EQ(p->graph().adjacency().data(), g.adjacency().data()) << name;
     EXPECT_EQ(p->round(), 0) << name;
     EXPECT_GE(p->num_colors(), 2) << name;
     const RoundStats s = p->snapshot();
@@ -383,6 +468,12 @@ TEST(Registry, UnknownProtocolOptionThrowsListingValidOnes) {
   ProtocolParams stray;
   stray.set("loss", "0.1");
   EXPECT_THROW(ProtocolRegistry::instance().make("2state", g, stray, 1),
+               std::invalid_argument);
+  // beeping declares no fast-forward knob: its automaton has no orbits, so
+  // the setting would do nothing.
+  ProtocolParams ff;
+  ff.set("fast-forward", "0");
+  EXPECT_THROW(ProtocolRegistry::instance().make("beeping", g, ff, 1),
                std::invalid_argument);
 }
 

@@ -70,7 +70,7 @@ TEST(Runner, SnapshotReflectsProcess) {
   const Graph g = gen::path(4);
   TwoStateMIS p(g, {Color2::kBlack, Color2::kWhite, Color2::kBlack, Color2::kWhite},
                 CoinOracle(1));
-  const RoundStats s = snapshot(p);
+  const RoundStats s = p.snapshot();
   EXPECT_EQ(s.black, 2);
   EXPECT_EQ(s.active, 0);
   EXPECT_EQ(s.stable_black, 2);
@@ -89,8 +89,7 @@ TEST(Runner, TraceCsvFormat) {
 TEST(Faults, TwoStateRecoversFromCorruption) {
   const Graph g = gen::gnp(60, 0.1, 11);
   const CoinOracle coins(13);
-  MisFamilyAdapter<TwoStateMIS> p(
-      TwoStateMIS(g, make_init2(g, InitPattern::kUniformRandom, coins), coins));
+  TwoStateMIS p(g, make_init2(g, InitPattern::kUniformRandom, coins), coins);
   RunResult r = p.run(50000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
   const auto report = inject_faults(p, 0.5, /*salt=*/1);
@@ -104,8 +103,7 @@ TEST(Faults, TwoStateRecoversFromCorruption) {
 TEST(Faults, ThreeStateRecovers) {
   const Graph g = gen::gnp(60, 0.1, 17);
   const CoinOracle coins(19);
-  MisFamilyAdapter<ThreeStateMIS> p(
-      ThreeStateMIS(g, make_init3(g, InitPattern::kAllWhite, coins), coins));
+  ThreeStateMIS p(g, make_init3(g, InitPattern::kAllWhite, coins), coins);
   RunResult r = p.run(50000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
   inject_faults(p, 0.4, 2);
@@ -131,57 +129,53 @@ int count_changed(const std::vector<int>& a, const std::vector<int>& b) {
 TEST(Faults, ThreeColorRecoversIncludingClockCorruption) {
   const Graph g = gen::gnp(50, 0.2, 23);
   const CoinOracle coins(29);
-  MisFamilyAdapter<ThreeColorMIS> p(ThreeColorMIS::with_randomized_switch(
-      g, make_init_g(g, InitPattern::kUniformRandom, coins), coins));
+  auto p = ThreeColorMIS::with_randomized_switch(
+      g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
   RunResult r = p.run(100000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
-  const std::vector<int> before = clock_levels(p.impl());
+  const std::vector<int> before = clock_levels(p);
   inject_faults(p, 0.5, 3);
-  EXPECT_GT(count_changed(before, clock_levels(p.impl())), 0);
+  EXPECT_GT(count_changed(before, clock_levels(p)), 0);
   r = p.run(100000, TraceMode::kNone);
   ASSERT_TRUE(r.stabilized);
   EXPECT_TRUE(is_mis(g, p.output_set()));
 }
 
 // A 3-color fault corrupts the switch whichever way the process is built:
-// the adapter over a directly built ThreeColorMIS and the registry's
-// `3color` take the same faults from the same seed, and end identical.
+// a directly built ThreeColorMIS and the registry's `3color` take the same
+// faults from the same seed, and end identical.
 TEST(Faults, ThreeColorFaultCorruptsTheClockWhicheverWayBuilt) {
   const Graph g = gen::gnp(200, 0.05, 31);
   const std::uint64_t seed = 37;
   const CoinOracle coins(seed);
-  MisFamilyAdapter<ThreeColorMIS> direct(ThreeColorMIS::with_randomized_switch(
-      g, make_init_g(g, InitPattern::kUniformRandom, coins), coins));
+  auto direct = ThreeColorMIS::with_randomized_switch(
+      g, make_init_g(g, InitPattern::kUniformRandom, coins), coins);
   const auto registry_process =
       ProtocolRegistry::instance().make("3color", g, ProtocolParams(), seed);
-  auto& registered =
-      dynamic_cast<MisFamilyAdapter<ThreeColorMIS>&>(*registry_process);
-  for (MisFamilyAdapter<ThreeColorMIS>* p : {&direct, &registered}) {
+  auto& registered = dynamic_cast<ThreeColorMIS&>(*registry_process);
+  for (ThreeColorMIS* p : {&direct, &registered}) {
     for (int i = 0; i < 20; ++i) p->step();
-    const std::vector<int> before = clock_levels(p->impl());
+    const std::vector<int> before = clock_levels(*p);
     EXPECT_EQ(inject_faults(*p, 1.0, 5).corrupted, g.num_vertices());
-    EXPECT_GT(count_changed(before, clock_levels(p->impl())),
-              g.num_vertices() / 2);
+    EXPECT_GT(count_changed(before, clock_levels(*p)), g.num_vertices() / 2);
     ASSERT_TRUE(p->run(100000, TraceMode::kNone).stabilized);
   }
-  EXPECT_EQ(direct.impl().colors(), registered.impl().colors());
-  EXPECT_EQ(clock_levels(direct.impl()), clock_levels(registered.impl()));
+  EXPECT_EQ(direct.colors(), registered.colors());
+  EXPECT_EQ(clock_levels(direct), clock_levels(registered));
   EXPECT_EQ(direct.round(), registered.round());
 }
 
 TEST(Faults, ZeroFractionCorruptsNothing) {
   const Graph g = gen::path(10);
   const CoinOracle coins(31);
-  MisFamilyAdapter<TwoStateMIS> p(
-      TwoStateMIS(g, make_init2(g, InitPattern::kAllWhite, coins), coins));
+  TwoStateMIS p(g, make_init2(g, InitPattern::kAllWhite, coins), coins);
   EXPECT_EQ(inject_faults(p, 0.0, 1).corrupted, 0);
 }
 
 TEST(Faults, FullFractionTouchesEveryVertex) {
   const Graph g = gen::path(10);
   const CoinOracle coins(37);
-  MisFamilyAdapter<TwoStateMIS> p(
-      TwoStateMIS(g, make_init2(g, InitPattern::kAllWhite, coins), coins));
+  TwoStateMIS p(g, make_init2(g, InitPattern::kAllWhite, coins), coins);
   EXPECT_EQ(inject_faults(p, 1.0, 1).corrupted, 10);
 }
 

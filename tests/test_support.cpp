@@ -43,16 +43,31 @@ TEST(Cli, FallbacksWhenAbsent) {
   EXPECT_EQ(args.get_string("s", "dflt"), "dflt");
 }
 
-TEST(Cli, MalformedIntRecordsError) {
+// A malformed value ends the program with status 2, naming the flag and
+// the value, instead of running the default.
+TEST(Cli, MalformedIntExits) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto args = parse({"--n=abc"});
-  EXPECT_EQ(args.get_int("n", 7), 7);
-  EXPECT_FALSE(args.errors().empty());
+  EXPECT_EXIT(args.get_int("n", 7), ::testing::ExitedWithCode(2),
+              "error: --n: expected integer, got 'abc'");
+  EXPECT_EXIT(args.get_bool("n"), ::testing::ExitedWithCode(2),
+              "error: --n: expected boolean, got 'abc'");
 }
 
-TEST(Cli, MalformedDoubleRecordsError) {
+TEST(Cli, MalformedDoubleExits) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto args = parse({"--p=zz"});
-  EXPECT_DOUBLE_EQ(args.get_double("p", 0.5), 0.5);
-  EXPECT_FALSE(args.errors().empty());
+  EXPECT_EXIT(args.get_double("p", 0.5), ::testing::ExitedWithCode(2),
+              "error: --p: expected number, got 'zz'");
+}
+
+TEST(Cli, OutOfRangeIntExits) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto args = parse({"--trials=-3", "--seed=9"});
+  EXPECT_EXIT(args.get_int("trials", 30, 1, 1000), ::testing::ExitedWithCode(2),
+              "error: --trials: expected integer in \\[1, 1000\\], got '-3'");
+  EXPECT_EQ(args.get_int("seed", 1, 1, 1000), 9);
+  EXPECT_EQ(args.get_int("absent", 5, 1, 1000), 5);
 }
 
 TEST(Cli, PositionalArguments) {

@@ -6,6 +6,7 @@
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
 #include "reference_processes.hpp"
+#include "switch_doubles.hpp"
 
 namespace ssmis {
 namespace {
@@ -40,7 +41,8 @@ TEST(ThreeColor, EighteenStatesWithRandomizedSwitch) {
   const Graph g = gen::path(4);
   const CoinOracle coins(1);
   auto p = ThreeColorMIS::with_randomized_switch(g, colors_of("wwww", 4), coins);
-  EXPECT_EQ(p.num_states(), 18);  // Theorem 3's state count
+  // Theorem 3's state count: 3 colors x 6 switch states.
+  EXPECT_EQ(p.num_colors() * p.switch_process().num_states(), 18);
 }
 
 TEST(ThreeColor, GrayTurnsWhiteWhenSwitchOn) {
@@ -78,8 +80,8 @@ TEST(ThreeColor, GrayIsTreatedAsNonBlackByNeighbors) {
   const Graph g = gen::path(2);
   const ThreeColorMIS p(g, colors_of("gw", 2), std::make_unique<NeverOnSwitch>(),
                         CoinOracle(1));
-  EXPECT_TRUE(p.active(1));
-  EXPECT_FALSE(p.active(0));  // gray never active
+  EXPECT_TRUE(p.engine().active(1));
+  EXPECT_FALSE(p.engine().active(0));  // gray never active
 }
 
 TEST(ThreeColor, StabilizationRequiresGrayCoverage) {
@@ -184,7 +186,7 @@ TEST(ThreeColor, Lemma29GrayImpliesRecentlyActiveBlack) {
     std::vector<bool> was_active_black(40);
     for (Vertex u = 0; u < 40; ++u)
       was_active_black[static_cast<std::size_t>(u)] =
-          before[static_cast<std::size_t>(u)] == ColorG::kBlack && p.active(u);
+          before[static_cast<std::size_t>(u)] == ColorG::kBlack && p.engine().active(u);
     p.step();
     for (Vertex u = 0; u < 40; ++u) {
       const bool newly_gray = p.color(u) == ColorG::kGray &&
@@ -200,9 +202,9 @@ TEST(ThreeColor, GrayCountTracked) {
   const Graph g = gen::path(5);
   ThreeColorMIS p(g, colors_of("ggbww", 5), std::make_unique<NeverOnSwitch>(),
                   CoinOracle(1));
-  EXPECT_EQ(p.num_gray(), 2);
+  EXPECT_EQ(p.snapshot().gray, 2);
   p.force_color(0, ColorG::kWhite);
-  EXPECT_EQ(p.num_gray(), 1);
+  EXPECT_EQ(p.snapshot().gray, 1);
 }
 
 TEST(ThreeColor, WithNeverOnSwitchGrayAbsorbs) {

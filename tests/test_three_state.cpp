@@ -32,13 +32,13 @@ TEST(ThreeState, ActivePredicateDefinition5) {
   const Graph g = gen::path(4);  // 0-1-2-3
   const ThreeStateMIS p(g, colors_of("10ww", 4), CoinOracle(1));
   // 0 = black1: always active.
-  EXPECT_TRUE(p.active(0));
+  EXPECT_TRUE(p.engine().active(0));
   // 1 = black0 with black1 neighbor: NOT active (will turn white).
-  EXPECT_FALSE(p.active(1));
+  EXPECT_FALSE(p.engine().active(1));
   // 2 = white with black neighbor (vertex 1 is black0): not active.
-  EXPECT_FALSE(p.active(2));
+  EXPECT_FALSE(p.engine().active(2));
   // 3 = white with all-white neighborhood: active.
-  EXPECT_TRUE(p.active(3));
+  EXPECT_TRUE(p.engine().active(3));
 }
 
 TEST(ThreeState, Black0WithBlack1NeighborTurnsWhite) {
@@ -154,7 +154,7 @@ TEST(ThreeState, CountsConsistent) {
     EXPECT_EQ(static_cast<std::size_t>(p.num_black()), p.black_set().size());
     Vertex active = 0;
     for (Vertex u = 0; u < 35; ++u)
-      if (p.active(u)) ++active;
+      if (p.engine().active(u)) ++active;
     EXPECT_EQ(p.num_active(), active);
     p.step();
   }
@@ -166,8 +166,8 @@ TEST(ThreeState, ForceColorRebuildsCounters) {
   EXPECT_TRUE(p.stabilized());
   p.force_color(1, Color3::kBlack0);
   EXPECT_FALSE(p.stabilized());
-  EXPECT_EQ(p.black1_neighbor_count(1), 2);
-  EXPECT_EQ(p.black_neighbor_count(0), 1);
+  EXPECT_EQ(p.engine().counter(1, ThreeStateRule::kBlack1Nbr), 2);
+  EXPECT_EQ(p.engine().counter(0, ThreeStateRule::kBlackNbr), 1);
 }
 
 TEST(ThreeState, RemarkTenCliqueNoEmptyBlackSetOnceBlack) {

@@ -26,19 +26,19 @@ TEST(TwoState, InitSizeMismatchThrows) {
 TEST(TwoState, ActivePredicateDefinition4) {
   const Graph g = gen::path(4);  // 0-1-2-3
   const TwoStateMIS p(g, colors_of("bbww", 4), CoinOracle(1));
-  EXPECT_TRUE(p.active(0));   // black with black neighbor
-  EXPECT_TRUE(p.active(1));   // black with black neighbor
-  EXPECT_FALSE(p.active(2));  // white with black neighbor 1
-  EXPECT_TRUE(p.active(3));   // white with no black neighbor
+  EXPECT_TRUE(p.engine().active(0));   // black with black neighbor
+  EXPECT_TRUE(p.engine().active(1));   // black with black neighbor
+  EXPECT_FALSE(p.engine().active(2));  // white with black neighbor 1
+  EXPECT_TRUE(p.engine().active(3));   // white with no black neighbor
 }
 
 TEST(TwoState, BlackNeighborCountsMaintained) {
   const Graph g = gen::star(5);
   TwoStateMIS p(g, colors_of("wbbbb", 5), CoinOracle(2));
-  EXPECT_EQ(p.black_neighbor_count(0), 4);
-  EXPECT_EQ(p.black_neighbor_count(1), 0);
+  EXPECT_EQ(p.engine().counter(0, 0), 4);
+  EXPECT_EQ(p.engine().counter(1, 0), 0);
   p.force_color(1, Color2::kWhite);
-  EXPECT_EQ(p.black_neighbor_count(0), 3);
+  EXPECT_EQ(p.engine().counter(0, 0), 3);
 }
 
 TEST(TwoState, StableConfigurationIsFixedPoint) {
@@ -98,7 +98,7 @@ TEST(TwoState, NonActiveVerticesNeverChange) {
   for (int i = 0; i < 100; ++i) {
     const auto before = p.colors();
     std::vector<bool> was_active(30);
-    for (Vertex u = 0; u < 30; ++u) was_active[static_cast<std::size_t>(u)] = p.active(u);
+    for (Vertex u = 0; u < 30; ++u) was_active[static_cast<std::size_t>(u)] = p.engine().active(u);
     p.step();
     for (Vertex u = 0; u < 30; ++u) {
       if (!was_active[static_cast<std::size_t>(u)]) {
@@ -116,9 +116,9 @@ TEST(TwoState, StableBlackPersists) {
   for (int i = 0; i < 200; ++i) {
     for (Vertex u = 0; u < 30; ++u) {
       if (ever_stable[static_cast<std::size_t>(u)]) {
-        ASSERT_TRUE(p.stable_black(u)) << "stable black vertex " << u << " regressed";
+        ASSERT_TRUE(p.engine().stable_black(u)) << "stable black vertex " << u << " regressed";
       }
-      if (p.stable_black(u)) ever_stable[static_cast<std::size_t>(u)] = 1;
+      if (p.engine().stable_black(u)) ever_stable[static_cast<std::size_t>(u)] = 1;
     }
     p.step();
   }
@@ -143,9 +143,13 @@ TEST(TwoState, CountsAgreeWithSets) {
   TwoStateMIS p(g, make_init2(g, InitPattern::kAlternating, coins), coins);
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(static_cast<std::size_t>(p.num_black()), p.black_set().size());
-    EXPECT_EQ(static_cast<std::size_t>(p.num_active()), p.active_set().size());
-    EXPECT_EQ(static_cast<std::size_t>(p.num_stable_black()), p.stable_black_set().size());
-    EXPECT_EQ(static_cast<std::size_t>(p.num_unstable()), p.unstable_set().size());
+    const auto& e = p.engine();
+    EXPECT_EQ(static_cast<std::size_t>(p.num_active()),
+              e.select([&](Vertex u) { return e.active(u); }).size());
+    EXPECT_EQ(static_cast<std::size_t>(p.num_stable_black()),
+              e.select([&](Vertex u) { return e.stable_black(u); }).size());
+    EXPECT_EQ(static_cast<std::size_t>(p.num_unstable()),
+              e.select([&](Vertex u) { return e.unstable(u); }).size());
     p.step();
   }
 }
@@ -221,7 +225,7 @@ TEST(TwoState, LemmaSixShapeOnStar) {
   for (int trial = 0; trial < trials; ++trial) {
     TwoStateMIS p(g, colors_of("bb", 2), CoinOracle(1000 + trial));
     p.step();  // round 1: both active -> both resample
-    if (p.stable_black(0)) ++stable_quickly;
+    if (p.engine().stable_black(0)) ++stable_quickly;
   }
   // P[vertex 0 black, vertex 1 white after one round] = 1/4 >= (2e*1)^-1 ≈ 0.18.
   EXPECT_GT(stable_quickly, trials / 5);

@@ -51,7 +51,7 @@ TEST(TwoStateVariant, ActivePredicateMatchesBaseProcess) {
                                     Color2::kWhite};
   const TwoStateMIS v(g, init, TwoStateRule(CoinOracle(1), 0.5, false));
   const TwoStateMIS base(g, init, CoinOracle(1));
-  for (Vertex u = 0; u < 4; ++u) EXPECT_EQ(v.active(u), base.active(u));
+  for (Vertex u = 0; u < 4; ++u) EXPECT_EQ(v.engine().active(u), base.engine().active(u));
 }
 
 TEST(TwoStateVariant, StabilizesToMisForAllBiases) {
@@ -128,7 +128,7 @@ TEST(TwoStateVariant, CountsConsistentWithSets) {
     EXPECT_EQ(static_cast<std::size_t>(p.num_black()), p.black_set().size());
     Vertex active = 0;
     for (Vertex u = 0; u < 40; ++u)
-      if (p.active(u)) ++active;
+      if (p.engine().active(u)) ++active;
     EXPECT_EQ(p.num_active(), active);
     p.step();
   }

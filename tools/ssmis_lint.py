@@ -38,7 +38,8 @@ fingerprint mismatch would catch. Four rules:
       A trajectory is a pure function of each vertex's (color, hearing) and
       the counter-based coins only if the rule callbacks the engine invokes
       (transition / scheduled / contribution / active / violating /
-      stable_black / fast_forwardable / orbit_color) keep no state. The
+      stable_black / in_mis / fast_forwardable / orbit_color) keep no
+      state. The
       engine re-evaluates a vertex's predicates only when its color or what
       it hears changed, so a callback that mutates the rule would make the
       trajectory depend on how often the engine happens to call it. A
@@ -126,6 +127,7 @@ R4_CONST_CALLBACKS = {
     "active",
     "violating",
     "stable_black",
+    "in_mis",
     "fast_forwardable",
     "orbit_color",
 }
