@@ -170,7 +170,8 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
   }
   ctx.trials = static_cast<int>(ctx.args.get_int(
       "trials", default_trials, 1, std::numeric_limits<int>::max()));
-  ctx.seed = static_cast<std::uint64_t>(ctx.args.get_int("seed", 1));
+  ctx.seed = static_cast<std::uint64_t>(
+      ctx.args.get_int("seed", 1, 0, std::numeric_limits<std::int64_t>::max()));
   ctx.scale = ctx.args.get_double("scale", 1.0);
   ctx.threads = parse_threads(ctx.args);
   ctx.protocol = default_protocol;

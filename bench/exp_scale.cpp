@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "bench_common.hpp"
@@ -60,8 +61,16 @@ int main(int argc, char** argv) {
       {"n", "p", "avg-deg", "max-rounds", "save", "compress-chunk",
        "post-rounds"});  // load = timed stage below
 
-  const Vertex n = static_cast<Vertex>(
-      static_cast<double>(ctx.args.get_int("n", 2000000)) * ctx.scale);
+  constexpr Vertex kMaxVertices = std::numeric_limits<Vertex>::max();
+  constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
+  const double scaled_n =
+      static_cast<double>(ctx.args.get_int("n", 2000000, 0, kMaxVertices)) * ctx.scale;
+  if (!(scaled_n >= 0 && scaled_n <= kMaxVertices)) {
+    std::cerr << "error: --n: expected --n times --scale in [0, " << kMaxVertices
+              << "], got " << scaled_n << "\n";
+    return 2;
+  }
+  const Vertex n = static_cast<Vertex>(scaled_n);
   const double avg_deg = ctx.args.get_double("avg-deg", 8.0);
   const double p =
       ctx.args.get_double("p", n > 1 ? avg_deg / static_cast<double>(n - 1) : 0.0);
@@ -90,7 +99,7 @@ int main(int argc, char** argv) {
     const auto start = Clock::now();
     g = ctx.compress_graphs
             ? gen::gnp_compressed(n, p, ctx.seed,
-                                  ctx.args.get_int("compress-chunk", 0))
+                                  ctx.args.get_int("compress-chunk", 0, 0, kMaxInt64))
             : gen::gnp(n, p, ctx.seed);
     const double secs = seconds_since(start);
     const double eps = secs > 0 ? static_cast<double>(g.num_edges()) / secs : 0.0;
@@ -159,7 +168,7 @@ int main(int argc, char** argv) {
     auto process = ProtocolRegistry::instance().make(
         ctx.protocol, g, with_init(ctx.proto_params, InitPattern::kUniformRandom),
         ctx.seed + 1);
-    const std::int64_t max_rounds = ctx.args.get_int("max-rounds", 1000000);
+    const std::int64_t max_rounds = ctx.args.get_int("max-rounds", 1000000, 0, kMaxInt64);
     const RunResult r = process->run(max_rounds, TraceMode::kNone);
     const double secs = seconds_since(start);
     table.begin_row();
@@ -189,7 +198,7 @@ int main(int argc, char** argv) {
     // covered grays survive: until the last gray's own switch fires, the
     // 3-color rule cannot defer its switch, so the early rounds pay the
     // full pre-optimization cost and only the tail shows the steady state.
-    const std::int64_t post_rounds = ctx.args.get_int("post-rounds", 0);
+    const std::int64_t post_rounds = ctx.args.get_int("post-rounds", 0, 0, kMaxInt64);
     if (post_rounds > 0) {
       const std::int64_t half = post_rounds / 2;
       const auto post_start = Clock::now();

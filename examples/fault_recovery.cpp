@@ -5,6 +5,7 @@
 //
 //   ./fault_recovery [--n=300] [--p=0.03] [--bursts=5] [--fraction=0.4]
 #include <iostream>
+#include <limits>
 
 #include "core/faults.hpp"
 #include "core/init.hpp"
@@ -20,11 +21,14 @@ using namespace ssmis;
 
 int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
-  const Vertex n = static_cast<Vertex>(args.get_int("n", 300));
+  const Vertex n = static_cast<Vertex>(
+      args.get_int("n", 300, 0, std::numeric_limits<Vertex>::max()));
   const double p = args.get_double("p", 0.03);
-  const int bursts = static_cast<int>(args.get_int("bursts", 5));
+  const int bursts =
+      static_cast<int>(args.get_int("bursts", 5, 0, std::numeric_limits<int>::max()));
   const double fraction = args.get_double("fraction", 0.4);
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+  const std::uint64_t seed = static_cast<std::uint64_t>(
+      args.get_int("seed", 5, 0, std::numeric_limits<std::int64_t>::max()));
 
   const Graph g = gen::gnp(n, p, seed);
   std::cout << "graph: " << g.summary() << "\n";

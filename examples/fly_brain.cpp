@@ -11,6 +11,7 @@
 //
 //   ./fly_brain [--rows=24] [--cols=24] [--seed=11]
 #include <iostream>
+#include <limits>
 
 #include "core/verify.hpp"
 #include "graph/builder.hpp"
@@ -42,9 +43,11 @@ Graph epithelium(Vertex rows, Vertex cols) {
 
 int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
-  const Vertex rows = static_cast<Vertex>(args.get_int("rows", 24));
-  const Vertex cols = static_cast<Vertex>(args.get_int("cols", 24));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
+  // 46340^2 < 2^31: rows * cols stays a Vertex.
+  const Vertex rows = static_cast<Vertex>(args.get_int("rows", 24, 1, 46340));
+  const Vertex cols = static_cast<Vertex>(args.get_int("cols", 24, 1, 46340));
+  const std::uint64_t seed = static_cast<std::uint64_t>(
+      args.get_int("seed", 11, 0, std::numeric_limits<std::int64_t>::max()));
 
   const Graph tissue = epithelium(rows, cols);
   std::cout << "epithelium: " << tissue.summary() << " (6 neighbors per cell)\n";

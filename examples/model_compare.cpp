@@ -5,6 +5,7 @@
 //                   [--p=0.05] [--seed=9]
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "core/init.hpp"
@@ -24,9 +25,11 @@ using namespace ssmis;
 int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
   const std::string kind = args.get_string("graph", "gnp");
-  const Vertex n = static_cast<Vertex>(args.get_int("n", 256));
+  const Vertex n = static_cast<Vertex>(
+      args.get_int("n", 256, 0, std::numeric_limits<Vertex>::max()));
   const double p = args.get_double("p", 0.05);
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
+  const std::uint64_t seed = static_cast<std::uint64_t>(
+      args.get_int("seed", 9, 0, std::numeric_limits<std::int64_t>::max()));
 
   Graph g;
   if (kind == "gnp") g = gen::gnp(n, p, seed);

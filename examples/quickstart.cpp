@@ -3,6 +3,7 @@
 //
 //   ./quickstart [--n=64] [--p=0.1] [--seed=7]
 #include <iostream>
+#include <limits>
 
 #include "core/init.hpp"
 #include "core/runner.hpp"
@@ -15,9 +16,11 @@ using namespace ssmis;
 
 int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
-  const Vertex n = static_cast<Vertex>(args.get_int("n", 64));
+  const Vertex n = static_cast<Vertex>(
+      args.get_int("n", 64, 0, std::numeric_limits<Vertex>::max()));
   const double p = args.get_double("p", 0.1);
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const std::uint64_t seed = static_cast<std::uint64_t>(
+      args.get_int("seed", 7, 0, std::numeric_limits<std::int64_t>::max()));
 
   // 1. A random graph (any ssmis::Graph works — see graph/generators.hpp).
   const Graph g = gen::gnp(n, p, seed);

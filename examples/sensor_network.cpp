@@ -15,6 +15,7 @@
 //
 //   ./sensor_network [--sensors=400] [--range=0.08] [--seed=3]
 #include <iostream>
+#include <limits>
 
 #include "core/verify.hpp"
 #include "graph/algorithms.hpp"
@@ -27,9 +28,11 @@ using namespace ssmis;
 
 int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
-  const Vertex sensors = static_cast<Vertex>(args.get_int("sensors", 400));
+  const Vertex sensors = static_cast<Vertex>(
+      args.get_int("sensors", 400, 0, std::numeric_limits<Vertex>::max()));
   const double range = args.get_double("range", 0.08);
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+  const std::uint64_t seed = static_cast<std::uint64_t>(
+      args.get_int("seed", 3, 0, std::numeric_limits<std::int64_t>::max()));
 
   const Graph g = gen::random_geometric(sensors, range, seed);
   std::cout << "radio graph: " << g.summary() << ", components: "

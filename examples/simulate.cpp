@@ -40,11 +40,16 @@ namespace {
 Graph make_graph(const CliArgs& args, std::uint64_t seed) {
   if (args.has("graph-file")) return io::load_graph_file_from_args(args);
   const std::string family = args.get_string("family", "gnp");
-  const Vertex n = static_cast<Vertex>(args.get_int("n", 256));
+  const Vertex n = static_cast<Vertex>(
+      args.get_int("n", 256, 0, std::numeric_limits<Vertex>::max()));
   const double p = args.get_double("p", 0.05);
-  const int d = static_cast<int>(args.get_int("d", 4));
+  const int d = static_cast<int>(args.get_int("d", 4, 0, std::numeric_limits<int>::max()));
   if (family == "gnp") return gen::gnp(n, p, seed);
-  if (family == "gnm") return gen::gnm(n, args.get_int("m", 2 * n), seed);
+  if (family == "gnm") {
+    const std::int64_t m =
+        args.get_int("m", 2 * std::int64_t{n}, 0, std::numeric_limits<std::int64_t>::max());
+    return gen::gnm(n, m, seed);
+  }
   if (family == "clique") return gen::complete(n);
   if (family == "path") return gen::path(n);
   if (family == "cycle") return gen::cycle(n);
@@ -100,7 +105,8 @@ int main(int argc, char** argv) {
       for (const auto& err : unknown) std::cerr << "error: " << err << "\n";
       return 2;
     }
-    const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    const std::uint64_t seed = static_cast<std::uint64_t>(
+        args.get_int("seed", 1, 0, std::numeric_limits<std::int64_t>::max()));
 
     const Graph g = make_graph(args, seed);
     if (args.has("save-graph")) {
@@ -118,7 +124,8 @@ int main(int argc, char** argv) {
     config.params = protocol_params_from_args(args);
     config.init = parse_init(args.get_string("init", "random"));
     config.seed = seed;
-    config.max_rounds = args.get_int("max-rounds", 1000000);
+    config.max_rounds =
+        args.get_int("max-rounds", 1000000, 0, std::numeric_limits<std::int64_t>::max());
     // --trials N > 1 batches whole runs across the pool and reports the
     // spread; a single run is traced.
     config.threads = parse_threads(args);

@@ -39,6 +39,7 @@
 #include <concepts>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -53,12 +54,10 @@ namespace ssmis {
 // unordered iteration. Backing store for the engine's active-set worklist.
 class VertexWorklist {
  public:
-  // Empties the set and resizes the universe to [0, n).
-  void reset(Vertex n);
-
-  // Makes the set exactly {u : flags[u] & bit} over the universe
-  // [0, flags.size()), in ascending order, without a branch per vertex.
-  void assign(std::span<const std::uint8_t> flags, std::uint8_t bit);
+  // Makes the set exactly {u : (flags[u] & mask) == value} over the
+  // universe [0, flags.size()), in ascending order, without a branch per
+  // vertex.
+  void assign(std::span<const std::uint8_t> flags, std::uint8_t mask, std::uint8_t value);
 
   [[nodiscard]] bool contains(Vertex u) const { return pos_[static_cast<std::size_t>(u)] >= 0; }
 
@@ -296,10 +295,12 @@ class ProcessEngine {
   static constexpr int kMaxCounters = 32;
 
   // `init` must have size g.num_vertices() and only colors with raw value
-  // below rule.num_colors(). Throws std::invalid_argument otherwise, and on
-  // a negative contribution (the zero-crossing test in patch_neighbors
-  // relies on counters that never go negative). The engine keeps its own
-  // handle on g: a Graph copy shares the storage, so g need not outlive it.
+  // below rule.num_colors(). Throws std::invalid_argument otherwise, on a
+  // negative contribution (the zero-crossing test in patch_neighbors
+  // relies on counters that never go negative), and on a contribution
+  // whose sum over n - 1 neighbors would not fit a counter. The engine
+  // keeps its own handle on g: a Graph copy shares the storage, so g need
+  // not outlive it.
   ProcessEngine(const Graph& g, std::vector<Color> init, Rule rule)
       : graph_(g), rule_(std::move(rule)), colors_(std::move(init)) {
     if (colors_.size() != static_cast<std::size_t>(g.num_vertices()))
@@ -308,10 +309,18 @@ class ProcessEngine {
     if (k_ < 0 || k_ > kMaxCounters)
       throw std::invalid_argument("ProcessEngine: rule needs 0..32 counters");
     num_colors_ = rule_.num_colors();
-    for (int c = 0; c < num_colors_; ++c)
-      for (int j = 0; j < k_; ++j)
-        if (rule_.contribution(static_cast<Color>(c), j) < 0)
-          throw std::invalid_argument("ProcessEngine: negative rule contribution");
+    // rebuild() sums two counters per 64-bit word, which is exact while
+    // every counter fits a Vertex: n - 1 neighbors of the largest
+    // contribution must.
+    const std::int64_t max_degree = std::max<std::int64_t>(g.num_vertices() - 1, 0);
+    for (int c = 0; c < num_colors_; ++c) {
+      for (int j = 0; j < k_; ++j) {
+        const Vertex d = rule_.contribution(static_cast<Color>(c), j);
+        if (d < 0) throw std::invalid_argument("ProcessEngine: negative rule contribution");
+        if (d * max_degree > std::numeric_limits<Vertex>::max())
+          throw std::invalid_argument("ProcessEngine: rule contribution overflows a counter");
+      }
+    }
     const std::size_t n = colors_.size();
     changed_ = std::make_unique_for_overwrite<Vertex[]>(n);
     changed_to_ = std::make_unique_for_overwrite<Color[]>(n);
@@ -532,8 +541,8 @@ class ProcessEngine {
     return worklist_.sorted();
   }
 
-  // Ascending list of the vertices satisfying `pred` (O(n) scan) — the
-  // backing for EngineProcess::black_set() and other per-flag vertex sets.
+  // Ascending list of the vertices satisfying `pred` (O(n) scan), e.g. the
+  // per-flag vertex sets: active, stable black, unstable.
   template <typename Pred>
   std::vector<Vertex> select(Pred pred) const {
     std::vector<Vertex> out;
@@ -578,6 +587,9 @@ class ProcessEngine {
   // Set while u is on the touched list (never outside a refresh pass); not
   // a predicate flag.
   static constexpr std::uint8_t kTouchedBit = 16;
+  // Set by rebuild() on the scheduled vertices it parks, until it has
+  // assigned the periodic set from it; not a predicate flag.
+  static constexpr std::uint8_t kParkBit = 32;
 
   static constexpr std::uint8_t raw(Color c) { return static_cast<std::uint8_t>(c); }
   static constexpr Vertex bit(std::uint8_t f, std::uint8_t mask) { return (f & mask) != 0; }
@@ -845,11 +857,19 @@ class ProcessEngine {
 
   // Full O(n + m) derivation of every piece of engine state from the colors
   // (construction, and notify_rule_changed after a sync): histogram,
-  // counters, flags, worklist and aggregates, plus the coverage counts once
-  // a reader has built them. Each counter is one sequential adjacency sweep
-  // pulling the neighbors' contributions (Graph::neighbor_sums); one pass
-  // over the vertices then sets the flags, aggregates and histogram, and
-  // one more builds the worklist from the flags.
+  // counters, flags, worklist, periodic set and aggregates, plus the
+  // coverage counts once a reader has built them.
+  //
+  // Counters come from sequential adjacency sweeps pulling the neighbors'
+  // contributions (Graph::neighbor_sums), two counters per sweep: counter
+  // j in the low 32 bits of a 64-bit sum and counter j + 1 in the high
+  // ones, so k counters take ceil(k/2) sweeps. Both lanes are exact, since
+  // every counter fits a Vertex (the constructor checks it) and a carry
+  // out of the low lane cancels in the row's difference of running totals.
+  // One pass over the vertices then sets the flags, aggregates and
+  // histogram and marks the scheduled vertices the rule declares on an
+  // orbit; the worklist and the periodic set are both assigned from the
+  // flags.
   void rebuild() {
     const Vertex n = graph_.num_vertices();
     const std::size_t k = static_cast<std::size_t>(k_);
@@ -859,15 +879,24 @@ class ProcessEngine {
       throw std::invalid_argument("ProcessEngine: init color out of range");
     const std::size_t nc = static_cast<std::size_t>(num_colors_);
     counters_.resize(static_cast<std::size_t>(n) * k);
-    for (std::size_t j = 0; j < k; ++j) {
-      // adds[c]: what a neighbor of raw color c adds to counter j.
-      std::vector<Vertex> adds(nc);
-      for (std::size_t c = 0; c < nc; ++c)
-        adds[c] = rule_.contribution(static_cast<Color>(c), static_cast<int>(j));
+    for (std::size_t j = 0; j < k; j += 2) {
+      const bool pair = j + 1 < k;
+      // adds[c]: what a neighbor of raw color c adds to counter j (low
+      // lane) and to counter j + 1 (high lane).
+      std::vector<std::uint64_t> adds(nc);
+      for (std::size_t c = 0; c < nc; ++c) {
+        const Color color = static_cast<Color>(c);
+        const int lo = static_cast<int>(j);
+        adds[c] = static_cast<std::uint64_t>(rule_.contribution(color, lo));
+        if (pair) adds[c] |= static_cast<std::uint64_t>(rule_.contribution(color, lo + 1)) << 32;
+      }
+      Vertex* col = counters_.data() + j;
       graph_.neighbor_sums(
           [&](Vertex v) { return adds[raw(colors_[static_cast<std::size_t>(v)])]; },
-          [&](Vertex u, std::int64_t sum) {
-            counters_[static_cast<std::size_t>(u) * k + j] = narrow_cast<Vertex>(sum);
+          [&](Vertex u, std::uint64_t sum) {
+            Vertex* row = col + static_cast<std::size_t>(u) * k;
+            row[0] = narrow_cast<Vertex>(sum & 0xffffffffu);
+            if (pair) row[1] = narrow_cast<Vertex>(sum >> 32);
           });
     }
     hist_.assign(nc, 0);
@@ -875,8 +904,14 @@ class ProcessEngine {
     Vertex active = 0, violations = 0, stable_black = 0;
     for (Vertex u = 0; u < n; ++u) {
       const std::size_t su = static_cast<std::size_t>(u);
-      ++hist_[raw(colors_[su])];
-      const std::uint8_t f = compute_flags(colors_[su], heard(u));
+      const Color c = colors_[su];
+      const Heard h = heard(u);
+      ++hist_[raw(c)];
+      std::uint8_t f = compute_flags(c, h);
+      if constexpr (kFastForward) {
+        if (fast_forward_ && (f & kScheduledBit) && rule_.fast_forwardable(c, h))
+          f |= kParkBit;
+      }
       flags_[su] = f;
       active += bit(f, kActiveBit);
       violations += bit(f, kViolatingBit);
@@ -886,13 +921,17 @@ class ProcessEngine {
     num_violations_ = violations;
     num_stable_black_ = stable_black;
     if (coverage_built_) build_coverage();
-    worklist_.assign(flags_, kScheduledBit);
     if constexpr (kFastForward) {
       // Callers materialize first (notify_rule_changed) or are starting
-      // from exact colors (construction), so dropping the set is safe.
-      periodic_.reset(n);
+      // from exact colors (construction), so every parked vertex holds its
+      // color at its entry round, this one.
+      worklist_.assign(flags_, kScheduledBit | kParkBit, kScheduledBit);
+      periodic_.assign(flags_, kParkBit, kParkBit);
+      for (const Vertex u : periodic_.items())
+        flags_[static_cast<std::size_t>(u)] &= static_cast<std::uint8_t>(~kParkBit);
       ff_entry_.assign(static_cast<std::size_t>(n), round_);
-      if (fast_forward_) refresh_all(worklist_.items());
+    } else {
+      worklist_.assign(flags_, kScheduledBit, kScheduledBit);
     }
   }
 

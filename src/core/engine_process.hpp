@@ -52,8 +52,17 @@ class EngineProcess : public Process {
   const std::vector<Color>& colors() const { return engine_.colors(); }
   Color color(Vertex u) const { return engine_.color(u); }
   bool black(Vertex u) const { return engine_.rule().in_mis(color(u)); }
+  // B_t in ascending order. An exact-state read: it materializes the parked
+  // orbits in one bulk sync (engine colors()), not one refresh pass per
+  // parked vertex as color(u) would, then scans the colors.
   std::vector<Vertex> black_set() const {
-    return engine_.select([this](Vertex u) { return black(u); });
+    const std::vector<Color>& colors = engine_.colors();
+    const Rule& rule = engine_.rule();
+    std::vector<Vertex> out;
+    out.reserve(static_cast<std::size_t>(num_black()));
+    for (std::size_t u = 0; u < colors.size(); ++u)
+      if (rule.in_mis(colors[u])) out.push_back(narrow_cast<Vertex>(u));
+    return out;
   }
 
   // |B_t|, |A_t|, |I_t|, |V_t|, all engine-maintained. |B_t| is a histogram

@@ -22,9 +22,12 @@ bool is_independent_set(const Graph& g, const std::vector<char>& in_set);
 // together with independence makes it maximal).
 bool is_maximal(const Graph& g, const std::vector<char>& in_set);
 
+// Independent and maximal. Walks only the members' rows: O(n + sum of
+// deg(u) over the members u), not O(n + m).
 bool is_mis(const Graph& g, const std::vector<char>& in_set);
 
-// Vertex-list conveniences.
+// Vertex-list conveniences. is_mis takes the same one-pass check; a vertex
+// may be listed more than once.
 bool is_independent_set(const Graph& g, const std::vector<Vertex>& members);
 bool is_maximal(const Graph& g, const std::vector<Vertex>& members);
 bool is_mis(const Graph& g, const std::vector<Vertex>& members);
@@ -36,6 +39,8 @@ std::optional<std::string> find_mis_violation(const Graph& g,
 
 // Harness-side validity abort of every MIS-family Process (EngineProcess):
 // throws std::logic_error naming the violation unless `claimed` is an MIS.
+// It reads only the graph and `claimed`, with is_mis's one-pass check; only
+// a failed check runs find_mis_violation for the message.
 void verify_mis_output(const Graph& g, const std::vector<Vertex>& claimed);
 
 // Matching validity over an explicit EDGE list: every listed pair is a real

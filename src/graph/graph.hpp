@@ -215,38 +215,45 @@ class Graph {
   // chunk loop, not every row, ends in a hard-to-predict exit branch
   // (~2.3x faster than a per-row loop on G(2^15, 8/n)). Compressed
   // storage decodes row by row.
+  //
+  // Sums are std::uint64_t, modulo 2^64: the running total may wrap, and a
+  // row's sum is the difference of two running totals. So values may pack
+  // several lanes into one word — the engine sums two 32-bit counters per
+  // sweep, the second in the high half — and each lane comes out exact as
+  // long as its row sum fits its lane: a carry out of a lower lane in the
+  // running total cancels in the difference.
   template <typename Value, typename Out>
   void neighbor_sums(Value value, Out out) const {
     if (compressed_) {
       NeighborScratch scratch;
       RowStream rows(*this);
       for (Vertex u = 0; u < n_; ++u) {
-        std::int64_t sum = 0;
-        for (const Vertex v : rows.next(scratch)) sum += value(v);
+        std::uint64_t sum = 0;
+        for (const Vertex v : rows.next(scratch)) sum += static_cast<std::uint64_t>(value(v));
         out(u, sum);
       }
       return;
     }
     constexpr std::int64_t kChunk = 256;
-    std::int64_t running[kChunk + 1];  // running[i]: total before entry cs + i
-    std::int64_t total = 0;
-    std::int64_t row_start = 0;  // total before the current row's first entry
+    std::uint64_t running[kChunk + 1];  // running[i]: total before entry cs + i
+    std::uint64_t total = 0;
+    std::uint64_t row_start = 0;  // total before the current row's first entry
     const std::int64_t len = offsets_[static_cast<std::size_t>(n_)];
     Vertex u = 0;
     for (std::int64_t cs = 0; cs < len; cs += kChunk) {
       const std::int64_t ce = std::min(cs + kChunk, len);
       running[0] = total;
       for (std::int64_t e = cs; e < ce; ++e) {
-        total += value(adj_[e]);
+        total += static_cast<std::uint64_t>(value(adj_[e]));
         running[e - cs + 1] = total;
       }
       for (; u < n_ && offsets_[static_cast<std::size_t>(u) + 1] <= ce; ++u) {
-        const std::int64_t row_end = running[offsets_[static_cast<std::size_t>(u) + 1] - cs];
+        const std::uint64_t row_end = running[offsets_[static_cast<std::size_t>(u) + 1] - cs];
         out(u, row_end - row_start);
         row_start = row_end;
       }
     }
-    for (; u < n_; ++u) out(u, std::int64_t{0});  // no edges at all
+    for (; u < n_; ++u) out(u, std::uint64_t{0});  // no edges at all
   }
 
   // Membership test over the sorted adjacency of the lower-degree endpoint:

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "support/thread_pool.hpp"
 
@@ -122,7 +123,8 @@ std::vector<std::string> CliArgs::unknown_options(
 }
 
 int parse_threads(const CliArgs& args) {
-  const int threads = static_cast<int>(args.get_int("threads", 1));
+  const int threads = static_cast<int>(args.get_int(
+      "threads", 1, std::numeric_limits<int>::min(), std::numeric_limits<int>::max()));
   if (threads == 0) return ThreadPool::host_width();
   return threads < 1 ? 1 : threads;
 }

@@ -452,6 +452,225 @@ TEST(Engine, RejectsNegativeContributions) {
                std::invalid_argument);
 }
 
+// A rule whose contribution summed over n - 1 neighbors overflows a
+// counter: construction's packed sweeps would lose a lane to a carry.
+struct HeavyRule : NegativeRule {
+  Vertex contribution(Color c, int) const { return c == 1 ? Vertex{1} << 30 : 0; }
+};
+
+TEST(Engine, RejectsOverflowingContributions) {
+  EXPECT_NO_THROW(ProcessEngine<HeavyRule>(gen::path(2), {0, 1}, HeavyRule{}));
+  EXPECT_THROW(ProcessEngine<HeavyRule>(gen::path(3), {0, 1, 0}, HeavyRule{}),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------- construction --
+
+// Three counters, so construction's last packed sweep has an empty high
+// lane. Each color adds 0, 1 or 2 to each counter, differently per
+// counter, so a swapped or shifted lane shows up as a wrong count.
+struct ThreeCounterRule {
+  using Color = std::uint8_t;
+  int num_colors() const { return 4; }
+  int num_counters() const { return 3; }
+  Vertex contribution(Color c, int j) const { return (c + j) % 3; }
+  bool scheduled(Color c, Heard h) const { return c != 0 || h.has(2); }
+  Color transition(Vertex u, Color c, Heard h, std::int64_t t) const {
+    return static_cast<Color>((c + u + t + (h.has(0) ? 1 : 0)) % 4);
+  }
+  bool active(Color c, Heard h) const { return scheduled(c, h); }
+  bool violating(Color c, Heard h) const { return c == 1 && h.has(1); }
+  bool stable_black(Color c, Heard h) const { return c == 1 && !h.has(1); }
+};
+
+// Every counter of `e` equals the sum of its neighbors' contributions under
+// `colors`, recomputed one counter at a time (any storage).
+template <typename Engine>
+void expect_counters_recomputed(const Engine& e,
+                                const std::vector<typename Engine::Color>& colors,
+                                const std::string& context) {
+  const Graph& g = e.graph();
+  const int k = e.rule().num_counters();
+  for (int j = 0; j < k; ++j) {
+    for (Vertex u = 0; u < g.num_vertices(); ++u) {
+      Vertex want = 0;
+      g.for_each_neighbor(u, [&](Vertex v) {
+        want += e.rule().contribution(colors[static_cast<std::size_t>(v)], j);
+      });
+      ASSERT_EQ(e.counter(u, j), want) << context << ": counter " << j << " of " << u;
+    }
+  }
+}
+
+// The same state, read without syncing first: which vertices are parked,
+// scheduled, active and stable black.
+template <typename Engine>
+void expect_same_flags(const Engine& a, const Engine& b, const std::string& context) {
+  for (Vertex u = 0; u < a.graph().num_vertices(); ++u) {
+    ASSERT_EQ(a.fast_forwarded(u), b.fast_forwarded(u)) << context << ": parked " << u;
+    ASSERT_EQ(a.scheduled(u), b.scheduled(u)) << context << ": scheduled " << u;
+    ASSERT_EQ(a.active(u), b.active(u)) << context << ": active " << u;
+    ASSERT_EQ(a.stable_black(u), b.stable_black(u)) << context << ": stable " << u;
+  }
+}
+
+template <typename Engine>
+void expect_same_counters(const Engine& a, const Engine& b, const std::string& context) {
+  for (Vertex u = 0; u < a.graph().num_vertices(); ++u)
+    for (int j = 0; j < a.rule().num_counters(); ++j)
+      ASSERT_EQ(a.counter(u, j), b.counter(u, j)) << context << ": counter " << j << " of " << u;
+}
+
+std::vector<Graph> construction_graphs() {
+  std::vector<Edge> star;  // the hub's row spans several sweep chunks
+  for (Vertex v = 1; v <= 600; ++v) star.emplace_back(0, v);
+  return {gen::gnp(300, 0.05, 131), gen::complete(40), Graph::from_edges(601, star),
+          gen::gnp(200, 0.01, 137), Graph::from_edges(0, {})};
+}
+
+std::vector<std::uint8_t> random_states(const Graph& g, int states, const CoinOracle& coins) {
+  std::vector<std::uint8_t> init;
+  for (Vertex u = 0; u < g.num_vertices(); ++u)
+    init.push_back(static_cast<std::uint8_t>(coins.word(0, u, CoinTag::kInit) %
+                                             static_cast<std::uint64_t>(states)));
+  return init;
+}
+
+// Counters right after construction equal a per-counter recomputation, on
+// plain and compressed storage alike: k = 3 (an empty last high lane),
+// 3-state (one packed pair), and the 3-state and 18-channel stone-age
+// automata (one and nine pairs).
+TEST(EngineConstruction, CountersMatchPerCounterRecomputation) {
+  const CoinOracle coins(139);
+  const ThreeStateStoneAgeAutomaton three_state;
+  const ThreeColorStoneAgeAutomaton three_color;
+  for (const Graph& plain : construction_graphs()) {
+    const Graph compressed = Graph::compress(plain);
+    const auto check = [&](const auto& a, const auto& b, const auto& init,
+                           const std::string& name) {
+      const std::string context = name + " " + plain.summary();
+      expect_same_flags(a, b, context + " plain/compressed");
+      expect_counters_recomputed(a, init, context);
+      expect_counters_recomputed(b, init, context + " compressed");
+      expect_same_counters(a, b, context + " plain/compressed");
+    };
+    {
+      const auto init = random_states(plain, 4, coins);
+      const ProcessEngine<ThreeCounterRule> a(plain, init, {});
+      const ProcessEngine<ThreeCounterRule> b(compressed, init, {});
+      check(a, b, init, "three-counter");
+      expect_engine_consistent(a, "three-counter " + plain.summary());
+    }
+    {
+      const auto init = make_init3(plain, InitPattern::kUniformRandom, coins);
+      const ThreeStateMIS a(plain, init, coins);
+      const ThreeStateMIS b(compressed, init, coins);
+      check(a.engine(), b.engine(), init, "3-state");
+    }
+    for (const StoneAgeAutomaton* automaton :
+         std::vector<const StoneAgeAutomaton*>{&three_state, &three_color}) {
+      const auto init = random_states(plain, automaton->num_states(), coins);
+      const StoneAgeNetwork a(plain, *automaton, init, coins);
+      const StoneAgeNetwork b(compressed, *automaton, init, coins);
+      check(a.engine(), b.engine(), init,
+            "stone-age/" + std::to_string(automaton->num_states()));
+    }
+  }
+}
+
+// A vertex is parked exactly when it is scheduled and the rule declares
+// its (color, hearing) an orbit — and fast-forward is on. Which vertices
+// are parked is read first: the exact-state reads that follow materialize
+// parked vertices, which leaves their colors as they are in the round
+// they were parked in, but re-derives where they sit.
+template <typename Engine>
+void expect_parked_where_declared(const Engine& e, const std::string& context) {
+  const Graph& g = e.graph();
+  const auto& rule = e.rule();
+  const int k = rule.num_counters();
+  std::vector<bool> parked;
+  for (Vertex u = 0; u < g.num_vertices(); ++u) parked.push_back(e.fast_forwarded(u));
+  const auto& colors = e.colors();
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    std::vector<Vertex> cnt(static_cast<std::size_t>(k), 0);
+    for (const Vertex v : g.neighbors(u))
+      for (int j = 0; j < k; ++j)
+        cnt[static_cast<std::size_t>(j)] +=
+            rule.contribution(colors[static_cast<std::size_t>(v)], j);
+    const auto c = colors[static_cast<std::size_t>(u)];
+    const Heard h = Heard::of(cnt.data(), k);
+    const bool want =
+        e.fast_forward_enabled() && rule.scheduled(c, h) && rule.fast_forwardable(c, h);
+    ASSERT_EQ(parked[static_cast<std::size_t>(u)], want) << context << ": vertex " << u;
+  }
+  expect_engine_consistent(e, context);
+}
+
+// Right after construction, and after notify_rule_changed with fast-forward
+// on and off, for 3-state and both stone-age automata (the 18-channel one
+// declares no orbit, so nothing may be parked there).
+TEST(EngineConstruction, ParksExactlyWhereTheRuleDeclaresAnOrbit) {
+  const CoinOracle coins(157);
+  const ThreeStateStoneAgeAutomaton three_state;
+  const ThreeColorStoneAgeAutomaton three_color;
+  const auto exercise = [](auto& e, const std::string& name) {
+    expect_parked_where_declared(e, name + " construction");
+    for (int round = 1; round <= 6; ++round) e.step();
+    e.notify_rule_changed();
+    expect_parked_where_declared(e, name + " notify, fast-forward on");
+    e.set_fast_forward(false);
+    e.notify_rule_changed();
+    expect_parked_where_declared(e, name + " notify, fast-forward off");
+    for (int round = 1; round <= 3; ++round) e.step();
+    e.set_fast_forward(true);
+    e.notify_rule_changed();
+    expect_parked_where_declared(e, name + " notify, fast-forward on again");
+  };
+  for (const Graph& g : {gen::gnp(300, 0.02, 163), gen::cycle(31), gen::complete(12),
+                         Graph::from_edges(9, {{0, 1}})}) {
+    ProcessEngine<ThreeStateRule> e3(g, make_init3(g, InitPattern::kUniformRandom, coins),
+                                     ThreeStateRule(coins));
+    exercise(e3, "3-state " + g.summary());
+    for (const StoneAgeAutomaton* automaton :
+         std::vector<const StoneAgeAutomaton*>{&three_state, &three_color}) {
+      ProcessEngine<StoneAgeRule> e(g, random_states(g, automaton->num_states(), coins),
+                                    StoneAgeRule(automaton, coins));
+      exercise(e, "stone-age/" + std::to_string(automaton->num_states()) + " " +
+                      g.summary());
+    }
+  }
+}
+
+// black_set() materializes the parked stable blacks with one bulk sync.
+// A twin that reads color(u) for every u, one materialization per parked
+// vertex, must be left in the same state, and both go on identically.
+TEST(EngineConstruction, BlackSetLeavesTheStatePerVertexReadsLeave) {
+  const Graph g = gen::gnp(400, 0.02, 167);
+  const CoinOracle coins(173);
+  const auto init = make_init3(g, InitPattern::kUniformRandom, coins);
+  ThreeStateMIS bulk(g, init, coins);
+  ThreeStateMIS single(g, init, coins);
+  Vertex parked_at_reads = 0;
+  for (int round = 1; round <= 40; ++round) {
+    bulk.step();
+    single.step();
+    const std::string context = "round " + std::to_string(round);
+    if (round % 5 == 0) {
+      parked_at_reads += bulk.engine().num_fast_forwarded();
+      const std::vector<Vertex> black = bulk.black_set();
+      std::vector<Vertex> want;
+      for (Vertex u = 0; u < g.num_vertices(); ++u)
+        if (is_black(single.color(u))) want.push_back(u);
+      ASSERT_EQ(black, want) << context;
+      expect_same_flags(bulk.engine(), single.engine(), context);
+      expect_same_counters(bulk.engine(), single.engine(), context);
+      expect_engine_consistent(bulk.engine(), context);
+    }
+    ASSERT_EQ(bulk.colors(), single.colors()) << context;
+  }
+  EXPECT_GT(parked_at_reads, 0) << "the reads must find parked vertices";
+}
+
 // --------------------------------------------------- coverage on demand --
 
 // What a Process reports about coverage in one round: the trace snapshot

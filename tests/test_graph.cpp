@@ -119,6 +119,51 @@ TEST(Graph, NeighborSumsMatchPerRowSums) {
   }
 }
 
+// Two 32-bit lanes packed into one std::uint64_t value come out of one
+// sweep as the two per-row sums, on both storages. The lane values are
+// large enough that the low lane carries into the high one and the
+// running total wraps past 2^64 on the G(n,p) graph, while every row's
+// lane sums stay below 2^31 (the hub of the 600-leaf star included).
+TEST(Graph, NeighborSumsPackTwoLanes) {
+  std::vector<Edge> edges;
+  for (Vertex v = 2; v < 602; ++v) edges.emplace_back(1, v);
+  for (Vertex v = 700; v < 900; ++v) edges.emplace_back(v, v + 1);
+  const Graph mixed = Graph::from_edges(1000, edges);
+  const Graph gnp = gen::gnp(3000, 0.004, 5);
+  constexpr std::uint64_t kBase = std::uint64_t{1} << 21;
+  const auto lo = [](Vertex v) { return kBase + static_cast<std::uint64_t>(v % 11); };
+  const auto hi = [](Vertex v) { return kBase + static_cast<std::uint64_t>(v % 7); };
+  const auto packed = [&](Vertex v) { return lo(v) | hi(v) << 32; };
+  // The high lanes of all endpoints add up past 2^32: the packed running
+  // total passes 2^64.
+  std::uint64_t gnp_hi_total = 0;
+  for (Vertex u = 0; u < gnp.num_vertices(); ++u)
+    for (const Vertex v : gnp.neighbors(u)) gnp_hi_total += hi(v);
+  ASSERT_GT(gnp_hi_total, std::uint64_t{1} << 32) << "the running total must wrap";
+  for (const Graph& g : {mixed, Graph::compress(mixed), gnp, Graph::compress(gnp),
+                         Graph::from_edges(5, {}), Graph()}) {
+    const auto n = static_cast<std::size_t>(g.num_vertices());
+    std::vector<std::uint64_t> want_lo(n, 0), want_hi(n, 0);
+    NeighborScratch scratch;
+    for (Vertex u = 0; u < g.num_vertices(); ++u) {
+      for (const Vertex v : g.neighbors(u, scratch)) {
+        want_lo[static_cast<std::size_t>(u)] += lo(v);
+        want_hi[static_cast<std::size_t>(u)] += hi(v);
+      }
+      ASSERT_LT(want_lo[static_cast<std::size_t>(u)], std::uint64_t{1} << 31);
+      ASSERT_LT(want_hi[static_cast<std::size_t>(u)], std::uint64_t{1} << 31);
+    }
+    std::vector<std::uint64_t> got_lo, got_hi;
+    g.neighbor_sums(packed, [&](Vertex u, std::uint64_t sum) {
+      ASSERT_EQ(static_cast<std::size_t>(u), got_lo.size()) << g.summary();
+      got_lo.push_back(sum & 0xffffffffu);
+      got_hi.push_back(sum >> 32);
+    });
+    EXPECT_EQ(got_lo, want_lo) << g.summary();
+    EXPECT_EQ(got_hi, want_hi) << g.summary();
+  }
+}
+
 TEST(GraphBuilder, NegativeSizeThrows) {
   EXPECT_THROW(GraphBuilder(-1), std::invalid_argument);
 }
