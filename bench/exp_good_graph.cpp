@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     GraphBuilder b(400);
     for (Vertex i = 0; i < 60; ++i)
       for (Vertex j = i + 1; j < 60; ++j) b.add_edge(i, j);
-    const Graph planted = std::move(b).build();
+    const Graph planted = b.build();
     const auto report = check_good_sampled(planted, 0.001, 40, ctx.seed);
     std::cout << "planted clique, p=0.001: " << report.to_string() << "\n";
     std::cout << "(P1 must be 0: the refutation search finds the dense subgraph)\n";

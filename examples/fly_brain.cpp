@@ -36,7 +36,7 @@ Graph epithelium(Vertex rows, Vertex cols) {
       b.add_edge(id(r, c), id((r + 1) % rows, (c + 1) % cols));
     }
   }
-  return std::move(b).build();
+  return b.build();
 }
 
 }  // namespace

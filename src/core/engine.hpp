@@ -38,7 +38,6 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
@@ -205,51 +204,51 @@ concept RuleHasEndRoundHook = requires(R& r, std::int64_t t) {
   r.end_round(t);
 };
 
-// Optional stable-periodic fast-forward extension (docs/architecture.md,
-// "Stable-periodic fast-forward"). A rule that implements it declares, for
-// some (color, hearing) pairs, that the vertex's future orbit is
-// AUTONOMOUS: as long as what it hears stays put, its color at any later
-// round T is a pure function of (entry color, hearing, entry round, T) plus
-// the counter-based coins — and the rule promises that along the orbit
+// Optional fast-forward extension for memoryless orbits
+// (docs/architecture.md, "Stable-periodic fast-forward"). A rule that
+// implements it declares, for some (color, hearing) pairs, that the
+// vertex is on a MEMORYLESS orbit: as long as what it hears stays put, its
+// color at round t is orbit_color(u, c, t), a pure function of the orbit
+// and round t's counter-based coins, whatever round it entered at. The
+// rule promises that along the orbit
 //
 //   * every engine predicate (scheduled, active, violating, stable_black)
 //     is constant, with the scheduled predicate TRUE (a quiescent vertex is
 //     already off the worklist for free), and so is the rule's MIS
 //     membership `in_mis(c)` where it has one (EngineProcess counts |B_t|
-//     from the raw histogram, which a parked orbit leaves at its entry
-//     color);
+//     from the raw histogram, which a parked orbit leaves at the color it
+//     parked with);
+//   * transition(u, c', h, t) == orbit_color(u, c, t) for every c' of the
+//     orbit: stepping the vertex and evaluating the orbit agree;
 //   * the only counter components of OTHER vertices that the orbit's color
 //     changes would move are components no live vertex's predicates or
 //     transition can observe while the mover is on its orbit (the "output
 //     projection" contract: the MIS-relevant projection of the orbit is
 //     constant, and neighbors can only hear the projection).
 //
-// Under that contract the engine parks such vertices in a periodic set off
-// the hot worklist, leaves their stored color at the entry round, and
-// re-materializes them by ONE orbit_color evaluation exactly when their
-// hearing changes (a neighbor's color change moves one of their counters
-// across zero), when a fault (force_color) hits them or changes their
-// hearing, or when an exact-state query needs them — so trajectories and
+// Under that contract the engine parks a scheduled vertex off the hot
+// worklist when its configuration is an orbit AND its stored color already
+// is the orbit's color for the current round, so ONE orbit_color
+// evaluation at any later round is exact. It materializes a parked vertex
+// exactly when its hearing changes (a neighbor's color change moves one of
+// its counters across zero), when a fault (force_color) hits it or changes
+// its hearing, or when an exact-state query needs it — so trajectories and
 // fingerprints are bit-identical to the dense semantics while
-// near-stabilized rounds cost O(1).
+// near-stabilized rounds cost O(1). A vertex in an orbit configuration but
+// on another color (an initial color, a fault) stays live until its next
+// color change puts it on the orbit.
 //
 //   bool fast_forwardable(Color c, Heard h) const;
-//   Color orbit_color(Vertex u, Color c, Heard h,
-//                     std::int64_t entry_round, std::int64_t now) const;
-//       // the orbit color at round `now` >= entry_round, given the color
-//       // held at the end of round `entry_round`; must cost O(1) (the
-//       // implemented orbits are memoryless: the color at round T depends
-//       // only on round-T coins), and must equal `c` when now == entry.
-//
-// Rules additionally declare `kOrbitPeriodHint` (the orbit period of the
-// output projection; 1 for the memoryless re-randomizing orbits) for
-// documentation and diagnostics.
+//   Color orbit_color(Vertex u, Color c, std::int64_t t) const;
+//       // the color at round t of the orbit c is on; O(1), and it reads
+//       // no hearing: at materialization the hearing may already have
+//       // left the orbit.
 template <typename R>
 concept FastForwardRule =
-    ProcessRule<R> && requires(const R r, typename R::Color c, Heard h, Vertex u,
-                               std::int64_t t0, std::int64_t t1) {
+    ProcessRule<R> &&
+    requires(const R r, typename R::Color c, Heard h, Vertex u, std::int64_t t) {
       { r.fast_forwardable(c, h) } -> std::convertible_to<bool>;
-      { r.orbit_color(u, c, h, t0, t1) } -> std::convertible_to<typename R::Color>;
+      { r.orbit_color(u, c, t) } -> std::convertible_to<typename R::Color>;
     };
 
 template <typename Rule>
@@ -289,8 +288,8 @@ class ProcessEngine {
  public:
   using Color = typename Rule::Color;
   // Rules satisfying FastForwardRule get stable-periodic fast-forward; for
-  // everything else the machinery folds away at compile time (no periodic
-  // set, no extra branches in refresh, accessors stay raw).
+  // everything else the machinery folds away at compile time (nothing is
+  // parked, no extra branches in refresh, accessors stay raw).
   static constexpr bool kFastForward = FastForwardRule<Rule>;
   static constexpr int kMaxCounters = 32;
 
@@ -336,9 +335,9 @@ class ProcessEngine {
   void step() {
     const std::int64_t t = round_ + 1;
     decide(worklist_.items(), t);
-    // round_ advances before apply so that any vertex materialized out of
-    // the periodic set during the commit lands on its orbit value for the
-    // round being committed (colors_ always holds end-of-round_ state).
+    // round_ advances before apply so that any parked vertex materialized
+    // during the commit lands on its orbit value for the round being
+    // committed (colors_ always holds end-of-round_ state).
     ++round_;
     apply();
     if constexpr (RuleHasEndRoundHook<Rule>) rule_.end_round(t);
@@ -358,12 +357,10 @@ class ProcessEngine {
       if (u < 0 || u >= graph_.num_vertices())
         throw std::logic_error(
             "ProcessEngine: transition requested for a non-scheduled vertex");
-      // A fast-forwarded vertex is logically scheduled; bring its stored
-      // color up to date before it transitions (round_ is frozen under a
-      // daemon, so this is a bookkeeping no-op for parked orbits — there is
-      // no synchronous time for them to have advanced along).
+      // A parked vertex is logically scheduled; bring its stored color up
+      // to date before it transitions (the commit unparks it).
       if constexpr (kFastForward) {
-        if (periodic_.contains(u)) refresh_all({&u, 1});
+        if (fast_forwarded(u)) refresh_all({&u, 1});
       }
       if ((flags_[static_cast<std::size_t>(u)] & kScheduledBit) == 0)
         throw std::logic_error(
@@ -384,9 +381,9 @@ class ProcessEngine {
       throw std::invalid_argument("force_color: color out of range");
     // A fault is a re-activation point: materialize u first so the
     // comparison (and the commit's prev-color accounting) sees the logical
-    // state, not the parked entry-round state.
+    // state, not the color u parked with.
     if constexpr (kFastForward) {
-      if (periodic_.contains(u)) refresh_all({&u, 1});
+      if (fast_forwarded(u)) refresh_all({&u, 1});
     }
     if (colors_[static_cast<std::size_t>(u)] == c) return;
     changed_[0] = u;
@@ -407,17 +404,20 @@ class ProcessEngine {
 
   // --- stable-periodic fast-forward ----------------------------------------
 
-  // Enables/disables the periodic-set optimization (FastForwardRule rules
-  // only; a no-op otherwise). On by default for eligible rules. Turning it
-  // off materializes every parked vertex, so the engine is back to plain
+  // Enables/disables parking (FastForwardRule rules only; a no-op
+  // otherwise). On by default for eligible rules. Turning it off
+  // materializes every parked vertex, so the engine is back to plain
   // dense-equivalent sparse stepping with identical state.
   void set_fast_forward(bool on) {
     if constexpr (kFastForward) {
       if (on == fast_forward_) return;
       fast_forward_ = on;
       // On: park every eligible member of the live worklist. Off: the flag
-      // is already down, so the materialized vertices do not re-enter.
-      refresh_all(on ? worklist_.items() : periodic_.items());
+      // is already down, so the materialized vertices do not re-park.
+      if (on)
+        refresh_all(worklist_.items());
+      else
+        sync_fast_forward();
     } else {
       (void)on;
     }
@@ -426,26 +426,25 @@ class ProcessEngine {
     if constexpr (kFastForward) return fast_forward_;
     return false;
   }
-  // Physical size of the periodic set (0 for non-fast-forward rules).
-  [[nodiscard]] Vertex num_fast_forwarded() const {
-    if constexpr (kFastForward) return periodic_.size();
-    return 0;
-  }
-  // Whether u is currently parked in the periodic set (its live entry is in
-  // `worklist() ∪ this`, never both). Always false for non-ff rules.
+  // Number of parked vertices (0 for non-fast-forward rules).
+  [[nodiscard]] Vertex num_fast_forwarded() const { return num_parked_; }
+  // Whether u is currently parked (then it is scheduled but off the live
+  // worklist). Always false for non-ff rules.
   [[nodiscard]] bool fast_forwarded(Vertex u) const {
-    if constexpr (kFastForward) return periodic_.contains(u);
-    (void)u;
-    return false;
+    return (flags_[static_cast<std::size_t>(u)] & kParkBit) != 0;
   }
   // Materializes every parked vertex (stored colors become exact for the
-  // current round) without disabling the optimization — members re-enter
-  // the periodic set with a fresh entry round. Exact-state accessors call
-  // this; repeated calls per round are O(|periodic set|) no-ops.
+  // current round) without disabling the optimization: each re-parks on
+  // its current color. Exact-state accessors call this; it scans the flags
+  // in O(n) while anything is parked and is free otherwise.
   void sync_fast_forward() const {
     if constexpr (kFastForward) {
-      if (periodic_.empty()) return;
-      const_cast<ProcessEngine*>(this)->refresh_all(periodic_.items());
+      if (num_parked_ == 0) return;
+      auto* self = const_cast<ProcessEngine*>(this);
+      self->num_touched_ = 0;
+      for (Vertex u = 0; u < graph_.num_vertices(); ++u)
+        if (fast_forwarded(u)) self->touch(u);
+      self->drain();
     }
   }
 
@@ -460,16 +459,17 @@ class ProcessEngine {
   [[nodiscard]] int num_colors() const { return num_colors_; }
 
   // Exact-state accessors. With fast-forward engaged, the stored color of a
-  // parked vertex lags at its entry round, so these materialize what they
-  // expose before returning (O(|periodic set|) for the bulk views, O(1) /
-  // O(deg) for the per-vertex ones; zero-cost for non-fast-forward rules).
+  // parked vertex lags at the round it parked in, so these materialize what
+  // they expose before returning (O(n) for the bulk views while anything
+  // is parked, O(1) / O(deg) for the per-vertex ones; zero-cost for
+  // non-fast-forward rules).
   [[nodiscard]] const std::vector<Color>& colors() const {
     sync_fast_forward();
     return colors_;
   }
   Color color(Vertex u) const {
     if constexpr (kFastForward) {
-      if (periodic_.contains(u)) const_cast<ProcessEngine*>(this)->refresh_all({&u, 1});
+      if (fast_forwarded(u)) const_cast<ProcessEngine*>(this)->refresh_all({&u, 1});
     }
     return colors_[static_cast<std::size_t>(u)];
   }
@@ -484,14 +484,13 @@ class ProcessEngine {
   }
   const Vertex* counters(Vertex u) const {
     if constexpr (kFastForward) {
-      if (!periodic_.empty())
-        const_cast<ProcessEngine*>(this)->sync_neighbors(u);
+      if (num_parked_ > 0) const_cast<ProcessEngine*>(this)->sync_neighbors(u);
     }
     return cnt_ptr(u);
   }
 
   // Number of vertices currently holding color c (histogram-backed; syncs
-  // the periodic set first, so O(|periodic set|) under fast-forward).
+  // the parked vertices first, so O(n) while any is parked).
   [[nodiscard]] Vertex color_count(Color c) const {
     sync_fast_forward();
     return hist_[static_cast<std::size_t>(raw(c))];
@@ -514,31 +513,18 @@ class ProcessEngine {
   [[nodiscard]] bool scheduled(Vertex u) const {
     return (flags_[static_cast<std::size_t>(u)] & kScheduledBit) != 0;
   }
-  // Logical scheduled count: live worklist plus fast-forwarded vertices
-  // (parked orbits are scheduled every round by declaration).
-  [[nodiscard]] Vertex num_scheduled() const {
-    if constexpr (kFastForward) return worklist_.size() + periodic_.size();
-    return worklist_.size();
-  }
+  // Logical scheduled count: live worklist plus parked vertices (parked
+  // orbits are scheduled every round by declaration).
+  [[nodiscard]] Vertex num_scheduled() const { return worklist_.size() + num_parked_; }
   // The LIVE worklist only — under fast-forward, parked vertices are
   // excluded (that exclusion is the optimization). Logical queries should
   // use num_scheduled()/scheduled_set().
   [[nodiscard]] const VertexWorklist& worklist() const { return worklist_; }
   // Ascending order — what a dense seed-semantics scan would produce.
-  // Includes the fast-forwarded vertices.
+  // Includes the parked vertices, whose scheduled flags stay set.
   [[nodiscard]] std::vector<Vertex> scheduled_set() const {
-    if constexpr (kFastForward) {
-      if (!periodic_.empty()) {
-        const std::vector<Vertex> live = worklist_.sorted();
-        const std::vector<Vertex> parked = periodic_.sorted();
-        std::vector<Vertex> out;
-        out.reserve(live.size() + parked.size());
-        std::merge(live.begin(), live.end(), parked.begin(), parked.end(),
-                   std::back_inserter(out));
-        return out;
-      }
-    }
-    return worklist_.sorted();
+    if (num_parked_ == 0) return worklist_.sorted();
+    return select([this](Vertex u) { return scheduled(u); });
   }
 
   // Ascending list of the vertices satisfying `pred` (O(n) scan), e.g. the
@@ -587,12 +573,26 @@ class ProcessEngine {
   // Set while u is on the touched list (never outside a refresh pass); not
   // a predicate flag.
   static constexpr std::uint8_t kTouchedBit = 16;
-  // Set by rebuild() on the scheduled vertices it parks, until it has
-  // assigned the periodic set from it; not a predicate flag.
+  // Set while u is parked (fast-forward only); not a predicate flag.
   static constexpr std::uint8_t kParkBit = 32;
 
   static constexpr std::uint8_t raw(Color c) { return static_cast<std::uint8_t>(c); }
   static constexpr Vertex bit(std::uint8_t f, std::uint8_t mask) { return (f & mask) != 0; }
+
+  // Whether a scheduled vertex of color c and hearing h may park: the rule
+  // declares an orbit there and c already is the orbit's color this round,
+  // so evaluating the orbit at any later round gives the exact color.
+  bool parks(Vertex u, Color c, Heard h) const {
+    if constexpr (kFastForward) {
+      return fast_forward_ && rule_.fast_forwardable(c, h) &&
+             rule_.orbit_color(u, c, round_) == c;
+    } else {
+      (void)u;
+      (void)c;
+      (void)h;
+      return false;
+    }
+  }
 
   // Phase 1: compute next colors for `items` against the frozen state into
   // the change list. `items` must contain currently valid, duplicate-free
@@ -623,6 +623,12 @@ class ProcessEngine {
     for (std::size_t i = 0; i < num_changed_; ++i) {
       const Vertex u = changed_[i];
       const std::size_t su = static_cast<std::size_t>(u);
+      // A fault or a daemon commit may hit a vertex that its own
+      // materialization re-parked. Unpark it first, or the refresh below
+      // would materialize it again and overwrite the committed color.
+      if constexpr (kFastForward) {
+        if (fast_forwarded(u)) unpark(u);
+      }
       const Color prev = colors_[su];
       const Color next = changed_to_[i];
       --hist_[raw(prev)];
@@ -740,15 +746,14 @@ class ProcessEngine {
   //
   // Under fast-forward this is also both the re-activation point (a parked
   // u is materialized before anything reads its flags or color) and the
-  // entry point (a live scheduled u whose rule declares its current
-  // configuration an autonomous orbit is parked: removed from the live
+  // entry point (a live scheduled u that parks() is removed from the live
   // worklist with its kScheduledBit — and all predicate flags, frozen by
   // the orbit's constancy promise — left set, so the O(1) aggregates stay
   // the logical values).
   void refresh(Vertex u) {
     const std::size_t su = static_cast<std::size_t>(u);
     if constexpr (kFastForward) {
-      if (periodic_.contains(u)) materialize(u);
+      if (fast_forwarded(u)) materialize(u);
     }
     const Color c = colors_[su];
     const Heard h = heard(u);
@@ -766,26 +771,31 @@ class ProcessEngine {
     num_stable_black_ += bit(now, kStableBlackBit) - bit(before, kStableBlackBit);
     if (((now ^ before) & kStableBlackBit) && coverage_built_)
       cover(u, (now & kStableBlackBit) ? 1 : -1);
-    if constexpr (kFastForward) {
-      if (fast_forward_ && (now & kScheduledBit) && rule_.fast_forwardable(c, h)) {
-        worklist_.erase(u);
-        periodic_.insert(u);
-        ff_entry_[su] = round_;
-      }
+    if ((now & kScheduledBit) && parks(u, c, h)) {
+      worklist_.erase(u);
+      flags_[su] |= kParkBit;
+      ++num_parked_;
     }
   }
 
-  // Exit the periodic set: advance u's stored color to the current round by
-  // one orbit evaluation, rejoin the live worklist, and patch the histogram
-  // and neighbor counters if the orbit moved. The caller (refresh)
-  // re-derives u's flags right after; the neighbors whose hearing the move
-  // changed join the touched list. Only reached under kFastForward.
+  // Back onto the live worklist; kScheduledBit is still set (orbit
+  // invariant).
+  void unpark(Vertex u) {
+    flags_[static_cast<std::size_t>(u)] &= static_cast<std::uint8_t>(~kParkBit);
+    --num_parked_;
+    worklist_.insert(u);
+  }
+
+  // Unparks u, advances its stored color to the current round by one orbit
+  // evaluation, and patches the histogram and neighbor counters if the
+  // orbit moved. The caller (refresh) re-derives u's flags right after; the
+  // neighbors whose hearing the move changed join the touched list. Only
+  // reached under kFastForward.
   void materialize(Vertex u) {
     const std::size_t su = static_cast<std::size_t>(u);
-    periodic_.erase(u);
-    worklist_.insert(u);  // kScheduledBit is still set — orbit invariant
+    unpark(u);
     const Color prev = colors_[su];
-    const Color now = rule_.orbit_color(u, prev, heard(u), ff_entry_[su], round_);
+    const Color now = rule_.orbit_color(u, prev, round_);
     if (now == prev) return;
     if (static_cast<int>(raw(now)) >= num_colors_)
       throw std::logic_error("ProcessEngine: orbit produced a color out of range");
@@ -799,7 +809,7 @@ class ProcessEngine {
   void sync_neighbors(Vertex u) {
     num_touched_ = 0;
     for (Vertex v : nbrs(u))
-      if (periodic_.contains(v)) touch(v);
+      if (fast_forwarded(v)) touch(v);
     drain();
   }
 
@@ -857,8 +867,8 @@ class ProcessEngine {
 
   // Full O(n + m) derivation of every piece of engine state from the colors
   // (construction, and notify_rule_changed after a sync): histogram,
-  // counters, flags, worklist, periodic set and aggregates, plus the
-  // coverage counts once a reader has built them.
+  // counters, flags (the park bits included), worklist and aggregates,
+  // plus the coverage counts once a reader has built them.
   //
   // Counters come from sequential adjacency sweeps pulling the neighbors'
   // contributions (Graph::neighbor_sums), two counters per sweep: counter
@@ -867,9 +877,8 @@ class ProcessEngine {
   // every counter fits a Vertex (the constructor checks it) and a carry
   // out of the low lane cancels in the row's difference of running totals.
   // One pass over the vertices then sets the flags, aggregates and
-  // histogram and marks the scheduled vertices the rule declares on an
-  // orbit; the worklist and the periodic set are both assigned from the
-  // flags.
+  // histogram and parks the scheduled vertices that parks() accepts; the
+  // worklist is assigned from the flags.
   void rebuild() {
     const Vertex n = graph_.num_vertices();
     const std::size_t k = static_cast<std::size_t>(k_);
@@ -901,16 +910,18 @@ class ProcessEngine {
     }
     hist_.assign(nc, 0);
     flags_.resize(static_cast<std::size_t>(n));
-    Vertex active = 0, violations = 0, stable_black = 0;
+    // Callers materialize first (notify_rule_changed) or start from exact
+    // colors (construction), so parks() sees every vertex's current color.
+    Vertex active = 0, violations = 0, stable_black = 0, num_parked = 0;
     for (Vertex u = 0; u < n; ++u) {
       const std::size_t su = static_cast<std::size_t>(u);
       const Color c = colors_[su];
       const Heard h = heard(u);
       ++hist_[raw(c)];
       std::uint8_t f = compute_flags(c, h);
-      if constexpr (kFastForward) {
-        if (fast_forward_ && (f & kScheduledBit) && rule_.fast_forwardable(c, h))
-          f |= kParkBit;
+      if ((f & kScheduledBit) && parks(u, c, h)) {
+        f |= kParkBit;
+        ++num_parked;
       }
       flags_[su] = f;
       active += bit(f, kActiveBit);
@@ -920,19 +931,9 @@ class ProcessEngine {
     num_active_ = active;
     num_violations_ = violations;
     num_stable_black_ = stable_black;
+    num_parked_ = num_parked;
     if (coverage_built_) build_coverage();
-    if constexpr (kFastForward) {
-      // Callers materialize first (notify_rule_changed) or are starting
-      // from exact colors (construction), so every parked vertex holds its
-      // color at its entry round, this one.
-      worklist_.assign(flags_, kScheduledBit | kParkBit, kScheduledBit);
-      periodic_.assign(flags_, kParkBit, kParkBit);
-      for (const Vertex u : periodic_.items())
-        flags_[static_cast<std::size_t>(u)] &= static_cast<std::uint8_t>(~kParkBit);
-      ff_entry_.assign(static_cast<std::size_t>(n), round_);
-    } else {
-      worklist_.assign(flags_, kScheduledBit, kScheduledBit);
-    }
+    worklist_.assign(flags_, kScheduledBit | kParkBit, kScheduledBit);
   }
 
   Graph graph_;  // a handle: copies share the storage
@@ -946,12 +947,12 @@ class ProcessEngine {
   std::vector<Vertex> covered_;
   bool coverage_built_ = false;
 
-  // Stable-periodic fast-forward state (empty / unused unless the rule
-  // satisfies FastForwardRule). Invariant: periodic_ and worklist_ are
-  // disjoint, their union is exactly the flagged-scheduled vertices, and a
-  // member of periodic_ holds its end-of-ff_entry_[u] color in colors_.
-  VertexWorklist periodic_;
-  std::vector<std::int64_t> ff_entry_;
+  // Fast-forward state (0 / unused unless the rule satisfies
+  // FastForwardRule). Invariant: the worklist holds exactly the scheduled
+  // vertices without kParkBit, num_parked_ counts those with it, and a
+  // parked vertex holds in colors_ its orbit color of the round it parked
+  // in.
+  Vertex num_parked_ = 0;
   bool fast_forward_ = kFastForward;
 
   // Scratch for decide/apply, sized at construction and written before it

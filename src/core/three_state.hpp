@@ -83,18 +83,16 @@ class ThreeStateRule {
   // --- stable-periodic fast-forward (engine.hpp, FastForwardRule) ----------
   //
   // A stable black (black, no black neighbor) re-randomizes black1/black0
-  // forever: its color at round T is fair_coin(T, u) alone — a memoryless
-  // orbit (period-1 output projection: "black"). Along it every predicate
-  // above is constant (active/scheduled/stable_black true, violating
-  // false), and the only neighbor-counter component the orbit moves is
-  // kBlack1Nbr — which only black0 vertices hear, and no black vertex can
-  // be adjacent to a stable black. That is the output-projection contract.
-  static constexpr std::int64_t kOrbitPeriodHint = 1;
+  // forever: its color at round t is fair_coin(t, u) alone — a memoryless
+  // orbit whose output projection, "black", is constant. Along it every
+  // predicate above is constant (active/scheduled/stable_black true,
+  // violating false), and the only neighbor-counter component the orbit
+  // moves is kBlack1Nbr — which only black0 vertices hear, and no black
+  // vertex can be adjacent to a stable black. That is the
+  // output-projection contract.
   bool fast_forwardable(Color3 c, Heard h) const { return stable_black(c, h); }
-  Color3 orbit_color(Vertex u, Color3 c, Heard /*h*/,
-                     std::int64_t entry_round, std::int64_t now) const {
-    if (now == entry_round) return c;
-    return coins_.fair_coin(now, u) ? Color3::kBlack1 : Color3::kBlack0;
+  Color3 orbit_color(Vertex u, Color3 /*c*/, std::int64_t t) const {
+    return coins_.fair_coin(t, u) ? Color3::kBlack1 : Color3::kBlack0;
   }
 
  private:

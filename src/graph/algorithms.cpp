@@ -254,7 +254,7 @@ InducedSubgraph induced_subgraph(const Graph& g, const std::vector<Vertex>& keep
       if (nv >= 0 && nu < nv) b.add_edge(nu, nv);
     });
   }
-  InducedSubgraph result{std::move(b).build(), keep};
+  InducedSubgraph result{b.build(), keep};
   return result;
 }
 
@@ -272,7 +272,7 @@ Graph complement(const Graph& g) {
       b.add_edge(u, v);
     }
   }
-  return std::move(b).build();
+  return b.build();
 }
 
 std::optional<std::vector<char>> bipartition(const Graph& g) {

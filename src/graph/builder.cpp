@@ -1,9 +1,10 @@
 #include "graph/builder.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "graph/csr_builder.hpp"
 
 namespace ssmis {
 
@@ -22,39 +23,10 @@ void GraphBuilder::add_edge(Vertex u, Vertex v) {
   edges_.emplace_back(u, v);
 }
 
-Graph GraphBuilder::build_from(Vertex n, std::vector<Edge> edges) {
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  std::vector<std::int64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : edges) {
-    ++offsets[static_cast<std::size_t>(u) + 1];
-    ++offsets[static_cast<std::size_t>(v) + 1];
-  }
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-
-  std::vector<Vertex> adj(static_cast<std::size_t>(offsets.back()));
-  std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& [u, v] : edges) {
-    adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = v;
-    adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = u;
-  }
-  // Rows are already sorted because the edge list is sorted lexicographically
-  // for the first endpoint; the second endpoint's rows need a sort.
-  for (Vertex u = 0; u < n; ++u) {
-    auto first = adj.begin() + offsets[static_cast<std::size_t>(u)];
-    auto last = adj.begin() + offsets[static_cast<std::size_t>(u) + 1];
-    std::sort(first, last);
-  }
-  return Graph(n, std::move(offsets), std::move(adj));
-}
-
-Graph GraphBuilder::build() && {
-  return build_from(n_, std::move(edges_));
-}
-
-Graph GraphBuilder::build() const& {
-  return build_from(n_, edges_);
+Graph GraphBuilder::build() const {
+  return CsrBuilder::from_source(n_, [this](auto&& emit) {
+    for (const auto& [u, v] : edges_) emit(u, v);
+  });
 }
 
 }  // namespace ssmis

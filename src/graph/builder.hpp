@@ -1,10 +1,11 @@
 // Mutable edge accumulator producing immutable CSR Graphs.
 //
 // Generators add edges freely (duplicates and both orientations are fine);
-// build() sorts, deduplicates, and validates once. Peak memory is ~3x the
-// final CSR (the buffered edge list is 16 bytes/edge) — fine for the
-// point-set generators and tests that use it; large-graph generators emit
-// through the streaming CsrBuilder (graph/csr_builder.hpp) instead.
+// build() replays them through CsrBuilder::from_source
+// (graph/csr_builder.hpp), the one sort/dedup/validate path. Peak memory is
+// the buffered edge list (8 bytes per recorded edge) plus the final CSR —
+// fine for the point-set generators and tests that use it; large-graph
+// generators emit through CsrBuilder directly, with no buffered list.
 #pragma once
 
 #include <vector>
@@ -27,14 +28,11 @@ class GraphBuilder {
 
   std::size_t num_recorded_edges() const { return edges_.size(); }
 
-  // Consumes the builder. Duplicate edges collapse to one.
-  Graph build() &&;
-  // Non-destructive build for callers that keep adding edges afterwards.
-  Graph build() const&;
+  // The graph of the edges recorded so far; duplicate edges collapse to
+  // one. The builder is left as it is, so callers may keep adding edges.
+  Graph build() const;
 
  private:
-  static Graph build_from(Vertex n, std::vector<Edge> edges);
-
   Vertex n_;
   std::vector<Edge> edges_;  // stored with u < v
 };

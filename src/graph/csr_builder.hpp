@@ -1,7 +1,6 @@
 // Streaming CSR construction: builds a Graph directly from an edge stream,
-// with no buffered edge list. Compare GraphBuilder, which materializes a
-// std::vector<Edge> (16 bytes/edge), sorts it, and only then lays out the
-// CSR — roughly 3x the final footprint at peak. There are three builds:
+// with no buffered edge list. (GraphBuilder, graph/builder.hpp, buffers its
+// edges and replays them through from_source.) There are three builds:
 //
 // `from_source` takes any edge stream — duplicates, self-loops and either
 // orientation allowed — and asks the caller to *replay* it twice:
@@ -15,10 +14,9 @@
 // like the configuration model). The edge source must be *replayable*:
 // invoking it twice must emit the identical multiset of edges.
 // Deterministic generators satisfy this for free by re-seeding their RNG
-// per pass. Self-loops are dropped and endpoints validated exactly like
-// GraphBuilder, and the resulting Graph is byte-identical to the
-// GraphBuilder output for the same edge multiset (rows end up sorted and
-// deduplicated either way).
+// per pass. Self-loops are dropped, endpoints validated, and every row ends
+// up sorted and deduplicated, so the Graph depends only on the set of
+// edges the stream names.
 //
 // `from_column_source` is the one-pass build for a source that already
 // emits each edge once, as (u, v) with u < v, in strictly increasing

@@ -387,7 +387,7 @@ Graph random_geometric(Vertex n, double radius, std::uint64_t seed) {
       }
     }
   }
-  return std::move(b).build();
+  return b.build();
 }
 
 Graph small_world(Vertex n, int k, double beta, std::uint64_t seed) {
@@ -424,7 +424,7 @@ Graph small_world(Vertex n, int k, double beta, std::uint64_t seed) {
   }
   GraphBuilder b(n);
   for (const auto& [u, v] : rewired) b.add_edge(u, v);
-  return std::move(b).build();
+  return b.build();
 }
 
 }  // namespace gen

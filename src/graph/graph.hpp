@@ -298,7 +298,6 @@ class Graph {
   [[nodiscard]] std::string summary() const;
 
  private:
-  friend class GraphBuilder;
   friend class CsrBuilder;
   Graph(Vertex n, std::vector<std::int64_t> offsets, std::vector<Vertex> adj);
 

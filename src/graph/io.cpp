@@ -40,7 +40,7 @@ Graph read_edge_list(std::istream& is) {
   }
   if (!have_header) throw std::runtime_error("read_edge_list: missing header");
   if (seen != m) throw std::runtime_error("read_edge_list: edge count mismatch");
-  return std::move(builder).build();
+  return builder.build();
 }
 
 void write_dot(std::ostream& os, const Graph& g, const std::vector<Vertex>& highlight) {

@@ -28,24 +28,16 @@ std::string join(const std::vector<std::string>& items) {
 
 }  // namespace
 
-std::int64_t ProtocolParams::get_int(const std::string& key,
-                                     std::int64_t fallback) const {
-  auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  std::int64_t value = 0;
-  const std::string& s = it->second;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || ptr != s.data() + s.size())
-    bad_value(key, s, "integer");
-  return value;
-}
-
 std::int64_t ProtocolParams::get_int(const std::string& key, std::int64_t fallback,
                                      std::int64_t lo, std::int64_t hi) const {
-  const std::int64_t value = get_int(key, fallback);
+  const std::string s = get_string(key, "");
+  std::int64_t value = fallback;
+  if (has(key)) {
+    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+    if (ec != std::errc() || ptr != s.data() + s.size()) bad_value(key, s, "integer");
+  }
   if (value < lo || value > hi)
-    bad_value(key, get_string(key, ""),
-              "integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    bad_value(key, s, "integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
   return value;
 }
 

@@ -41,9 +41,8 @@ class ProtocolParams {
   }
   bool has(const std::string& key) const { return options_.count(key) > 0; }
 
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  // The same, restricted to [lo, hi]: an out-of-range value throws like a
-  // malformed one, naming the key and the range.
+  // Integers are restricted to [lo, hi]: an out-of-range value throws like
+  // a malformed one, naming the key and the range.
   std::int64_t get_int(const std::string& key, std::int64_t fallback,
                        std::int64_t lo, std::int64_t hi) const;
   double get_double(const std::string& key, double fallback) const;

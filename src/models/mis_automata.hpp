@@ -79,8 +79,7 @@ class ThreeStateStoneAgeAutomaton final : public StoneAgeAutomaton {
   bool orbit(std::uint8_t state, std::uint32_t heard_mask) const override {
     return state != kWhite && heard_mask == 0;
   }
-  std::uint8_t orbit_state(std::uint8_t /*state*/, std::uint32_t /*heard_mask*/,
-                           std::uint64_t w_color,
+  std::uint8_t orbit_state(std::uint8_t /*state*/, std::uint64_t w_color,
                            std::uint64_t /*w_aux*/) const override {
     return (w_color >> 63) != 0 ? kBlack1 : kBlack0;
   }

@@ -36,8 +36,7 @@ void StoneAgeNetwork::step() {
   // histogram entries: the sum over emitting states is exact under
   // fast-forward (orbits keep the number of channels beeped on constant —
   // part of the orbit contract in StoneAgeAutomaton), and staying off the
-  // exact-state accessor keeps the per-round cost O(states), not
-  // O(periodic set).
+  // exact-state accessor keeps the per-round cost O(states), not O(n).
   const StoneAgeAutomaton& automaton = engine_.rule().automaton();
   total_transmissions_ +=
       engine_.raw_color_count_if([&](std::uint8_t s) { return automaton.emit(s) >= 0; });

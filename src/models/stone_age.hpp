@@ -55,17 +55,18 @@ class StoneAgeAutomaton {
 
   // Stable-periodic fast-forward hints (core/engine.hpp, FastForwardRule).
   // orbit(state, heard) declares that as long as the heard mask stays put,
-  // the node's trajectory from this configuration is autonomous and
-  // memoryless — its state at any later round is orbit_state evaluated on
-  // that round's coin words alone — with the MIS-relevant projection
-  // (in_mis, and the number of channels beeped on) constant along the
-  // orbit, and with every state of the orbit non-quiescent. The default
-  // (no orbits) is always sound: it means no fast-forward.
+  // the node is on a memoryless orbit: its state at any later round is
+  // orbit_state(state, w_color, w_aux) on that round's coin words alone,
+  // which must equal next(s, heard_mask, w_color, w_aux) for every state s
+  // of the orbit. The MIS-relevant projection (in_mis, and the number of
+  // channels beeped on) is constant along the orbit, and every state of it
+  // is non-quiescent. orbit_state reads no heard mask: the engine evaluates
+  // it when the mask may already have left the orbit. The default (no
+  // orbits) is always sound: it means no fast-forward.
   virtual bool orbit(std::uint8_t /*state*/, std::uint32_t /*heard_mask*/) const {
     return false;
   }
-  virtual std::uint8_t orbit_state(std::uint8_t state, std::uint32_t /*heard_mask*/,
-                                   std::uint64_t /*w_color*/,
+  virtual std::uint8_t orbit_state(std::uint8_t state, std::uint64_t /*w_color*/,
                                    std::uint64_t /*w_aux*/) const {
     return state;
   }
@@ -112,16 +113,12 @@ class StoneAgeRule {
   // Stable-periodic fast-forward (engine.hpp): forwards the automaton's
   // orbit declaration, drawing the same coin words transition() would, so
   // a materialized state is bit-identical to having stepped every round.
-  static constexpr std::int64_t kOrbitPeriodHint = 1;
   bool fast_forwardable(std::uint8_t s, Heard h) const {
     return automaton_->orbit(s, h.bits());
   }
-  std::uint8_t orbit_color(Vertex u, std::uint8_t s, Heard h,
-                           std::int64_t entry_round, std::int64_t now) const {
-    if (now == entry_round) return s;
-    return automaton_->orbit_state(s, h.bits(),
-                                   coins_.word(now, u, CoinTag::kMisColor),
-                                   coins_.word(now, u, CoinTag::kSwitchBit));
+  std::uint8_t orbit_color(Vertex u, std::uint8_t s, std::int64_t t) const {
+    return automaton_->orbit_state(s, coins_.word(t, u, CoinTag::kMisColor),
+                                   coins_.word(t, u, CoinTag::kSwitchBit));
   }
 
   bool in_mis(std::uint8_t s) const { return in_mis_[s] != 0; }

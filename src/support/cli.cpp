@@ -50,23 +50,17 @@ CliArgs CliArgs::parse(int argc, const char* const* argv) {
   return args;
 }
 
-std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) const {
-  auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  std::int64_t value = 0;
-  const std::string& s = it->second;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || ptr != s.data() + s.size()) bad_value(name, "integer", s);
-  return value;
-}
-
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback,
                               std::int64_t lo, std::int64_t hi) const {
-  const std::int64_t value = get_int(name, fallback);
+  const std::string s = get_string(name, "");
+  std::int64_t value = fallback;
+  if (has(name)) {
+    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+    if (ec != std::errc() || ptr != s.data() + s.size()) bad_value(name, "integer", s);
+  }
   if (value < lo || value > hi)
     bad_value(name,
-              "integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]",
-              get_string(name, ""));
+              "integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]", s);
   return value;
 }
 

@@ -25,10 +25,9 @@ class CliArgs {
 
   // Typed accessors; return `fallback` when the option is absent. A value
   // that does not parse prints `error: --NAME: expected ..., got '...'` to
-  // stderr and exits with status 2, like an unknown flag.
-  std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
-  // The same, restricted to [lo, hi]: an out-of-range value exits like a
-  // malformed one, naming the range.
+  // stderr and exits with status 2, like an unknown flag. Integers are
+  // restricted to [lo, hi]: an out-of-range value exits like a malformed
+  // one, naming the range.
   std::int64_t get_int(const std::string& name, std::int64_t fallback,
                        std::int64_t lo, std::int64_t hi) const;
   double get_double(const std::string& name, double fallback) const;

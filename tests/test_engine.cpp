@@ -82,7 +82,7 @@ void expect_engine_consistent(const Engine& e, const std::string& context) {
         << context << ": histogram bucket " << c;
   }
 
-  // Worklist ∪ periodic set = scheduled predicate, exactly and disjointly.
+  // Worklist ∪ parked = scheduled predicate, exactly and disjointly.
   // (Fast-forwarded vertices are parked off the live worklist but remain
   // logically scheduled; for non-ff rules fast_forwarded(u) is always
   // false and this degenerates to worklist == scheduled.)
@@ -92,7 +92,7 @@ void expect_engine_consistent(const Engine& e, const std::string& context) {
     const bool live = e.worklist().contains(u);
     const bool parked = e.fast_forwarded(u);
     ASSERT_EQ(e.scheduled(u), want) << context << ": scheduled flag of " << u;
-    ASSERT_EQ(live || parked, want) << context << ": worklist/periodic entry " << u;
+    ASSERT_EQ(live || parked, want) << context << ": worklist/parked entry " << u;
     ASSERT_FALSE(live && parked) << context << ": doubly tracked " << u;
     if (want) ++want_scheduled;
   }
@@ -578,11 +578,12 @@ TEST(EngineConstruction, CountersMatchPerCounterRecomputation) {
   }
 }
 
-// A vertex is parked exactly when it is scheduled and the rule declares
-// its (color, hearing) an orbit — and fast-forward is on. Which vertices
-// are parked is read first: the exact-state reads that follow materialize
-// parked vertices, which leaves their colors as they are in the round
-// they were parked in, but re-derives where they sit.
+// A vertex is parked exactly when it is scheduled, the rule declares its
+// (color, hearing) an orbit, its color is the orbit's color this round —
+// and fast-forward is on. Which vertices are parked is read first: the
+// exact-state reads that follow materialize parked vertices, which leaves
+// their colors as they are in the round they were parked in, but
+// re-derives where they sit.
 template <typename Engine>
 void expect_parked_where_declared(const Engine& e, const std::string& context) {
   const Graph& g = e.graph();
@@ -599,8 +600,8 @@ void expect_parked_where_declared(const Engine& e, const std::string& context) {
             rule.contribution(colors[static_cast<std::size_t>(v)], j);
     const auto c = colors[static_cast<std::size_t>(u)];
     const Heard h = Heard::of(cnt.data(), k);
-    const bool want =
-        e.fast_forward_enabled() && rule.scheduled(c, h) && rule.fast_forwardable(c, h);
+    const bool want = e.fast_forward_enabled() && rule.scheduled(c, h) &&
+                      rule.fast_forwardable(c, h) && rule.orbit_color(u, c, e.round()) == c;
     ASSERT_EQ(parked[static_cast<std::size_t>(u)], want) << context << ": vertex " << u;
   }
   expect_engine_consistent(e, context);

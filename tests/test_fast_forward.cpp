@@ -21,16 +21,28 @@
 //      / num_unstable / histogram counts reported with vertices parked must
 //      equal the unoptimized twin's values every round (the physical
 //      worklist is allowed to be empty; the logical answers are not).
+//
+// Below them, every shipped orbit is checked against the FastForwardRule
+// contract itself, and a vertex forced off its orbit's color must stay
+// live until its first color change.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
+#include "core/init.hpp"
 #include "core/process.hpp"
+#include "core/three_state.hpp"
 #include "graph/generators.hpp"
 #include "harness/registry.hpp"
+#include "models/mis_automata.hpp"
+#include "models/stone_age.hpp"
 #include "rng/coin_oracle.hpp"
 #include "support/hash.hpp"
 
@@ -184,6 +196,145 @@ TEST(FastForward, MidRunToggleLandsOnUnoptimizedTrajectory) {
       }
     }
   }
+}
+
+// ------------------------------------------------------ orbit contract --
+
+// A drifted signature would turn the concept false, and fast-forward would
+// switch off without a failing test.
+static_assert(FastForwardRule<ThreeStateRule> && FastForwardRule<StoneAgeRule>);
+
+// Every hearing some set of neighbor colors produces. The bit masks no
+// neighborhood produces (3-state's "black1 but no black") are left out:
+// the contract says nothing about them.
+template <typename Rule>
+std::set<std::uint32_t> reachable_hearings(const Rule& rule) {
+  const int colors = rule.num_colors();
+  const int k = rule.num_counters();
+  std::set<std::uint32_t> out;
+  for (std::uint32_t present = 0; present < (1u << colors); ++present) {
+    std::vector<Vertex> cnt(static_cast<std::size_t>(k), 0);
+    for (int c = 0; c < colors; ++c) {
+      if (((present >> c) & 1u) == 0) continue;
+      for (int j = 0; j < k; ++j)
+        cnt[static_cast<std::size_t>(j)] +=
+            rule.contribution(static_cast<typename Rule::Color>(c), j);
+    }
+    out.insert(Heard::of(cnt.data(), k).bits());
+  }
+  return out;
+}
+
+// For every reachable hearing h and every pair c, c2 that h makes
+// fast_forwardable: stepping c2 lands where the orbit of c says, on the
+// orbit again, and the predicates and MIS membership agree across it.
+template <typename Rule>
+void expect_memoryless_orbits(const Rule& rule, const std::string& name) {
+  using Color = typename Rule::Color;
+  const int colors = rule.num_colors();
+  int pairs = 0;
+  for (const std::uint32_t bits : reachable_hearings(rule)) {
+    const Heard h(bits);
+    for (int a = 0; a < colors; ++a) {
+      const auto c = static_cast<Color>(a);
+      if (!rule.fast_forwardable(c, h)) continue;
+      for (int b = 0; b < colors; ++b) {
+        const auto c2 = static_cast<Color>(b);
+        if (!rule.fast_forwardable(c2, h)) continue;
+        ++pairs;
+        const std::string where = name + " hearing " + std::to_string(bits) + " colors " +
+                                  std::to_string(a) + "," + std::to_string(b);
+        ASSERT_TRUE(rule.scheduled(c, h)) << where;
+        ASSERT_EQ(rule.scheduled(c2, h), rule.scheduled(c, h)) << where;
+        ASSERT_EQ(rule.active(c2, h), rule.active(c, h)) << where;
+        ASSERT_EQ(rule.violating(c2, h), rule.violating(c, h)) << where;
+        ASSERT_EQ(rule.stable_black(c2, h), rule.stable_black(c, h)) << where;
+        ASSERT_EQ(rule.in_mis(c2), rule.in_mis(c)) << where;
+        for (Vertex u = 0; u < 64; ++u) {
+          for (std::int64_t t = 1; t <= 64; ++t) {
+            const Color next = rule.transition(u, c2, h, t);
+            ASSERT_EQ(static_cast<int>(next), static_cast<int>(rule.orbit_color(u, c, t)))
+                << where << " vertex " << u << " round " << t;
+            ASSERT_TRUE(rule.fast_forwardable(next, h))
+                << where << " vertex " << u << " round " << t;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pairs, 0) << name << " declares no orbit";
+}
+
+TEST(OrbitContract, ShippedOrbitsAreMemoryless) {
+  const CoinOracle coins(181);
+  expect_memoryless_orbits(ThreeStateRule(coins), "3-state");
+  const ThreeStateStoneAgeAutomaton automaton;
+  expect_memoryless_orbits(StoneAgeRule(&automaton, coins), "stone-age/3");
+}
+
+// A stable black forced onto the other black color is off its orbit for
+// this round: it stays live, and parks at its first color change. A twin
+// with fast-forward off, faulted the same way, matches it every round.
+template <typename P>
+void expect_off_orbit_black_parks_at_first_change(
+    const std::function<std::unique_ptr<P>()>& make,
+    const std::function<bool(typename P::Color)>& is_black, const std::string& name) {
+  const auto opt = make();
+  const auto ref = make();
+  ref->set_fast_forward(false);
+  ASSERT_TRUE(opt->run(500000, TraceMode::kNone).stabilized) << name;
+  ASSERT_TRUE(ref->run(500000, TraceMode::kNone).stabilized) << name;
+  Vertex u = 0;
+  while (u < opt->graph().num_vertices() && !opt->engine().fast_forwarded(u)) ++u;
+  ASSERT_LT(u, opt->graph().num_vertices()) << name << ": nothing parked";
+  const auto on_orbit = opt->color(u);
+  ASSERT_TRUE(is_black(on_orbit)) << name;
+  // The other black color: the 3-state encodings put black0 and black1 at
+  // raw values 1 and 2.
+  const auto off_orbit = static_cast<typename P::Color>(3 - static_cast<int>(on_orbit));
+  const Vertex parked_before = opt->engine().num_fast_forwarded();
+  opt->force_color(u, off_orbit);
+  ref->force_color(u, off_orbit);
+  ASSERT_FALSE(opt->engine().fast_forwarded(u)) << name;
+  ASSERT_EQ(opt->engine().num_fast_forwarded(), parked_before - 1) << name;
+  auto last = off_orbit;
+  bool changed = false;
+  for (int round = 1; round <= 64 && !changed; ++round) {
+    opt->step();
+    ref->step();
+    const bool parked = opt->engine().fast_forwarded(u);
+    const auto now = opt->color(u);
+    changed = now != last;
+    ASSERT_EQ(parked, changed) << name << " round " << round;
+    last = now;
+    ASSERT_EQ(opt->colors(), ref->colors()) << name << " round " << round;
+  }
+  ASSERT_TRUE(changed) << name << ": no color change in 64 rounds";
+  for (int round = 1; round <= 16; ++round) {
+    opt->step();
+    ref->step();
+    ASSERT_EQ(opt->colors(), ref->colors()) << name << " after parking, round " << round;
+  }
+}
+
+TEST(OrbitContract, OffOrbitBlackParksAtItsFirstColorChange) {
+  const Graph g = gen::gnp(200, 0.03, 191);
+  const CoinOracle coins(193);
+  expect_off_orbit_black_parks_at_first_change<ThreeStateMIS>(
+      [&] {
+        return std::make_unique<ThreeStateMIS>(
+            g, make_init3(g, InitPattern::kUniformRandom, coins), coins);
+      },
+      [](Color3 c) { return is_black(c); }, "3-state");
+  const ThreeStateStoneAgeAutomaton automaton;
+  expect_off_orbit_black_parks_at_first_change<StoneAgeNetwork>(
+      [&] {
+        std::vector<std::uint8_t> init;
+        for (const Color3 c : make_init3(g, InitPattern::kUniformRandom, coins))
+          init.push_back(ThreeStateStoneAgeAutomaton::encode(c));
+        return std::make_unique<StoneAgeNetwork>(g, automaton, std::move(init), coins);
+      },
+      [&](std::uint8_t s) { return automaton.in_mis(s); }, "stone-age/3");
 }
 
 }  // namespace

@@ -141,7 +141,7 @@ TEST(GoodGraph, SampledCheckRefutesP1OnPlantedClique) {
   GraphBuilder b(300);
   for (Vertex i = 0; i < 60; ++i)
     for (Vertex j = i + 1; j < 60; ++j) b.add_edge(i, j);
-  const Graph g = std::move(b).build();
+  const Graph g = b.build();
   const auto report = check_good_sampled(g, 0.001, 40, 5);
   EXPECT_FALSE(report.p1);
 }

@@ -183,7 +183,7 @@ TEST(GraphBuilder, RecordsEdgeCountBeforeDedup) {
   b.add_edge(0, 1);
   b.add_edge(1, 0);
   EXPECT_EQ(b.num_recorded_edges(), 2u);
-  EXPECT_EQ(std::move(b).build().num_edges(), 1);
+  EXPECT_EQ(b.build().num_edges(), 1);
 }
 
 TEST(GraphIo, EdgeListRoundTrip) {

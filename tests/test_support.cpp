@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "support/cli.hpp"
@@ -10,6 +12,9 @@
 namespace ssmis {
 namespace {
 
+constexpr std::int64_t kMinInt = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+
 CliArgs parse(std::initializer_list<const char*> args) {
   std::vector<const char*> argv{"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
@@ -18,14 +23,14 @@ CliArgs parse(std::initializer_list<const char*> args) {
 
 TEST(Cli, EqualsForm) {
   const auto args = parse({"--n=128", "--p=0.5", "--name=clique"});
-  EXPECT_EQ(args.get_int("n", 0), 128);
+  EXPECT_EQ(args.get_int("n", 0, kMinInt, kMaxInt), 128);
   EXPECT_DOUBLE_EQ(args.get_double("p", 0.0), 0.5);
   EXPECT_EQ(args.get_string("name", ""), "clique");
 }
 
 TEST(Cli, SpaceForm) {
   const auto args = parse({"--n", "64", "--label", "x"});
-  EXPECT_EQ(args.get_int("n", 0), 64);
+  EXPECT_EQ(args.get_int("n", 0, kMinInt, kMaxInt), 64);
   EXPECT_EQ(args.get_string("label", ""), "x");
 }
 
@@ -38,7 +43,7 @@ TEST(Cli, BooleanFlag) {
 
 TEST(Cli, FallbacksWhenAbsent) {
   const auto args = parse({});
-  EXPECT_EQ(args.get_int("n", 42), 42);
+  EXPECT_EQ(args.get_int("n", 42, kMinInt, kMaxInt), 42);
   EXPECT_DOUBLE_EQ(args.get_double("p", 0.25), 0.25);
   EXPECT_EQ(args.get_string("s", "dflt"), "dflt");
 }
@@ -48,7 +53,7 @@ TEST(Cli, FallbacksWhenAbsent) {
 TEST(Cli, MalformedIntExits) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto args = parse({"--n=abc"});
-  EXPECT_EXIT(args.get_int("n", 7), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(args.get_int("n", 7, kMinInt, kMaxInt), ::testing::ExitedWithCode(2),
               "error: --n: expected integer, got 'abc'");
   EXPECT_EXIT(args.get_bool("n"), ::testing::ExitedWithCode(2),
               "error: --n: expected boolean, got 'abc'");
