@@ -29,6 +29,7 @@
 #include "harness/suites.hpp"
 #include "harness/trial_batch.hpp"
 #include "support/cli.hpp"
+#include "support/narrow.hpp"
 #include "support/table.hpp"
 
 namespace ssmis::bench {
@@ -168,7 +169,7 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
     for (const auto& err : unknown) std::cerr << "error: " << err << "\n";
     std::exit(2);
   }
-  ctx.trials = static_cast<int>(ctx.args.get_int(
+  ctx.trials = narrow_cast<int>(ctx.args.get_int(
       "trials", default_trials, 1, std::numeric_limits<int>::max()));
   ctx.seed = static_cast<std::uint64_t>(
       ctx.args.get_int("seed", 1, 0, std::numeric_limits<std::int64_t>::max()));

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     bool diam2 = false;
     double a = 0;
   };
-  const auto rows = ctx.trial_batch(static_cast<int>(cells.size()))
+  const auto rows = ctx.trial_batch(narrow_cast<int>(cells.size()))
                         .map<CellRow>([&](int i) {
                           auto& cell = cells[static_cast<std::size_t>(i)];
                           RandomizedLogSwitch sw(cell.graph, CoinOracle(ctx.seed + 17));

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   struct RowCells {
     std::string beeping, stoneage, stoneage18;
   };
-  const auto row_cells = ctx.trial_batch(static_cast<int>(suite.size()))
+  const auto row_cells = ctx.trial_batch(narrow_cast<int>(suite.size()))
                              .map<RowCells>([&](int cell_idx) {
     const auto& cell = suite[static_cast<std::size_t>(cell_idx)];
     RowCells row;

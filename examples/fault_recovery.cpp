@@ -15,17 +15,18 @@
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
 #include "support/cli.hpp"
+#include "support/narrow.hpp"
 #include "support/table.hpp"
 
 using namespace ssmis;
 
 int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
-  const Vertex n = static_cast<Vertex>(
+  const Vertex n = narrow_cast<Vertex>(
       args.get_int("n", 300, 0, std::numeric_limits<Vertex>::max()));
   const double p = args.get_double("p", 0.03);
   const int bursts =
-      static_cast<int>(args.get_int("bursts", 5, 0, std::numeric_limits<int>::max()));
+      narrow_cast<int>(args.get_int("bursts", 5, 0, std::numeric_limits<int>::max()));
   const double fraction = args.get_double("fraction", 0.4);
   const std::uint64_t seed = static_cast<std::uint64_t>(
       args.get_int("seed", 5, 0, std::numeric_limits<std::int64_t>::max()));

@@ -19,6 +19,7 @@
 #include "models/mis_automata.hpp"
 #include "models/stone_age.hpp"
 #include "support/cli.hpp"
+#include "support/narrow.hpp"
 
 using namespace ssmis;
 
@@ -44,8 +45,8 @@ Graph epithelium(Vertex rows, Vertex cols) {
 int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
   // 46340^2 < 2^31: rows * cols stays a Vertex.
-  const Vertex rows = static_cast<Vertex>(args.get_int("rows", 24, 1, 46340));
-  const Vertex cols = static_cast<Vertex>(args.get_int("cols", 24, 1, 46340));
+  const Vertex rows = narrow_cast<Vertex>(args.get_int("rows", 24, 1, 46340));
+  const Vertex cols = narrow_cast<Vertex>(args.get_int("cols", 24, 1, 46340));
   const std::uint64_t seed = static_cast<std::uint64_t>(
       args.get_int("seed", 11, 0, std::numeric_limits<std::int64_t>::max()));
 

@@ -18,6 +18,7 @@
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
 #include "support/cli.hpp"
+#include "support/narrow.hpp"
 #include "support/table.hpp"
 
 using namespace ssmis;
@@ -25,7 +26,7 @@ using namespace ssmis;
 int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
   const std::string kind = args.get_string("graph", "gnp");
-  const Vertex n = static_cast<Vertex>(
+  const Vertex n = narrow_cast<Vertex>(
       args.get_int("n", 256, 0, std::numeric_limits<Vertex>::max()));
   const double p = args.get_double("p", 0.05);
   const std::uint64_t seed = static_cast<std::uint64_t>(

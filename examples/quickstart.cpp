@@ -11,12 +11,13 @@
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
 #include "support/cli.hpp"
+#include "support/narrow.hpp"
 
 using namespace ssmis;
 
 int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
-  const Vertex n = static_cast<Vertex>(
+  const Vertex n = narrow_cast<Vertex>(
       args.get_int("n", 64, 0, std::numeric_limits<Vertex>::max()));
   const double p = args.get_double("p", 0.1);
   const std::uint64_t seed = static_cast<std::uint64_t>(

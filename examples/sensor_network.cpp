@@ -23,12 +23,13 @@
 #include "models/beeping.hpp"
 #include "models/mis_automata.hpp"
 #include "support/cli.hpp"
+#include "support/narrow.hpp"
 
 using namespace ssmis;
 
 int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
-  const Vertex sensors = static_cast<Vertex>(
+  const Vertex sensors = narrow_cast<Vertex>(
       args.get_int("sensors", 400, 0, std::numeric_limits<Vertex>::max()));
   const double range = args.get_double("range", 0.08);
   const std::uint64_t seed = static_cast<std::uint64_t>(

@@ -32,6 +32,7 @@
 #include "stats/histogram.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
+#include "support/narrow.hpp"
 
 using namespace ssmis;
 
@@ -40,10 +41,10 @@ namespace {
 Graph make_graph(const CliArgs& args, std::uint64_t seed) {
   if (args.has("graph-file")) return io::load_graph_file_from_args(args);
   const std::string family = args.get_string("family", "gnp");
-  const Vertex n = static_cast<Vertex>(
+  const Vertex n = narrow_cast<Vertex>(
       args.get_int("n", 256, 0, std::numeric_limits<Vertex>::max()));
   const double p = args.get_double("p", 0.05);
-  const int d = static_cast<int>(args.get_int("d", 4, 0, std::numeric_limits<int>::max()));
+  const int d = narrow_cast<int>(args.get_int("d", 4, 0, std::numeric_limits<int>::max()));
   if (family == "gnp") return gen::gnp(n, p, seed);
   if (family == "gnm") {
     const std::int64_t m =
@@ -129,7 +130,7 @@ int main(int argc, char** argv) {
     // --trials N > 1 batches whole runs across the pool and reports the
     // spread; a single run is traced.
     config.threads = parse_threads(args);
-    config.trials = static_cast<int>(
+    config.trials = narrow_cast<int>(
         args.get_int("trials", 1, 1, std::numeric_limits<int>::max()));
 
     std::cout << "graph:   " << g.summary() << "\n";

@@ -15,7 +15,6 @@
 #include "support/cli.hpp"
 #include "support/hash.hpp"
 #include "support/narrow.hpp"
-#include "support/thread_pool.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define SSMIS_HAVE_MMAP 1
@@ -141,20 +140,37 @@ void validate_offsets(const std::string& path, std::int64_t n, std::int64_t adj_
     fail(path, "corrupt adjacency (odd endpoint count: a dangling half-edge)");
 }
 
+// Exact symmetry check of every entry from index i of row u on, in
+// row-major order. Binary search is exact because pass 1 has validated
+// every row.
+void audit_reverse_entries(const std::string& path, std::int64_t n,
+                           const std::int64_t* offsets, const Vertex* adj,
+                           std::int64_t u, std::int64_t i) {
+  for (; u < n; ++u) {
+    for (; i < offsets[u + 1]; ++i) {
+      const auto v = static_cast<std::size_t>(adj[i]);
+      if (!std::binary_search(adj + offsets[v], adj + offsets[v + 1],
+                              narrow_cast<Vertex>(u)))
+        fail(path, "corrupt adjacency (edge " + std::to_string(u) + "->" +
+                       std::to_string(v) + " has no reverse entry)");
+    }
+  }
+}
+
 // Full structural audit of the v1 adjacency payload: out-of-range values
 // mean out-of-bounds per-vertex state access in every process, unsorted or
 // duplicated rows break the binary-search/dedup invariant Graph's contract
 // promises (has_edge would silently miss present edges), and asymmetric
 // rows desync the engine's incremental neighbor counters. All of it can
 // arrive with a perfectly valid checksum from an external writer, so the
-// default kFull load runs this O(m log maxdeg) scan; kTrusted skips it.
-//
-// Audits rows [u_begin, u_end) in ascending order, throwing (via fail) at
-// the FIRST violation — the chunk decomposition below relies on that order.
-void audit_adjacency_rows(const std::string& path, std::int64_t n,
-                          const std::int64_t* offsets, const Vertex* adj,
-                          std::int64_t u_begin, std::int64_t u_end) {
-  for (std::int64_t u = u_begin; u < u_end; ++u) {
+// default kFull load runs this audit; kTrusted skips it. Two sequential
+// O(n + m) passes, each throwing (via fail) at its FIRST violation in
+// row-major order; the only allocation is 4 B/vertex of cursors, freed on
+// return.
+void validate_adjacency(const std::string& path, std::int64_t n,
+                        const std::int64_t* offsets, const Vertex* adj) {
+  // Pass 1: every row is in range, loop-free and strictly increasing.
+  for (std::int64_t u = 0; u < n; ++u) {
     for (std::int64_t i = offsets[u]; i < offsets[u + 1]; ++i) {
       const Vertex v = adj[i];
       if (v < 0 || v >= n)
@@ -165,57 +181,32 @@ void audit_adjacency_rows(const std::string& path, std::int64_t n,
       if (i > offsets[u] && adj[i - 1] >= v)
         fail(path, "corrupt adjacency (row " + std::to_string(u) +
                        " not sorted/deduplicated)");
-      // Undirected symmetry: u must appear in row v (rows are sorted, so a
-      // binary search keeps the whole scan O(m log maxdeg)).
-      if (!std::binary_search(adj + offsets[static_cast<std::size_t>(v)],
-                              adj + offsets[static_cast<std::size_t>(v) + 1],
-                              narrow_cast<Vertex>(u)))
-        fail(path, "corrupt adjacency (edge " + std::to_string(u) + "->" +
-                       std::to_string(v) + " has no reverse entry)");
     }
   }
-}
-
-// The audit is read-only and row-independent, so large files fan it out
-// over the shared pool. Accept/reject behavior is byte-identical to the
-// sequential scan: each chunk scans its rows in ascending order and records
-// only its FIRST violation, and the lowest-numbered failing chunk's message
-// is the one rethrown — exactly the violation the sequential scan would hit
-// first. Below the threshold (or on 1-core hosts) the scan stays inline;
-// thread fan-out on a tiny file costs more than it saves.
-void validate_adjacency(const std::string& path, std::int64_t n,
-                        const std::int64_t* offsets, const Vertex* adj) {
-  constexpr std::int64_t kParallelEndpoints = std::int64_t{1} << 20;
-  const std::int64_t endpoints = n > 0 ? offsets[n] : 0;
-  const int width = ThreadPool::host_width();
-  if (endpoints < kParallelEndpoints || width <= 1 || n < 2) {
-    audit_adjacency_rows(path, n, offsets, adj, 0, n);
-    return;
-  }
-  // Endpoint-balanced chunk boundaries (equal shares of the adjacency
-  // array, not of the vertex range): a handful of huge rows must not
-  // serialize the whole scan behind one worker.
-  const int chunks = narrow_cast<int>(
-      std::min<std::int64_t>(n, static_cast<std::int64_t>(width) * 4));
-  std::vector<std::int64_t> bounds(static_cast<std::size_t>(chunks) + 1, 0);
-  for (int c = 1; c < chunks; ++c) {
-    const std::int64_t target = endpoints / chunks * c;
-    const std::int64_t* it = std::lower_bound(offsets, offsets + n + 1, target);
-    bounds[static_cast<std::size_t>(c)] =
-        std::max<std::int64_t>(it - offsets, bounds[static_cast<std::size_t>(c) - 1]);
-  }
-  bounds[static_cast<std::size_t>(chunks)] = n;
-  std::vector<std::string> first_error(static_cast<std::size_t>(chunks));
-  ThreadPool::shared().parallel_for(chunks, width, [&](int c) {
-    try {
-      audit_adjacency_rows(path, n, offsets, adj, bounds[static_cast<std::size_t>(c)],
-                           bounds[static_cast<std::size_t>(c) + 1]);
-    } catch (const std::runtime_error& e) {
-      first_error[static_cast<std::size_t>(c)] = e.what();
+  // Pass 2: symmetry. Row u announces itself to each upper neighbour v in
+  // ascending u, which in a symmetric file is exactly the order of row v's
+  // lower entries; cursor[v] counts row v's lower entries matched so far.
+  // So an entry costs one compare, and when the scan reaches row u, every
+  // lower entry of row u must already be matched: one that is not was never
+  // announced, so u is not in its row and its compare misses too. A miss
+  // proves the file asymmetric but not that this entry is at fault (row v
+  // may hold an unannounced lower entry before u), so the scan continues
+  // from the miss with exact lookups. Everything before the miss is
+  // matched, so that continuation reports the first asymmetric entry in
+  // row-major order.
+  std::vector<Vertex> cursor(static_cast<std::size_t>(n), 0);
+  for (std::int64_t u = 0; u < n; ++u) {
+    for (std::int64_t i = offsets[u] + cursor[static_cast<std::size_t>(u)];
+         i < offsets[u + 1]; ++i) {
+      const auto v = static_cast<std::size_t>(adj[i]);
+      const std::int64_t j = offsets[v] + cursor[v];
+      if (j == offsets[v + 1] || adj[j] != u) {
+        audit_reverse_entries(path, n, offsets, adj, u, i);
+        return;
+      }
+      ++cursor[v];
     }
-  });
-  for (const std::string& e : first_error)
-    if (!e.empty()) throw std::runtime_error(e);
+  }
 }
 
 // The codec validators throw without the file path; re-throw with it so a

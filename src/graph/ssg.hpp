@@ -75,10 +75,18 @@ inline constexpr std::uint64_t kSsgFlagCompressed = 1;  // v2 flags, bit 0
 
 // How much of the payload a load re-checks. Header fields and offsets
 // (monotone, matching adj_len — what row iteration indexes with) are
-// validated in EVERY mode; the modes grade the O(m)-and-up work:
+// validated in EVERY mode; the modes grade the O(m) work:
 //   kFull    checksum pass + adjacency structure (range, sorted/dedup rows,
-//            no self-loops, undirected symmetry). The default: an external
-//            or corrupted file throws, never loads wrong.
+//            no self-loops, undirected symmetry). The default: a corrupted
+//            file throws, never loads wrong. On v1 the structural audit is
+//            O(n + m) on one thread with 4 B/vertex of transient cursors,
+//            and its symmetry check is exact, so any file v1 accepts is a
+//            valid graph. On v2 symmetry is an unkeyed multiset hash: it
+//            misses random corruption with probability ~2^-64, but a writer
+//            who picks asymmetric entries whose hash differences cancel
+//            (a small k-sum search) and refreshes the checksum gets an
+//            asymmetric graph through. Load files from untrusted writers as
+//            v1.
 //   kTrusted header + offsets only. For files this process (or pipeline)
 //            wrote itself: reuse costs page faults, not a re-validation of
 //            every edge — the point of generating once. A crafted file can

@@ -5,6 +5,7 @@
 #include <iostream>
 #include <limits>
 
+#include "support/narrow.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ssmis {
@@ -117,7 +118,7 @@ std::vector<std::string> CliArgs::unknown_options(
 }
 
 int parse_threads(const CliArgs& args) {
-  const int threads = static_cast<int>(args.get_int(
+  const int threads = narrow_cast<int>(args.get_int(
       "threads", 1, std::numeric_limits<int>::min(), std::numeric_limits<int>::max()));
   if (threads == 0) return ThreadPool::host_width();
   return threads < 1 ? 1 : threads;

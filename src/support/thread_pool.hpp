@@ -1,7 +1,7 @@
 // A small persistent worker pool shared by the whole parallel runtime:
-// batched trial scheduling (harness/trial_batch.hpp), the phase-clock round
-// (core/phase_clock.hpp) and the `.ssg` audit all fan out through this one
-// pool, so threads are spawned once per process, not once per round or per
+// batched trial scheduling (harness/trial_batch.hpp) and the phase-clock
+// round (core/phase_clock.hpp) both fan out through this one pool, so
+// threads are spawned once per process, not once per round or per
 // experiment cell.
 //
 // Determinism contract: `parallel_for` addresses work by index. Callers

@@ -19,6 +19,15 @@ Vertex degree_of(const std::vector<std::int64_t>& offsets, Vertex u) {
   return static_cast<Vertex>(offsets[u + 1] - offsets[u]);  // R3: offsets
 }
 
+struct CliArgs {
+  std::int64_t get_int(const char* name, std::int64_t fallback, std::int64_t lo,
+                       std::int64_t hi) const;
+};
+
+int trials_flag(const CliArgs& args) {
+  return static_cast<int>(args.get_int("trials", 1, 1, 1000));  // R3: get_int is 64-bit
+}
+
 std::uint32_t row_bytes(std::size_t payload_bytes) {
   // An allow() with no reason does not suppress — the finding stands.
   return static_cast<std::uint32_t>(payload_bytes);  // ssmis-lint: allow(R3)

@@ -3,10 +3,13 @@
 // truncated files must throw rather than hand back garbage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,6 +38,7 @@ class SsgTest : public ::testing::Test {
 
   std::string path(const std::string& name) const { return (dir_ / name).string(); }
 
+ public:
   static std::vector<char> read_all(const std::string& p) {
     std::ifstream in(p, std::ios::binary);
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
@@ -61,6 +65,7 @@ class SsgTest : public ::testing::Test {
     std::memcpy(bytes.data() + 32, &h, sizeof(h));
   }
 
+ protected:
   std::filesystem::path dir_;
 };
 
@@ -356,12 +361,13 @@ TEST_F(SsgTest, LoadGraphFileDispatchesOnExtension) {
   EXPECT_EQ(io::load_graph_file(txt), g);
 }
 
-// ---- parallel kFull adjacency audit (files past the fan-out threshold) ----
+// ---- kFull adjacency audit: first error in row-major order ----
 
-// Sequential transcription of the loader's adjacency audit, producing the
-// exact message the sequential scan would raise first (empty = accept). The
-// parallel fan-out in ssg.cpp must be byte-identical to this — same
-// accept/reject decision, same message — regardless of chunking.
+// Two-pass transcription of the loader's adjacency audit, producing the
+// exact message it must raise (empty = accept): pass 1 checks range,
+// self-loops and sortedness over all rows, pass 2 then looks up the reverse
+// of every entry. The binary search is exact in pass 2 because pass 1 has
+// validated every row.
 std::string reference_first_audit_error(const std::string& p, std::int64_t n,
                                         const std::int64_t* offsets,
                                         const Vertex* adj) {
@@ -377,6 +383,11 @@ std::string reference_first_audit_error(const std::string& p, std::int64_t n,
       if (i > offsets[u] && adj[i - 1] >= v)
         return msg("corrupt adjacency (row " + std::to_string(u) +
                    " not sorted/deduplicated)");
+    }
+  }
+  for (std::int64_t u = 0; u < n; ++u) {
+    for (std::int64_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+      const Vertex v = adj[i];
       if (!std::binary_search(adj + offsets[static_cast<std::size_t>(v)],
                               adj + offsets[static_cast<std::size_t>(v) + 1],
                               static_cast<Vertex>(u)))
@@ -387,71 +398,210 @@ std::string reference_first_audit_error(const std::string& p, std::int64_t n,
   return "";
 }
 
-// A graph whose adjacency exceeds the 2^20-endpoint threshold, so the kFull
-// audit actually fans out over the thread pool.
+// One write into a v1 file's adjacency array: (adj index, new value).
+using AdjWrite = std::pair<std::int64_t, Vertex>;
+
+// Writes `g`'s saved file `saved` to `p` with `writes` applied and the
+// checksum refreshed, then loads it through load_ssg and mmap_ssg (kFull):
+// both must accept exactly when the transcription does, and otherwise throw
+// its message. Returns that message (empty = accept).
+std::string expect_audit_matches_transcription(const Graph& g,
+                                               const std::vector<char>& saved,
+                                               const std::string& p,
+                                               const std::vector<AdjWrite>& writes,
+                                               const std::string& what) {
+  auto bytes = saved;
+  const std::size_t adj_start =
+      io::kSsgHeaderBytes + 8 * (static_cast<std::size_t>(g.num_vertices()) + 1);
+  std::vector<Vertex> adj(g.adjacency().begin(), g.adjacency().end());
+  for (const auto& [idx, value] : writes) {
+    std::memcpy(bytes.data() + adj_start + static_cast<std::size_t>(idx) * sizeof(Vertex),
+                &value, sizeof(Vertex));
+    adj[static_cast<std::size_t>(idx)] = value;
+  }
+  SsgTest::refresh_checksum(bytes);
+  SsgTest::write_all(p, bytes);
+  const std::string want =
+      reference_first_audit_error(p, g.num_vertices(), g.offsets().data(), adj.data());
+  for (const bool use_mmap : {false, true}) {
+    try {
+      const Graph back = use_mmap ? io::mmap_ssg(p, io::SsgValidation::kFull)
+                                  : io::load_ssg(p, io::SsgValidation::kFull);
+      EXPECT_EQ(want, "") << what << " (mmap=" << use_mmap << "): accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), want) << what << " (mmap=" << use_mmap << ")";
+    }
+  }
+  return want;
+}
+
+// Index of `x` in row u, or -1.
+std::int64_t entry_index(const Graph& g, Vertex u, Vertex x) {
+  const auto row = g.neighbors(u);
+  const auto it = std::lower_bound(row.begin(), row.end(), x);
+  if (it == row.end() || *it != x) return -1;
+  return g.offsets()[static_cast<std::size_t>(u)] + (it - row.begin());
+}
+
+// Whether writing `value` over row u's entry `old` keeps the row strictly
+// increasing.
+bool keeps_row_sorted(const Graph& g, Vertex u, Vertex old, Vertex value) {
+  const auto row = g.neighbors(u);
+  const auto it = std::lower_bound(row.begin(), row.end(), old);
+  return it != row.end() && *it == old && (it == row.begin() || *(it - 1) < value) &&
+         (it + 1 == row.end() || value < *(it + 1));
+}
+
+// A file large enough that its rows and cursors spread far past the caches.
 const Graph& audit_scale_graph() {
   static const Graph g = gen::gnp(150000, 8.0 / 150000.0, 3);
   return g;
 }
 
-TEST_F(SsgTest, ParallelAuditAcceptsLargeValidFile) {
+TEST_F(SsgTest, AuditAcceptsLargeValidFile) {
   const Graph& g = audit_scale_graph();
-  ASSERT_GT(2 * g.num_edges(), std::int64_t{1} << 20);  // past the threshold
   const std::string p = path("big.ssg");
   io::save_ssg(p, g);
   EXPECT_EQ(io::load_ssg(p, io::SsgValidation::kFull), g);
   EXPECT_EQ(io::mmap_ssg(p, io::SsgValidation::kFull), g);
 }
 
-TEST_F(SsgTest, ParallelAuditRejectsWithTheSequentialScansFirstError) {
+TEST_F(SsgTest, AuditRejectsWithTheTranscriptionsFirstError) {
   const Graph& g = audit_scale_graph();
-  const std::string p = path("bigbad.ssg");
-  const std::size_t adj_start =
-      io::kSsgHeaderBytes + 8 * (static_cast<std::size_t>(g.num_vertices()) + 1);
-  const std::int64_t endpoints = static_cast<std::int64_t>(g.adjacency().size());
-
-  // Corruption matrix: an early out-of-range id, a late self-loop, a mid-file
-  // unsorted row, and an early+late pair (the lowest-chunk error must win).
   const Vertex n = g.num_vertices();
-  struct Mutation {
-    const char* name;
-    std::vector<std::pair<std::int64_t, Vertex>> writes;  // (adj index, value)
-  };
+  const std::int64_t endpoints = static_cast<std::int64_t>(g.adjacency().size());
   const std::int64_t late = endpoints - 1;
   const std::int64_t mid = endpoints / 2;
-  const std::vector<Mutation> cases = {
+
+  // Corruption matrix: an early out-of-range id; a late and a mid one, each
+  // of which also leaves an earlier row without its reverse entry (pass 1's
+  // report must win); and an early+late pair (the early one must win).
+  const std::vector<std::pair<const char*, std::vector<AdjWrite>>> cases = {
       {"early out-of-range", {{0, n}}},
       {"late out-of-range", {{late, n + 7}}},
       {"mid out-of-range", {{mid, static_cast<Vertex>(-3)}}},
       {"early+late, early must win", {{5, n + 1}, {late, n + 2}}},
   };
-  for (const Mutation& mu : cases) {
+  const std::string p = path("bigbad.ssg");
+  io::save_ssg(p, g);
+  const auto saved = read_all(p);
+  for (const auto& [what, writes] : cases)
+    EXPECT_FALSE(expect_audit_matches_transcription(g, saved, p, writes, what).empty())
+        << what << ": accepted by the transcription";
+}
+
+// The symmetry pass's paths, each a fixed write that keeps every row
+// sorted, so only pass 2 can reject it. The graph's rows:
+//   0: 2 3 7   1: 4 7   2: 0 4   3: 0 5   4: 1 2 6   5: 3 6   6: 4 5   7: 0 1
+TEST_F(SsgTest, AuditNamesTheFirstAsymmetricEntry) {
+  const Graph g = Graph::from_edges(
+      8, {{0, 2}, {0, 3}, {0, 7}, {1, 4}, {1, 7}, {2, 4}, {3, 5}, {4, 6}, {5, 6}});
+  const auto at = [&g](Vertex u, std::int64_t k) {
+    return g.offsets()[static_cast<std::size_t>(u)] + k;
+  };
+  struct Case {
+    const char* what;
+    std::vector<AdjWrite> writes;
+    const char* edge;  // the first asymmetric entry, "u->v"
+  };
+  const std::vector<Case> cases = {
+      // Row 3's 0 becomes 1: row 0's announcement finds 1.
+      {"reverse entry replaced, row still sorted", {{at(3, 0), 1}}, "0->3"},
+      // Row 5's 6 becomes 4, which no row announces: row 5's scan starts
+      // on it.
+      {"extra lower entry", {{at(5, 1), 4}}, "5->4"},
+      // Row 5's 6 becomes 7: its announcement runs past the last row, whose
+      // 0 and 1 are matched, to the end of the array.
+      {"announcement past the last row", {{at(5, 1), 7}}, "5->7"},
+      // Rows 1 and 6 trade their entry 4 for each other. Row 4 then lists 1
+      // unannounced before 2, so row 2's announcement misses on an entry
+      // that is present; the first asymmetric entry is row 4's 1.
+      {"cursor miss on a present reverse entry", {{at(1, 0), 6}, {at(6, 0), 1}}, "4->1"},
+  };
+  const std::string p = path("asym.ssg");
+  io::save_ssg(p, g);
+  const auto saved = read_all(p);
+  for (const Case& c : cases)
+    EXPECT_EQ(expect_audit_matches_transcription(g, saved, p, c.writes, c.what),
+              "ssg: " + p + ": corrupt adjacency (edge " + c.edge + " has no reverse entry)")
+        << c.what;
+}
+
+// Mutations of small graphs (isolated vertices, one dense row), each
+// checksummed like an external writer would: the audit accepts exactly where
+// the transcription accepts, and otherwise throws its message.
+TEST_F(SsgTest, AuditMatchesTheTranscriptionOnMutations) {
+  std::mt19937_64 rng(0x55e9u);
+  const std::string p = path("mut.ssg");
+  int mutations = 0;
+  for (int graph = 0; mutations < 2000; ++graph) {
+    const auto n = static_cast<Vertex>(2 + rng() % 63);
+    const Vertex isolated = n / 4;  // the top quarter of ids get no edge
+    const Graph base = gen::gnp(n - isolated, 0.05 + 0.3 * (graph % 4) / 4.0, rng());
+    std::vector<Edge> edges = base.edge_list();
+    const auto dense = static_cast<Vertex>(rng() % static_cast<std::uint64_t>(n - isolated));
+    for (Vertex v = 0; v < n - isolated; ++v)
+      if (v != dense && rng() % 8 != 0) edges.emplace_back(dense, v);
+    const Graph g = Graph::from_edges(n, edges);
     io::save_ssg(p, g);
-    auto bytes = read_all(p);
-    for (const auto& [idx, value] : mu.writes) {
-      std::memcpy(bytes.data() + adj_start +
-                      static_cast<std::size_t>(idx) * sizeof(Vertex),
-                  &value, sizeof(Vertex));
-    }
-    refresh_checksum(bytes);
-    write_all(p, bytes);
-    // Expected message: replay the mutated arrays through the sequential
-    // transcription.
-    std::vector<Vertex> adj(g.adjacency().begin(), g.adjacency().end());
-    for (const auto& [idx, value] : mu.writes)
-      adj[static_cast<std::size_t>(idx)] = value;
-    const std::string want =
-        reference_first_audit_error(p, n, g.offsets().data(), adj.data());
-    ASSERT_FALSE(want.empty()) << mu.name;
-    for (const bool use_mmap : {false, true}) {
-      try {
-        use_mmap ? io::mmap_ssg(p, io::SsgValidation::kFull)
-                 : io::load_ssg(p, io::SsgValidation::kFull);
-        FAIL() << mu.name << " (mmap=" << use_mmap << "): expected a throw";
-      } catch (const std::runtime_error& e) {
-        EXPECT_EQ(std::string(e.what()), want)
-            << mu.name << " (mmap=" << use_mmap << ")";
+    const auto saved = read_all(p);
+    ASSERT_EQ(expect_audit_matches_transcription(g, saved, p, {}, "pristine"), "");
+    const auto adj = g.adjacency();
+    if (adj.empty()) continue;
+    for (int k = 0; k < 40; ++k, ++mutations) {
+      const auto i = static_cast<std::int64_t>(rng() % adj.size());
+      const auto at = [&](std::int64_t j) {
+        return j < 0 || j >= static_cast<std::int64_t>(adj.size())
+                   ? static_cast<Vertex>(rng() % static_cast<std::uint64_t>(n))
+                   : adj[static_cast<std::size_t>(j)];
+      };
+      const auto u = static_cast<Vertex>(
+          std::upper_bound(g.offsets().begin(), g.offsets().end(), i) -
+          g.offsets().begin() - 1);
+      Vertex value = 0;
+      switch (rng() % 5) {
+        case 0:  // anything, out of range included
+          value = static_cast<Vertex>(rng() % static_cast<std::uint64_t>(n + 4)) - 2;
+          break;
+        case 1:  // a neighbouring value: often still sorted
+          value = adj[static_cast<std::size_t>(i)] + (rng() % 2 == 0 ? 1 : -1);
+          break;
+        case 2: {  // between the entry's neighbours in the array
+          const Vertex lo = at(i - 1), hi = at(i + 1);
+          value = std::min(lo, hi) +
+                  static_cast<Vertex>(rng() % static_cast<std::uint64_t>(std::abs(hi - lo) + 1));
+          break;
+        }
+        case 3:  // a duplicate of the previous or next entry
+          value = rng() % 2 == 0 ? at(i - 1) : at(i + 1);
+          break;
+        default:  // a self-loop
+          value = u;
+          break;
       }
+      expect_audit_matches_transcription(
+          g, saved, p, {{i, value}},
+          "graph " + std::to_string(graph) + " adj[" + std::to_string(i) +
+              "] = " + std::to_string(value));
+      if (HasFailure()) return;
+    }
+    // Neighbours a and b of v trade their entry v for each other. Both rows
+    // stay sorted, row v lists a and b unannounced, and the next announcer
+    // into row v misses on an entry that is present.
+    for (int k = 0; k < 8; ++k) {
+      const auto v = static_cast<Vertex>(rng() % static_cast<std::uint64_t>(n));
+      const auto row = g.neighbors(v);
+      if (row.size() < 2) continue;
+      const Vertex a = row[rng() % row.size()];
+      const Vertex b = row[rng() % row.size()];
+      if (a == b || entry_index(g, a, b) >= 0 || !keeps_row_sorted(g, a, v, b) ||
+          !keeps_row_sorted(g, b, v, a))
+        continue;
+      expect_audit_matches_transcription(
+          g, saved, p, {{entry_index(g, a, v), b}, {entry_index(g, b, v), a}},
+          "graph " + std::to_string(graph) + ": rows " + std::to_string(a) + " and " +
+              std::to_string(b) + " trade " + std::to_string(v));
+      if (HasFailure()) return;
     }
   }
 }

@@ -31,8 +31,9 @@ fingerprint mismatch would catch. Four rules:
       i64 -> i32 `static_cast` silently truncates at the 10^8-vertex scale
       this repo targets. Casts to a 32-bit-or-narrower type whose argument
       mentions a 64-bit source (std::int64_t variables, `.size()`,
-      std::size_t, adj_len/payload_bytes/file_bytes/...) must go through the
-      checked `ssmis::narrow_cast<T>` (src/support/narrow.hpp) instead.
+      std::size_t, adj_len/payload_bytes/file_bytes/..., a CLI flag read by
+      `get_int`) must go through the checked `ssmis::narrow_cast<T>`
+      (src/support/narrow.hpp) instead.
 
   R4  rule-callback-constness
       A trajectory is a pure function of each vertex's (color, hearing) and
@@ -115,7 +116,7 @@ R3_NARROW_DESTS = {
 # R3: token-level markers of a 64-bit-valued argument expression.
 R3_WIDE_MARKERS = re.compile(
     r"int64|uint64|size_t|streamsize|streamoff|tellg|num_edges|adj_len"
-    r"|payload_bytes|file_bytes|endpoints|offsets"
+    r"|payload_bytes|file_bytes|endpoints|offsets|get_int"
 )
 R3_WIDE_TOKEN_SEQS = ((".", "size", "(", ")"), (".", "tellg", "(", ")"))
 
@@ -657,7 +658,8 @@ def run_lint(args: argparse.Namespace) -> int:
         print(f"ssmis_lint: unknown rule id(s): {', '.join(sorted(bad))}",
               file=sys.stderr)
         return 2
-    roots = args.paths or [os.path.join(REPO_ROOT, "src")]
+    roots = args.paths or [os.path.join(REPO_ROOT, d)
+                           for d in ("src", "bench", "examples")]
     files = collect_files(roots)
     if not files:
         print("ssmis_lint: no C++ files found under: " + ", ".join(roots),
@@ -760,7 +762,8 @@ def main() -> int:
         description="repo-specific determinism & invariant linter "
                     "(rules R1-R4; see the module docstring)")
     ap.add_argument("paths", nargs="*",
-                    help="files or directories to lint (default: src/)")
+                    help="files or directories to lint "
+                         "(default: src/ bench/ examples/)")
     ap.add_argument("--rules", default="",
                     help="comma-separated rule ids to run (default: all)")
     ap.add_argument("--engine", choices=("tokens", "clang"), default="tokens",
