@@ -74,7 +74,9 @@ int main(int argc, char** argv) {
   }
 
   bench::finish_experiment(
-      "median/max well below 1/2 on every graph: global stabilization is "
-      "driven by a few stragglers, matching the local-complexity picture");
+      "at seed 1, median/max is 0.06-0.15 on gnp4096, tree8192 and the "
+      "torus: global stabilization waits on a few stragglers, the "
+      "local-complexity picture; K_1024 reads 1.00, because on a clique "
+      "every vertex settles in the same round");
   return 0;
 }

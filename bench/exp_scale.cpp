@@ -4,8 +4,8 @@
 // at every stage. This is the receipt for ROADMAP's "tens of millions of
 // vertices" item: the whole pipeline at n = 10^7 fits CI-class memory
 // because construction peaks near the final CSR footprint (one-pass G(n,p)
-// build, no buffered edge list, 4 bytes/vertex of counts on top) and reuse
-// goes through the mmap'd file.
+// build, no buffered edge list, 4 bytes/vertex of counts, later cursors, on
+// top) and reuse goes through the mmap'd file.
 //
 //   ./exp_scale --n=10000000 --avg-deg=8 --save=g.ssg   # generate + persist
 //   ./exp_scale --graph-file=g.ssg                      # reuse (mmap)

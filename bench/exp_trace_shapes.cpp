@@ -80,7 +80,10 @@ int main(int argc, char** argv) {
   }
 
   bench::finish_experiment(
-      "every trajectory shows the analysis shape: a short |A_t| spike, then "
-      "geometric |V_t| decay to zero (half-life a handful of rounds)");
+      "at seed 1, gnp2048 (2-state and 3-state) and tree4096 decay "
+      "geometrically, |V_t| halving every 2-3 rounds; K_1024's |V_t| stays "
+      "flat at its start value and then drops to 0 in one round, since a "
+      "clique settles all at once; 3-color on gnp512 halves |V_t| in 5 "
+      "rounds but stabilizes only after 1596");
   return 0;
 }

@@ -98,6 +98,11 @@ class DaemonMIS final : public EngineProcess<TwoStateRule> {
   // one up to n, so steps are not comparable across daemons, but the
   // horizon semantics are uniform.
   std::int64_t round() const override { return steps_; }
+  RoundStats snapshot() const override {
+    RoundStats s = EngineProcess::snapshot();
+    s.round = steps_;
+    return s;
+  }
   // Vertices the last step() activated (0 once stabilized).
   Vertex last_activations() const { return last_activations_; }
 

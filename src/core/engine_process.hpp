@@ -76,9 +76,11 @@ class EngineProcess : public Process {
   Vertex num_stable_black() const { return engine_.num_stable_black(); }
   Vertex num_unstable() const { return engine_.num_unstable(); }
 
+  // Reads the engine's round directly, not through the virtual round(): a
+  // wrapper whose round differs (DaemonMIS) overrides snapshot() as well.
   RoundStats snapshot() const override {
     RoundStats s;
-    s.round = round();
+    s.round = engine_.round();
     s.black = num_black();
     s.active = num_active();
     s.stable_black = num_stable_black();

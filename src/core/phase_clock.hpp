@@ -14,11 +14,15 @@
 // yields both S2 and S3; on larger-diameter graphs only the upper bound S1
 // survives — which is exactly what the 3-color analysis needs.
 //
-// Cost and parallelism: a round is a dense O(n + m) sweep (almost every
-// vertex scans its neighbours), so levels are bytes — 2 B/vertex with the
-// next-round buffer — and a round is computed in vertex ranges. Each vertex
-// reads only the previous round's levels and its own counter-based coin,
-// and writes only its own slot of the next buffer, so the result is
+// Cost and parallelism: this kernel is dense. A round visits every vertex
+// and scans the row of each one strictly between level 0 and the top, an
+// O(n + m) sweep, although only 2.9-3.4% of vertices are scheduled per
+// round on G(n, 8/n): the rest hear exactly one level above their own and
+// keep it (ROADMAP item 2 runs the clock as an engine rule that steps only
+// the scheduled ones). Levels are bytes — 2 B/vertex with the next-round
+// buffer — and a round is computed in vertex ranges. Each vertex reads
+// only the previous round's levels and its own counter-based coin, and
+// writes only its own slot of the next buffer, so the result is
 // bit-identical at any width. The fan-out is fixed at construction:
 // min(host width, (n + 2m) / kGrain) threads on ThreadPool::shared(), four
 // chunks each. A graph below 2 * kGrain work units (such as G(2^15,

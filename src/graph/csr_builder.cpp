@@ -1,6 +1,7 @@
 #include "graph/csr_builder.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace ssmis {
 
@@ -41,10 +42,17 @@ Graph CsrBuilder::finalize(Vertex n, std::vector<std::int64_t> offsets,
 }
 
 Graph CsrBuilder::lay_out_columns(Vertex n, std::vector<std::int64_t> offsets,
-                                  std::vector<Vertex> upper,
                                   std::vector<Vertex> adj) {
   const std::int64_t m = offsets[static_cast<std::size_t>(n)];
+  const auto rows = static_cast<std::size_t>(n);
   adj.resize(2 * static_cast<std::size_t>(m));
+
+  // upper[u] counts u's neighbours above it, u's appearances in the stream.
+  // A loop of its own: as a step of the source's loop, the same increments
+  // cost ~6x more at n = 10^7 (docs/architecture.md).
+  std::vector<Vertex> upper(rows, 0);
+  for (std::int64_t i = 0; i < m; ++i)
+    ++upper[static_cast<std::size_t>(adj[static_cast<std::size_t>(i)])];
 
   // Row v starts at its column's stream start plus the upper neighbours of
   // the rows before it, so no column moves left, and the columns still to
@@ -53,7 +61,7 @@ Graph CsrBuilder::lay_out_columns(Vertex n, std::vector<std::int64_t> offsets,
   // column ends, which is where upper[v] now points, relative to the row.
   std::int64_t upper_before = m;  // upper neighbours of rows < v
   std::int64_t column_end = m;
-  for (std::size_t v = static_cast<std::size_t>(n); v-- > 0;) {
+  for (std::size_t v = rows; v-- > 0;) {
     const std::int64_t column_start = offsets[v];
     upper_before -= upper[v];
     const std::int64_t row_start = column_start + upper_before;
@@ -64,18 +72,40 @@ Graph CsrBuilder::lay_out_columns(Vertex n, std::vector<std::int64_t> offsets,
     upper[v] = narrow_cast<Vertex>(column_end - column_start);
     column_end = column_start;
   }
-  offsets[static_cast<std::size_t>(n)] = 2 * m;
+  offsets[rows] = 2 * m;
+
+  // Row u's write cursor counts from base[u >> shift], the start of its
+  // block of 2^shift rows, so a mirrored entry costs two random accesses
+  // (a 4-byte cursor and the slot it names), not also the row's 8-byte
+  // offset. shift is the largest up to kCursorBlockBits whose blocks all
+  // span fewer than 2^31 entries; at 0 a block is one row, which always fits.
+  const auto fits = [&](int shift) {
+    const std::size_t block = std::size_t{1} << shift;
+    for (std::size_t first = 0; first < rows; first += block)
+      if (offsets[std::min(rows, first + block)] - offsets[first] >
+          std::numeric_limits<Vertex>::max())
+        return false;
+    return true;
+  };
+  int shift = kCursorBlockBits;
+  while (shift > 0 && !fits(shift)) --shift;
+  std::vector<std::int64_t> base((rows >> shift) + 1);
+  for (std::size_t b = 0; b < base.size(); ++b) base[b] = offsets[b << shift];
+  std::vector<Vertex> cursor = std::move(upper);  // each column's length
+  for (std::size_t u = 0; u < rows; ++u)
+    cursor[u] = narrow_cast<Vertex>(offsets[u] + cursor[u] - base[u >> shift]);
 
   // Mirror each column into the upper parts of its lower neighbours' rows.
   // Columns go in ascending order, so every upper part fills in ascending
-  // order; only later columns write to row v, so upper[v] still is the
-  // length of column v when its turn comes.
-  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
-    const std::int64_t row_start = offsets[v];
-    const std::int64_t lower_end = row_start + upper[v];
-    for (std::int64_t i = row_start; i < lower_end; ++i) {
-      const auto u = static_cast<std::size_t>(adj[static_cast<std::size_t>(i)]);
-      adj[static_cast<std::size_t>(offsets[u] + upper[u]++)] = narrow_cast<Vertex>(v);
+  // order; only later columns write to row v, so cursor[v] still marks the
+  // end of column v when its turn comes.
+  Vertex* const slot = adj.data();
+  for (std::size_t v = 0; v < rows; ++v) {
+    const auto mirrored = narrow_cast<Vertex>(v);
+    const std::int64_t end = base[v >> shift] + cursor[v];
+    for (std::int64_t i = offsets[v]; i < end; ++i) {
+      const auto u = static_cast<std::size_t>(slot[i]);
+      slot[base[u >> shift] + cursor[u]++] = mirrored;
     }
   }
   return Graph(n, std::move(offsets), std::move(adj));

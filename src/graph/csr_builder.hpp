@@ -26,7 +26,8 @@
 // array; each column is then moved to the front of its row, and mirrored
 // into its neighbours' upper row parts in column order, which leaves every
 // row sorted without a sort, a dedup or a replay. Peak memory is the final
-// CSR plus a 4 bytes/vertex count array.
+// CSR plus a 4 bytes/vertex array (each vertex's upper-neighbour count,
+// then its row's write cursor) and 8 bytes per 2^10 rows of cursor bases.
 //
 // `from_source_compressed` is the 10^8-vertex variant of `from_source`:
 // instead of materializing the 12-bytes-per-endpoint plain CSR it encodes
@@ -40,6 +41,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -115,11 +117,9 @@ class CsrBuilder {
                                   Source&& source) {
     if (n < 0) throw std::invalid_argument("CsrBuilder: negative vertex count");
     std::vector<std::int64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-    std::vector<Vertex> upper(static_cast<std::size_t>(n), 0);
     std::vector<Vertex> adj;
     adj.reserve(2 * static_cast<std::size_t>(std::max<std::int64_t>(edge_capacity, 0)));
     std::uint64_t last = 0;  // (v, u) of the previous edge, packed
-    Vertex column = 0;
     source([&](Vertex u, Vertex v) {
       check_endpoints(n, u, v);
       const std::uint64_t key =
@@ -130,14 +130,13 @@ class CsrBuilder {
                                ") breaks the column order (u < v, strictly "
                                "increasing (v, u))");
       last = key;
-      while (column < v)
-        offsets[static_cast<std::size_t>(++column)] = static_cast<std::int64_t>(adj.size());
+      // Column sizes, summed into column starts below, so that no step of
+      // the stream branches on whether a column ended.
+      ++offsets[static_cast<std::size_t>(v) + 1];
       adj.push_back(u);
-      ++upper[static_cast<std::size_t>(u)];
     });
-    while (column < n)
-      offsets[static_cast<std::size_t>(++column)] = static_cast<std::int64_t>(adj.size());
-    return lay_out_columns(n, std::move(offsets), std::move(upper), std::move(adj));
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    return lay_out_columns(n, std::move(offsets), std::move(adj));
   }
 
   // Default cap on the compressed sink's chunk buffer, in endpoints
@@ -286,11 +285,14 @@ class CsrBuilder {
   static Graph finalize(Vertex n, std::vector<std::int64_t> offsets,
                         std::vector<Vertex> adj);
 
+  // Rows per cursor block, as a power of two: lay_out_columns keeps each
+  // row's write cursor as a 32-bit offset from its block's start.
+  static constexpr int kCursorBlockBits = 10;
+
   // Turns from_column_source's stream (adj[0, m) holding the columns in
-  // order, offsets[v] the start of column v, upper[u] the count of u's
-  // neighbours above it) into the CSR, in place in adj.
+  // order, offsets[v] the start of column v) into the CSR, in place in adj.
   static Graph lay_out_columns(Vertex n, std::vector<std::int64_t> offsets,
-                               std::vector<Vertex> upper, std::vector<Vertex> adj);
+                               std::vector<Vertex> adj);
 };
 
 }  // namespace ssmis

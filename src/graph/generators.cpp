@@ -9,6 +9,7 @@
 
 #include "graph/builder.hpp"
 #include "graph/csr_builder.hpp"
+#include "graph/geometric_skip.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
 #include "support/narrow.hpp"
@@ -22,24 +23,12 @@ void require(bool cond, const char* message) {
   if (!cond) throw std::invalid_argument(message);
 }
 
-// Geometric(p) skip length for G(n,p) skip-sampling, hardened against the
-// floating-point edge cases: r at the extremes of next_double and denormal-
-// small p can push log1p(-r)/log1p(-p) to -0.0, inf, or (0/-0) NaN; the
-// clamps map every non-finite or negative value to a safe skip instead of
-// feeding it to the int64 cast (UB on NaN/overflow). The 1e18 cap matches
-// the pre-hardening code so in-range seeds keep byte-identical streams.
-std::int64_t geometric_skip(double r, double log_1mp) {
-  const double skip_f = std::floor(std::log1p(-r) / log_1mp);
-  if (!(skip_f > 0.0)) return 0;  // NaN, -0.0, and negatives land here
-  if (skip_f >= 1e18) return static_cast<std::int64_t>(1e18);
-  return static_cast<std::int64_t>(skip_f);
-}
-
 // Emits G(n,p) via skip-sampling over the pairs (u < v) in increasing (v, u)
-// order: the gap between successive present edges is geometric(p). That is
-// the order CsrBuilder::from_column_source takes in one pass; the stream is
-// deterministic in (n, p, seed), so it also replays for the compressed
-// build. Requires 0 < p < 1.
+// order: the gap between successive present edges is geometric(p), drawn
+// by fast_geometric_skip (geometric_skip.hpp), which equals geometric_skip
+// on every draw. That is the order CsrBuilder::from_column_source takes in
+// one pass; the stream is deterministic in (n, p, seed), so it also replays
+// for the compressed build. Requires 0 < p < 1.
 template <typename Emit>
 void emit_gnp(Vertex n, double p, std::uint64_t seed, Emit&& emit) {
   Xoshiro256 rng(seed);
@@ -47,8 +36,13 @@ void emit_gnp(Vertex n, double p, std::uint64_t seed, Emit&& emit) {
   std::int64_t v = 1;
   std::int64_t u = -1;
   while (v < n) {
-    const std::int64_t skip = geometric_skip(rng.next_double(), log_1mp);
+    const std::int64_t skip = fast_geometric_skip(rng.next_double(), log_1mp);
     u += 1 + skip;
+    // Past the first few columns a skip crosses at most one column boundary
+    // almost always: take that step without a branch, and loop for the rest.
+    const std::int64_t next_column = u >= v;
+    u -= next_column * v;
+    v += next_column;
     while (u >= v && v < n) {
       u -= v;
       ++v;

@@ -184,9 +184,13 @@ std::vector<Edge> random_columns(Vertex n, std::uint64_t seed) {
 TEST(CsrBuilder, ColumnSourceMatchesTwoPassBuild) {
   // The one-pass layout must equal the replaying build over the same edges,
   // for n = 0 through 9 and larger n, whether the edge capacity is exact,
-  // short (the array regrows) or generous.
-  for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    const Vertex n = static_cast<Vertex>(seed % 4 == 0 ? seed / 4 : 2 + seed * 7 % 90);
+  // short (the array regrows) or generous. The last three seeds span
+  // several of the layout's cursor blocks of 2^10 rows: n = 1024 ends on a
+  // block boundary, n = 1025 opens a one-row block, n = 3000 ends mid-block.
+  const Vertex multi_block[] = {1024, 1025, 3000};
+  for (std::uint64_t seed = 0; seed < 43; ++seed) {
+    const Vertex n = seed >= 40 ? multi_block[seed - 40]
+                     : static_cast<Vertex>(seed % 4 == 0 ? seed / 4 : 2 + seed * 7 % 90);
     const std::vector<Edge> edges = random_columns(n, seed);
     const Graph replayed = CsrBuilder::from_source(n, list_source(edges));
     const auto m = static_cast<std::int64_t>(edges.size());

@@ -92,6 +92,9 @@ TEST(Daemon, StabilizedStepIsNoOp) {
   p.step();
   EXPECT_EQ(p.last_activations(), 0);
   EXPECT_EQ(p.round(), 1);  // a step is counted even when nothing is enabled
+  // A snapshot reports the daemon's step count as its round.
+  const Process& process = p;
+  EXPECT_EQ(process.snapshot().round, 1);
   EXPECT_EQ(p.colors()[0], Color2::kBlack);
 }
 

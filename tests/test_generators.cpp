@@ -7,7 +7,9 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "graph/geometric_skip.hpp"
 #include "rng/splitmix64.hpp"
+#include "rng/xoshiro256.hpp"
 #include "support/hash.hpp"
 
 namespace ssmis {
@@ -292,6 +294,12 @@ TEST(GeneratorGoldens, FixedSeedByteIdentity) {
       {"gnp_n1_p0.5_s1", 0x5420115802dc1402ULL},
       {"gnp_n2_p0.5_s1", 0x8b038a41009b3de1ULL},
       {"gnp_n2_p0.5_s3", 0x3f7d3abc7dd1f930ULL},
+      // Skips that take the exact fallback, and a graph of many of the
+      // one-pass layout's cursor blocks (2^10 rows each):
+      {"gnp_n2000_p1e-300_s3", 0x4677e41018deadfaULL},
+      {"gnp_n2000_p1e-9_s3", 0x4677e41018deadfaULL},
+      {"gnp_n120_p0.999999_s3", 0x44924154435f52ffULL},
+      {"gnp_n300000_p8/(n-1)_s5", 0x92f1d3dc7316e882ULL},
   };
   const std::map<std::string, Graph> actual = {
       {"gnp_n1000_p0.01_s7", gen::gnp(1000, 0.01, 7)},
@@ -327,6 +335,10 @@ TEST(GeneratorGoldens, FixedSeedByteIdentity) {
       {"gnp_n1_p0.5_s1", gen::gnp(1, 0.5, 1)},
       {"gnp_n2_p0.5_s1", gen::gnp(2, 0.5, 1)},
       {"gnp_n2_p0.5_s3", gen::gnp(2, 0.5, 3)},
+      {"gnp_n2000_p1e-300_s3", gen::gnp(2000, 1e-300, 3)},
+      {"gnp_n2000_p1e-9_s3", gen::gnp(2000, 1e-9, 3)},
+      {"gnp_n120_p0.999999_s3", gen::gnp(120, 0.999999, 3)},
+      {"gnp_n300000_p8/(n-1)_s5", gen::gnp(300000, 8.0 / 299999.0, 5)},
   };
   ASSERT_EQ(golden.size(), actual.size());
   for (const auto& [name, g] : actual) {
@@ -380,6 +392,58 @@ TEST(Generators, GnpExtremePDeathFree) {
   EXPECT_LE(nearly.num_edges(), max_m);
   // Determinism across the hardened path.
   EXPECT_EQ(gen::gnp(120, 0.999999, 3), gen::gnp(120, 0.999999, 3));
+}
+
+// fast_geometric_skip must equal its definition, geometric_skip, on every
+// draw of Xoshiro256::next_double: 10^7 draws for each p below, from
+// denormal-adjacent to near 1, plus both extremes of next_double. The
+// certified value must agree wherever it is given; where it is not, the
+// fallback is the definition itself. At p = 1e-300 every quotient is huge,
+// so every draw falls back; at p = 1e-9 the quotients near 10^9 land inside
+// the margin often enough to be seen; elsewhere the fast path carries
+// almost every draw.
+TEST(GeometricSkip, FastSkipEqualsTheDefinition) {
+  constexpr std::int64_t kDraws = 10'000'000;
+  const double ps[] = {1e-300, 1e-9, 8.0 / 32767.0, std::log(4096.0) / 4096.0,
+                       0.25,   0.5,  0.999999};
+  std::uint64_t seed = 0x5eed;
+  for (const double p : ps) {
+    const double log_1mp = std::log1p(-p);
+    Xoshiro256 rng(seed++);
+    std::int64_t fallbacks = 0;
+    std::int64_t mismatches = 0;
+    for (std::int64_t i = 0; i < kDraws; ++i) {
+      const double r = rng.next_double();
+      const std::int64_t certified = gen::certified_skip(r, log_1mp);
+      if (certified < 0) {
+        ++fallbacks;
+      } else if (certified != gen::geometric_skip(r, log_1mp) && ++mismatches == 1) {
+        ADD_FAILURE() << "p " << p << " r " << r << " certified " << certified
+                      << " definition " << gen::geometric_skip(r, log_1mp);
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "p " << p;
+    if (p == 1e-300) {
+      EXPECT_EQ(fallbacks, kDraws);
+    } else {
+      EXPECT_LT(fallbacks, kDraws / 100) << "p " << p;
+      if (p == 1e-9) {
+        EXPECT_GT(fallbacks, 0);
+      }
+    }
+    for (const double r : {0.0, 1.0 - 0x1p-53, rng.next_double()})
+      EXPECT_EQ(gen::fast_geometric_skip(r, log_1mp), gen::geometric_skip(r, log_1mp))
+          << "p " << p << " r " << r;
+    // r = 0 is an exact integer quotient, so it is never certified.
+    EXPECT_EQ(gen::certified_skip(0.0, log_1mp), -1) << "p " << p;
+  }
+  // The margin itself: at p = 1/2, r = 3/4 + 2^-50 gives a quotient of
+  // 2 + ~2^-47.5, inside the margin (3 * 2^-40) around 2, so it is left to
+  // the definition; r = 0.6 gives 1.32, which is certified.
+  const double log_half = std::log1p(-0.5);
+  EXPECT_EQ(gen::certified_skip(0.75 + 0x1p-50, log_half), -1);
+  EXPECT_EQ(gen::fast_geometric_skip(0.75 + 0x1p-50, log_half), 2);
+  EXPECT_EQ(gen::certified_skip(0.6, log_half), 1);
 }
 
 }  // namespace
