@@ -5,15 +5,19 @@
 //  * Luby's algorithm: O(log n) rounds from a clean start, but NOT
 //    self-stabilizing — from adversarial decision flags it reports a
 //    non-MIS forever.
-//  * Sequential central-daemon algorithm: <= 2n moves under any scheduler
-//    (but inherently sequential: Theta(n) time).
-//  * Deterministic synchronous rule: livelocks (the reason for coins).
+//  * Sequential central-daemon algorithm [Shukla et al. 95]: a DaemonMIS
+//    with the 2-state rule's flip source under a round-robin daemon;
+//    <= 2n moves under any central daemon (but inherently sequential:
+//    Theta(n) time).
+//  * Deterministic synchronous rule: the flip source run by TwoStateMIS;
+//    livelocks (the reason for coins).
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/daemon.hpp"
 #include "core/luby.hpp"
-#include "core/sequential.hpp"
+#include "core/two_state.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
 #include "harness/experiment.hpp"
@@ -57,14 +61,14 @@ int main(int argc, char** argv) {
         luby_total += static_cast<double>(luby.run(100000));
       }
       table.add_cell(luby_total / ctx.trials);
-      // Sequential moves under round-robin.
-      SequentialMIS seq(cell.graph,
-                        std::vector<Color2>(
-                            static_cast<std::size_t>(cell.graph.num_vertices()),
-                            Color2::kWhite));
-      RoundRobinScheduler sched;
-      const auto result = seq.run(sched, 4 * cell.graph.num_vertices() + 8);
-      table.add_cell(result.total_moves);
+      // Sequential moves under round-robin: one daemon step is one move.
+      DaemonMIS seq(cell.graph,
+                    std::vector<Color2>(
+                        static_cast<std::size_t>(cell.graph.num_vertices()),
+                        Color2::kWhite),
+                    std::make_unique<RoundRobinDaemon>(), TwoStateRule::flip());
+      table.add_cell(
+          run_until_stabilized(seq, 4 * cell.graph.num_vertices() + 8).rounds);
     }
     table.print(std::cout);
   }
@@ -105,16 +109,17 @@ int main(int argc, char** argv) {
     // (1000 dense deterministic rounds on a 10^7-vertex graph is not a demo).
     for (auto& demo : {Demo{"K_2", gen::complete(2)}, Demo{"C_6", gen::cycle(6)},
                        Demo{"K_8", gen::complete(8)}}) {
-      SequentialMIS p(demo.graph,
-                      std::vector<Color2>(
-                          static_cast<std::size_t>(demo.graph.num_vertices()),
-                          Color2::kBlack));
-      for (int i = 0; i < 1000; ++i) p.step_parallel_deterministic();
+      TwoStateMIS p(demo.graph,
+                    std::vector<Color2>(
+                        static_cast<std::size_t>(demo.graph.num_vertices()),
+                        Color2::kBlack),
+                    TwoStateRule::flip());
+      for (int i = 0; i < 1000; ++i) p.step();
       table.begin_row();
       table.add_cell(demo.graph_name);
       table.add_cell("all-black");
       table.add_cell(static_cast<std::int64_t>(1000));
-      table.add_cell(p.enabled_set().empty() ? "no (stabilized)" : "YES (livelock)");
+      table.add_cell(p.stabilized() ? "no (stabilized)" : "YES (livelock)");
     }
     table.print(std::cout);
   }

@@ -8,10 +8,10 @@
 #include <limits>
 #include <memory>
 
+#include "core/daemon.hpp"
 #include "core/init.hpp"
 #include "core/luby.hpp"
 #include "core/runner.hpp"
-#include "core/sequential.hpp"
 #include "core/three_color.hpp"
 #include "core/three_state.hpp"
 #include "core/two_state.hpp"
@@ -80,11 +80,12 @@ int main(int argc, char** argv) {
                    is_mis(g, luby.mis_set()) ? "yes" : "NO"});
   }
   {
-    SequentialMIS seq(g, make_init2(g, InitPattern::kUniformRandom, coins));
-    RandomScheduler sched(seed + 2);
-    const auto result = seq.run(sched, 4 * g.num_vertices() + 8);
+    // The flip under a uniformly random central daemon: a step is a move.
+    DaemonMIS seq(g, make_init2(g, InitPattern::kUniformRandom, coins),
+                  std::make_unique<CentralDaemon>(seed + 2), TwoStateRule::flip());
+    const RunResult r = run_until_stabilized(seq, 4 * g.num_vertices() + 8);
     table.add_row({"sequential daemon (SRR95)", "2", "yes",
-                   std::to_string(result.total_moves) + " moves",
+                   std::to_string(r.rounds) + " moves",
                    std::to_string(seq.black_set().size()),
                    is_mis(g, seq.black_set()) ? "yes" : "NO"});
   }

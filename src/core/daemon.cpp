@@ -1,5 +1,6 @@
 #include "core/daemon.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -10,6 +11,14 @@
 #include "support/narrow.hpp"
 
 namespace ssmis {
+
+std::vector<Vertex> RoundRobinDaemon::activate(std::span<const Vertex> enabled,
+                                               std::int64_t) {
+  auto it = std::lower_bound(enabled.begin(), enabled.end(), cursor_);
+  const Vertex chosen = it != enabled.end() ? *it : enabled.front();
+  cursor_ = chosen + 1;
+  return {chosen};
+}
 
 RandomSubsetDaemon::RandomSubsetDaemon(double rho, std::uint64_t seed)
     : rho_(rho), coins_(seed) {
@@ -33,11 +42,13 @@ std::string RandomSubsetDaemon::name() const {
 }
 
 DaemonMIS::DaemonMIS(const Graph& g, std::vector<Color2> init,
-                     std::unique_ptr<ActivationDaemon> daemon, const CoinOracle& coins)
-    : EngineProcess(g, std::move(init), TwoStateRule(coins)),
+                     std::unique_ptr<ActivationDaemon> daemon, TwoStateRule rule)
+    : EngineProcess(g, std::move(init), std::move(rule)),
       daemon_(std::move(daemon)) {
   if (daemon_ == nullptr)
     throw std::invalid_argument("DaemonMIS: daemon must not be null");
+  if (!engine_.rule().covers(g.num_vertices()))
+    throw std::invalid_argument("DaemonMIS: bias table size != num_vertices");
 }
 
 void DaemonMIS::step() {

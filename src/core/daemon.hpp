@@ -10,9 +10,14 @@
 // DaemonMIS runs the 2-state rule under a pluggable ActivationDaemon:
 //   * SynchronousDaemon   — all enabled vertices (the paper's process;
 //                           bit-identical to TwoStateMIS given the oracle)
-//   * CentralDaemon       — a single enabled vertex per step
+//   * CentralDaemon       — one enabled vertex per step, drawn uniformly
+//   * RoundRobinDaemon    — one enabled vertex per step, the next in id order
 //   * RandomSubsetDaemon  — each enabled vertex independently w.p. rho
 //                           (rho -> 1 recovers synchronous behavior)
+//
+// The sequential algorithm is DaemonMIS with the rule's flip source
+// (TwoStateRule::flip()) under a central daemon: a step is one move, and an
+// MIS is reached within 2n moves whichever vertex each step activates.
 //
 // DaemonMIS drives the same ProcessEngine<TwoStateRule> as the synchronous
 // process, through the engine's subset-transition primitive: the enabled set
@@ -68,6 +73,17 @@ class CentralDaemon final : public ActivationDaemon {
   CoinOracle coins_;
 };
 
+// Activates the first enabled vertex at or after a cursor that moves past
+// each pick, wrapping around to the lowest id.
+class RoundRobinDaemon final : public ActivationDaemon {
+ public:
+  std::vector<Vertex> activate(std::span<const Vertex> enabled, std::int64_t) override;
+  std::string name() const override { return "round-robin"; }
+
+ private:
+  Vertex cursor_ = 0;
+};
+
 class RandomSubsetDaemon final : public ActivationDaemon {
  public:
   // Throws std::invalid_argument unless 0 < rho <= 1.
@@ -83,14 +99,19 @@ class RandomSubsetDaemon final : public ActivationDaemon {
 
 // The 2-state rule under an activation daemon. Enabled = active in the
 // Definition 4 sense (the engine's scheduled set); an activated vertex
-// resamples its color with the oracle coin phi_step(u) — exactly
-// TwoStateMIS's coin stream, so the SynchronousDaemon run is bit-identical
-// to the synchronous process.
+// draws its new color from the rule's source at time `step`. With the fair
+// coin that is TwoStateMIS's coin stream phi_step(u), so the
+// SynchronousDaemon run is bit-identical to the synchronous process.
 class DaemonMIS final : public EngineProcess<TwoStateRule> {
  public:
-  // Throws std::invalid_argument on a null daemon or an init size mismatch.
+  // Throws std::invalid_argument on a null daemon or an init size mismatch,
+  // including a bias table whose size is not g.num_vertices().
   DaemonMIS(const Graph& g, std::vector<Color2> init,
-            std::unique_ptr<ActivationDaemon> daemon, const CoinOracle& coins);
+            std::unique_ptr<ActivationDaemon> daemon, TwoStateRule rule);
+  // The fair coin.
+  DaemonMIS(const Graph& g, std::vector<Color2> init,
+            std::unique_ptr<ActivationDaemon> daemon, const CoinOracle& coins)
+      : DaemonMIS(g, std::move(init), std::move(daemon), TwoStateRule(coins)) {}
 
   // One daemon step: activates one chosen subset of the enabled vertices.
   void step() override;

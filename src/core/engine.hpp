@@ -22,7 +22,8 @@
 // the worklist, and the aggregates; the Rule supplies only the paper's
 // transition table and predicates (see `ProcessRule` below). Five rules
 // cover every process: the 2-state rule (with its bias sources it also runs
-// the ablation, priority, daemon and matching workloads), 3-state, 3-color,
+// the ablation, priority, daemon and matching workloads, and with its
+// coinless flip the sequential central-daemon baseline), 3-state, 3-color,
 // and the beeping and stone-age network simulators' automaton rules — all
 // over this one stepping core, with the same MIS bookkeeping for each.
 //

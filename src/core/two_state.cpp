@@ -30,6 +30,12 @@ TwoStateRule::TwoStateRule(const CoinOracle& coins,
   }
 }
 
+TwoStateRule TwoStateRule::flip() {
+  TwoStateRule rule(CoinOracle(0));  // the oracle is never read
+  rule.source_ = Source::kFlip;
+  return rule;
+}
+
 std::shared_ptr<const std::vector<double>> make_priority_biases(
     const Graph& g, const std::string& mode, double lo, double hi,
     std::uint64_t seed) {

@@ -21,6 +21,11 @@
 // stabilization almost sure; only the speed and the distribution over MISes
 // move.
 //
+// A fourth source draws no coin: the flip, where an active vertex takes the
+// other color. Under a central daemon that is the sequential algorithm of
+// [Shukla et al. 95] (DaemonMIS, core/daemon.hpp); run synchronously it
+// livelocks, since two adjacent blacks flip in lockstep forever.
+//
 // Implementation: a thin rule over ProcessEngine (core/engine.hpp), run as
 // an EngineProcess (core/engine_process.hpp). A round costs O(|A_t| + sum
 // of deg(u) over vertices that changed color), and all trace aggregates
@@ -56,6 +61,8 @@ class TwoStateRule {
   // null table or an entry outside (0, 1); TwoStateMIS checks its length.
   TwoStateRule(const CoinOracle& coins,
                std::shared_ptr<const std::vector<double>> biases);
+  // The flip: an active vertex takes the other color; no coin is drawn.
+  static TwoStateRule flip();
 
   int num_colors() const { return 2; }
   int num_counters() const { return 1; }  // counter 0: black neighbors
@@ -83,12 +90,13 @@ class TwoStateRule {
   }
 
  private:
-  enum class Source : std::uint8_t { kFair, kConstant, kTable };
+  enum class Source : std::uint8_t { kFair, kConstant, kTable, kFlip };
 
   // The source is fixed at construction, so the dispatch is a branch that
   // goes the same way on every call of a run.
   bool black_coin(Vertex u, Color2 c, std::int64_t t) const {
     if (source_ == Source::kFair) return coins_.fair_coin(t, u);
+    if (source_ == Source::kFlip) return !is_black(c);
     if (source_ == Source::kConstant)
       return (eager_white_ && !is_black(c)) ||
              coins_.bernoulli(t, u, CoinTag::kAblation, black_bias_);

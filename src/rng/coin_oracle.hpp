@@ -27,7 +27,7 @@ enum class CoinTag : std::uint32_t {
   kLuby = 3,          // Luby's algorithm per-round priority
   kInit = 4,          // random initial states
   kFault = 5,         // transient-fault injection choices
-  kScheduler = 6,     // randomized sequential scheduler
+  kScheduler = 6,     // daemon choices (central, random subset)
   kAblation = 7,      // 2-state constant-bias source (2state-variant)
   kNoise = 8,         // lossy-channel carrier-sense suppression
   kPriority = 9,      // 2-state per-vertex bias table (priority workload)

@@ -1,14 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "central_daemons.hpp"
 #include "core/daemon.hpp"
 #include "core/init.hpp"
 #include "core/runner.hpp"
-#include "core/sequential.hpp"
 #include "core/two_state.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
-#include "harness/suites.hpp"
-#include "support/hash.hpp"
 
 namespace ssmis {
 namespace {
@@ -21,6 +19,15 @@ TEST(Daemon, ConstructorValidation) {
   EXPECT_THROW(DaemonMIS(g, std::vector<Color2>(3, Color2::kWhite), nullptr,
                          CoinOracle(1)),
                std::invalid_argument);
+  EXPECT_THROW(DaemonMIS(g, {Color2::kWhite}, std::make_unique<RoundRobinDaemon>(),
+                         TwoStateRule::flip()),
+               std::invalid_argument);
+  // The rule constructor checks a bias table's size as TwoStateMIS does.
+  EXPECT_THROW(
+      DaemonMIS(g, std::vector<Color2>(3, Color2::kWhite),
+                std::make_unique<RoundRobinDaemon>(),
+                TwoStateRule(CoinOracle(1), std::make_shared<const std::vector<double>>(2, 0.5))),
+      std::invalid_argument);
   EXPECT_THROW(RandomSubsetDaemon(0.0, 1), std::invalid_argument);
   EXPECT_THROW(RandomSubsetDaemon(1.5, 1), std::invalid_argument);
 }
@@ -43,104 +50,14 @@ TEST(Daemon, SynchronousDaemonBitIdenticalToTwoStateMIS) {
   }
 }
 
-// The sequential algorithm of [Shukla et al. 95] under the deterministic
-// central policies, in the order round-robin, max-degree, lowest-id.
-constexpr const char* kCentralPolicies[] = {"round-robin", "max-degree", "lowest-id"};
-
-// Runs the sequential algorithm from `init` under central policy `policy`
-// (an index into kCentralPolicies) to stabilization; returns its moves and
-// final colors.
-std::pair<std::int64_t, std::vector<Color2>> run_sequential(const Graph& g,
-                                                            std::vector<Color2> init,
-                                                            int policy) {
-  std::unique_ptr<Scheduler> scheduler;
-  if (policy == 0) scheduler = std::make_unique<RoundRobinScheduler>();
-  if (policy == 1) scheduler = std::make_unique<MaxDegreeScheduler>(g);
-  if (policy == 2) scheduler = std::make_unique<LowestIdScheduler>();
-  SequentialMIS p(g, std::move(init));
-  const SequentialRunResult r = p.run(*scheduler, 4 * g.num_vertices() + 8);
-  EXPECT_TRUE(r.stabilized) << g.summary() << " " << kCentralPolicies[policy];
-  return {r.total_moves, p.colors()};
-}
-
-TEST(Daemon, SequentialGoldens) {
-  // Per small-suite graph and central policy: the moves summed over the six
-  // init patterns, and an FNV-1a fold of each pattern's move count and final
-  // colors. Every trajectory is deterministic (no coin is drawn).
-  struct Golden {
-    const char* graph;
-    std::int64_t moves[3];
-    std::uint64_t fingerprint[3];
-  };
-  const std::vector<Golden> goldens = {
-      {"K32", {62, 62, 62},
-       {0x8f78cdaf86f9d591ULL, 0x8f78cdaf86f9d591ULL, 0x8f78cdaf86f9d591ULL}},
-      {"path256", {877, 873, 877},
-       {0x572ce3a78027aa63ULL, 0xf6d0fcc61e612a97ULL, 0x572ce3a78027aa63ULL}},
-      {"cycle255", {872, 872, 872},
-       {0x15e1ca330e559a46ULL, 0x15e1ca330e559a46ULL, 0x15e1ca330e559a46ULL}},
-      {"star128", {133, 133, 133},
-       {0xdb3c97d13fd33be0ULL, 0xdb3c97d13fd33be0ULL, 0xdb3c97d13fd33be0ULL}},
-      {"grid16x16", {1135, 1108, 1149},
-       {0xf60cbad249823237ULL, 0x1d4b79e4605827f7ULL, 0xb323f59d0315664fULL}},
-      {"torus8x8", {285, 282, 282},
-       {0x1036d7e97a103867ULL, 0xafb4781fa3715b95ULL, 0xafb4781fa3715b95ULL}},
-      {"hypercube7", {598, 588, 588},
-       {0x88cec6a3fca4bc1bULL, 0xed790c58753b1c21ULL, 0xed790c58753b1c21ULL}},
-      {"tree256", {778, 646, 777},
-       {0x2ee74a9d6fcc4cb8ULL, 0x466447bf0e0c126eULL, 0x4eab8d69aa6eecf0ULL}},
-      {"binary255", {655, 735, 659},
-       {0x53771c6a0b494796ULL, 0x003239277ae54812ULL, 0xe4b4f91ebfb38bb6ULL}},
-      {"caterpillar", {442, 391, 393},
-       {0xe9c79933b3f07944ULL, 0x47148c809b09d992ULL, 0x5fe3e9456b824654ULL}},
-      {"cliques8x16", {254, 254, 254},
-       {0xdda467df313fe631ULL, 0xdda467df313fe631ULL, 0xdda467df313fe631ULL}},
-      {"gnp256-sparse", {832, 702, 826},
-       {0x5864b0b320294309ULL, 0xebe2f81017818b06ULL, 0x1e8a1508290daf51ULL}},
-      {"gnp256-dense", {687, 669, 691},
-       {0x01e37ef895b8f1b7ULL, 0x30c36f815dd5425fULL, 0x749070b92d74c115ULL}},
-      {"regular6", {719, 731, 726},
-       {0x63e2fc865b6d7333ULL, 0x2cf68e6f4e39d3a7ULL, 0xc074d3b845a22891ULL}},
-      {"bipartite16x16", {98, 98, 98},
-       {0x9d57479640ebe8ffULL, 0x9d57479640ebe8ffULL, 0x9d57479640ebe8ffULL}},
-      {"barbell16", {64, 62, 64},
-       {0xb0ebb647e47ea28bULL, 0xe7def5fe4fd405c7ULL, 0xb0ebb647e47ea28bULL}},
-      {"forest2", {565, 483, 567},
-       {0x8a1f7e85ce151c03ULL, 0x40e8ff91200531c1ULL, 0xfe6983a14af02e9dULL}},
-      {"geometric", {694, 665, 696},
-       {0x66126c5f06fba030ULL, 0x89efedbef3881b00ULL, 0xdcd330a01e811908ULL}},
-      {"smallworld", {885, 646, 876},
-       {0xafa4c3cf13ff5de9ULL, 0x2fb9419c8e149429ULL, 0x3e911ced048769bbULL}},
-  };
-  const std::vector<NamedGraph> suite = small_suite(1);
-  ASSERT_EQ(suite.size(), goldens.size());
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    const Graph& g = suite[i].graph;
-    ASSERT_EQ(suite[i].name, goldens[i].graph);
-    for (int policy = 0; policy < 3; ++policy) {
-      std::int64_t moves = 0;
-      std::uint64_t h = kFnv1aBasis;
-      for (InitPattern pattern : all_init_patterns()) {
-        const auto [m, colors] =
-            run_sequential(g, make_init2(g, pattern, CoinOracle(1)), policy);
-        moves += m;
-        h = fnv1a(h, &m, sizeof m);
-        h = fnv1a(h, colors.data(), colors.size());
-      }
-      const std::string where = suite[i].name + " " + kCentralPolicies[policy];
-      EXPECT_EQ(moves, goldens[i].moves[policy]) << where;
-      EXPECT_EQ(h, goldens[i].fingerprint[policy]) << where;
-    }
-  }
-}
-
 TEST(Daemon, StabilizesUnderAllDaemons) {
   const Graph g = gen::gnp(60, 0.1, 11);
   const CoinOracle coins(13);
   auto make_daemons = [&]() {
     std::vector<std::unique_ptr<ActivationDaemon>> daemons;
     daemons.push_back(std::make_unique<SynchronousDaemon>());
-    daemons.push_back(std::make_unique<CentralDaemon>(17));
+    for (const char* policy : kCentralPolicies)
+      daemons.push_back(central_daemon(policy, g, 17));
     daemons.push_back(std::make_unique<RandomSubsetDaemon>(0.1, 19));
     daemons.push_back(std::make_unique<RandomSubsetDaemon>(0.5, 23));
     return daemons;
@@ -206,6 +123,9 @@ TEST(Daemon, EnabledMatchesDefinitionFourActivity) {
 TEST(Daemon, NamesAreInformative) {
   EXPECT_EQ(SynchronousDaemon().name(), "synchronous");
   EXPECT_EQ(CentralDaemon(1).name(), "central");
+  EXPECT_EQ(RoundRobinDaemon().name(), "round-robin");
+  const Graph g = gen::path(2);
+  for (const char* policy : kCentralPolicies) EXPECT_EQ(central_daemon(policy, g)->name(), policy);
   EXPECT_NE(RandomSubsetDaemon(0.25, 1).name().find("0.25"), std::string::npos);
 }
 

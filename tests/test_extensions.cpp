@@ -1,12 +1,11 @@
 // Tests for the extension features beyond the paper's core reproduction:
-// exact MIS solvers, extra graph algorithms, the no-collision-detection
-// beeping variant, and the randomized sequential daemon.
+// exact MIS solvers, extra graph algorithms, and the no-collision-detection
+// beeping variant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/init.hpp"
-#include "core/sequential.hpp"
 #include "core/verify.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -151,67 +150,6 @@ TEST(NoCollisionDetection, ListenersUnaffected) {
   without_cd.step();
   EXPECT_EQ(with_cd.color(1), without_cd.color(1));
   EXPECT_EQ(with_cd.color(2), without_cd.color(2));
-}
-
-TEST(RandomizedSequential, StabilizesUnderAllSchedulers) {
-  const Graph g = gen::gnp(60, 0.1, 11);
-  const CoinOracle coins(13);
-  std::vector<std::unique_ptr<Scheduler>> schedulers;
-  schedulers.push_back(std::make_unique<RoundRobinScheduler>());
-  schedulers.push_back(std::make_unique<RandomScheduler>(17));
-  schedulers.push_back(std::make_unique<MaxDegreeScheduler>(g));
-  schedulers.push_back(std::make_unique<LowestIdScheduler>());
-  for (auto& sched : schedulers) {
-    SequentialMIS p(g, make_init2(g, InitPattern::kAllBlack, coins));
-    const auto result = p.run_randomized(*sched, coins, 1000000);
-    ASSERT_TRUE(result.stabilized) << sched->name();
-    EXPECT_TRUE(is_mis(g, p.black_set())) << sched->name();
-  }
-}
-
-TEST(RandomizedSequential, MoveRequiresEnabled) {
-  const Graph g = gen::path(3);
-  SequentialMIS p(g, {Color2::kBlack, Color2::kWhite, Color2::kBlack});
-  EXPECT_THROW(p.move_randomized(0, 0, CoinOracle(1)), std::logic_error);
-}
-
-TEST(RandomizedSequential, StillAtMostTwoColorChangesPerVertex) {
-  // The <= 2 color-changes bound survives randomization: a vertex's second
-  // change is white -> black (no black neighbors), after which no neighbor
-  // can ever turn black, so it never changes again. What randomization adds
-  // is *dithering*: scheduled activations that redraw the current color, so
-  // activations can far exceed actual changes.
-  const Graph g = gen::complete(8);
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    const CoinOracle coins(seed);
-    SequentialMIS p(g, std::vector<Color2>(8, Color2::kBlack));
-    RandomScheduler sched(seed);
-    const auto result = p.run_randomized(sched, coins, 100000);
-    ASSERT_TRUE(result.stabilized);
-    EXPECT_LE(result.max_moves_per_vertex, 2) << "seed " << seed;
-    // total_moves counts scheduled activations; changes are at most 2n.
-    std::int64_t changes = 0;
-    for (Vertex u = 0; u < 8; ++u) changes += p.moves_of(u);
-    EXPECT_LE(changes, 2 * 8);
-    EXPECT_GE(result.total_moves, changes);
-  }
-}
-
-TEST(RandomizedSequential, ActivationsExceedChangesSomewhere) {
-  // Dithering must actually occur over enough seeds: some activation redraws
-  // the current color.
-  bool saw_dither = false;
-  const Graph g = gen::complete(8);
-  for (std::uint64_t seed = 0; seed < 40 && !saw_dither; ++seed) {
-    const CoinOracle coins(seed);
-    SequentialMIS p(g, std::vector<Color2>(8, Color2::kBlack));
-    RandomScheduler sched(seed);
-    const auto result = p.run_randomized(sched, coins, 100000);
-    std::int64_t changes = 0;
-    for (Vertex u = 0; u < 8; ++u) changes += p.moves_of(u);
-    if (result.total_moves > changes) saw_dither = true;
-  }
-  EXPECT_TRUE(saw_dither);
 }
 
 }  // namespace

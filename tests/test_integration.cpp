@@ -4,11 +4,11 @@
 
 #include <cmath>
 
+#include "core/daemon.hpp"
 #include "core/faults.hpp"
 #include "core/init.hpp"
 #include "core/luby.hpp"
 #include "core/runner.hpp"
-#include "core/sequential.hpp"
 #include "core/three_color.hpp"
 #include "core/two_state.hpp"
 #include "core/verify.hpp"
@@ -134,9 +134,9 @@ TEST(Integration, AllAlgorithmsAgreeOnValidityNotIdentity) {
   luby.run(1000);
   ASSERT_TRUE(is_mis(g, luby.mis_set()));
 
-  SequentialMIS seq(g, make_init2(g, InitPattern::kAllWhite, coins));
-  RoundRobinScheduler sched;
-  seq.run(sched, 10 * g.num_vertices());
+  DaemonMIS seq(g, make_init2(g, InitPattern::kAllWhite, coins),
+                std::make_unique<RoundRobinDaemon>(), TwoStateRule::flip());
+  run_until_stabilized(seq, 10 * g.num_vertices());
   ASSERT_TRUE(is_mis(g, seq.black_set()));
 
   EXPECT_TRUE(is_mis(g, greedy_mis(g)));

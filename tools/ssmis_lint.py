@@ -52,13 +52,6 @@ Suppressions: append `// ssmis-lint: allow(R1) reason` (multiple ids:
 line directly above it. A suppression without a reason does not suppress —
 the finding stands and the empty suppression is reported alongside it.
 
-Engines: the default token engine needs nothing beyond the standard
-library and is the engine of record (CI, --self-test). When python's
-libclang bindings are importable, `--engine=clang` re-checks R1 findings
-against the real AST (is the receiver actually an ssmis::Graph?) and drops
-the ones that are not; any libclang failure falls back to the token
-verdicts, so the linter never goes quiet because a wheel is missing.
-
 Exit status: 0 = no unsuppressed findings, 1 = findings, 2 = usage/self-test
 harness error.
 """
@@ -536,56 +529,6 @@ def check_r4(src: SourceFile, rel: str, out: list[Finding]) -> None:
 
 
 # --------------------------------------------------------------------------
-# Optional libclang refinement (R1 receiver-type confirmation)
-# --------------------------------------------------------------------------
-
-def refine_r1_with_libclang(findings: list[Finding],
-                            paths: dict[str, str]) -> list[Finding]:
-    """Drop R1 findings whose receiver libclang proves is NOT ssmis::Graph.
-
-    Best-effort: any import/parse failure returns the findings untouched
-    (the token verdicts stand — the fallback is the engine of record).
-    """
-    try:
-        from clang import cindex  # type: ignore
-    except Exception:
-        return findings
-    r1_by_file: dict[str, list[Finding]] = {}
-    for f in findings:
-        if f.rule == "R1":
-            r1_by_file.setdefault(f.path, []).append(f)
-    if not r1_by_file:
-        return findings
-    keep = [f for f in findings if f.rule != "R1"]
-    try:
-        index = cindex.Index.create()
-        for rel, flist in r1_by_file.items():
-            abspath = paths.get(rel, rel)
-            tu = index.parse(abspath, args=["-std=c++20",
-                                            "-I", os.path.join(REPO_ROOT,
-                                                               "src")])
-            confirmed_lines: set[int] = set()
-            for cur in tu.cursor.walk_preorder():
-                if cur.kind != cindex.CursorKind.CALL_EXPR:
-                    continue
-                if cur.spelling not in ("neighbors", "offsets", "adjacency"):
-                    continue
-                ref = cur.referenced
-                if ref is None:
-                    confirmed_lines.add(cur.location.line)  # unresolved: keep
-                    continue
-                parent = ref.semantic_parent
-                if parent is not None and parent.spelling == "Graph":
-                    confirmed_lines.add(cur.location.line)
-            for f in flist:
-                if f.line in confirmed_lines:
-                    keep.append(f)
-        return keep
-    except Exception:
-        return findings
-
-
-# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -666,14 +609,9 @@ def run_lint(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     all_findings: list[Finding] = []
-    paths_by_rel: dict[str, str] = {}
     for path in files:
-        paths_by_rel[rel_path(path)] = os.path.abspath(path)
         all_findings.extend(lint_file(path, rules,
                                       honor_suppressions=not args.no_suppress))
-    if args.engine == "clang":
-        all_findings = refine_r1_with_libclang(all_findings, paths_by_rel)
-        all_findings.sort(key=lambda f: (f.path, f.line, f.rule))
     visible = [f for f in all_findings if not f.suppressed]
     suppressed = [f for f in all_findings if f.suppressed]
     if visible:
@@ -766,9 +704,6 @@ def main() -> int:
                          "(default: src/ bench/ examples/)")
     ap.add_argument("--rules", default="",
                     help="comma-separated rule ids to run (default: all)")
-    ap.add_argument("--engine", choices=("tokens", "clang"), default="tokens",
-                    help="analysis engine; 'clang' refines R1 with libclang "
-                         "when importable, falling back to token verdicts")
     ap.add_argument("--no-suppress", action="store_true",
                     help="ignore ssmis-lint: allow(...) comments")
     ap.add_argument("--self-test", action="store_true",
