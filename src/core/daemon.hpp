@@ -21,9 +21,11 @@
 //
 // DaemonMIS drives the same ProcessEngine<TwoStateRule> as the synchronous
 // process, through the engine's subset-transition primitive: the enabled set
-// IS the engine's scheduled worklist, so enabled-set queries are O(|enabled|)
-// rather than O(n) scans. It is an EngineProcess whose round is one daemon
-// step, so run_until_stabilized and the harness drive it unchanged.
+// IS the engine's scheduled worklist. Each step copies and sorts it for the
+// daemon, so a step costs O(|enabled| log |enabled|) however few vertices
+// the daemon activates (a central step moves one). It is an EngineProcess
+// whose round is one daemon step, so run_until_stabilized and the harness
+// drive it unchanged.
 #pragma once
 
 #include <cstdint>

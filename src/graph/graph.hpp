@@ -10,7 +10,7 @@
 //
 //   plain CSR    offsets[n+1] (i64) + adj[2m] (i32), in heap vectors
 //                (builder output, `load_ssg`) or an external read-only
-//                region such as an mmap'd `.ssg` v1 file (`mmap_ssg`);
+//                region such as an mmap'd plain `.ssg` file (`mmap_ssg`);
 //   compressed   varint/delta row codec (src/graph/varint.hpp): per-row
 //                delta-coded neighbor gaps plus a sampled offset index
 //                (one u64 per 64 rows) — the 10^8-vertex format, heap-owned

@@ -29,10 +29,9 @@ namespace io {
 
 namespace {
 
-// One header layout for both versions: v1 zeroes the last three fields
-// (they were "reserved" before v2 claimed them), v2 uses them as
-// flags / payload_bytes / superblock. v1 files are byte-identical to the
-// pre-v2 writer's output.
+// One header layout for every version: the plain versions (v1, v3) zero the
+// last three fields (they were "reserved" before v2 claimed them), v2 uses
+// them as flags / payload_bytes / superblock.
 struct SsgHeader {
   char magic[8];
   std::uint32_t version;
@@ -46,20 +45,28 @@ struct SsgHeader {
 };
 static_assert(sizeof(SsgHeader) == kSsgHeaderBytes);
 
-// v1 checksum covers the shape fields and both payload arrays, so a
-// corrupted header count fails as loudly as a flipped adjacency byte.
-std::uint64_t payload_checksum(std::int64_t n, std::int64_t adj_len,
-                               const std::int64_t* offsets, const Vertex* adj) {
-  std::uint64_t h = kFnv1aBasis;
-  h = fnv1a(h, &n, sizeof(n));
-  h = fnv1a(h, &adj_len, sizeof(adj_len));
-  h = fnv1a(h, offsets, static_cast<std::size_t>(n + 1) * sizeof(std::int64_t));
-  h = fnv1a(h, adj, static_cast<std::size_t>(adj_len) * sizeof(Vertex));
-  return h;
+// Plain-file checksum: the shape fields (header bytes 16-31) and both
+// payload arrays, so a corrupted header count fails as loudly as a flipped
+// adjacency byte. v3 chains XXH64 over them, each result seeding the next;
+// read-only v1 folds the same bytes through byte-wise FNV-1a.
+std::uint64_t payload_checksum(std::uint32_t version, std::int64_t n,
+                               std::int64_t adj_len, const std::int64_t* offsets,
+                               const Vertex* adj) {
+  const std::int64_t shape[2] = {n, adj_len};
+  const auto offset_bytes = static_cast<std::size_t>(n + 1) * sizeof(std::int64_t);
+  const auto adj_bytes = static_cast<std::size_t>(adj_len) * sizeof(Vertex);
+  if (version == kSsgVersionLegacy) {
+    std::uint64_t h = fnv1a(kFnv1aBasis, shape, sizeof(shape));
+    h = fnv1a(h, offsets, offset_bytes);
+    return fnv1a(h, adj, adj_bytes);
+  }
+  std::uint64_t h = xxh64(shape, sizeof(shape), 0);
+  h = xxh64(offsets, offset_bytes, h);
+  return xxh64(adj, adj_bytes, h);
 }
 
 // v2 checksum: shape + codec parameters + index + payload, same loudness
-// contract as v1.
+// contract as the plain files.
 std::uint64_t compressed_checksum(const SsgHeader& h, const std::uint64_t* index,
                                   std::size_t index_entries,
                                   const std::uint8_t* payload) {
@@ -85,11 +92,13 @@ void validate_magic_and_version(const std::string& path, const SsgHeader& h) {
     fail(path, "bad magic (not an .ssg file)");
   if (h.endian_tag != kSsgEndianTag)
     fail(path, "endianness mismatch (file written on an incompatible host)");
-  if (h.version != kSsgVersion && h.version != kSsgVersionCompressed)
+  if (h.version != kSsgVersion && h.version != kSsgVersionLegacy &&
+      h.version != kSsgVersionCompressed)
     fail(path, "unsupported format version " + std::to_string(h.version));
 }
 
-// v1 shape validation. `file_bytes` is the actual on-disk size.
+// Plain-file (v1, v3) shape validation. `file_bytes` is the actual on-disk
+// size.
 void validate(const std::string& path, const SsgHeader& h, std::int64_t file_bytes) {
   if (h.n < 0 || h.adj_len < 0 || h.n > 0x7fffffffLL) fail(path, "corrupt header counts");
   // Derive the adjacency byte budget from the actual file size instead of
@@ -129,7 +138,7 @@ std::size_t validate_compressed_header(const std::string& path, const SsgHeader&
 
 // Offsets are what row iteration indexes with — corruption there means
 // out-of-bounds reads on the first neighbors() call. This check is O(n)
-// and runs on EVERY v1 load, trusted or not.
+// and runs on EVERY plain load, trusted or not.
 void validate_offsets(const std::string& path, std::int64_t n, std::int64_t adj_len,
                       const std::int64_t* offsets) {
   if (offsets[0] != 0) fail(path, "corrupt offsets (offsets[0] != 0)");
@@ -157,7 +166,7 @@ void audit_reverse_entries(const std::string& path, std::int64_t n,
   }
 }
 
-// Full structural audit of the v1 adjacency payload: out-of-range values
+// Full structural audit of a plain adjacency payload: out-of-range values
 // mean out-of-bounds per-vertex state access in every process, unsorted or
 // duplicated rows break the binary-search/dedup invariant Graph's contract
 // promises (has_edge would silently miss present edges), and asymmetric
@@ -311,7 +320,8 @@ void save_ssg(const std::string& path, const Graph& g) {
   // ssmis-lint: allow(R1) plain-storage branch: the compressed case returned above
   const auto adjacency = g.adjacency();
   h.adj_len = static_cast<std::int64_t>(adjacency.size());
-  h.checksum = payload_checksum(h.n, h.adj_len, offsets.data(), adjacency.data());
+  h.checksum =
+      payload_checksum(h.version, h.n, h.adj_len, offsets.data(), adjacency.data());
   write_atomically(path, [&](std::ofstream& out) {
     out.write(reinterpret_cast<const char*>(&h), sizeof(h));
     out.write(reinterpret_cast<const char*>(offsets.data()),
@@ -366,7 +376,8 @@ Graph load_ssg(const std::string& path, SsgValidation validation) {
   if (!in) fail(path, "read failed");
   validate_offsets(path, h.n, h.adj_len, offsets.data());
   if (validation == SsgValidation::kFull) {
-    if (payload_checksum(h.n, h.adj_len, offsets.data(), adj.data()) != h.checksum)
+    if (payload_checksum(h.version, h.n, h.adj_len, offsets.data(), adj.data()) !=
+        h.checksum)
       fail(path, "checksum mismatch (corrupted file)");
     validate_adjacency(path, h.n, offsets.data(), adj.data());
   }
@@ -430,7 +441,7 @@ Graph mmap_ssg(const std::string& path, SsgValidation validation) {
       bytes + kSsgHeaderBytes + 8 * (static_cast<std::size_t>(h.n) + 1));
   validate_offsets(path, h.n, h.adj_len, offsets);
   if (validation == SsgValidation::kFull) {
-    if (payload_checksum(h.n, h.adj_len, offsets, adj) != h.checksum)
+    if (payload_checksum(h.version, h.n, h.adj_len, offsets, adj) != h.checksum)
       fail(path, "checksum mismatch (corrupted file)");
     validate_adjacency(path, h.n, offsets, adj);
   }

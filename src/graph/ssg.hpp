@@ -6,19 +6,26 @@
 // exist, selected by the header's version field; all fields little-endian,
 // 8-byte-aligned sections.
 //
-// Version 1 — plain CSR (written for plain-storage Graphs):
+// Version 3 — plain CSR (written for plain-storage Graphs):
 //
 //   offset  size            field
 //   ------  --------------  ---------------------------------------------
 //        0  8               magic "SSGRAPH1"
-//        8  4 (u32)         format version (1)
+//        8  4 (u32)         format version (3)
 //       12  4 (u32)         endianness tag 0x01020304 as written
 //       16  8 (i64)         n  (vertex count)
 //       24  8 (i64)         adj_len (= 2m directed endpoints)
-//       32  8 (u64)         FNV-1a checksum of the payload (see ssg.cpp)
+//       32  8 (u64)         XXH64 checksum, chained: h = XXH64(bytes 16-31,
+//                           seed 0), then XXH64(offsets[], seed h), then
+//                           XXH64(adj[], seed h)
 //       40  24              reserved, zero
 //       64  8*(n+1)         offsets[] (i64)
 //   64+8(n+1)  4*adj_len    adj[] (i32)
+//
+// Version 1 — read-only: v3's exact layout with version 1, whose checksum
+// is byte-wise FNV-1a over the same bytes in the same order (n, adj_len,
+// offsets[], adj[]). Readers still accept it, so cached graphs keep loading;
+// nothing writes it.
 //
 // Version 2 — compressed adjacency (written for compressed-storage Graphs;
 // codec in src/graph/varint.hpp):
@@ -42,11 +49,12 @@
 //
 // Versioning/endianness contract: readers reject any magic or endianness-
 // tag mismatch and any version they do not implement with
-// std::runtime_error rather than guessing — v1 files keep loading
-// byte-identically under a v2-capable reader, and a big-endian host reading
-// a little-endian file fails loudly on the tag. Truncated files, checksum
-// mismatches, and codec structure violations also throw; no load path ever
-// reads out of the file's bounds, hostile headers included.
+// std::runtime_error rather than guessing. Writers emit v3 (plain) and v2
+// (compressed); v1 and v2 files keep loading byte-identically under a
+// v3-capable reader, and a big-endian host reading a little-endian file
+// fails loudly on the tag. Truncated files, checksum mismatches, and codec
+// structure violations also throw; no load path ever reads out of the
+// file's bounds, hostile headers included.
 //
 // `load_ssg` copies into heap vectors; `mmap_ssg` maps the file read-only
 // and wraps the in-file arrays directly (zero allocation beyond the page
@@ -67,8 +75,9 @@ class CliArgs;
 namespace io {
 
 inline constexpr char kSsgMagic[8] = {'S', 'S', 'G', 'R', 'A', 'P', 'H', '1'};
-inline constexpr std::uint32_t kSsgVersion = 1;            // plain CSR payload
+inline constexpr std::uint32_t kSsgVersionLegacy = 1;      // plain CSR, FNV-1a (read-only)
 inline constexpr std::uint32_t kSsgVersionCompressed = 2;  // varint/delta payload
+inline constexpr std::uint32_t kSsgVersion = 3;            // plain CSR, XXH64
 inline constexpr std::uint32_t kSsgEndianTag = 0x01020304u;
 inline constexpr std::size_t kSsgHeaderBytes = 64;
 inline constexpr std::uint64_t kSsgFlagCompressed = 1;  // v2 flags, bit 0
@@ -78,29 +87,30 @@ inline constexpr std::uint64_t kSsgFlagCompressed = 1;  // v2 flags, bit 0
 // validated in EVERY mode; the modes grade the O(m) work:
 //   kFull    checksum pass + adjacency structure (range, sorted/dedup rows,
 //            no self-loops, undirected symmetry). The default: a corrupted
-//            file throws, never loads wrong. On v1 the structural audit is
-//            O(n + m) on one thread with 4 B/vertex of transient cursors,
-//            and its symmetry check is exact, so any file v1 accepts is a
-//            valid graph. On v2 symmetry is an unkeyed multiset hash: it
-//            misses random corruption with probability ~2^-64, but a writer
-//            who picks asymmetric entries whose hash differences cancel
-//            (a small k-sum search) and refreshes the checksum gets an
-//            asymmetric graph through. Load files from untrusted writers as
-//            v1.
+//            file throws, never loads wrong. On plain files (v1, v3) the
+//            structural audit is O(n + m) on one thread with 4 B/vertex of
+//            transient cursors, and its symmetry check is exact, so any
+//            plain file the reader accepts is a valid graph. On v2 symmetry
+//            is an unkeyed multiset hash: it misses random corruption with
+//            probability ~2^-64, but a writer who picks asymmetric entries
+//            whose hash differences cancel (a small k-sum search) and
+//            refreshes the checksum gets an asymmetric graph through. Load
+//            files from untrusted writers as plain files.
 //   kTrusted header + offsets only. For files this process (or pipeline)
 //            wrote itself: reuse costs page faults, not a re-validation of
 //            every edge — the point of generating once. A crafted file can
 //            defeat this mode; that is what makes it "trusted".
 enum class SsgValidation { kFull, kTrusted };
 
-// Writes the format matching the graph's storage: v1 (plain CSR) for plain
+// Writes the format matching the graph's storage: v3 (plain CSR) for plain
 // graphs, v2 (compressed payload) for compressed ones. Goes through a
 // scratch file + atomic rename either way. Throws std::runtime_error on
 // I/O failure.
 void save_ssg(const std::string& path, const Graph& g);
 
-// Reads the whole file into owned heap storage (plain CSR for v1 files,
-// compressed for v2 — the returned Graph keeps the on-disk representation).
+// Reads the whole file into owned heap storage (plain CSR for v1 and v3
+// files, compressed for v2 — the returned Graph keeps the on-disk
+// representation).
 // Throws std::runtime_error on malformed header, unsupported version,
 // truncation, or (in kFull mode) checksum mismatch / structural corruption.
 [[nodiscard]] Graph load_ssg(const std::string& path,

@@ -13,12 +13,11 @@
 //      superblock, truncation at every section, varint overrun, hostile
 //      degree, index/offset mismatch, asymmetric payload, checksum) that
 //      must throw std::runtime_error — never crash, never read out of
-//      bounds (the CI ASan/UBSan jobs run this file) — plus a time-boxed
-//      randomized corruption fuzz over v1 + v2 (SSMIS_FUZZ_SECONDS).
+//      bounds (the CI ASan/UBSan jobs run this file). The randomized
+//      corruption fuzz over every .ssg version lives in tests/test_ssg.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -452,7 +451,7 @@ TEST_F(SsgV2Test, UnsupportedSuperblockThrows) {
 TEST_F(SsgV2Test, UnsupportedVersionThrows) {
   const std::string p = save_reference("v.ssg");
   auto bytes = read_all(p);
-  bytes[8] = 3;
+  bytes[8] = 4;  // 1, 2 and 3 are implemented
   write_all(p, bytes);
   expect_rejected(p, /*trusted_too=*/true);
 }
@@ -644,88 +643,6 @@ TEST_F(SsgV2Test, TrustedDecodeOfGarbageThrowsInsteadOfReadingOutOfBounds) {
     }
     EXPECT_TRUE(threw) << what;
   }
-}
-
-// --- randomized corruption fuzz (v1 + v2) ----------------------------------
-
-// Time-boxed: SSMIS_FUZZ_SECONDS (CI sets 30 under ASan/UBSan; the default
-// keeps local ctest fast). Every mutation of a valid file must either load
-// cleanly or throw std::runtime_error; whatever loads must survive a full
-// decode sweep without leaving the file's bounds.
-TEST_F(SsgV2Test, RandomizedCorruptionFuzzNeverCrashes) {
-  double budget_seconds = 2.0;
-  if (const char* env = std::getenv("SSMIS_FUZZ_SECONDS"))
-    budget_seconds = std::max(0.1, std::atof(env));
-
-  const Graph plain = gen::gnp(400, 0.02, 77);
-  const std::string v1 = path("fuzz1.ssg");
-  const std::string v2 = path("fuzz2.ssg");
-  io::save_ssg(v1, plain);
-  io::save_ssg(v2, Graph::compress(plain));
-  const std::vector<std::vector<char>> originals = {read_all(v1), read_all(v2)};
-
-  std::mt19937_64 rng(0x5567u);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(budget_seconds);
-  const std::string target = path("fuzz_mut.ssg");
-  std::int64_t iterations = 0, survived = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    ++iterations;
-    std::vector<char> bytes = originals[rng() % originals.size()];
-    switch (rng() % 4) {
-      case 0:  // flip 1..8 random bytes
-        for (std::uint64_t i = 0, k = 1 + rng() % 8; i < k; ++i)
-          bytes[rng() % bytes.size()] ^= static_cast<char>(1 + rng() % 255);
-        break;
-      case 1:  // truncate at a random point
-        bytes.resize(rng() % bytes.size());
-        break;
-      case 2:  // append random garbage
-        for (std::uint64_t i = 0, k = 1 + rng() % 64; i < k; ++i)
-          bytes.push_back(static_cast<char>(rng()));
-        break;
-      default: {  // zero a random range
-        if (!bytes.empty()) {
-          const std::size_t at = rng() % bytes.size();
-          const std::size_t len = std::min(bytes.size() - at,
-                                           static_cast<std::size_t>(1 + rng() % 128));
-          std::memset(bytes.data() + at, 0, len);
-        }
-        break;
-      }
-    }
-    write_all(target, bytes);
-    for (const auto validation :
-         {io::SsgValidation::kFull, io::SsgValidation::kTrusted}) {
-      for (const bool use_mmap : {false, true}) {
-        try {
-          const Graph g = use_mmap ? io::mmap_ssg(target, validation)
-                                   : io::load_ssg(target, validation);
-          ++survived;
-          // Whatever loaded must be fully traversable or throw cleanly.
-          try {
-            NeighborScratch scratch;
-            Graph::RowStream rows(g);
-            std::int64_t endpoints = 0;
-            for (Vertex u = 0; u < g.num_vertices(); ++u)
-              endpoints += static_cast<std::int64_t>(rows.next(scratch).size());
-            (void)endpoints;
-          } catch (const std::runtime_error&) {
-            // A trusted load of a corrupt payload may fail at decode time;
-            // that is the contract (loud, in-bounds).
-          }
-        } catch (const std::runtime_error&) {
-          // Rejected loudly: the expected outcome for most mutations.
-        }
-      }
-    }
-  }
-  // The loop must have exercised real work, and full validation must have
-  // let SOME loads through only if the mutation missed every checked byte
-  // (rare) — mostly this asserts "no crash over many iterations".
-  EXPECT_GT(iterations, 10) << "fuzz budget too small to mean anything";
-  RecordProperty("fuzz_iterations", std::to_string(iterations));
-  RecordProperty("fuzz_loads_survived", std::to_string(survived));
 }
 
 }  // namespace

@@ -77,13 +77,13 @@ std::vector<StorageCase> golden_graph_storages() {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("ssmis_registry_storage_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
-  const std::string v1 = (dir / "golden_v1.ssg").string();
+  const std::string v3 = (dir / "golden_v3.ssg").string();
   const std::string v2 = (dir / "golden_v2.ssg").string();
-  io::save_ssg(v1, plain);
+  io::save_ssg(v3, plain);
   io::save_ssg(v2, Graph::compress(plain));
   std::vector<StorageCase> cases;
   cases.push_back({"plain", plain});
-  cases.push_back({"mmap-v1", io::mmap_ssg(v1)});
+  cases.push_back({"mmap-v3", io::mmap_ssg(v3)});
   cases.push_back({"compressed", Graph::compress(plain)});
   cases.push_back({"compressed-mmap-v2", io::mmap_ssg(v2)});
   std::error_code ec;
@@ -196,7 +196,7 @@ TEST(Registry, CrossRepresentationStorageKeepsTheGoldens) {
 }
 
 // Table-driven over every registered protocol — current and future: each
-// one must produce the identical trajectory on plain, mmap'd-v1,
+// one must produce the identical trajectory on plain, mmap'd-v3,
 // compressed, and mmap'd-v2 storage of the same graph. A new workload gets
 // this proof by registering, with zero new test code.
 TEST(Registry, CrossRepresentationBitIdentityForEveryProtocol) {
