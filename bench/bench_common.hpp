@@ -42,12 +42,6 @@ struct ExpContext {
   int threads = 1;  // --threads (parse_threads): trials batched across the pool
   std::string protocol;      // --protocol (validated), or the binary's default
   ProtocolParams proto_params;  // --proto-KEY=VALUE options
-  // --graph-compressed: run every cell on compressed adjacency storage
-  // (generated graphs are transcoded after construction, a --graph-file
-  // override at load). Trajectories are bit-identical to plain storage —
-  // the cross-representation tests pin that — so this is purely a memory-
-  // footprint knob.
-  bool compress_graphs = false;
   // --graph-file=path: a pre-built graph (`.ssg` binary, mmap'd read-only by
   // default, or whitespace edge list) substituted for *every* generated cell
   // graph, so one expensive 10^7-vertex construction is reused across all
@@ -80,35 +74,27 @@ struct ExpContext {
     return TrialBatch(num_trials, threads);
   }
 
-  // Applies the --graph-compressed policy to a freshly generated graph.
-  Graph maybe_compress(Graph g) const {
-    if (compress_graphs && !g.is_compressed()) return Graph::compress(g);
-    return g;
-  }
-
-  // Loads the --graph-file (honoring --graph-mmap/--graph-trusted and the
-  // --graph-compressed transcode). An unreadable, corrupt, or unsupported-
-  // version file is an operator error shared by every binary: one line +
-  // exit 2, like bad flags — not an uncaught runtime_error. Used by the
-  // default kLoad path below and by kDefer binaries that time the load
-  // themselves (exp_scale).
+  // Loads the --graph-file (honoring --graph-mmap/--graph-trusted). An
+  // unreadable, corrupt, or unsupported-version file is an operator error
+  // shared by every binary: one line + exit 2, like bad flags — not an
+  // uncaught runtime_error. Used by the default kLoad path below and by
+  // kDefer binaries that time the load themselves (exp_scale).
   Graph load_graph_file_or_exit() const {
     try {
-      return maybe_compress(io::load_graph_file_from_args(args));
+      return io::load_graph_file_from_args(args);
     } catch (const std::runtime_error& e) {
       std::cerr << "error: " << e.what() << "\n";
       std::exit(2);
     }
   }
 
-  // The graph for one experiment cell: the --graph-file override when given
-  // (already transcoded at load under --graph-compressed), otherwise
-  // whatever `make` generates. Returning by value is cheap either way —
-  // Graph is a shared-storage handle.
+  // The graph for one experiment cell: the --graph-file override when given,
+  // otherwise whatever `make` generates. Returning by value is cheap either
+  // way — Graph is a shared-storage handle.
   template <typename MakeGraph>
   Graph cell_graph(MakeGraph&& make) const {
     if (graph_override) return *graph_override;
-    return maybe_compress(std::forward<MakeGraph>(make)());
+    return std::forward<MakeGraph>(make)();
   }
 
   // Named-suite variant for the cross-cutting binaries: --graph-file
@@ -118,9 +104,7 @@ struct ExpContext {
   template <typename MakeSuite>
   std::vector<NamedGraph> suite_or(MakeSuite&& make) const {
     if (graph_override) return {{"graph-file", *graph_override}};
-    std::vector<NamedGraph> suite = std::forward<MakeSuite>(make)();
-    for (NamedGraph& cell : suite) cell.graph = maybe_compress(std::move(cell.graph));
-    return suite;
+    return std::forward<MakeSuite>(make)();
   }
 };
 
@@ -161,8 +145,8 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
   // Reject typo'd flags loudly before anything runs with defaults.
   std::vector<std::string> known = {
       "trials",     "seed",       "scale",         "threads",
-      "graph-file", "graph-mmap", "graph-trusted", "graph-compressed",
-      "protocol",   "list-protocols", "proto-*"};
+      "graph-file", "graph-mmap", "graph-trusted", "protocol",
+      "list-protocols", "proto-*"};
   known.insert(known.end(), extra_flags.begin(), extra_flags.end());
   const auto unknown = ctx.args.unknown_options(known);
   if (!unknown.empty()) {
@@ -177,7 +161,6 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
   ctx.threads = parse_threads(ctx.args);
   ctx.protocol = default_protocol;
   ctx.proto_params = protocol_params_from_args(ctx.args);
-  ctx.compress_graphs = ctx.args.get_bool("graph-compressed", false);
   std::cout << "#### Experiment " << id << "\n";
   std::cout << "# paper claim: " << claim << "\n";
   std::cout << "# trials/cell: " << ctx.trials << ", seed: " << ctx.seed << "\n";
@@ -215,10 +198,6 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
       std::cerr << "error: " << e.what() << "\n";
       std::exit(2);
     }
-  }
-  if (ctx.compress_graphs) {
-    std::cout << "# graph-compressed: every cell graph runs on compressed "
-                 "adjacency storage (bit-identical trajectories)\n";
   }
   if (ctx.args.has("graph-file")) {
     switch (graph_file_policy) {

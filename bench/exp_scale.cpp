@@ -13,19 +13,14 @@
 //   ./exp_scale --n=10000000 --avg-deg=8 --save=g.ssg   # generate + persist
 //   ./exp_scale --graph-file=g.ssg                      # reuse (mmap)
 //
-// --graph-compressed switches the whole pipeline onto the varint/delta
-// adjacency codec — generation streams straight into compressed storage
-// (chunked replays, peak ~ the compressed size), --save writes `.ssg` v2,
-// and the reload + stabilize stages run off the compressed payload. That is
-// the n = 10^8 regime: plain CSR at that scale is ~4.0 GB of adjacency
-// before any process state, compressed is ~0.6x with the offsets array
-// gone entirely.
+// The same pipeline runs at n = 10^8 on a 15 GB host: the CSR is ~4.0 GB
+// there, and the run peaks at ~5.2 GB (docs/architecture.md, "Memory
+// budget").
 //
 // Other knobs: --p (overrides --avg-deg), --graph-mmap=0 (owned-read
-// reload), --compress-chunk (endpoint budget per construction chunk),
-// --max-rounds, and the standard --seed. Every stage row names the storage
-// mode it actually ran against; an unsupported --graph-file format version
-// exits 2 with a one-line error.
+// reload), --max-rounds, and the standard --seed. Every stage row names the
+// storage mode it actually ran against; an unsupported --graph-file format
+// version exits 2 with a one-line error.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -53,18 +48,9 @@ double seconds_since(Clock::time_point start) {
 
 double mb(std::int64_t bytes) { return static_cast<double>(bytes) / (1024.0 * 1024.0); }
 
-// XXH64 over the arrays the graph is saved from: offsets then adjacency for
-// plain storage, index then payload for compressed storage.
+// XXH64 over the arrays the graph is saved from: offsets, then adjacency.
 std::uint64_t storage_fingerprint(const Graph& g) {
-  if (g.is_compressed()) {
-    const auto index = g.compressed_index();
-    const auto payload = g.compressed_payload();
-    return xxh64(payload.data(), payload.size_bytes(),
-                 xxh64(index.data(), index.size_bytes(), 0));
-  }
-  // ssmis-lint: allow(R1) plain-storage branch: the compressed case returned above
   const auto offsets = g.offsets();
-  // ssmis-lint: allow(R1) plain-storage branch: the compressed case returned above
   const auto adjacency = g.adjacency();
   return xxh64(adjacency.data(), adjacency.size_bytes(),
                xxh64(offsets.data(), offsets.size_bytes(), 0));
@@ -79,7 +65,7 @@ int main(int argc, char** argv) {
       "CI-class memory; the protocol itself is polylog and never the bottleneck",
       1, bench::GraphFilePolicy::kDefer, "2state",
       bench::ProtocolPolicy::kSelectable,
-      {"n", "p", "avg-deg", "max-rounds", "save", "compress-chunk",
+      {"n", "p", "avg-deg", "max-rounds", "save",
        "post-rounds"});  // load = timed stage below
 
   constexpr Vertex kMaxVertices = std::numeric_limits<Vertex>::max();
@@ -103,9 +89,8 @@ int main(int argc, char** argv) {
   Graph g;
   if (ctx.args.has("graph-file")) {
     const auto start = Clock::now();
-    // honors --graph-mmap/--graph-trusted; --graph-compressed transcodes a
-    // plain file after the load (a v2 file is already compressed); an
-    // unreadable or unsupported-version file exits 2 with one line.
+    // honors --graph-mmap/--graph-trusted; an unreadable or
+    // unsupported-version file exits 2 with one line.
     g = ctx.load_graph_file_or_exit();
     const double secs = seconds_since(start);
     const double eps = secs > 0 ? static_cast<double>(g.num_edges()) / secs : 0.0;
@@ -118,10 +103,7 @@ int main(int argc, char** argv) {
     table.add_cell(g.summary() + " (" + g.storage_mode() + ")");
   } else {
     const auto start = Clock::now();
-    g = ctx.compress_graphs
-            ? gen::gnp_compressed(n, p, ctx.seed,
-                                  ctx.args.get_int("compress-chunk", 0, 0, kMaxInt64))
-            : gen::gnp(n, p, ctx.seed);
+    g = gen::gnp(n, p, ctx.seed);
     const double secs = seconds_since(start);
     const double eps = secs > 0 ? static_cast<double>(g.num_edges()) / secs : 0.0;
     const std::int64_t graph_bytes = io::ssg_file_bytes(g);
@@ -131,20 +113,10 @@ int main(int argc, char** argv) {
                   static_cast<double>(graph_bytes)
             : 0.0;
     char detail[160];
-    if (g.is_compressed()) {
-      const double bpe = g.num_edges() > 0 ? static_cast<double>(graph_bytes) /
-                                                 static_cast<double>(g.num_edges())
-                                           : 0.0;
-      std::snprintf(detail, sizeof(detail),
-                    "%s; peak/base %.2fx of %.0f MB compressed (%.2f bytes/edge)",
-                    g.summary().c_str(), build_ratio, mb(graph_bytes), bpe);
-    } else {
-      std::snprintf(detail, sizeof(detail), "%s; peak/base %.2fx of %.0f MB CSR",
-                    g.summary().c_str(), build_ratio, mb(graph_bytes));
-    }
+    std::snprintf(detail, sizeof(detail), "%s; peak/base %.2fx of %.0f MB CSR",
+                  g.summary().c_str(), build_ratio, mb(graph_bytes));
     table.begin_row();
-    table.add_cell(std::string("generate gnp (") +
-                   (g.is_compressed() ? "compress sink)" : "streaming)"));
+    table.add_cell("generate gnp (streaming)");
     table.add_cell(secs, 3);
     table.add_cell(eps, 0);
     table.add_cell(mb(peak_rss_bytes()), 1);

@@ -672,7 +672,7 @@ class ProcessEngine {
       const std::size_t k = static_cast<std::size_t>(k_);
       Vertex* col = counters_.data() + js[0];
       const Vertex d = ds[0], z = zs[0];
-      for (Vertex v : nbrs(u)) {
+      for (Vertex v : graph_.neighbors(u)) {
         Vertex& c = col[static_cast<std::size_t>(v) * k];
         const bool crossed = c == z;
         c += d;
@@ -680,7 +680,7 @@ class ProcessEngine {
       }
       return;
     }
-    for (Vertex v : nbrs(u)) {
+    for (Vertex v : graph_.neighbors(u)) {
       Vertex* base = counters_.data() +
                      static_cast<std::size_t>(v) * static_cast<std::size_t>(k_);
       bool crossed = false;
@@ -809,17 +809,9 @@ class ProcessEngine {
   // Materializes the parked neighbors of u (exact-counter accessor path).
   void sync_neighbors(Vertex u) {
     num_touched_ = 0;
-    for (Vertex v : nbrs(u))
+    for (Vertex v : graph_.neighbors(u))
       if (fast_forwarded(v)) touch(v);
     drain();
-  }
-
-  // Decode-aware neighbor view for the engine phases that walk rows
-  // (patch, cover): the raw CSR span on plain graphs, a decode into this
-  // engine's scratch on compressed graphs. The view is valid until the next
-  // call; no phase walks a row while it holds another.
-  std::span<const Vertex> nbrs(Vertex u) {
-    return graph_.neighbors(u, nbr_scratch_);
   }
 
   // The stable-black coverage counts, built on first use.
@@ -830,22 +822,17 @@ class ProcessEngine {
 
   // O(n + m) derivation of the coverage counts and |V_t| from the
   // stable-black flags (exact for parked vertices too: their flags are
-  // frozen by the orbit's constancy promise). Stable blacks' rows are read
-  // in order: one pass over the payload on compressed graphs instead of a
-  // row seek per stable black.
+  // frozen by the orbit's constancy promise).
   void build_coverage() {
     const Vertex n = graph_.num_vertices();
     covered_.assign(static_cast<std::size_t>(n), 0);
     Vertex covered = 0;
-    Graph::RowStream rows(graph_);
     for (Vertex u = 0; u < n; ++u) {
       const std::size_t su = static_cast<std::size_t>(u);
       if (flags_[su] & kStableBlackBit) {
         covered += covered_[su]++ == 0;
-        for (const Vertex v : rows.next(nbr_scratch_))
+        for (const Vertex v : graph_.neighbors(u))
           covered += covered_[static_cast<std::size_t>(v)]++ == 0;
-      } else {
-        rows.skip();
       }
     }
     num_unstable_ = n - covered;
@@ -862,7 +849,8 @@ class ProcessEngine {
       return static_cast<Vertex>(c == 0) - was_zero;
     };
     Vertex unstable = bump(covered_[static_cast<std::size_t>(u)]);
-    for (Vertex v : nbrs(u)) unstable += bump(covered_[static_cast<std::size_t>(v)]);
+    for (Vertex v : graph_.neighbors(u))
+      unstable += bump(covered_[static_cast<std::size_t>(v)]);
     num_unstable_ += unstable;
   }
 
@@ -966,8 +954,6 @@ class ProcessEngine {
   std::unique_ptr<Vertex[]> touched_;
   std::size_t num_touched_ = 0;
   std::vector<Vertex> chosen_unique_;  // apply_transitions's sorted input
-  // Compressed-row decode buffer (see nbrs()); untouched on plain graphs.
-  NeighborScratch nbr_scratch_;
 
   std::int64_t round_ = 0;
   int k_ = 0;

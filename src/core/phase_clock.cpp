@@ -86,7 +86,6 @@ void PhaseClock::step_range(std::int64_t t, Vertex begin,
                             std::span<std::uint8_t> out) const {
   const std::uint8_t top = narrow_cast<std::uint8_t>(top_level());
   const std::uint8_t* levels = levels_.data();
-  NeighborScratch scratch;  // row decode buffer, compressed storage only
   for (std::size_t i = 0; i < out.size(); ++i) {
     const Vertex u = begin + narrow_cast<Vertex>(i);
     const std::uint8_t lvl = levels[static_cast<std::size_t>(u)];
@@ -99,7 +98,7 @@ void PhaseClock::step_range(std::int64_t t, Vertex begin,
           coins_.dyadic_bernoulli(t, u, CoinTag::kSwitchBit, zeta_num_, zeta_log2_den_);
       out[i] = b_is_zero ? narrow_cast<std::uint8_t>(top - 1) : top;
     } else {
-      const std::span<const Vertex> row = graph_->neighbors(u, scratch);
+      const std::span<const Vertex> row = graph_->neighbors(u);
       const std::size_t deg = row.size();
       std::uint8_t max_level = lvl;
       if (deg >= 1 && deg <= kRowUnroll) {

@@ -53,7 +53,7 @@ std::shared_ptr<const std::vector<double>> make_priority_biases(
                                     static_cast<double>(n - 1)
                               : 1.0);
   } else if (mode == "degree") {
-    const std::vector<Vertex> degrees = g.degrees();  // one sweep, any storage
+    const std::vector<Vertex> degrees = g.degrees();
     const Vertex max_deg =
         degrees.empty() ? 0 : *std::max_element(degrees.begin(), degrees.end());
     for (Vertex u = 0; u < n; ++u)

@@ -114,7 +114,7 @@ DegeneracyResult degeneracy(const Graph& g) {
   const Vertex n = g.num_vertices();
   DegeneracyResult result;
   result.order.reserve(static_cast<std::size_t>(n));
-  std::vector<Vertex> deg = g.degrees();  // one sweep, any storage mode
+  std::vector<Vertex> deg = g.degrees();
   Vertex max_deg = 0;
   for (Vertex u = 0; u < n; ++u)
     max_deg = std::max(max_deg, deg[static_cast<std::size_t>(u)]);
@@ -160,9 +160,8 @@ ArboricityBounds arboricity_bounds(const Graph& g) {
 }
 
 Vertex common_neighbors(const Graph& g, Vertex u, Vertex v) {
-  NeighborScratch su, sv;
-  auto a = g.neighbors(u, su);
-  auto b = g.neighbors(v, sv);
+  auto a = g.neighbors(u);
+  auto b = g.neighbors(v);
   Vertex count = 0;
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -187,13 +186,10 @@ Vertex max_common_neighbors(const Graph& g) {
   // small n and a hash-free two-pass for large n.
   Vertex best = 0;
   std::vector<Vertex> counter(static_cast<std::size_t>(n), 0);
-  NeighborScratch su;
   for (Vertex u = 0; u < n; ++u) {
-    // counter[v] = |N(u) ∩ N(v)| computed by scanning two-hop paths. The
-    // outer row sits in a scratch buffer so the inner decode cannot
-    // invalidate it.
+    // counter[v] = |N(u) ∩ N(v)| computed by scanning two-hop paths.
     std::vector<Vertex> touched;
-    for (Vertex w : g.neighbors(u, su)) {
+    for (Vertex w : g.neighbors(u)) {
       g.for_each_neighbor(w, [&](Vertex v) {
         if (v <= u) return;  // count each unordered pair once
         if (counter[static_cast<std::size_t>(v)] == 0) touched.push_back(v);
@@ -210,15 +206,12 @@ Vertex max_common_neighbors(const Graph& g) {
 
 std::int64_t triangle_count(const Graph& g) {
   std::int64_t triangles = 0;
-  NeighborScratch su, sv;
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    // The outer row doubles as merge operand `a`; `b` decodes into its own
-    // scratch, so `a` stays valid across the inner merges.
-    const auto a = g.neighbors(u, su);
+    const auto a = g.neighbors(u);
     for (Vertex v : a) {
       if (v <= u) continue;
       // Count w > v adjacent to both u and v.
-      auto b = g.neighbors(v, sv);
+      auto b = g.neighbors(v);
       std::size_t i = 0, j = 0;
       while (i < a.size() && j < b.size()) {
         if (a[i] == b[j]) {
@@ -262,9 +255,8 @@ Graph complement(const Graph& g) {
   const Vertex n = g.num_vertices();
   if (n > 4096) throw std::invalid_argument("complement: n too large (O(n^2) result)");
   GraphBuilder b(n);
-  NeighborScratch scratch;
   for (Vertex u = 0; u < n; ++u) {
-    auto nbrs = g.neighbors(u, scratch);
+    auto nbrs = g.neighbors(u);
     std::size_t i = 0;
     for (Vertex v = u + 1; v < n; ++v) {
       while (i < nbrs.size() && nbrs[i] < v) ++i;

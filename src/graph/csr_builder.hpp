@@ -1,6 +1,6 @@
 // Streaming CSR construction: builds a Graph directly from an edge stream,
 // with no buffered edge list. (GraphBuilder, graph/builder.hpp, buffers its
-// edges and replays them through from_source.) There are three builds:
+// edges and replays them through from_source.) There are two builds:
 //
 // `from_source` takes any edge stream — duplicates, self-loops and either
 // orientation allowed — and asks the caller to *replay* it twice:
@@ -28,15 +28,6 @@
 // row sorted without a sort, a dedup or a replay. Peak memory is the final
 // CSR plus a 4 bytes/vertex array (each vertex's upper-neighbour count,
 // then its row's write cursor) and 8 bytes per 2^10 rows of cursor bases.
-//
-// `from_source_compressed` is the 10^8-vertex variant of `from_source`:
-// instead of materializing the 12-bytes-per-endpoint plain CSR it encodes
-// rows straight into the varint/delta codec, chunk by chunk. The source
-// replays once for the degree pass and once per chunk; peak memory is the
-// growing compressed payload plus one bounded chunk buffer (default 2^26
-// endpoints = 256 MB) plus the 4-bytes-per-vertex degree array — ~1.0x the
-// final *compressed* size in the large sparse regime, where the plain
-// builder's peak is the (much larger) plain CSR.
 #pragma once
 
 #include <algorithm>
@@ -47,7 +38,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/compressed.hpp"
 #include "graph/graph.hpp"
 #include "rng/splitmix64.hpp"
 #include "support/narrow.hpp"
@@ -137,126 +127,6 @@ class CsrBuilder {
     });
     std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
     return lay_out_columns(n, std::move(offsets), std::move(adj));
-  }
-
-  // Default cap on the compressed sink's chunk buffer, in endpoints
-  // (x4 bytes). The effective chunk is adaptive — see from_source_compressed.
-  static constexpr std::int64_t kDefaultChunkEndpoints = std::int64_t{1} << 26;
-
-  // Builds a compressed-storage Graph from `source` without materializing
-  // the plain CSR: a degree pass sizes contiguous row chunks, then one
-  // replay per chunk collects, sorts, deduplicates, and encodes those rows.
-  // `chunk_endpoints` CAPS the in-flight chunk buffer; the effective chunk
-  // is min(cap, max(2^22, total_endpoints / 8)), so small graphs never pay
-  // a buffer sized for huge ones and huge graphs never exceed the cap —
-  // scratch stays proportionate at ~8 replays until the cap bites.
-  // Same contracts as from_source (replayability enforced via the
-  // order-independent multiset hash on EVERY replay, endpoint validation,
-  // self-loop dropping), and the result is structurally identical to
-  // Graph::compress(from_source(n, source)).
-  template <typename Source>
-  static Graph from_source_compressed(
-      Vertex n, Source&& source,
-      std::int64_t chunk_endpoints = kDefaultChunkEndpoints) {
-    if (n < 0) throw std::invalid_argument("CsrBuilder: negative vertex count");
-    if (chunk_endpoints <= 0)
-      throw std::invalid_argument("CsrBuilder: chunk_endpoints must be positive");
-
-    // Degree pass (duplicates included — dedup happens per-row below).
-    std::vector<Vertex> degrees(static_cast<std::size_t>(n), 0);
-    std::uint64_t hash1 = 0;
-    std::int64_t total_endpoints = 0;
-    source([&](Vertex u, Vertex v) {
-      check_endpoints(n, u, v);
-      if (u == v) return;
-      ++degrees[static_cast<std::size_t>(u)];
-      ++degrees[static_cast<std::size_t>(v)];
-      total_endpoints += 2;
-      hash1 += edge_hash(u, v);
-    });
-    chunk_endpoints = std::min<std::int64_t>(
-        chunk_endpoints,
-        std::max<std::int64_t>(std::int64_t{1} << 22, total_endpoints / 8));
-
-    CompressedAdjacencyEncoder enc(n);
-    // Exact-bound reservation: every encoded id/gap is < n and degrees only
-    // shrink under dedup, so this sum can never be exceeded — payload
-    // growth stays realloc-free (no doubling transient at the 10^8 scale).
-    {
-      const std::size_t id_len = cadj::varint_len(
-          n > 0 ? narrow_cast<std::uint32_t>(n) : 0u);
-      std::size_t bound = 0;
-      for (const Vertex d : degrees)
-        bound += cadj::varint_len(narrow_cast<std::uint32_t>(d)) +
-                 static_cast<std::size_t>(d) * id_len;
-      enc.reserve(bound);
-    }
-    std::vector<Vertex> buf;
-    std::vector<std::int64_t> start;  // row boundaries within the chunk
-    std::vector<std::int64_t> cursor;
-    Vertex lo = 0;
-    while (lo < n) {
-      // Grow the chunk while it fits the endpoint budget (a single row
-      // larger than the budget gets a chunk of its own). The row-count cap
-      // at a quarter of the budget bounds the 16 B/row start+cursor arrays
-      // by the chunk buffer itself, even across long low-degree runs.
-      Vertex hi = lo;
-      std::int64_t endpoints = 0;
-      while (hi < n) {
-        const auto d = static_cast<std::int64_t>(degrees[static_cast<std::size_t>(hi)]);
-        if (hi > lo && (endpoints + d > chunk_endpoints ||
-                        static_cast<std::int64_t>(hi - lo) >=
-                            std::max<std::int64_t>(1, chunk_endpoints / 4)))
-          break;
-        endpoints += d;
-        ++hi;
-      }
-      const std::size_t rows = static_cast<std::size_t>(hi - lo);
-      start.assign(rows + 1, 0);
-      for (std::size_t r = 0; r < rows; ++r)
-        start[r + 1] = start[r] +
-                       degrees[static_cast<std::size_t>(lo) + r];
-      buf.resize(static_cast<std::size_t>(endpoints));
-      cursor.assign(start.begin(), start.end() - 1);
-
-      std::uint64_t hash2 = 0;
-      source([&](Vertex u, Vertex v) {
-        check_endpoints(n, u, v);
-        if (u == v) return;
-        hash2 += edge_hash(u, v);
-        const auto place = [&](Vertex at, Vertex nbr) {
-          if (at < lo || at >= hi) return;
-          std::int64_t& c = cursor[static_cast<std::size_t>(at - lo)];
-          if (c >= start[static_cast<std::size_t>(at - lo) + 1])
-            throw std::logic_error(
-                "CsrBuilder: edge source is not replayable (a replay emitted "
-                "more edges than the degree pass)");
-          buf[static_cast<std::size_t>(c++)] = nbr;
-        };
-        place(u, v);
-        place(v, u);
-      });
-      if (hash2 != hash1)
-        throw std::logic_error(
-            "CsrBuilder: edge source is not replayable (a replay emitted a "
-            "different edge multiset than the degree pass)");
-
-      for (std::size_t r = 0; r < rows; ++r) {
-        Vertex* first = buf.data() + start[r];
-        Vertex* last = buf.data() + start[r + 1];
-        std::sort(first, last);
-        last = std::unique(first, last);
-        enc.add_row({first, static_cast<std::size_t>(last - first)});
-      }
-      lo = hi;
-    }
-    // The scratch is dead; release it before finish() so its slack-return
-    // copy (if any) is not stacked on top of the chunk buffers.
-    degrees = {};
-    buf = {};
-    start = {};
-    cursor = {};
-    return std::move(enc).finish();
   }
 
  private:

@@ -27,8 +27,7 @@ void require(bool cond, const char* message) {
 // order: the gap between successive present edges is geometric(p), drawn
 // by fast_geometric_skip (geometric_skip.hpp), which equals geometric_skip
 // on every draw. That is the order CsrBuilder::from_column_source takes in
-// one pass; the stream is deterministic in (n, p, seed), so it also replays
-// for the compressed build. Requires 0 < p < 1.
+// one pass; the stream is deterministic in (n, p, seed). Requires 0 < p < 1.
 template <typename Emit>
 void emit_gnp(Vertex n, double p, std::uint64_t seed, Emit&& emit) {
   Xoshiro256 rng(seed);
@@ -241,19 +240,6 @@ Graph gnp(Vertex n, double p, std::uint64_t seed) {
   return CsrBuilder::from_column_source(
       n, static_cast<std::int64_t>(edge_capacity),
       [n, p, seed](auto&& emit) { emit_gnp(n, p, seed, emit); });
-}
-
-Graph gnp_compressed(Vertex n, double p, std::uint64_t seed,
-                     std::int64_t chunk_endpoints) {
-  require(n >= 0, "gnp: n must be >= 0");
-  require(p >= 0.0 && p <= 1.0, "gnp: p must be in [0,1]");
-  if (chunk_endpoints <= 0) chunk_endpoints = CsrBuilder::kDefaultChunkEndpoints;
-  if (p >= 1.0) return Graph::compress(complete(n));
-  if (p <= 0.0)
-    return CsrBuilder::from_source_compressed(n, [](auto&&) {}, chunk_endpoints);
-  return CsrBuilder::from_source_compressed(
-      n, [n, p, seed](auto&& emit) { emit_gnp(n, p, seed, emit); },
-      chunk_endpoints);
 }
 
 Graph gnm(Vertex n, std::int64_t m, std::uint64_t seed) {

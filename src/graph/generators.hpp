@@ -59,15 +59,6 @@ Graph barbell(Vertex k);
 // in one pass (CsrBuilder::from_column_source): O(n + m).
 Graph gnp(Vertex n, double p, std::uint64_t seed);
 
-// G(n,p) built straight into compressed adjacency storage (the 10^8-vertex
-// path): identical distribution and seed semantics to gnp — the result is
-// structurally equal to Graph::compress(gnp(n, p, seed)) — but construction
-// peaks at ~the compressed size instead of the plain CSR (the skip-sampling
-// stream replays once per CsrBuilder chunk; see from_source_compressed).
-// chunk_endpoints <= 0 selects the builder default.
-Graph gnp_compressed(Vertex n, double p, std::uint64_t seed,
-                     std::int64_t chunk_endpoints = 0);
-
 // G(n,m): exactly m distinct uniform edges (rejection sampling).
 Graph gnm(Vertex n, std::int64_t m, std::uint64_t seed);
 

@@ -1,4 +1,4 @@
-// Skip lengths for G(n,p) skip sampling (gen::gnp, gen::gnp_compressed).
+// Skip lengths for G(n,p) skip sampling (gen::gnp).
 //
 // The gap between two present edges of G(n,p), in pairs, is Geometric(p):
 // for a uniform r in [0, 1) it is floor(ln(1 − r) / ln(1 − p)).

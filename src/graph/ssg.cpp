@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "graph/compressed.hpp"
 #include "graph/io.hpp"
 #include "support/cli.hpp"
 #include "support/hash.hpp"
@@ -29,9 +28,7 @@ namespace io {
 
 namespace {
 
-// One header layout for every version: the plain versions (v1, v3) zero the
-// last three fields (they were "reserved" before v2 claimed them), v2 uses
-// them as flags / payload_bytes / superblock.
+// One header layout for both versions; the writer zeroes the reserved words.
 struct SsgHeader {
   char magic[8];
   std::uint32_t version;
@@ -39,13 +36,11 @@ struct SsgHeader {
   std::int64_t n;
   std::int64_t adj_len;
   std::uint64_t checksum;
-  std::uint64_t flags;
-  std::uint64_t payload_bytes;
-  std::uint64_t superblock;
+  std::uint64_t reserved[3];
 };
 static_assert(sizeof(SsgHeader) == kSsgHeaderBytes);
 
-// Plain-file checksum: the shape fields (header bytes 16-31) and both
+// File checksum: the shape fields (header bytes 16-31) and both
 // payload arrays, so a corrupted header count fails as loudly as a flipped
 // adjacency byte. v3 chains XXH64 over them, each result seeding the next;
 // read-only v1 folds the same bytes through byte-wise FNV-1a.
@@ -65,22 +60,6 @@ std::uint64_t payload_checksum(std::uint32_t version, std::int64_t n,
   return xxh64(adj, adj_bytes, h);
 }
 
-// v2 checksum: shape + codec parameters + index + payload, same loudness
-// contract as the plain files.
-std::uint64_t compressed_checksum(const SsgHeader& h, const std::uint64_t* index,
-                                  std::size_t index_entries,
-                                  const std::uint8_t* payload) {
-  std::uint64_t sum = kFnv1aBasis;
-  sum = fnv1a(sum, &h.n, sizeof(h.n));
-  sum = fnv1a(sum, &h.adj_len, sizeof(h.adj_len));
-  sum = fnv1a(sum, &h.flags, sizeof(h.flags));
-  sum = fnv1a(sum, &h.payload_bytes, sizeof(h.payload_bytes));
-  sum = fnv1a(sum, &h.superblock, sizeof(h.superblock));
-  sum = fnv1a(sum, index, index_entries * sizeof(std::uint64_t));
-  sum = fnv1a(sum, payload, static_cast<std::size_t>(h.payload_bytes));
-  return sum;
-}
-
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
   throw std::runtime_error("ssg: " + path + ": " + what);
 }
@@ -92,13 +71,11 @@ void validate_magic_and_version(const std::string& path, const SsgHeader& h) {
     fail(path, "bad magic (not an .ssg file)");
   if (h.endian_tag != kSsgEndianTag)
     fail(path, "endianness mismatch (file written on an incompatible host)");
-  if (h.version != kSsgVersion && h.version != kSsgVersionLegacy &&
-      h.version != kSsgVersionCompressed)
+  if (h.version != kSsgVersion && h.version != kSsgVersionLegacy)
     fail(path, "unsupported format version " + std::to_string(h.version));
 }
 
-// Plain-file (v1, v3) shape validation. `file_bytes` is the actual on-disk
-// size.
+// Shape validation. `file_bytes` is the actual on-disk size.
 void validate(const std::string& path, const SsgHeader& h, std::int64_t file_bytes) {
   if (h.n < 0 || h.adj_len < 0 || h.n > 0x7fffffffLL) fail(path, "corrupt header counts");
   // Derive the adjacency byte budget from the actual file size instead of
@@ -112,33 +89,9 @@ void validate(const std::string& path, const SsgHeader& h, std::int64_t file_byt
                    ", adj_len=" + std::to_string(h.adj_len) + ")");
 }
 
-// v2 shape validation: codec parameters plus section sizes, again derived
-// from the actual file size so hostile headers cannot wrap the math.
-// Returns the index entry count.
-std::size_t validate_compressed_header(const std::string& path, const SsgHeader& h,
-                                       std::int64_t file_bytes) {
-  if (h.n < 0 || h.adj_len < 0 || h.n > 0x7fffffffLL) fail(path, "corrupt header counts");
-  if (h.flags != kSsgFlagCompressed)
-    fail(path, "unsupported flags " + std::to_string(h.flags) +
-                   " (v2 requires the compressed-payload flag alone)");
-  if (h.superblock != static_cast<std::uint64_t>(cadj::kSuperblock))
-    fail(path, "unsupported superblock " + std::to_string(h.superblock) +
-                   " (this reader implements " + std::to_string(cadj::kSuperblock) + ")");
-  const std::size_t entries = cadj::index_entries(h.n);
-  const std::int64_t payload_bytes =
-      file_bytes - static_cast<std::int64_t>(kSsgHeaderBytes) -
-      static_cast<std::int64_t>(entries) * 8;
-  if (payload_bytes < 0 ||
-      static_cast<std::uint64_t>(payload_bytes) != h.payload_bytes)
-    fail(path, "truncated or oversized file (" + std::to_string(file_bytes) +
-                   " bytes does not match n=" + std::to_string(h.n) +
-                   ", payload_bytes=" + std::to_string(h.payload_bytes) + ")");
-  return entries;
-}
-
 // Offsets are what row iteration indexes with — corruption there means
 // out-of-bounds reads on the first neighbors() call. This check is O(n)
-// and runs on EVERY plain load, trusted or not.
+// and runs on EVERY load, trusted or not.
 void validate_offsets(const std::string& path, std::int64_t n, std::int64_t adj_len,
                       const std::int64_t* offsets) {
   if (offsets[0] != 0) fail(path, "corrupt offsets (offsets[0] != 0)");
@@ -166,7 +119,7 @@ void audit_reverse_entries(const std::string& path, std::int64_t n,
   }
 }
 
-// Full structural audit of a plain adjacency payload: out-of-range values
+// Full structural audit of the adjacency payload: out-of-range values
 // mean out-of-bounds per-vertex state access in every process, unsorted or
 // duplicated rows break the binary-search/dedup invariant Graph's contract
 // promises (has_edge would silently miss present edges), and asymmetric
@@ -218,22 +171,11 @@ void validate_adjacency(const std::string& path, std::int64_t n,
   }
 }
 
-// The codec validators throw without the file path; re-throw with it so a
-// corrupted v2 file names itself like every other .ssg failure.
-template <typename Fn>
-void validate_codec(const std::string& path, Fn&& fn) {
-  try {
-    fn();
-  } catch (const std::runtime_error& e) {
-    fail(path, e.what());
-  }
-}
-
-// Scratch-file + atomic-rename writer shared by both formats: the replace
-// is atomic (no half-written .ssg visible at `path`), saving over the very
-// file a Graph is mmap'd from cannot truncate the live mapping (the old
-// inode survives until it is unmapped), and a failed write removes the
-// scratch file instead of stranding it.
+// Scratch-file + atomic-rename writer: the replace is atomic (no
+// half-written .ssg visible at `path`), saving over the very file a Graph
+// is mmap'd from cannot truncate the live mapping (the old inode survives
+// until it is unmapped), and a failed write removes the scratch file
+// instead of stranding it.
 void write_atomically(const std::string& path,
                       const std::function<void(std::ofstream&)>& body) {
 #ifdef SSMIS_HAVE_MMAP
@@ -279,46 +221,19 @@ struct MmapRegion {
 }  // namespace
 
 std::int64_t ssg_file_bytes(const Graph& g) {
-  if (g.is_compressed()) {
-    return static_cast<std::int64_t>(kSsgHeaderBytes) +
-           static_cast<std::int64_t>(g.compressed_index().size()) * 8 +
-           static_cast<std::int64_t>(g.compressed_payload().size());
-  }
-  // ssmis-lint: allow(R1) plain-storage branch: the compressed case returned above
-  const auto adjacency_words = static_cast<std::int64_t>(g.adjacency().size());
   return static_cast<std::int64_t>(kSsgHeaderBytes) +
          8 * (static_cast<std::int64_t>(g.num_vertices()) + 1) +
-         4 * adjacency_words;
+         4 * static_cast<std::int64_t>(g.adjacency().size());
 }
 
 void save_ssg(const std::string& path, const Graph& g) {
+  const auto offsets = g.offsets();
+  const auto adjacency = g.adjacency();
   SsgHeader h{};
   std::memcpy(h.magic, kSsgMagic, sizeof(kSsgMagic));
+  h.version = kSsgVersion;
   h.endian_tag = kSsgEndianTag;
   h.n = g.num_vertices();
-  if (g.is_compressed()) {
-    const auto index = g.compressed_index();
-    const auto payload = g.compressed_payload();
-    h.version = kSsgVersionCompressed;
-    h.adj_len = 2 * g.num_edges();
-    h.flags = kSsgFlagCompressed;
-    h.payload_bytes = payload.size();
-    h.superblock = static_cast<std::uint64_t>(cadj::kSuperblock);
-    h.checksum = compressed_checksum(h, index.data(), index.size(), payload.data());
-    write_atomically(path, [&](std::ofstream& out) {
-      out.write(reinterpret_cast<const char*>(&h), sizeof(h));
-      out.write(reinterpret_cast<const char*>(index.data()),
-                static_cast<std::streamsize>(index.size() * sizeof(std::uint64_t)));
-      out.write(reinterpret_cast<const char*>(payload.data()),
-                static_cast<std::streamsize>(payload.size()));
-    });
-    return;
-  }
-  h.version = kSsgVersion;
-  // ssmis-lint: allow(R1) plain-storage branch: the compressed case returned above
-  const auto offsets = g.offsets();
-  // ssmis-lint: allow(R1) plain-storage branch: the compressed case returned above
-  const auto adjacency = g.adjacency();
   h.adj_len = static_cast<std::int64_t>(adjacency.size());
   h.checksum =
       payload_checksum(h.version, h.n, h.adj_len, offsets.data(), adjacency.data());
@@ -340,32 +255,6 @@ Graph load_ssg(const std::string& path, SsgValidation validation) {
   if (file_bytes < static_cast<std::int64_t>(sizeof(h))) fail(path, "truncated header");
   in.read(reinterpret_cast<char*>(&h), sizeof(h));
   validate_magic_and_version(path, h);
-
-  if (h.version == kSsgVersionCompressed) {
-    const std::size_t entries = validate_compressed_header(path, h, file_bytes);
-    std::vector<std::uint64_t> index(entries);
-    std::vector<std::uint8_t> payload(static_cast<std::size_t>(h.payload_bytes));
-    in.read(reinterpret_cast<char*>(index.data()),
-            static_cast<std::streamsize>(index.size() * sizeof(std::uint64_t)));
-    in.read(reinterpret_cast<char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-    if (!in) fail(path, "read failed");
-    validate_codec(path, [&] {
-      validate_compressed_index(h.n, index.data(), payload.size());
-    });
-    if (validation == SsgValidation::kFull) {
-      if (compressed_checksum(h, index.data(), index.size(), payload.data()) !=
-          h.checksum)
-        fail(path, "checksum mismatch (corrupted file)");
-      validate_codec(path, [&] {
-        validate_compressed_payload(h.n, h.adj_len, index.data(), payload.data(),
-                                    payload.size());
-      });
-    }
-    return Graph::from_compressed(narrow_cast<Vertex>(h.n), h.adj_len,
-                                  std::move(index), std::move(payload));
-  }
-
   validate(path, h, file_bytes);
   std::vector<std::int64_t> offsets(static_cast<std::size_t>(h.n) + 1);
   std::vector<Vertex> adj(static_cast<std::size_t>(h.adj_len));
@@ -410,31 +299,8 @@ Graph mmap_ssg(const std::string& path, SsgValidation validation) {
   SsgHeader h{};
   std::memcpy(&h, base, sizeof(h));
   validate_magic_and_version(path, h);
-  const auto* bytes = static_cast<const unsigned char*>(base);
-
-  if (h.version == kSsgVersionCompressed) {
-    const std::size_t entries = validate_compressed_header(path, h, file_bytes);
-    const auto* index =
-        reinterpret_cast<const std::uint64_t*>(bytes + kSsgHeaderBytes);
-    const auto* payload = bytes + kSsgHeaderBytes + entries * 8;
-    validate_codec(path, [&] {
-      validate_compressed_index(h.n, index,
-                                static_cast<std::size_t>(h.payload_bytes));
-    });
-    if (validation == SsgValidation::kFull) {
-      if (compressed_checksum(h, index, entries, payload) != h.checksum)
-        fail(path, "checksum mismatch (corrupted file)");
-      validate_codec(path, [&] {
-        validate_compressed_payload(h.n, h.adj_len, index, payload,
-                                    static_cast<std::size_t>(h.payload_bytes));
-      });
-    }
-    return Graph::from_external_compressed(
-        narrow_cast<Vertex>(h.n), h.adj_len, index, payload,
-        static_cast<std::size_t>(h.payload_bytes), std::move(region));
-  }
-
   validate(path, h, file_bytes);
+  const auto* bytes = static_cast<const unsigned char*>(base);
   const auto* offsets =
       reinterpret_cast<const std::int64_t*>(bytes + kSsgHeaderBytes);
   const auto* adj = reinterpret_cast<const Vertex*>(

@@ -2,11 +2,11 @@
 //
 // Generating a 10^7-vertex G(n,p) takes longer than simulating on it; the
 // `.ssg` file lets a graph be generated once and reused across every
-// experiment binary (the shared `--graph-file` flag). Two payload layouts
-// exist, selected by the header's version field; all fields little-endian,
-// 8-byte-aligned sections.
+// experiment binary (the shared `--graph-file` flag). The header's version
+// field selects the checksum; all fields little-endian, 8-byte-aligned
+// sections.
 //
-// Version 3 — plain CSR (written for plain-storage Graphs):
+// Version 3 — CSR with an XXH64 checksum (what save_ssg writes):
 //
 //   offset  size            field
 //   ------  --------------  ---------------------------------------------
@@ -27,40 +27,20 @@
 // offsets[], adj[]). Readers still accept it, so cached graphs keep loading;
 // nothing writes it.
 //
-// Version 2 — compressed adjacency (written for compressed-storage Graphs;
-// codec in src/graph/varint.hpp):
-//
-//   offset  size            field
-//   ------  --------------  ---------------------------------------------
-//        0  8               magic "SSGRAPH1"
-//        8  4 (u32)         format version (2)
-//       12  4 (u32)         endianness tag 0x01020304 as written
-//       16  8 (i64)         n
-//       24  8 (i64)         adj_len (= 2m, for num_edges without a decode)
-//       32  8 (u64)         FNV-1a checksum of the payload (see ssg.cpp)
-//       40  8 (u64)         flags: bit 0 = varint/delta-compressed payload
-//                           (must be exactly 0x1 in v2)
-//       48  8 (u64)         payload_bytes (size of the row payload section)
-//       56  8 (u64)         superblock (rows per index sample; must equal
-//                           cadj::kSuperblock — a codec-parameter change
-//                           bumps the version or rejects here)
-//       64  8*E             index[] (u64), E = ceil(n/superblock) + 1
-//    64+8E  payload_bytes   row payload (varint/delta rows, byte-packed)
+// Version 2 — retired; rejected as unsupported. It held a varint/delta
+// compressed adjacency that no reader implements any more.
 //
 // Versioning/endianness contract: readers reject any magic or endianness-
 // tag mismatch and any version they do not implement with
-// std::runtime_error rather than guessing. Writers emit v3 (plain) and v2
-// (compressed); v1 and v2 files keep loading byte-identically under a
-// v3-capable reader, and a big-endian host reading a little-endian file
-// fails loudly on the tag. Truncated files, checksum mismatches, and codec
-// structure violations also throw; no load path ever reads out of the
-// file's bounds, hostile headers included.
+// std::runtime_error rather than guessing. The writer emits v3; v1 files
+// keep loading byte-identically under a v3-capable reader, and a big-endian
+// host reading a little-endian file fails loudly on the tag. Truncated
+// files, checksum mismatches, and structure violations also throw; no load
+// path ever reads out of the file's bounds, hostile headers included.
 //
 // `load_ssg` copies into heap vectors; `mmap_ssg` maps the file read-only
 // and wraps the in-file arrays directly (zero allocation beyond the page
-// tables — the OS can evict and refault pages under memory pressure). The
-// v2 + mmap combination is the 10^8-vertex regime: adjacency RSS is capped
-// by the compressed payload and reclaimable under pressure.
+// tables — the OS can evict and refault pages under memory pressure).
 #pragma once
 
 #include <cstddef>
@@ -75,42 +55,31 @@ class CliArgs;
 namespace io {
 
 inline constexpr char kSsgMagic[8] = {'S', 'S', 'G', 'R', 'A', 'P', 'H', '1'};
-inline constexpr std::uint32_t kSsgVersionLegacy = 1;      // plain CSR, FNV-1a (read-only)
-inline constexpr std::uint32_t kSsgVersionCompressed = 2;  // varint/delta payload
-inline constexpr std::uint32_t kSsgVersion = 3;            // plain CSR, XXH64
+inline constexpr std::uint32_t kSsgVersionLegacy = 1;  // CSR, FNV-1a (read-only)
+inline constexpr std::uint32_t kSsgVersion = 3;        // CSR, XXH64
 inline constexpr std::uint32_t kSsgEndianTag = 0x01020304u;
 inline constexpr std::size_t kSsgHeaderBytes = 64;
-inline constexpr std::uint64_t kSsgFlagCompressed = 1;  // v2 flags, bit 0
 
 // How much of the payload a load re-checks. Header fields and offsets
 // (monotone, matching adj_len — what row iteration indexes with) are
 // validated in EVERY mode; the modes grade the O(m) work:
 //   kFull    checksum pass + adjacency structure (range, sorted/dedup rows,
 //            no self-loops, undirected symmetry). The default: a corrupted
-//            file throws, never loads wrong. On plain files (v1, v3) the
-//            structural audit is O(n + m) on one thread with 4 B/vertex of
-//            transient cursors, and its symmetry check is exact, so any
-//            plain file the reader accepts is a valid graph. On v2 symmetry
-//            is an unkeyed multiset hash: it misses random corruption with
-//            probability ~2^-64, but a writer who picks asymmetric entries
-//            whose hash differences cancel (a small k-sum search) and
-//            refreshes the checksum gets an asymmetric graph through. Load
-//            files from untrusted writers as plain files.
+//            file throws, never loads wrong. The structural audit is
+//            O(n + m) on one thread with 4 B/vertex of transient cursors,
+//            and its symmetry check is exact, so any file the reader
+//            accepts is a valid graph.
 //   kTrusted header + offsets only. For files this process (or pipeline)
 //            wrote itself: reuse costs page faults, not a re-validation of
 //            every edge — the point of generating once. A crafted file can
 //            defeat this mode; that is what makes it "trusted".
 enum class SsgValidation { kFull, kTrusted };
 
-// Writes the format matching the graph's storage: v3 (plain CSR) for plain
-// graphs, v2 (compressed payload) for compressed ones. Goes through a
-// scratch file + atomic rename either way. Throws std::runtime_error on
-// I/O failure.
+// Writes a v3 file through a scratch file + atomic rename. Throws
+// std::runtime_error on I/O failure.
 void save_ssg(const std::string& path, const Graph& g);
 
-// Reads the whole file into owned heap storage (plain CSR for v1 and v3
-// files, compressed for v2 — the returned Graph keeps the on-disk
-// representation).
+// Reads the whole file (v1 or v3) into owned heap storage.
 // Throws std::runtime_error on malformed header, unsupported version,
 // truncation, or (in kFull mode) checksum mismatch / structural corruption.
 [[nodiscard]] Graph load_ssg(const std::string& path,
@@ -133,8 +102,7 @@ void save_ssg(const std::string& path, const Graph& g);
 // by every exp binary and examples/simulate.
 [[nodiscard]] Graph load_graph_file_from_args(const CliArgs& args);
 
-// Bytes `g` occupies on disk and (mapped) in memory: header + 8(n+1) + 4*2m
-// for plain storage, header + index + payload for compressed storage.
+// Bytes `g` occupies on disk and (mapped) in memory: header + 8(n+1) + 4*2m.
 [[nodiscard]] std::int64_t ssg_file_bytes(const Graph& g);
 
 }  // namespace io

@@ -1,7 +1,6 @@
 // Negative-control fixture: idiomatic code that every rule must pass with
-// zero findings. Mirrors the repo's sanctioned patterns — decode-aware
-// adjacency access, seeded counter-based randomness, checked narrowing,
-// const rule callbacks.
+// zero findings. Mirrors the repo's sanctioned patterns — seeded
+// counter-based randomness, checked narrowing, const rule callbacks.
 #include <cstdint>
 #include <vector>
 
@@ -12,16 +11,11 @@ template <typename To, typename From>
 To narrow_cast(From v) { return static_cast<To>(v); }
 }  // namespace fake
 
-struct Scratch {
-  std::vector<Vertex> row;
-};
-
 template <typename G>
 std::int64_t sum_neighbors(const G& g) {
   std::int64_t total = 0;
-  Scratch scratch;
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    for (Vertex v : g.neighbors(u, scratch)) total += v;
+    for (Vertex v : g.neighbors(u)) total += v;
     g.for_each_neighbor(u, [&](Vertex v) { total += v; return true; });
   }
   return total;

@@ -8,17 +8,6 @@
 
 using Vertex = std::int32_t;
 
-template <typename G>
-std::int64_t plain_guarded_sum(const G& g) {
-  std::int64_t total = 0;
-  // ssmis-lint: allow(R1) fixture: storage is plain by construction here
-  total += static_cast<std::int64_t>(g.adjacency().size());
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    for (Vertex v : g.neighbors(u)) total += v;  // ssmis-lint: allow(R1) fixture: plain storage
-  }
-  return total;
-}
-
 int default_threads() {
   // ssmis-lint: allow(R2) fixture: CLI default only, never a trajectory input
   return static_cast<int>(std::thread::hardware_concurrency());

@@ -484,7 +484,7 @@ struct ThreeCounterRule {
 };
 
 // Every counter of `e` equals the sum of its neighbors' contributions under
-// `colors`, recomputed one counter at a time (any storage).
+// `colors`, recomputed one counter at a time.
 template <typename Engine>
 void expect_counters_recomputed(const Engine& e,
                                 const std::vector<typename Engine::Color>& colors,
@@ -536,44 +536,32 @@ std::vector<std::uint8_t> random_states(const Graph& g, int states, const CoinOr
   return init;
 }
 
-// Counters right after construction equal a per-counter recomputation, on
-// plain and compressed storage alike: k = 3 (an empty last high lane),
-// 3-state (one packed pair), and the 3-state and 18-channel stone-age
-// automata (one and nine pairs).
+// Counters right after construction equal a per-counter recomputation:
+// k = 3 (an empty last high lane), 3-state (one packed pair), and the
+// 3-state and 18-channel stone-age automata (one and nine pairs).
 TEST(EngineConstruction, CountersMatchPerCounterRecomputation) {
   const CoinOracle coins(139);
   const ThreeStateStoneAgeAutomaton three_state;
   const ThreeColorStoneAgeAutomaton three_color;
-  for (const Graph& plain : construction_graphs()) {
-    const Graph compressed = Graph::compress(plain);
-    const auto check = [&](const auto& a, const auto& b, const auto& init,
-                           const std::string& name) {
-      const std::string context = name + " " + plain.summary();
-      expect_same_flags(a, b, context + " plain/compressed");
-      expect_counters_recomputed(a, init, context);
-      expect_counters_recomputed(b, init, context + " compressed");
-      expect_same_counters(a, b, context + " plain/compressed");
-    };
+  for (const Graph& g : construction_graphs()) {
     {
-      const auto init = random_states(plain, 4, coins);
-      const ProcessEngine<ThreeCounterRule> a(plain, init, {});
-      const ProcessEngine<ThreeCounterRule> b(compressed, init, {});
-      check(a, b, init, "three-counter");
-      expect_engine_consistent(a, "three-counter " + plain.summary());
+      const auto init = random_states(g, 4, coins);
+      const ProcessEngine<ThreeCounterRule> a(g, init, {});
+      expect_counters_recomputed(a, init, "three-counter " + g.summary());
+      expect_engine_consistent(a, "three-counter " + g.summary());
     }
     {
-      const auto init = make_init3(plain, InitPattern::kUniformRandom, coins);
-      const ThreeStateMIS a(plain, init, coins);
-      const ThreeStateMIS b(compressed, init, coins);
-      check(a.engine(), b.engine(), init, "3-state");
+      const auto init = make_init3(g, InitPattern::kUniformRandom, coins);
+      const ThreeStateMIS a(g, init, coins);
+      expect_counters_recomputed(a.engine(), init, "3-state " + g.summary());
     }
     for (const StoneAgeAutomaton* automaton :
          std::vector<const StoneAgeAutomaton*>{&three_state, &three_color}) {
-      const auto init = random_states(plain, automaton->num_states(), coins);
-      const StoneAgeNetwork a(plain, *automaton, init, coins);
-      const StoneAgeNetwork b(compressed, *automaton, init, coins);
-      check(a.engine(), b.engine(), init,
-            "stone-age/" + std::to_string(automaton->num_states()));
+      const auto init = random_states(g, automaton->num_states(), coins);
+      const StoneAgeNetwork a(g, *automaton, init, coins);
+      expect_counters_recomputed(
+          a.engine(), init,
+          "stone-age/" + std::to_string(automaton->num_states()) + " " + g.summary());
     }
   }
 }

@@ -1,15 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>  // getpid for the mapped twins' scratch files
+
 #include <algorithm>
+#include <filesystem>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
+#include "graph/ssg.hpp"
 
 namespace ssmis {
 namespace {
+
+// g saved as a `.ssg` v3 file and mapped back, so a check can run on both
+// storage modes. The file is removed at once: the mapping outlives it.
+Graph mapped_twin(const Graph& g) {
+  static int saved = 0;
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("ssmis_graph_test_" + std::to_string(::getpid()) + "_" +
+                     std::to_string(saved++) + ".ssg");
+  io::save_ssg(path.string(), g);
+  Graph mapped = io::mmap_ssg(path.string());
+  std::filesystem::remove(path);
+  return mapped;
+}
 
 TEST(Graph, EmptyGraph) {
   const Graph g;
@@ -92,7 +111,7 @@ TEST(Graph, SummaryMentionsCounts) {
   EXPECT_NE(s.find("m=2"), std::string::npos);
 }
 
-// neighbor_sums must equal per-row sums on both storages, in vertex order,
+// neighbor_sums must equal per-row sums in vertex order,
 // including a row spanning several of the plain sweep's chunks (the hub
 // of a 600-leaf star) and runs of empty rows at the start, in the middle
 // and at the end.
@@ -103,13 +122,11 @@ TEST(Graph, NeighborSumsMatchPerRowSums) {
   const Graph mixed = Graph::from_edges(1000, edges);
   const Graph gnp = gen::gnp(3000, 0.004, 5);
   const auto value = [](Vertex v) { return static_cast<std::int64_t>(v % 7) - 3; };
-  for (const Graph& g : {mixed, Graph::compress(mixed), gnp, Graph::compress(gnp),
-                         Graph::from_edges(5, {}), Graph()}) {
+  for (const Graph& g : {mixed, gnp, Graph::from_edges(5, {}), Graph()}) {
     const auto n = static_cast<std::size_t>(g.num_vertices());
     std::vector<std::int64_t> want(n, 0);
-    NeighborScratch scratch;
     for (Vertex u = 0; u < g.num_vertices(); ++u)
-      for (const Vertex v : g.neighbors(u, scratch)) want[static_cast<std::size_t>(u)] += value(v);
+      for (const Vertex v : g.neighbors(u)) want[static_cast<std::size_t>(u)] += value(v);
     std::vector<std::int64_t> got;
     g.neighbor_sums(value, [&](Vertex u, std::int64_t sum) {
       ASSERT_EQ(static_cast<std::size_t>(u), got.size()) << g.summary();
@@ -120,7 +137,7 @@ TEST(Graph, NeighborSumsMatchPerRowSums) {
 }
 
 // Two 32-bit lanes packed into one std::uint64_t value come out of one
-// sweep as the two per-row sums, on both storages. The lane values are
+// sweep as the two per-row sums. The lane values are
 // large enough that the low lane carries into the high one and the
 // running total wraps past 2^64 on the G(n,p) graph, while every row's
 // lane sums stay below 2^31 (the hub of the 600-leaf star included).
@@ -140,13 +157,11 @@ TEST(Graph, NeighborSumsPackTwoLanes) {
   for (Vertex u = 0; u < gnp.num_vertices(); ++u)
     for (const Vertex v : gnp.neighbors(u)) gnp_hi_total += hi(v);
   ASSERT_GT(gnp_hi_total, std::uint64_t{1} << 32) << "the running total must wrap";
-  for (const Graph& g : {mixed, Graph::compress(mixed), gnp, Graph::compress(gnp),
-                         Graph::from_edges(5, {}), Graph()}) {
+  for (const Graph& g : {mixed, gnp, Graph::from_edges(5, {}), Graph()}) {
     const auto n = static_cast<std::size_t>(g.num_vertices());
     std::vector<std::uint64_t> want_lo(n, 0), want_hi(n, 0);
-    NeighborScratch scratch;
     for (Vertex u = 0; u < g.num_vertices(); ++u) {
-      for (const Vertex v : g.neighbors(u, scratch)) {
+      for (const Vertex v : g.neighbors(u)) {
         want_lo[static_cast<std::size_t>(u)] += lo(v);
         want_hi[static_cast<std::size_t>(u)] += hi(v);
       }
@@ -161,6 +176,42 @@ TEST(Graph, NeighborSumsPackTwoLanes) {
     });
     EXPECT_EQ(got_lo, want_lo) << g.summary();
     EXPECT_EQ(got_hi, want_hi) << g.summary();
+  }
+}
+
+// A visitor returning bool stops at its first false; a void visitor sees
+// the whole row. On owned and on mapped storage.
+TEST(Graph, ForEachNeighborEarlyExitStops) {
+  const Graph k20 = gen::complete(20);
+  for (const Graph& g : {k20, mapped_twin(k20)}) {
+    int seen = 0;
+    g.for_each_neighbor(0, [&](Vertex) { return ++seen < 5; });
+    EXPECT_EQ(seen, 5) << g.storage_mode();
+    seen = 0;
+    g.for_each_neighbor(0, [&](Vertex) { ++seen; });
+    EXPECT_EQ(seen, 19) << g.storage_mode();
+  }
+}
+
+// has_edge answers every pair as edge_list() does, in both orientations, and
+// is false for out-of-range ids and loops. On owned and on mapped storage.
+TEST(Graph, HasEdgeAgreesWithEdgeList) {
+  constexpr Vertex n = 400;
+  const Graph gnp = gen::gnp(n, 0.03, 23);
+  std::vector<char> adjacent(static_cast<std::size_t>(n) * n, 0);
+  for (const auto& [u, v] : gnp.edge_list()) {
+    adjacent[static_cast<std::size_t>(u) * n + v] = 1;
+    adjacent[static_cast<std::size_t>(v) * n + u] = 1;
+  }
+  for (const Graph& g : {gnp, mapped_twin(gnp)}) {
+    ASSERT_EQ(g.edge_list(), gnp.edge_list()) << g.storage_mode();
+    for (Vertex u = 0; u < n; ++u)
+      for (Vertex v = 0; v < n; ++v)
+        ASSERT_EQ(g.has_edge(u, v), adjacent[static_cast<std::size_t>(u) * n + v] != 0)
+            << g.storage_mode() << " " << u << "," << v;
+    EXPECT_FALSE(g.has_edge(-1, 3));
+    EXPECT_FALSE(g.has_edge(3, n));
+    EXPECT_FALSE(g.has_edge(3, 3));
   }
 }
 

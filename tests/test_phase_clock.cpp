@@ -69,9 +69,8 @@ TEST(PhaseClock, MatchesReferenceImplementation) {
 // Above twice the fan-out grain (n + 2m ~ 2.4e6 work units) the round runs
 // in vertex ranges on the shared pool when the host has more than one
 // hardware thread; it must still match the sequential reference round by
-// round, through the deferred replay, and on compressed storage (whose
-// per-row seeks make it the slow leg, so it checks a shorter prefix).
-// Avg-deg 8 puts rows on both sides of the kernel's fixed-trip length.
+// round and through the deferred replay. Avg-deg 8 puts rows on both sides
+// of the kernel's fixed-trip length.
 TEST(PhaseClock, WidthIndependentAboveGrain) {
   const Vertex n = Vertex{1} << 18;
   const Graph g = gen::gnp(n, 8.0 / (n - 1), 21);
@@ -79,12 +78,10 @@ TEST(PhaseClock, WidthIndependentAboveGrain) {
   const CoinOracle coins(34);
   PhaseClock clock = PhaseClock::with_random_levels(g, 3, coins);
   std::vector<int> ref = clock.levels();
-  std::vector<int> ref_at_40;
   for (std::int64_t t = 1; t <= 300; ++t) {
     clock.step();
     ref = testing::reference_clock_step(g, ref, coins, t, 3);
     ASSERT_EQ(clock.levels(), ref) << "diverged at round " << t;
-    if (t == 40) ref_at_40 = ref;
   }
 
   PhaseClock replayed = PhaseClock::with_random_levels(g, 3, coins);
@@ -93,11 +90,6 @@ TEST(PhaseClock, WidthIndependentAboveGrain) {
   replayed.advance(180);
   EXPECT_EQ(replayed.round(), 300);
   EXPECT_EQ(replayed.levels(), ref);
-
-  const Graph compressed = Graph::compress(g);
-  PhaseClock packed = PhaseClock::with_random_levels(compressed, 3, coins);
-  packed.advance(40);
-  EXPECT_EQ(packed.levels(), ref_at_40);
 }
 
 TEST(PhaseClock, TopVertexStaysWithHighProbability) {

@@ -64,9 +64,9 @@ std::uint64_t trajectory_fingerprint(const std::string& name,
 }
 
 // The golden graph every fingerprint below is pinned on, in each of the
-// four storage modes the substrate supports. The mmap'd entries hold their
-// files open via the Graph's keep-alive backing; the scratch directory is
-// cleaned up when the caller drops the vector.
+// two storage modes the substrate supports. The mmap'd entry holds its file
+// open via the Graph's keep-alive backing; the scratch directory is removed
+// before the mapping is read.
 struct StorageCase {
   std::string name;
   Graph graph;
@@ -78,23 +78,18 @@ std::vector<StorageCase> golden_graph_storages() {
                    ("ssmis_registry_storage_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const std::string v3 = (dir / "golden_v3.ssg").string();
-  const std::string v2 = (dir / "golden_v2.ssg").string();
   io::save_ssg(v3, plain);
-  io::save_ssg(v2, Graph::compress(plain));
   std::vector<StorageCase> cases;
   cases.push_back({"plain", plain});
   cases.push_back({"mmap-v3", io::mmap_ssg(v3)});
-  cases.push_back({"compressed", Graph::compress(plain)});
-  cases.push_back({"compressed-mmap-v2", io::mmap_ssg(v2)});
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);  // unix: mappings outlive the unlink
   return cases;
 }
 
 // The pre-registry golden constants (see GoldenTrajectoryFingerprints).
-// Factored so the SAME block pins every storage mode: a trajectory on a
-// compressed or mmap'd graph must be byte-for-byte the trajectory on its
-// plain CSR twin.
+// Factored so the SAME block pins every storage mode: a trajectory on an
+// mmap'd graph must be byte-for-byte the trajectory on its owned twin.
 void expect_legacy_goldens(const Graph& g, const std::string& where) {
   const std::uint64_t seed = 42;
   const int steps = 48;
@@ -184,10 +179,10 @@ TEST(Registry, NewWorkloadGoldenFingerprints) {
   expect_new_workload_goldens(gen::gnp(96, 0.06, 5), "plain");
 }
 
-// The bit-identity contract across the graph substrate: compressed and
-// mmap'd storages are pure representation changes, so the PRE-registry
-// golden constants must come out of them unchanged — not merely "equal to
-// plain today", equal to the constants pinned at the registry refactor.
+// The bit-identity contract across the graph substrate: mmap'd storage is
+// a pure representation change, so the PRE-registry golden constants must
+// come out of it unchanged — not merely "equal to plain today", equal to
+// the constants pinned at the registry refactor.
 TEST(Registry, CrossRepresentationStorageKeepsTheGoldens) {
   for (const StorageCase& storage : golden_graph_storages()) {
     expect_legacy_goldens(storage.graph, storage.name);
@@ -196,9 +191,9 @@ TEST(Registry, CrossRepresentationStorageKeepsTheGoldens) {
 }
 
 // Table-driven over every registered protocol — current and future: each
-// one must produce the identical trajectory on plain, mmap'd-v3,
-// compressed, and mmap'd-v2 storage of the same graph. A new workload gets
-// this proof by registering, with zero new test code.
+// one must produce the identical trajectory on owned and mmap'd-v3 storage
+// of the same graph. A new workload gets this proof by registering, with
+// zero new test code.
 TEST(Registry, CrossRepresentationBitIdentityForEveryProtocol) {
   const auto storages = golden_graph_storages();
   const ProtocolParams none;

@@ -2,18 +2,11 @@
 """ssmis_lint: repo-specific determinism & invariant linter.
 
 The golden-fingerprint suites pin *runtime* behavior (bit-identical
-trajectories at any thread count, the compressed-storage access contract,
-narrowing-safe id handling). This linter moves the same invariants to lint
-time, so a violation fails CI before it can corrupt a trajectory that only a
-fingerprint mismatch would catch. Four rules:
-
-  R1  raw-adjacency-access
-      `Graph::neighbors(u)` / `offsets()` / `adjacency()` throw
-      std::logic_error on compressed storage. Outside the decode-aware
-      allowlist (the Graph internals themselves), every consumer must use
-      one of the decode paths — for_each_neighbor(u, f),
-      neighbors(u, scratch), or Graph::RowStream — or prove the storage is
-      plain and suppress with a reason.
+trajectories at any thread count, narrowing-safe id handling). This linter
+moves the same invariants to lint time, so a violation fails CI before it
+can corrupt a trajectory that only a fingerprint mismatch would catch.
+Three rules; their ids start at R2 because R1 went with the compressed graph
+storage it guarded:
 
   R2  nondeterminism-source
       Trajectory-affecting code may draw randomness only from the
@@ -47,8 +40,8 @@ fingerprint mismatch would catch. Four rules:
       definition of one of these callbacks that is not a const member
       function is flagged.
 
-Suppressions: append `// ssmis-lint: allow(R1) reason` (multiple ids:
-`allow(R1,R3)`) to the offending line, or place the comment alone on the
+Suppressions: append `// ssmis-lint: allow(R2) reason` (multiple ids:
+`allow(R2,R3)`) to the offending line, or place the comment alone on the
 line directly above it. A suppression without a reason does not suppress —
 the finding stands and the empty suppression is reported alongside it.
 
@@ -67,18 +60,10 @@ from dataclasses import dataclass, field
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RULES = {
-    "R1": "raw-adjacency-access",
     "R2": "nondeterminism-source",
     "R3": "narrowing-cast",
     "R4": "rule-callback-constness",
 }
-
-# R1: files allowed to touch the raw CSR views (the storage internals and
-# their builders — everything behind the Graph invariant boundary).
-R1_ALLOWLIST = (
-    "src/graph/graph.hpp",
-    "src/graph/graph.cpp",
-)
 
 # R2: path prefixes where wall clocks / host probing are legitimate
 # (measurement harnesses, resource accounting, CLI defaults, the pool).
@@ -127,14 +112,14 @@ R4_CONST_CALLBACKS = {
 }
 
 SUPPRESS_RE = re.compile(
-    r"ssmis-lint:\s*allow\(\s*(R[1-4](?:\s*,\s*R[1-4])*)\s*\)\s*(.*)")
+    r"ssmis-lint:\s*allow\(\s*(R[2-4](?:\s*,\s*R[2-4])*)\s*\)\s*(.*)")
 
 
 @dataclass
 class Finding:
     path: str        # repo-relative (or as given) path
     line: int        # 1-based
-    rule: str        # "R1".."R4"
+    rule: str        # "R2".."R4"
     message: str
     hint: str
     suppressed: bool = False
@@ -274,21 +259,6 @@ class SourceFile:
                     return i
         return len(self.tokens) - 1
 
-    def count_args(self, open_idx: int, close_idx: int) -> int:
-        """Number of top-level comma-separated arguments in (...)."""
-        if close_idx == open_idx + 1:
-            return 0
-        depth, commas = 0, 0
-        for i in range(open_idx + 1, close_idx):
-            t = self.tokens[i].text
-            if t in "([{":
-                depth += 1
-            elif t in ")]}":
-                depth -= 1
-            elif t == "," and depth == 0:
-                commas += 1
-        return commas + 1
-
 
 # --------------------------------------------------------------------------
 # Rule implementations (token engine)
@@ -299,33 +269,6 @@ def rel_path(path: str) -> str:
     if ap.startswith(REPO_ROOT + os.sep):
         return os.path.relpath(ap, REPO_ROOT).replace(os.sep, "/")
     return path.replace(os.sep, "/")
-
-
-def check_r1(src: SourceFile, rel: str, out: list[Finding]) -> None:
-    if rel in R1_ALLOWLIST:
-        return
-    toks = src.tokens
-    for i, tok in enumerate(toks):
-        if tok.text not in ("neighbors", "offsets", "adjacency"):
-            continue
-        if i == 0 or toks[i - 1].text not in (".", "->"):
-            continue  # not a member access
-        if i + 1 >= len(toks) or toks[i + 1].text != "(":
-            continue
-        close = src.match_paren(i + 1)
-        nargs = src.count_args(i + 1, close)
-        if tok.text == "neighbors" and nargs != 1:
-            continue  # neighbors(u, scratch) is the decode-aware overload
-        if tok.text in ("offsets", "adjacency") and nargs != 0:
-            continue
-        call = f"{tok.text}({'u' if nargs else ''})"
-        out.append(Finding(
-            rel, tok.line, "R1",
-            f"raw Graph::{call} outside the decode-aware allowlist "
-            "(throws std::logic_error on compressed storage)",
-            "use for_each_neighbor(u, f), neighbors(u, scratch), or "
-            "Graph::RowStream; if the storage is provably plain, suppress "
-            "with a reason"))
 
 
 R2_BANNED_CALLS = {
@@ -555,8 +498,6 @@ def lint_file(path: str, rules: set[str],
     rel = rel_path(path)
     src = SourceFile(path, text)
     findings: list[Finding] = []
-    if "R1" in rules:
-        check_r1(src, rel, findings)
     if "R2" in rules:
         check_r2(src, rel, findings)
     if "R3" in rules:
@@ -698,7 +639,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(
         prog="ssmis_lint.py",
         description="repo-specific determinism & invariant linter "
-                    "(rules R1-R4; see the module docstring)")
+                    "(rules R2-R4; see the module docstring)")
     ap.add_argument("paths", nargs="*",
                     help="files or directories to lint "
                          "(default: src/ bench/ examples/)")
