@@ -252,6 +252,12 @@ concept FastForwardRule =
       { r.orbit_color(u, c, t) } -> std::convertible_to<typename R::Color>;
     };
 
+// A rule that names either fast-forward member means to declare orbits, so
+// ProcessEngine holds it to FastForwardRule: a non-const declaration or a
+// drifted signature would otherwise switch fast-forward off silently.
+template <typename R>
+concept NamesFastForward = requires { &R::fast_forwardable; } || requires { &R::orbit_color; };
+
 template <typename Rule>
 class ProcessEngine {
   // Deliberately `typename` + a static_assert cascade rather than
@@ -285,6 +291,11 @@ class ProcessEngine {
   static_assert(ProcessRule<Rule>,
                 "ProcessEngine<Rule>: Rule does not satisfy "
                 "ssmis::ProcessRule (see the failed sub-concept above)");
+  static_assert(!NamesFastForward<Rule> || FastForwardRule<Rule>,
+                "ProcessEngine<Rule>: Rule names fast_forwardable/orbit_color "
+                "but violates concept ssmis::FastForwardRule — both must be "
+                "const: fast_forwardable(Color, Heard) -> bool, "
+                "orbit_color(Vertex, Color, int64_t) -> Color");
 
  public:
   using Color = typename Rule::Color;

@@ -31,7 +31,7 @@ void check_d(int d) {
 PhaseClock::PhaseClock(const Graph& g, int d, const std::vector<int>& init_levels,
                        const CoinOracle& coins, std::uint64_t zeta_num,
                        unsigned zeta_log2_den)
-    : graph_(&g),
+    : graph_(g),
       coins_(coins),
       d_(d),
       zeta_num_(zeta_num),
@@ -79,7 +79,7 @@ std::vector<int> PhaseClock::levels() const {
 }
 
 Vertex PhaseClock::chunk_begin(int c) const {
-  return narrow_cast<Vertex>(std::int64_t{graph_->num_vertices()} * c / chunks_);
+  return narrow_cast<Vertex>(std::int64_t{graph_.num_vertices()} * c / chunks_);
 }
 
 void PhaseClock::step_range(std::int64_t t, Vertex begin,
@@ -98,7 +98,7 @@ void PhaseClock::step_range(std::int64_t t, Vertex begin,
           coins_.dyadic_bernoulli(t, u, CoinTag::kSwitchBit, zeta_num_, zeta_log2_den_);
       out[i] = b_is_zero ? narrow_cast<std::uint8_t>(top - 1) : top;
     } else {
-      const std::span<const Vertex> row = graph_->neighbors(u);
+      const std::span<const Vertex> row = graph_.neighbors(u);
       const std::size_t deg = row.size();
       std::uint8_t max_level = lvl;
       if (deg >= 1 && deg <= kRowUnroll) {
@@ -137,7 +137,7 @@ void PhaseClock::advance(std::int64_t rounds) {
 }
 
 void PhaseClock::force_level(Vertex u, int lvl) {
-  if (u < 0 || u >= graph_->num_vertices())
+  if (u < 0 || u >= graph_.num_vertices())
     throw std::out_of_range("force_level: vertex out of range");
   if (lvl < 0 || lvl > top_level())
     throw std::invalid_argument("force_level: level out of range");

@@ -88,7 +88,7 @@ class PhaseClock {
   void step_range(std::int64_t t, Vertex begin, std::span<std::uint8_t> out) const;
   Vertex chunk_begin(int c) const;
 
-  const Graph* graph_;
+  Graph graph_;  // a handle sharing the caller's storage
   CoinOracle coins_;
   int d_;
   std::uint64_t zeta_num_;

@@ -44,9 +44,8 @@ class ThreeColorRule {
   using Color = ColorG;
 
   // The rule owns the switch, which must be freshly constructed (round 0)
-  // and built over the same graph; a phase-clock switch reads that graph
-  // through a pointer, so it must outlive the process. Throws
-  // std::invalid_argument on a null switch or one past round 0.
+  // and built over the same graph. Throws std::invalid_argument on a null
+  // switch or one past round 0.
   ThreeColorRule(const CoinOracle& coins, std::unique_ptr<SwitchProcess> sw);
 
   int num_colors() const { return 3; }

@@ -7,23 +7,27 @@
 // single bit a node receives is "did at least one *neighbor* beep?". Sender
 // collision detection means a beeping node receives this bit too.
 //
-// The network simulator is generic over the automaton; `mis_automata.hpp`
-// provides the 2-state MIS automaton, and the test suite proves its
-// execution bit-identical to the direct TwoStateMIS simulation.
+// The network simulator is a template over the automaton type, which it
+// holds by value, so every automaton call is a direct (inlinable) call;
+// `mis_automata.hpp` provides the 2-state MIS automaton, and the test suite
+// proves its execution bit-identical to the direct TwoStateMIS simulation.
 //
 // Simulation substrate: the network runs on the same ProcessEngine as the
 // direct processes (core/engine.hpp) — states are engine colors and the
 // carrier-sense bit is the engine's Heard over an incrementally maintained
 // beeping-neighbor counter, so a round costs O(|scheduled| + sum deg(nodes
 // that changed state)) instead of an O(n + m) rescan. Automata that declare
-// quiescent states (see `BeepingAutomaton::quiescent`) get sparse
-// scheduling; others run dense with identical semantics, since every coin is
-// a pure function of (seed, round, node, tag). The engine keeps the MIS
-// bookkeeping too — the violation count, I_t and V_t — so the network is an
-// EngineProcess like TwoStateMIS (core/engine_process.hpp).
+// quiescent states get sparse scheduling; the others run dense with
+// identical semantics, since every coin is a pure function of (seed, round,
+// node, tag). The engine keeps the MIS bookkeeping too — the violation
+// count, I_t and V_t — so the network is an EngineProcess like TwoStateMIS
+// (core/engine_process.hpp).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/engine_process.hpp"
@@ -34,60 +38,64 @@ namespace ssmis {
 
 enum class BeepAction : std::uint8_t { kListen = 0, kBeep = 1 };
 
-// Node behavior. States are opaque bytes; the automaton interprets them.
-class BeepingAutomaton {
- public:
-  virtual ~BeepingAutomaton() = default;
-
-  virtual int num_states() const = 0;
-
-  // What the node does this round, as a function of its state only.
-  virtual BeepAction emit(std::uint8_t state) const = 0;
-
-  // Transition at the end of the round. `heard` is the feedback bit (some
-  // neighbor beeped); `coin_word` is the node's private randomness for the
-  // round (64 uniform bits).
-  virtual std::uint8_t next(std::uint8_t state, bool heard,
-                            std::uint64_t coin_word) const = 0;
-
-  // Scheduling hint for the sparse engine: return true only if
-  // next(state, heard, w) == state for EVERY coin word w. The default
-  // (never quiescent) is always sound — it merely keeps every node on the
-  // worklist, i.e. dense stepping.
-  virtual bool quiescent(std::uint8_t /*state*/, bool /*heard*/) const {
-    return false;
-  }
-
-  // Interpretation hook: does this state claim MIS membership?
-  virtual bool in_mis(std::uint8_t state) const = 0;
+// Node behavior, as a value type. States are opaque bytes; the automaton
+// interprets them. Every member is required and const:
+//
+//   int num_states() const;
+//   BeepAction emit(uint8_t state) const;
+//       // what the node does this round, as a function of its state only
+//   uint8_t next(uint8_t state, bool heard, uint64_t coin_word) const;
+//       // the transition at the end of the round: `heard` is the feedback
+//       // bit (some neighbor beeped), `coin_word` the node's 64 private
+//       // random bits for the round
+//   bool quiescent(uint8_t state, bool heard) const;
+//       // scheduling hint: true only if next(state, heard, w) == state for
+//       // EVERY coin word w. Constant false is always sound: it keeps every
+//       // node on the worklist, i.e. dense stepping.
+//   bool in_mis(uint8_t state) const;  // does this state claim MIS membership?
+template <typename A>
+concept BeepingAutomaton = requires(const A a, std::uint8_t s, bool heard, std::uint64_t w) {
+  { a.num_states() } -> std::convertible_to<int>;
+  { a.emit(s) } -> std::same_as<BeepAction>;
+  { a.next(s, heard, w) } -> std::convertible_to<std::uint8_t>;
+  { a.quiescent(s, heard) } -> std::convertible_to<bool>;
+  { a.in_mis(s) } -> std::convertible_to<bool>;
 };
 
-// Engine policy wrapping a BeepingAutomaton: one counter (beeping
-// neighbors), carrier-sense/loss resolution in the transition. The MIS
-// bookkeeping compares the automaton's in_mis with counter 0, i.e. with
-// what a node hears before loss and sender collision detection: violations
-// count the true configuration, not the node's possibly wrong view of it.
+// Engine policy owning a BeepingAutomaton: one counter (beeping neighbors),
+// carrier-sense/loss resolution in the transition. The MIS bookkeeping
+// compares the automaton's in_mis with counter 0, i.e. with what a node
+// hears before loss and sender collision detection: violations count the
+// true configuration, not the node's possibly wrong view of it.
+template <BeepingAutomaton A>
 class BeepingRule {
  public:
   using Color = std::uint8_t;
 
   // Throws std::invalid_argument unless the automaton beeps in exactly its
   // MIS states — the premise that lets counter 0 count MIS neighbors.
-  BeepingRule(const BeepingAutomaton* automaton, const CoinOracle& coins,
-              bool sender_collision_detection);
-
-  int num_colors() const { return automaton_->num_states(); }
-  int num_counters() const { return 1; }
-  Vertex contribution(std::uint8_t s, int) const {
-    return automaton_->emit(s) == BeepAction::kBeep ? 1 : 0;
+  BeepingRule(A automaton, const CoinOracle& coins, bool sender_collision_detection)
+      : automaton_(std::move(automaton)),
+        coins_(coins),
+        sender_cd_(sender_collision_detection) {
+    for (int s = 0; s < automaton_.num_states(); ++s) {
+      const auto state = static_cast<std::uint8_t>(s);
+      if (in_mis(state) != beeps(state))
+        throw std::invalid_argument(
+            "BeepingNetwork: the automaton must beep in exactly its MIS states");
+    }
   }
+
+  int num_colors() const { return automaton_.num_states(); }
+  int num_counters() const { return 1; }
+  Vertex contribution(std::uint8_t s, int) const { return beeps(s) ? 1 : 0; }
 
   // Scheduled unless the state is quiescent for every carrier-sense bit the
   // node could receive this round (loss can only turn heard -> silence).
   bool scheduled(std::uint8_t s, Heard h) const {
     const bool heard = effective_heard(s, h);
-    if (!automaton_->quiescent(s, heard)) return true;
-    return heard && loss_probability_ > 0.0 && !automaton_->quiescent(s, false);
+    if (!automaton_.quiescent(s, heard)) return true;
+    return heard && loss_probability_ > 0.0 && !automaton_.quiescent(s, false);
   }
 
   std::uint8_t transition(Vertex u, std::uint8_t s, Heard h, std::int64_t t) const {
@@ -96,7 +104,7 @@ class BeepingRule {
         coins_.bernoulli(t, u, CoinTag::kNoise, loss_probability_)) {
       heard = false;  // the carrier-sense bit was lost this round
     }
-    return automaton_->next(s, heard, coins_.word(t, u, CoinTag::kMisColor));
+    return automaton_.next(s, heard, coins_.word(t, u, CoinTag::kMisColor));
   }
 
   // The activity column is the schedule: the nodes that act next round.
@@ -104,25 +112,24 @@ class BeepingRule {
   bool violating(std::uint8_t s, Heard h) const { return in_mis(s) == h.has(0); }
   bool stable_black(std::uint8_t s, Heard h) const { return in_mis(s) && !h.has(0); }
 
-  bool in_mis(std::uint8_t s) const { return in_mis_[s] != 0; }
-  const BeepingAutomaton& automaton() const { return *automaton_; }
+  bool in_mis(std::uint8_t s) const { return automaton_.in_mis(s); }
   bool sender_collision_detection() const { return sender_cd_; }
   double loss_probability() const { return loss_probability_; }
   void set_loss_probability(double p) { loss_probability_ = p; }
 
  private:
+  bool beeps(std::uint8_t s) const { return automaton_.emit(s) == BeepAction::kBeep; }
   bool effective_heard(std::uint8_t s, Heard h) const {
     // Without sender collision detection, a beeping node's radio is busy
     // transmitting: it receives nothing this round.
-    if (!sender_cd_ && automaton_->emit(s) == BeepAction::kBeep) return false;
+    if (!sender_cd_ && beeps(s)) return false;
     return h.has(0);
   }
 
-  const BeepingAutomaton* automaton_;
+  A automaton_;
   CoinOracle coins_;
   bool sender_cd_;
   double loss_probability_ = 0.0;
-  std::vector<std::uint8_t> in_mis_;  // automaton_->in_mis, per state
 };
 
 // The network as a Process: an EngineProcess whose colors are the
@@ -130,11 +137,12 @@ class BeepingRule {
 // states. stabilized() is the engine's O(1) "no violation", so it equals
 // is_mis(graph(), black_set()) with or without loss and sender collision
 // detection; the activity column A_t is the scheduled nodes.
-class BeepingNetwork final : public EngineProcess<BeepingRule> {
+template <BeepingAutomaton A>
+class BeepingNetwork final : public EngineProcess<BeepingRule<A>> {
  public:
-  // The automaton must outlive the network. Throws std::invalid_argument on
-  // init size mismatch, states outside [0, num_states), or an automaton
-  // that does not beep in exactly its MIS states.
+  // Throws std::invalid_argument on init size mismatch, states outside
+  // [0, num_states), or an automaton that does not beep in exactly its MIS
+  // states.
   //
   // `sender_collision_detection` selects the model variant: with it (the
   // paper's full-duplex assumption), a beeping node also receives the
@@ -142,12 +150,20 @@ class BeepingNetwork final : public EngineProcess<BeepingRule> {
   // 2-state MIS algorithm provably needs the former — two adjacent black
   // nodes could otherwise never detect their conflict (see the
   // NoCollisionDetection tests for the stuck execution).
-  BeepingNetwork(const Graph& g, const BeepingAutomaton& automaton,
-                 std::vector<std::uint8_t> init, const CoinOracle& coins,
-                 bool sender_collision_detection = true);
+  BeepingNetwork(const Graph& g, A automaton, std::vector<std::uint8_t> init,
+                 const CoinOracle& coins, bool sender_collision_detection = true)
+      : EngineProcess<BeepingRule<A>>(
+            g, std::move(init),
+            BeepingRule<A>(std::move(automaton), coins, sender_collision_detection)) {}
 
-  // One round, counting the beeps sent in it.
-  void step() override;
+  // One round, counting the beeps sent in it: broadcast accounting against
+  // the frozen states, where exactly the MIS states beep, so the beeping
+  // nodes are B_t.
+  void step() final {
+    beeps_last_round_ = this->num_black();
+    total_beeps_ += beeps_last_round_;
+    this->engine_.step();
+  }
 
   // Communication accounting for experiment E13: every node sends at most
   // one bit per round (beep or silence).
@@ -161,8 +177,16 @@ class BeepingNetwork final : public EngineProcess<BeepingRule> {
   // the system back (see exp_lossy). Throws std::invalid_argument unless
   // p is in [0, 1) (NaN included). Changing p re-derives the schedule in
   // O(n + m); setting the current value again costs nothing.
-  void set_loss_probability(double p);
-  double loss_probability() const { return engine_.rule().loss_probability(); }
+  void set_loss_probability(double p) {
+    if (!(p >= 0.0 && p < 1.0))  // NaN fails both comparisons
+      throw std::invalid_argument("set_loss_probability: need p in [0, 1)");
+    if (p == loss_probability()) return;
+    this->engine_.rule().set_loss_probability(p);
+    // The loss probability is part of the scheduling predicate (a lossy
+    // carrier-sense bit can wake otherwise-quiescent states).
+    this->engine_.notify_rule_changed();
+  }
+  double loss_probability() const { return this->engine_.rule().loss_probability(); }
 
  private:
   std::int64_t total_beeps_ = 0;

@@ -257,12 +257,9 @@ TEST(EngineInvariants, StoneAgeFastForwardOnOffAndFaults) {
   const std::vector<Graph> graphs = {gen::gnp(50, 0.1, 79), gen::cycle(19),
                                      gen::complete(12)};
   const CoinOracle fault_coins(1005);
-  const ThreeStateStoneAgeAutomaton three_state;
-  const ThreeColorStoneAgeAutomaton three_color;
-  const std::vector<const StoneAgeAutomaton*> automata = {&three_state, &three_color};
   enum class Mode { kOn, kOff, kToggled };
-  for (const StoneAgeAutomaton* automaton : automata) {
-    const auto states = static_cast<std::uint64_t>(automaton->num_states());
+  const auto exercise = [&](const auto& automaton) {
+    const auto states = static_cast<std::uint64_t>(automaton.num_states());
     for (const Mode mode : {Mode::kOn, Mode::kOff, Mode::kToggled}) {
       for (const Graph& g : graphs) {
         const CoinOracle coins(83);
@@ -270,7 +267,7 @@ TEST(EngineInvariants, StoneAgeFastForwardOnOffAndFaults) {
         for (Vertex u = 0; u < g.num_vertices(); ++u)
           init.push_back(static_cast<std::uint8_t>(
               coins.word(0, u, CoinTag::kInit) % states));
-        StoneAgeNetwork net(g, *automaton, init, coins);
+        StoneAgeNetwork net(g, automaton, init, coins);
         net.set_fast_forward(mode != Mode::kOff);
         const std::string name = "stone-age/" + std::to_string(states) + " mode " +
                                  std::to_string(static_cast<int>(mode));
@@ -291,7 +288,9 @@ TEST(EngineInvariants, StoneAgeFastForwardOnOffAndFaults) {
         }
       }
     }
-  }
+  };
+  exercise(ThreeStateStoneAgeAutomaton{});
+  exercise(ThreeColorStoneAgeAutomaton{});
 }
 
 // The engine's subset-transition primitive (the daemon path) must uphold
@@ -541,8 +540,13 @@ std::vector<std::uint8_t> random_states(const Graph& g, int states, const CoinOr
 // 3-state and 18-channel stone-age automata (one and nine pairs).
 TEST(EngineConstruction, CountersMatchPerCounterRecomputation) {
   const CoinOracle coins(139);
-  const ThreeStateStoneAgeAutomaton three_state;
-  const ThreeColorStoneAgeAutomaton three_color;
+  const auto stone_age = [&](const Graph& g, const auto& automaton) {
+    const auto init = random_states(g, automaton.num_states(), coins);
+    const StoneAgeNetwork a(g, automaton, init, coins);
+    expect_counters_recomputed(
+        a.engine(), init,
+        "stone-age/" + std::to_string(automaton.num_states()) + " " + g.summary());
+  };
   for (const Graph& g : construction_graphs()) {
     {
       const auto init = random_states(g, 4, coins);
@@ -555,14 +559,8 @@ TEST(EngineConstruction, CountersMatchPerCounterRecomputation) {
       const ThreeStateMIS a(g, init, coins);
       expect_counters_recomputed(a.engine(), init, "3-state " + g.summary());
     }
-    for (const StoneAgeAutomaton* automaton :
-         std::vector<const StoneAgeAutomaton*>{&three_state, &three_color}) {
-      const auto init = random_states(g, automaton->num_states(), coins);
-      const StoneAgeNetwork a(g, *automaton, init, coins);
-      expect_counters_recomputed(
-          a.engine(), init,
-          "stone-age/" + std::to_string(automaton->num_states()) + " " + g.summary());
-    }
+    stone_age(g, ThreeStateStoneAgeAutomaton{});
+    stone_age(g, ThreeColorStoneAgeAutomaton{});
   }
 }
 
@@ -600,8 +598,6 @@ void expect_parked_where_declared(const Engine& e, const std::string& context) {
 // declares no orbit, so nothing may be parked there).
 TEST(EngineConstruction, ParksExactlyWhereTheRuleDeclaresAnOrbit) {
   const CoinOracle coins(157);
-  const ThreeStateStoneAgeAutomaton three_state;
-  const ThreeColorStoneAgeAutomaton three_color;
   const auto exercise = [](auto& e, const std::string& name) {
     expect_parked_where_declared(e, name + " construction");
     for (int round = 1; round <= 6; ++round) e.step();
@@ -620,13 +616,14 @@ TEST(EngineConstruction, ParksExactlyWhereTheRuleDeclaresAnOrbit) {
     ProcessEngine<ThreeStateRule> e3(g, make_init3(g, InitPattern::kUniformRandom, coins),
                                      ThreeStateRule(coins));
     exercise(e3, "3-state " + g.summary());
-    for (const StoneAgeAutomaton* automaton :
-         std::vector<const StoneAgeAutomaton*>{&three_state, &three_color}) {
-      ProcessEngine<StoneAgeRule> e(g, random_states(g, automaton->num_states(), coins),
-                                    StoneAgeRule(automaton, coins));
-      exercise(e, "stone-age/" + std::to_string(automaton->num_states()) + " " +
+    const auto stone_age = [&](const auto& automaton) {
+      ProcessEngine e(g, random_states(g, automaton.num_states(), coins),
+                      StoneAgeRule(automaton, coins));
+      exercise(e, "stone-age/" + std::to_string(automaton.num_states()) + " " +
                       g.summary());
-    }
+    };
+    stone_age(ThreeStateStoneAgeAutomaton{});
+    stone_age(ThreeColorStoneAgeAutomaton{});
   }
 }
 

@@ -200,9 +200,11 @@ TEST(FastForward, MidRunToggleLandsOnUnoptimizedTrajectory) {
 
 // ------------------------------------------------------ orbit contract --
 
-// A drifted signature would turn the concept false, and fast-forward would
-// switch off without a failing test.
-static_assert(FastForwardRule<ThreeStateRule> && FastForwardRule<StoneAgeRule>);
+// ProcessEngine rejects a rule that names a fast-forward member but misses
+// the concept. A rule that lost both names would switch fast-forward off
+// without a failing test, so the shipped orbit rules are named here.
+static_assert(FastForwardRule<ThreeStateRule> &&
+              FastForwardRule<StoneAgeRule<ThreeStateStoneAgeAutomaton>>);
 
 // Every hearing some set of neighbor colors produces. The bit masks no
 // neighborhood produces (3-state's "black1 but no black") are left out:
@@ -268,8 +270,7 @@ void expect_memoryless_orbits(const Rule& rule, const std::string& name) {
 TEST(OrbitContract, ShippedOrbitsAreMemoryless) {
   const CoinOracle coins(181);
   expect_memoryless_orbits(ThreeStateRule(coins), "3-state");
-  const ThreeStateStoneAgeAutomaton automaton;
-  expect_memoryless_orbits(StoneAgeRule(&automaton, coins), "stone-age/3");
+  expect_memoryless_orbits(StoneAgeRule(ThreeStateStoneAgeAutomaton{}, coins), "stone-age/3");
 }
 
 // A stable black forced onto the other black color is off its orbit for
@@ -326,15 +327,16 @@ TEST(OrbitContract, OffOrbitBlackParksAtItsFirstColorChange) {
             g, make_init3(g, InitPattern::kUniformRandom, coins), coins);
       },
       [](Color3 c) { return is_black(c); }, "3-state");
-  const ThreeStateStoneAgeAutomaton automaton;
-  expect_off_orbit_black_parks_at_first_change<StoneAgeNetwork>(
+  using Network = StoneAgeNetwork<ThreeStateStoneAgeAutomaton>;
+  expect_off_orbit_black_parks_at_first_change<Network>(
       [&] {
         std::vector<std::uint8_t> init;
         for (const Color3 c : make_init3(g, InitPattern::kUniformRandom, coins))
           init.push_back(ThreeStateStoneAgeAutomaton::encode(c));
-        return std::make_unique<StoneAgeNetwork>(g, automaton, std::move(init), coins);
+        return std::make_unique<Network>(g, ThreeStateStoneAgeAutomaton{}, std::move(init),
+                                         coins);
       },
-      [&](std::uint8_t s) { return automaton.in_mis(s); }, "stone-age/3");
+      [](std::uint8_t s) { return ThreeStateStoneAgeAutomaton{}.in_mis(s); }, "stone-age/3");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -263,53 +264,93 @@ TEST(NetworkBookkeeping, BeepingStabilizedIsValidity) {
 
 TEST(NetworkBookkeeping, StoneAgeStabilizedIsValidity) {
   const Graph g = gen::gnp(60, 0.08, 157);
-  const ThreeStateStoneAgeAutomaton three_state;
-  const ThreeColorStoneAgeAutomaton three_color;
   const CoinOracle coins(163);
-  for (const StoneAgeAutomaton* automaton :
-       std::vector<const StoneAgeAutomaton*>{&three_state, &three_color}) {
+  const auto check = [&](const auto& automaton, int burst_every) {
     for (const bool fast_forward : {true, false}) {
-      StoneAgeNetwork net(g, *automaton, random_states(g, automaton->num_states(), 163),
-                          coins);
+      StoneAgeNetwork net(g, automaton, random_states(g, automaton.num_states(), 163), coins);
       net.set_fast_forward(fast_forward);
-      const std::string name = std::to_string(automaton->num_channels()) +
+      const std::string name = std::to_string(automaton.num_channels()) +
                                " channels, fast-forward " + (fast_forward ? "on" : "off");
-      // The 3-color automaton's switch needs a few hundred rounds here.
-      const int burst_every = automaton == &three_state ? 30 : 400;
       EXPECT_GT(check_stabilized_is_mis(net, 4 * burst_every, burst_every, name), 0)
           << name;
     }
+  };
+  check(ThreeStateStoneAgeAutomaton{}, 30);
+  // The 3-color automaton's switch needs a few hundred rounds here.
+  check(ThreeColorStoneAgeAutomaton{}, 400);
+}
+
+// A network owns its automaton: one built from a temporary runs to
+// stabilization exactly like a twin built from a named automaton.
+TEST(NetworkOwnership, TemporaryAutomataRunLikeNamedOnes) {
+  const Graph g = gen::gnp(200, 0.03, 197);
+  const CoinOracle coins(199);
+  const auto lockstep = [](auto& net, auto& twin, const std::string& name) {
+    for (int round = 1; !net.stabilized(); ++round) {
+      ASSERT_LE(round, 1000) << name << " did not stabilize";
+      net.step();
+      twin.step();
+      ASSERT_EQ(net.colors(), twin.colors()) << name << " round " << round;
+    }
+    EXPECT_TRUE(twin.stabilized()) << name;
+  };
+  const auto init2 = encode2(make_init2(g, InitPattern::kUniformRandom, coins));
+  const TwoStateBeepAutomaton two_state;
+  BeepingNetwork beeping(g, TwoStateBeepAutomaton{}, init2, coins);
+  BeepingNetwork beeping_twin(g, two_state, init2, coins);
+  lockstep(beeping, beeping_twin, "beeping");
+  const auto init3 = encode3(make_init3(g, InitPattern::kUniformRandom, coins));
+  const ThreeStateStoneAgeAutomaton three_state;
+  StoneAgeNetwork stoneage(g, ThreeStateStoneAgeAutomaton{}, init3, coins);
+  StoneAgeNetwork stoneage_twin(g, three_state, init3, coins);
+  lockstep(stoneage, stoneage_twin, "stoneage");
+}
+
+// The 18-channel network steps only its scheduled nodes: the 3-color
+// automaton's fixed points leave the worklist.
+TEST(StoneAgeNetwork, ThreeColorLeavesItsFixedPointsUnscheduled) {
+  const Graph g = gen::gnp(200, 0.03, 211);
+  const CoinOracle coins(223);
+  StoneAgeNetwork net(g, ThreeColorStoneAgeAutomaton{}, random_states(g, 18, 223), coins);
+  Vertex fewest_active = net.num_active();
+  for (int round = 1; round <= 400; ++round) {
+    net.step();
+    fewest_active = std::min(fewest_active, net.num_active());
   }
+  EXPECT_LT(fewest_active, g.num_vertices());
 }
 
 // Automata for the construction checks: per-state emission and membership
-// tables, no transitions.
-class TableBeepAutomaton final : public BeepingAutomaton {
+// tables, no transitions, no fixed points and no orbits declared.
+class TableBeepAutomaton {
  public:
   TableBeepAutomaton(std::vector<BeepAction> emits, std::vector<bool> mis)
       : emits_(std::move(emits)), mis_(std::move(mis)) {}
-  int num_states() const override { return static_cast<int>(emits_.size()); }
-  BeepAction emit(std::uint8_t s) const override { return emits_[s]; }
-  std::uint8_t next(std::uint8_t s, bool, std::uint64_t) const override { return s; }
-  bool in_mis(std::uint8_t s) const override { return mis_[s]; }
+  int num_states() const { return static_cast<int>(emits_.size()); }
+  BeepAction emit(std::uint8_t s) const { return emits_[s]; }
+  std::uint8_t next(std::uint8_t s, bool, std::uint64_t) const { return s; }
+  bool quiescent(std::uint8_t, bool) const { return false; }
+  bool in_mis(std::uint8_t s) const { return mis_[s]; }
 
  private:
   std::vector<BeepAction> emits_;
   std::vector<bool> mis_;
 };
 
-class TableStoneAgeAutomaton final : public StoneAgeAutomaton {
+class TableStoneAgeAutomaton {
  public:
   TableStoneAgeAutomaton(std::vector<int> emits, std::vector<bool> mis)
       : emits_(std::move(emits)), mis_(std::move(mis)) {}
-  int num_states() const override { return static_cast<int>(emits_.size()); }
-  int num_channels() const override { return 2; }
-  int emit(std::uint8_t s) const override { return emits_[s]; }
-  std::uint8_t next(std::uint8_t s, std::uint32_t, std::uint64_t,
-                    std::uint64_t) const override {
+  int num_states() const { return static_cast<int>(emits_.size()); }
+  int num_channels() const { return 2; }
+  int emit(std::uint8_t s) const { return emits_[s]; }
+  std::uint8_t next(std::uint8_t s, std::uint32_t, std::uint64_t, std::uint64_t) const {
     return s;
   }
-  bool in_mis(std::uint8_t s) const override { return mis_[s]; }
+  bool quiescent(std::uint8_t, std::uint32_t) const { return false; }
+  bool orbit(std::uint8_t, std::uint32_t) const { return false; }
+  std::uint8_t orbit_state(std::uint8_t s, std::uint64_t, std::uint64_t) const { return s; }
+  bool in_mis(std::uint8_t s) const { return mis_[s]; }
 
  private:
   std::vector<int> emits_;
@@ -370,6 +411,30 @@ TEST(Automata, ThreeColorEncodingRoundTrips) {
       EXPECT_EQ(ThreeColorStoneAgeAutomaton::decode_level(s), level);
     }
   }
+}
+
+// Every (state, heard mask) pair the 3-color automaton declares quiescent
+// keeps its state under next() whatever the coin words. The pairs are the
+// levels 1..4 that hear level + 1 as their highest level, with a black
+// hearing no black, a white hearing one, or a gray at level 3 or 4; by
+// level, 448 + 3,584 + 57,344 + 458,752 = 520,128 pairs.
+TEST(Automata, ThreeColorQuiescentPairsAreFixedPoints) {
+  const ThreeColorStoneAgeAutomaton a;
+  const std::uint64_t words[] = {0, ~0ULL, 1ULL << 63, (1ULL << 57) - 1, 1ULL << 57,
+                                 0x0123456789abcdefULL};
+  std::int64_t pairs = 0;
+  for (int s = 0; s < a.num_states(); ++s) {
+    const auto state = static_cast<std::uint8_t>(s);
+    for (std::uint32_t mask = 0; mask < (1u << a.num_channels()); ++mask) {
+      if (!a.quiescent(state, mask)) continue;
+      ++pairs;
+      for (const std::uint64_t w_color : words)
+        for (const std::uint64_t w_aux : words)
+          ASSERT_EQ(a.next(state, mask, w_color, w_aux), state)
+              << "state " << s << " mask " << mask << " words " << w_color << ", " << w_aux;
+    }
+  }
+  EXPECT_EQ(pairs, 520128);
 }
 
 TEST(Automata, StateCountsMatchPaper) {

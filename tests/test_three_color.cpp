@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/init.hpp"
 #include "core/runner.hpp"
 #include "core/three_color.hpp"
@@ -134,6 +136,26 @@ TEST(ThreeColor, MatchesReferenceWithRandomizedSwitch) {
     ref_levels = testing::reference_clock_step(g, ref_levels, coins, t, 3);
     ASSERT_EQ(p.colors(), ref) << "colors diverged at round " << t;
     ASSERT_EQ(sw->clock().levels(), ref_levels) << "levels diverged at round " << t;
+  }
+}
+
+// The process keeps its own handle on the graph, its phase-clock switch
+// included: one built over a Graph that goes out of scope first steps
+// exactly like a twin built over a live one.
+TEST(ThreeColor, OutlivesTheGraphHandleItWasBuiltOver) {
+  const Graph g = gen::gnp(200, 0.03, 79);
+  const CoinOracle coins(83);
+  const auto init = make_init_g(g, InitPattern::kUniformRandom, coins);
+  auto twin = ThreeColorMIS::with_randomized_switch(g, init, coins);
+  std::optional<ThreeColorMIS> p;
+  {
+    const Graph scoped = g;
+    p.emplace(ThreeColorMIS::with_randomized_switch(scoped, init, coins));
+  }
+  for (int round = 1; round <= 200; ++round) {
+    p->step();
+    twin.step();
+    ASSERT_EQ(p->colors(), twin.colors()) << "round " << round;
   }
 }
 

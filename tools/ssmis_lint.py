@@ -5,8 +5,11 @@ The golden-fingerprint suites pin *runtime* behavior (bit-identical
 trajectories at any thread count, narrowing-safe id handling). This linter
 moves the same invariants to lint time, so a violation fails CI before it
 can corrupt a trajectory that only a fingerprint mismatch would catch.
-Three rules; their ids start at R2 because R1 went with the compressed graph
-storage it guarded:
+Two rules. Their ids start at R2 because R1 went with the compressed graph
+storage it guarded. R4 (rule-callback constness) went too: the C++20
+concepts that ProcessEngine, EngineProcess and the network rules check hold
+every rule callback and automaton member to const, and
+tests/compile_fail/bad_rule.cpp pins them.
 
   R2  nondeterminism-source
       Trajectory-affecting code may draw randomness only from the
@@ -27,18 +30,6 @@ storage it guarded:
       std::size_t, adj_len/payload_bytes/file_bytes/..., a CLI flag read by
       `get_int`) must go through the checked `ssmis::narrow_cast<T>`
       (src/support/narrow.hpp) instead.
-
-  R4  rule-callback-constness
-      A trajectory is a pure function of each vertex's (color, hearing) and
-      the counter-based coins only if the rule callbacks the engine invokes
-      (transition / scheduled / contribution / active / violating /
-      stable_black / in_mis / fast_forwardable / orbit_color) keep no
-      state. The
-      engine re-evaluates a vertex's predicates only when its color or what
-      it hears changed, so a callback that mutates the rule would make the
-      trajectory depend on how often the engine happens to call it. A
-      definition of one of these callbacks that is not a const member
-      function is flagged.
 
 Suppressions: append `// ssmis-lint: allow(R2) reason` (multiple ids:
 `allow(R2,R3)`) to the offending line, or place the comment alone on the
@@ -62,7 +53,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RULES = {
     "R2": "nondeterminism-source",
     "R3": "narrowing-cast",
-    "R4": "rule-callback-constness",
 }
 
 # R2: path prefixes where wall clocks / host probing are legitimate
@@ -98,28 +88,15 @@ R3_WIDE_MARKERS = re.compile(
 )
 R3_WIDE_TOKEN_SEQS = ((".", "size", "(", ")"), (".", "tellg", "(", ")"))
 
-# R4: rule callbacks the engine invokes — must be const members.
-R4_CONST_CALLBACKS = {
-    "transition",
-    "scheduled",
-    "contribution",
-    "active",
-    "violating",
-    "stable_black",
-    "in_mis",
-    "fast_forwardable",
-    "orbit_color",
-}
-
 SUPPRESS_RE = re.compile(
-    r"ssmis-lint:\s*allow\(\s*(R[2-4](?:\s*,\s*R[2-4])*)\s*\)\s*(.*)")
+    r"ssmis-lint:\s*allow\(\s*(R[23](?:\s*,\s*R[23])*)\s*\)\s*(.*)")
 
 
 @dataclass
 class Finding:
     path: str        # repo-relative (or as given) path
     line: int        # 1-based
-    rule: str        # "R2".."R4"
+    rule: str        # "R2" or "R3"
     message: str
     hint: str
     suppressed: bool = False
@@ -439,38 +416,6 @@ def check_r3(src: SourceFile, rel: str, out: list[Finding]) -> None:
             "release"))
 
 
-def check_r4(src: SourceFile, rel: str, out: list[Finding]) -> None:
-    toks = src.tokens
-    for name in sorted(R4_CONST_CALLBACKS):
-        for i, tok in enumerate(toks):
-            if tok.text != name:
-                continue
-            if i > 0 and toks[i - 1].text in (".", "->"):
-                continue  # call site
-            if i + 1 >= len(toks) or toks[i + 1].text != "(":
-                continue
-            close = src.match_paren(i + 1)
-            k = close + 1
-            quals = []
-            while k < len(toks) and toks[k].text in ("const", "noexcept",
-                                                     "override", "final"):
-                quals.append(toks[k].text)
-                k += 1
-            if k >= len(toks) or toks[k].text != "{":
-                continue  # declaration or call, not a definition body
-            # Free functions (no enclosing class) are out of scope; a cheap
-            # proxy: require the definition to look like a member (either
-            # qualified Foo::name or inside a class — we accept the FP risk
-            # and let the const check run on any definition of these names).
-            if "const" not in quals:
-                out.append(Finding(
-                    rel, tok.line, "R4",
-                    f"rule callback `{name}` is not a const member function",
-                    "declare the callback const; a rule that mutates itself "
-                    "makes the trajectory depend on how often the engine "
-                    "re-evaluates it"))
-
-
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -502,8 +447,6 @@ def lint_file(path: str, rules: set[str],
         check_r2(src, rel, findings)
     if "R3" in rules:
         check_r3(src, rel, findings)
-    if "R4" in rules:
-        check_r4(src, rel, findings)
     if honor_suppressions:
         for f in findings:
             for (rset, reason) in src.suppressions.get(f.line, []):
@@ -639,7 +582,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(
         prog="ssmis_lint.py",
         description="repo-specific determinism & invariant linter "
-                    "(rules R2-R4; see the module docstring)")
+                    "(rules R2-R3; see the module docstring)")
     ap.add_argument("paths", nargs="*",
                     help="files or directories to lint "
                          "(default: src/ bench/ examples/)")
