@@ -48,6 +48,20 @@ struct ExpContext {
   // experiment binaries. Copies share the underlying CSR storage.
   std::optional<Graph> graph_override;
 
+  // A default problem size times --scale, as a vertex count. A product
+  // that does not fit a Vertex is an operator error: one line naming
+  // --scale and exit 2, like a bad flag.
+  Vertex scaled(std::int64_t size) const {
+    const double n = static_cast<double>(size) * scale;
+    if (!(n <= static_cast<double>(std::numeric_limits<Vertex>::max()))) {
+      std::cerr << "error: --scale: expected a size times --scale in [0, "
+                << std::numeric_limits<Vertex>::max() << "], got " << size << " x "
+                << scale << "\n";
+      std::exit(2);
+    }
+    return static_cast<Vertex>(n);
+  }
+
   // Copies --threads into a measurement config (the experiment keeps
   // setting trials/seed itself — cells offset seeds).
   void apply_parallel(MeasureConfig& config) const { config.threads = threads; }
@@ -157,7 +171,7 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
       "trials", default_trials, 1, std::numeric_limits<int>::max()));
   ctx.seed = static_cast<std::uint64_t>(
       ctx.args.get_int("seed", 1, 0, std::numeric_limits<std::int64_t>::max()));
-  ctx.scale = ctx.args.get_double("scale", 1.0);
+  ctx.scale = ctx.args.get_double("scale", 1.0, 0.0, std::numeric_limits<double>::max());
   ctx.threads = parse_threads(ctx.args);
   ctx.protocol = default_protocol;
   ctx.proto_params = protocol_params_from_args(ctx.args);

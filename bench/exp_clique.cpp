@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     TextTable table({"n", "mean", "median", "p95", "max", "mean/log2(n)",
                      "p95/log2(n)", "p95/log2^2(n)"});
     for (Vertex n : sizes) {
-      const Graph g = ctx.cell_graph([&] { return gen::complete(static_cast<Vertex>(n * ctx.scale)); });
+      const Graph g = ctx.cell_graph([&] { return gen::complete(ctx.scaled(n)); });
       MeasureConfig config;
       ctx.apply(config);
       config.protocol = protocol;

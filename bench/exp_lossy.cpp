@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
       std::vector<std::uint8_t> boot(static_cast<std::size_t>(g.num_vertices()),
                                      TwoStateBeepAutomaton::kBlack);
       BeepingNetwork net(g, automaton, boot,
-                         CoinOracle(ctx.seed + 31 + static_cast<std::uint64_t>(trial)));
-      net.set_loss_probability(eps);
+                         CoinOracle(ctx.seed + 31 + static_cast<std::uint64_t>(trial)),
+                         {.loss_probability = eps});
       const std::int64_t window = 4000;
       std::int64_t first_mis = -1;
       std::int64_t in_mis_rounds = 0;

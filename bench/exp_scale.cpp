@@ -21,6 +21,7 @@
 // reload), --max-rounds, and the standard --seed. Every stage row names the
 // storage mode it actually ran against; an unsupported --graph-file format
 // version exits 2 with a one-line error.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -68,19 +69,14 @@ int main(int argc, char** argv) {
       {"n", "p", "avg-deg", "max-rounds", "save",
        "post-rounds"});  // load = timed stage below
 
-  constexpr Vertex kMaxVertices = std::numeric_limits<Vertex>::max();
   constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
-  const double scaled_n =
-      static_cast<double>(ctx.args.get_int("n", 2000000, 0, kMaxVertices)) * ctx.scale;
-  if (!(scaled_n >= 0 && scaled_n <= kMaxVertices)) {
-    std::cerr << "error: --n: expected --n times --scale in [0, " << kMaxVertices
-              << "], got " << scaled_n << "\n";
-    return 2;
-  }
-  const Vertex n = static_cast<Vertex>(scaled_n);
-  const double avg_deg = ctx.args.get_double("avg-deg", 8.0);
-  const double p =
-      ctx.args.get_double("p", n > 1 ? avg_deg / static_cast<double>(n - 1) : 0.0);
+  const Vertex n =
+      ctx.scaled(ctx.args.get_int("n", 2000000, 0, std::numeric_limits<Vertex>::max()));
+  // An average degree of n - 1 or more asks for the complete graph.
+  const double avg_deg =
+      ctx.args.get_double("avg-deg", 8.0, 0.0, std::numeric_limits<double>::max());
+  const double p = ctx.args.get_double(
+      "p", n > 1 ? std::min(avg_deg / static_cast<double>(n - 1), 1.0) : 0.0, 0.0, 1.0);
   const std::string save_path = ctx.args.get_string("save", "");
 
   TextTable table({"stage", "seconds", "edges/sec", "peak-rss-mb", "detail"});

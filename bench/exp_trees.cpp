@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
     TextTable table({"n", "arboricity<=", "mean", "p95", "p95/log2(n)"});
     for (Vertex n : {256, 1024, 4096, 16384}) {
       const Graph g = ctx.cell_graph([&] {
-        return family.make(static_cast<Vertex>(n * ctx.scale),
-                           ctx.seed + static_cast<std::uint64_t>(n));
+        return family.make(ctx.scaled(n), ctx.seed + static_cast<std::uint64_t>(n));
       });
       MeasureConfig config;
       config.trials = ctx.trials;

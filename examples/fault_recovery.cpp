@@ -24,10 +24,10 @@ int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
   const Vertex n = narrow_cast<Vertex>(
       args.get_int("n", 300, 0, std::numeric_limits<Vertex>::max()));
-  const double p = args.get_double("p", 0.03);
+  const double p = args.get_double("p", 0.03, 0.0, 1.0);
   const int bursts =
       narrow_cast<int>(args.get_int("bursts", 5, 0, std::numeric_limits<int>::max()));
-  const double fraction = args.get_double("fraction", 0.4);
+  const double fraction = args.get_double("fraction", 0.4, 0.0, 1.0);
   const std::uint64_t seed = static_cast<std::uint64_t>(
       args.get_int("seed", 5, 0, std::numeric_limits<std::int64_t>::max()));
 

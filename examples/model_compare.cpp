@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const std::string kind = args.get_string("graph", "gnp");
   const Vertex n = narrow_cast<Vertex>(
       args.get_int("n", 256, 0, std::numeric_limits<Vertex>::max()));
-  const double p = args.get_double("p", 0.05);
+  const double p = args.get_double("p", 0.05, 0.0, 1.0);
   const std::uint64_t seed = static_cast<std::uint64_t>(
       args.get_int("seed", 9, 0, std::numeric_limits<std::int64_t>::max()));
 

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
   const Vertex n = narrow_cast<Vertex>(
       args.get_int("n", 64, 0, std::numeric_limits<Vertex>::max()));
-  const double p = args.get_double("p", 0.1);
+  const double p = args.get_double("p", 0.1, 0.0, 1.0);
   const std::uint64_t seed = static_cast<std::uint64_t>(
       args.get_int("seed", 7, 0, std::numeric_limits<std::int64_t>::max()));
 

@@ -16,6 +16,7 @@
 //   ./sensor_network [--sensors=400] [--range=0.08] [--seed=3]
 #include <iostream>
 #include <limits>
+#include <numbers>
 
 #include "core/verify.hpp"
 #include "graph/algorithms.hpp"
@@ -31,7 +32,8 @@ int main(int argc, char** argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
   const Vertex sensors = narrow_cast<Vertex>(
       args.get_int("sensors", 400, 0, std::numeric_limits<Vertex>::max()));
-  const double range = args.get_double("range", 0.08);
+  // A range past the unit square's diagonal connects every pair.
+  const double range = args.get_double("range", 0.08, 0.0, std::numbers::sqrt2);
   const std::uint64_t seed = static_cast<std::uint64_t>(
       args.get_int("seed", 3, 0, std::numeric_limits<std::int64_t>::max()));
 

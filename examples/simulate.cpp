@@ -31,7 +31,6 @@
 #include "harness/experiment.hpp"
 #include "stats/histogram.hpp"
 #include "support/cli.hpp"
-#include "support/csv.hpp"
 #include "support/narrow.hpp"
 
 using namespace ssmis;
@@ -43,7 +42,7 @@ Graph make_graph(const CliArgs& args, std::uint64_t seed) {
   const std::string family = args.get_string("family", "gnp");
   const Vertex n = narrow_cast<Vertex>(
       args.get_int("n", 256, 0, std::numeric_limits<Vertex>::max()));
-  const double p = args.get_double("p", 0.05);
+  const double p = args.get_double("p", 0.05, 0.0, 1.0);
   const int d = narrow_cast<int>(args.get_int("d", 4, 0, std::numeric_limits<int>::max()));
   if (family == "gnp") return gen::gnp(n, p, seed);
   if (family == "gnm") {

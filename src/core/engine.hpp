@@ -19,8 +19,10 @@
 // maintained from then on.
 //
 // The engine is policy-based: `ProcessEngine<Rule>` owns colors, counters,
-// the worklist, and the aggregates; the Rule supplies only the paper's
-// transition table and predicates (see `ProcessRule` below). Five rules
+// the worklist, and the aggregates; the Rule, a value the engine only
+// reads, supplies the paper's transition table, its scheduling and
+// activity predicates and its MIS membership (see `ProcessRule` below);
+// the MIS bookkeeping is derived from the membership here, once. Five rules
 // cover every process: the 2-state rule (with its bias sources it also runs
 // the ablation, priority, daemon and matching workloads, and with its
 // coinless flip the sequential central-daemon baseline), 3-state, 3-color,
@@ -123,7 +125,8 @@ class Heard {
   std::uint32_t bits_ = 0;
 };
 
-// The policy interface. A rule is a value type describing one process:
+// The policy interface. A rule is a value type describing one process; the
+// engine holds it fixed for the whole run and only calls its const members:
 //
 //   using Color = ...;                 // uint8-backed enum or std::uint8_t
 //   int num_colors() const;            // histogram size (raw color values)
@@ -138,16 +141,18 @@ class Heard {
 //                                      // the next color; called only for
 //                                      // scheduled vertices, must be a pure
 //                                      // function of its arguments + coins
-//   bool active(Color c, Heard h) const;        // u ∈ A_t
-//   bool violating(Color c, Heard h) const;     // MIS violation
-//   bool stable_black(Color c, Heard h) const;  // u ∈ I_t
-//                                      // the paper's bookkeeping predicates;
-//                                      // every rule is an MIS process, so
-//                                      // every rule defines them
+//   bool active(Color c, Heard h) const;  // u ∈ A_t
+//   bool in_mis(Color c) const;        // c claims MIS membership (black)
+//   uint32_t mis_counters() const;     // bit j: counter j counts MIS
+//                                      // neighbors
 //
-// A rule may also provide `void end_round(int64_t t)` — a hook run once per
-// synchronous round after the colors were committed (the 3-color process
-// steps its logarithmic switch there).
+// Every rule is an MIS process, and the paper's bookkeeping is the same for
+// each, so the engine derives it: u hears an MIS neighbor when one of the
+// mis_counters() is positive; it violates the MIS when in_mis(c) equals
+// that bit (a black with a black neighbor, a non-black without one), and
+// it is a stable black (u ∈ I_t) when it is a member hearing none. The
+// constructor checks that the mask says what the rule means: a color
+// contributes to a masked counter exactly when it is in the MIS.
 //
 // ProcessRule is decomposed into one named concept per obligation so that a
 // rule missing a member fails ProcessEngine's static_assert cascade with
@@ -185,25 +190,26 @@ concept RuleHasTransition =
       { r.transition(u, c, h, t) } -> std::convertible_to<typename R::Color>;
     };
 
-// active/violating/stable_black(c, h) — the paper's bookkeeping predicates.
+// active(c, h) — u ∈ A_t, the paper's activity column.
 template <typename R>
-concept RuleHasMisPredicates =
+concept RuleHasActivity =
     RuleHasColor<R> && requires(const R r, typename R::Color c, Heard h) {
       { r.active(c, h) } -> std::convertible_to<bool>;
-      { r.violating(c, h) } -> std::convertible_to<bool>;
-      { r.stable_black(c, h) } -> std::convertible_to<bool>;
+    };
+
+// in_mis(c) and mis_counters() — the MIS membership the engine derives
+// the violations and I_t from.
+template <typename R>
+concept RuleHasMisMembership =
+    RuleHasColor<R> && requires(const R r, typename R::Color c) {
+      { r.in_mis(c) } -> std::convertible_to<bool>;
+      { r.mis_counters() } -> std::convertible_to<std::uint32_t>;
     };
 
 template <typename R>
 concept ProcessRule = RuleHasColor<R> && RuleHasShape<R> && RuleHasContribution<R> &&
                       RuleHasScheduling<R> && RuleHasTransition<R> &&
-                      RuleHasMisPredicates<R>;
-
-// Optional once-per-round hook, run after the colors were committed.
-template <typename R>
-concept RuleHasEndRoundHook = requires(R& r, std::int64_t t) {
-  r.end_round(t);
-};
+                      RuleHasActivity<R> && RuleHasMisMembership<R>;
 
 // Optional fast-forward extension for memoryless orbits
 // (docs/architecture.md, "Stable-periodic fast-forward"). A rule that
@@ -213,12 +219,12 @@ concept RuleHasEndRoundHook = requires(R& r, std::int64_t t) {
 // and round t's counter-based coins, whatever round it entered at. The
 // rule promises that along the orbit
 //
-//   * every engine predicate (scheduled, active, violating, stable_black)
-//     is constant, with the scheduled predicate TRUE (a quiescent vertex is
-//     already off the worklist for free), and so is the rule's MIS
-//     membership `in_mis(c)` where it has one (EngineProcess counts |B_t|
-//     from the raw histogram, which a parked orbit leaves at the color it
-//     parked with);
+//   * scheduled and active are constant, with scheduled TRUE (a quiescent
+//     vertex is already off the worklist for free), and so is the MIS
+//     membership `in_mis(c)`; with the hearing fixed, that keeps the
+//     derived violation and stable-black flags constant too, and lets
+//     EngineProcess count |B_t| from the raw histogram, which a parked
+//     orbit leaves at the color it parked with;
 //   * transition(u, c', h, t) == orbit_color(u, c, t) for every c' of the
 //     orbit: stepping the vertex and evaluating the orbit agree;
 //   * the only counter components of OTHER vertices that the orbit's color
@@ -284,10 +290,14 @@ class ProcessEngine {
                 "ProcessEngine<Rule>: Rule violates concept "
                 "ssmis::RuleHasTransition — it must provide const "
                 "transition(Vertex, Color, Heard, int64_t) -> Color");
-  static_assert(RuleHasMisPredicates<Rule>,
+  static_assert(RuleHasActivity<Rule>,
                 "ProcessEngine<Rule>: Rule violates concept "
-                "ssmis::RuleHasMisPredicates — it must provide const "
-                "active/violating/stable_black(Color, Heard) -> bool");
+                "ssmis::RuleHasActivity — it must provide const "
+                "active(Color, Heard) -> bool");
+  static_assert(RuleHasMisMembership<Rule>,
+                "ProcessEngine<Rule>: Rule violates concept "
+                "ssmis::RuleHasMisMembership — it must provide const "
+                "in_mis(Color) -> bool and mis_counters() -> uint32_t");
   static_assert(ProcessRule<Rule>,
                 "ProcessEngine<Rule>: Rule does not satisfy "
                 "ssmis::ProcessRule (see the failed sub-concept above)");
@@ -308,10 +318,12 @@ class ProcessEngine {
   // `init` must have size g.num_vertices() and only colors with raw value
   // below rule.num_colors(). Throws std::invalid_argument otherwise, on a
   // negative contribution (the zero-crossing test in patch_neighbors
-  // relies on counters that never go negative), and on a contribution
-  // whose sum over n - 1 neighbors would not fit a counter. The engine
-  // keeps its own handle on g: a Graph copy shares the storage, so g need
-  // not outlive it.
+  // relies on counters that never go negative), on a contribution whose
+  // sum over n - 1 neighbors would not fit a counter, and unless a color
+  // contributes to one of the rule's mis_counters() exactly when it is in
+  // the MIS (the premise of the derived bookkeeping). The engine keeps its
+  // own handle on g: a Graph copy shares the storage, so g need not
+  // outlive it.
   ProcessEngine(const Graph& g, std::vector<Color> init, Rule rule)
       : graph_(g), rule_(std::move(rule)), colors_(std::move(init)) {
     if (colors_.size() != static_cast<std::size_t>(g.num_vertices()))
@@ -320,23 +332,32 @@ class ProcessEngine {
     if (k_ < 0 || k_ > kMaxCounters)
       throw std::invalid_argument("ProcessEngine: rule needs 0..32 counters");
     num_colors_ = rule_.num_colors();
-    // rebuild() sums two counters per 64-bit word, which is exact while
+    const std::uint32_t mis_counters = rule_.mis_counters();
+    if (k_ < kMaxCounters && (mis_counters >> k_) != 0)
+      throw std::invalid_argument("ProcessEngine: an MIS counter the rule does not have");
+    // build() sums two counters per 64-bit word, which is exact while
     // every counter fits a Vertex: n - 1 neighbors of the largest
     // contribution must.
     const std::int64_t max_degree = std::max<std::int64_t>(g.num_vertices() - 1, 0);
     for (int c = 0; c < num_colors_; ++c) {
+      bool heard_as_mis = false;
       for (int j = 0; j < k_; ++j) {
         const Vertex d = rule_.contribution(static_cast<Color>(c), j);
         if (d < 0) throw std::invalid_argument("ProcessEngine: negative rule contribution");
         if (d * max_degree > std::numeric_limits<Vertex>::max())
           throw std::invalid_argument("ProcessEngine: rule contribution overflows a counter");
+        heard_as_mis |= d > 0 && ((mis_counters >> j) & 1u) != 0;
       }
+      if (heard_as_mis != static_cast<bool>(rule_.in_mis(static_cast<Color>(c))))
+        throw std::invalid_argument(
+            "ProcessEngine: a color must contribute to an MIS counter exactly when it "
+            "is in the MIS");
     }
     const std::size_t n = colors_.size();
     changed_ = std::make_unique_for_overwrite<Vertex[]>(n);
     changed_to_ = std::make_unique_for_overwrite<Color[]>(n);
     touched_ = std::make_unique_for_overwrite<Vertex[]>(n + 1);
-    rebuild();
+    build();
   }
 
   // --- stepping ------------------------------------------------------------
@@ -345,21 +366,19 @@ class ProcessEngine {
   // frozen end-of-round state; counters, worklist, and aggregates are
   // patched in O(|A_t| + sum deg(changed)). Advances round() by one.
   void step() {
-    const std::int64_t t = round_ + 1;
-    decide(worklist_.items(), t);
+    decide(worklist_.items(), round_ + 1);
     // round_ advances before apply so that any parked vertex materialized
     // during the commit lands on its orbit value for the round being
     // committed (colors_ always holds end-of-round_ state).
     ++round_;
     apply();
-    if constexpr (RuleHasEndRoundHook<Rule>) rule_.end_round(t);
   }
 
   // Daemon primitive: transitions exactly `chosen` (each must currently be
   // scheduled — std::logic_error otherwise), simultaneously against the
   // frozen state, drawing coins for logical time `t`. Does NOT advance
-  // round() and does NOT run the rule's end-of-round hook; the caller owns
-  // the schedule's notion of time. Duplicate entries are transitioned once.
+  // round(); the caller owns the schedule's notion of time. Duplicate
+  // entries are transitioned once.
   void apply_transitions(std::span<const Vertex> chosen, std::int64_t t) {
     chosen_unique_.assign(chosen.begin(), chosen.end());
     std::sort(chosen_unique_.begin(), chosen_unique_.end());
@@ -402,16 +421,6 @@ class ProcessEngine {
     changed_to_[0] = c;
     num_changed_ = 1;
     apply();
-  }
-
-  // Re-derives worklist membership and aggregates from the (unchanged)
-  // colors and counters. Call after mutating rule parameters that alter the
-  // scheduling predicate (e.g. the beeping network's loss probability).
-  // Fast-forwarded vertices are materialized first (a rule change may
-  // invalidate the orbit declaration they entered under).
-  void notify_rule_changed() {
-    sync_fast_forward();
-    rebuild();
   }
 
   // --- stable-periodic fast-forward ----------------------------------------
@@ -465,7 +474,6 @@ class ProcessEngine {
   [[nodiscard]] std::int64_t round() const { return round_; }
   [[nodiscard]] const Graph& graph() const { return graph_; }
   [[nodiscard]] const Rule& rule() const { return rule_; }
-  Rule& rule() { return rule_; }
 
   // Raw color values run over [0, num_colors()).
   [[nodiscard]] int num_colors() const { return num_colors_; }
@@ -742,12 +750,16 @@ class ProcessEngine {
   }
   Heard heard(Vertex u) const { return Heard::of(cnt_ptr(u), k_); }
 
-  // u's predicate flags (never kTouchedBit).
+  // u's predicate flags (never kTouchedBit): the rule's scheduled and
+  // active, and the MIS pair derived from its membership (see the policy
+  // interface above).
   std::uint8_t compute_flags(Color c, Heard h) const {
+    const bool mis = rule_.in_mis(c);
+    const bool hears_mis = (h.bits() & rule_.mis_counters()) != 0;
     unsigned f = static_cast<unsigned>(rule_.scheduled(c, h));
     f |= static_cast<unsigned>(rule_.active(c, h)) << 1;
-    f |= static_cast<unsigned>(rule_.violating(c, h)) << 2;
-    f |= static_cast<unsigned>(rule_.stable_black(c, h)) << 3;
+    f |= static_cast<unsigned>(mis == hears_mis) << 2;
+    f |= static_cast<unsigned>(mis && !hears_mis) << 3;
     return static_cast<std::uint8_t>(f);
   }
 
@@ -865,10 +877,10 @@ class ProcessEngine {
     num_unstable_ += unstable;
   }
 
-  // Full O(n + m) derivation of every piece of engine state from the colors
-  // (construction, and notify_rule_changed after a sync): histogram,
-  // counters, flags (the park bits included), worklist and aggregates,
-  // plus the coverage counts once a reader has built them.
+  // Full O(n + m) derivation of every piece of engine state from the
+  // initial colors, at construction: histogram, counters, flags (the park
+  // bits included), worklist and aggregates. Coverage waits for its first
+  // reader.
   //
   // Counters come from sequential adjacency sweeps pulling the neighbors'
   // contributions (Graph::neighbor_sums), two counters per sweep: counter
@@ -879,7 +891,7 @@ class ProcessEngine {
   // One pass over the vertices then sets the flags, aggregates and
   // histogram and parks the scheduled vertices that parks() accepts; the
   // worklist is assigned from the flags.
-  void rebuild() {
+  void build() {
     const Vertex n = graph_.num_vertices();
     const std::size_t k = static_cast<std::size_t>(k_);
     std::uint8_t max_color = 0;
@@ -910,8 +922,6 @@ class ProcessEngine {
     }
     hist_.assign(nc, 0);
     flags_.resize(static_cast<std::size_t>(n));
-    // Callers materialize first (notify_rule_changed) or start from exact
-    // colors (construction), so parks() sees every vertex's current color.
     Vertex active = 0, violations = 0, stable_black = 0, num_parked = 0;
     for (Vertex u = 0; u < n; ++u) {
       const std::size_t su = static_cast<std::size_t>(u);
@@ -932,7 +942,6 @@ class ProcessEngine {
     num_violations_ = violations;
     num_stable_black_ = stable_black;
     num_parked_ = num_parked;
-    if (coverage_built_) build_coverage();
     worklist_.assign(flags_, kScheduledBit | kParkBit, kScheduledBit);
   }
 

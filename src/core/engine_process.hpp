@@ -10,17 +10,15 @@
 //     random color;
 //   * the snapshot is (round, |B_t|, |A_t|, |I_t|, |V_t|, 0 grays).
 //
-// Beyond ProcessEngine's ProcessRule, the rule provides its MIS membership,
-// `bool in_mis(Color c) const` (RuleHasMisMembership) — black for the direct
-// processes, the automaton's MIS states for the networks — which black(u),
-// black_set() and num_black() all read. Each wrapper (TwoStateMIS,
+// black(u), black_set() and num_black() read the rule's MIS membership,
+// `in_mis(c)` (part of ProcessRule) — black for the direct processes, the
+// automaton's MIS states for the networks. Each wrapper (TwoStateMIS,
 // ThreeColorMIS, BeepingNetwork, ...) derives from EngineProcess and
-// overrides only what is its own: ThreeColorMIS's lazy switch, DaemonMIS's
+// overrides only what is its own: ThreeColorMIS's switch, DaemonMIS's
 // step and round, MaximalMatching's edge-state output and faults, the
 // networks' communication counts.
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -31,21 +29,8 @@
 
 namespace ssmis {
 
-// in_mis(c) — the rule's MIS membership. Only EngineProcess reads it, so it
-// stays off ProcessRule and engine-only rules need not define it.
-template <typename R>
-concept RuleHasMisMembership =
-    RuleHasColor<R> && requires(const R r, typename R::Color c) {
-      { r.in_mis(c) } -> std::convertible_to<bool>;
-    };
-
 template <typename Rule>
 class EngineProcess : public Process {
-  static_assert(RuleHasMisMembership<Rule>,
-                "EngineProcess<Rule>: Rule violates concept "
-                "ssmis::RuleHasMisMembership — it must provide const "
-                "in_mis(Color) -> bool");
-
  public:
   using Engine = ProcessEngine<Rule>;
   using Color = typename Rule::Color;

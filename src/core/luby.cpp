@@ -11,7 +11,7 @@ LubyMIS::LubyMIS(const Graph& g, const CoinOracle& coins)
               coins) {}
 
 LubyMIS::LubyMIS(const Graph& g, std::vector<LubyStatus> init, const CoinOracle& coins)
-    : graph_(&g), coins_(coins), status_(std::move(init)) {
+    : graph_(g), coins_(coins), status_(std::move(init)) {
   if (status_.size() != static_cast<std::size_t>(g.num_vertices()))
     throw std::invalid_argument("LubyMIS: init size != num_vertices");
   for (LubyStatus s : status_)
@@ -20,7 +20,7 @@ LubyMIS::LubyMIS(const Graph& g, std::vector<LubyStatus> init, const CoinOracle&
 
 void LubyMIS::step() {
   const std::int64_t t = ++round_;
-  const Vertex n = graph_->num_vertices();
+  const Vertex n = graph_.num_vertices();
   // Priorities are (uniform double, vertex id) pairs; the id breaks the
   // measure-zero ties deterministically.
   auto beats = [&](Vertex a, Vertex b) {
@@ -32,7 +32,7 @@ void LubyMIS::step() {
   for (Vertex u = 0; u < n; ++u) {
     if (status(u) != LubyStatus::kUndecided) continue;
     bool is_local_max = true;
-    graph_->for_each_neighbor(u, [&](Vertex v) {
+    graph_.for_each_neighbor(u, [&](Vertex v) {
       if (status(v) == LubyStatus::kUndecided && beats(v, u)) {
         is_local_max = false;
         return false;
@@ -44,7 +44,7 @@ void LubyMIS::step() {
   for (Vertex u : winners) {
     status_[static_cast<std::size_t>(u)] = LubyStatus::kInMis;
     --num_undecided_;
-    graph_->for_each_neighbor(u, [&](Vertex v) {
+    graph_.for_each_neighbor(u, [&](Vertex v) {
       if (status(v) == LubyStatus::kUndecided) {
         status_[static_cast<std::size_t>(v)] = LubyStatus::kOut;
         --num_undecided_;
@@ -55,7 +55,7 @@ void LubyMIS::step() {
 
 std::vector<Vertex> LubyMIS::mis_set() const {
   std::vector<Vertex> out;
-  for (Vertex u = 0; u < graph_->num_vertices(); ++u)
+  for (Vertex u = 0; u < graph_.num_vertices(); ++u)
     if (status(u) == LubyStatus::kInMis) out.push_back(u);
   return out;
 }
@@ -66,7 +66,7 @@ std::int64_t LubyMIS::run(std::int64_t max_rounds) {
 }
 
 void LubyMIS::corrupt_decision(Vertex u, LubyStatus s) {
-  if (u < 0 || u >= graph_->num_vertices())
+  if (u < 0 || u >= graph_.num_vertices())
     throw std::out_of_range("corrupt_decision: vertex out of range");
   auto& cur = status_[static_cast<std::size_t>(u)];
   if (cur == LubyStatus::kUndecided && s != LubyStatus::kUndecided) --num_undecided_;

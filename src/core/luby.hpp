@@ -24,7 +24,8 @@ enum class LubyStatus : std::uint8_t { kUndecided = 0, kInMis = 1, kOut = 2 };
 
 class LubyMIS {
  public:
-  // Clean start: all vertices undecided.
+  // Clean start: all vertices undecided. LubyMIS keeps its own handle on
+  // g: a Graph copy shares the storage, so g need not outlive it.
   LubyMIS(const Graph& g, const CoinOracle& coins);
 
   // Adversarial start for the self-stabilization failure demo.
@@ -46,7 +47,7 @@ class LubyMIS {
   void corrupt_decision(Vertex u, LubyStatus s);
 
  private:
-  const Graph* graph_;
+  Graph graph_;  // a handle: copies share the storage
   CoinOracle coins_;
   std::vector<LubyStatus> status_;
   std::int64_t round_ = 0;

@@ -9,32 +9,32 @@
 
 namespace ssmis {
 
-ThreeColorRule::ThreeColorRule(const CoinOracle& coins,
-                               std::unique_ptr<SwitchProcess> sw)
-    : coins_(coins), switch_(std::move(sw)) {
-  if (switch_ == nullptr)
-    throw std::invalid_argument("ThreeColorMIS: switch must not be null");
-  if (switch_->round() != 0)
+const SwitchProcess& ThreeColorMIS::fresh(const std::unique_ptr<SwitchProcess>& sw) {
+  if (sw == nullptr) throw std::invalid_argument("ThreeColorMIS: switch must not be null");
+  if (sw->round() != 0)
     throw std::invalid_argument("ThreeColorMIS: switch must start at round 0");
+  return *sw;
 }
 
 void ThreeColorMIS::step() {
-  if (fast_forward_) {
-    ThreeColorRule& r = engine_.rule();
-    const bool quiet = engine_.worklist().empty();
-    if (!quiet) r.synced_switch();
-    r.set_defer_switch(quiet);
-  }
+  const bool quiet = fast_forward_ && engine_.worklist().empty();
+  if (!quiet) switch_process();
   engine_.step();
+  if (quiet)
+    ++deferred_rounds_;
+  else
+    switch_->step();
 }
 
 void ThreeColorMIS::set_fast_forward(bool on) {
-  if (!on) {
-    ThreeColorRule& r = engine_.rule();
-    r.synced_switch();
-    r.set_defer_switch(false);
-  }
+  if (!on) switch_process();
   fast_forward_ = on;
+}
+
+SwitchProcess& ThreeColorMIS::switch_process() {
+  if (deferred_rounds_ > 0) switch_->advance(deferred_rounds_);
+  deferred_rounds_ = 0;
+  return *switch_;
 }
 
 bool ThreeColorMIS::inject_fault(Vertex u, std::uint64_t w) {

@@ -22,8 +22,8 @@
 // the scheduled set is the active set plus the gray vertices (a gray vertex
 // can turn white purely because its switch turns on, with no color change
 // anywhere near it, so it stays on the worklist until it leaves gray). The
-// switch advances in the rule's end-of-round hook, after the colors that
-// read sigma_{t-1} commit.
+// rule only reads the switch; ThreeColorMIS owns it and advances it after
+// each engine round, once the colors that read sigma_{t-1} have committed.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +43,10 @@ class ThreeColorRule {
  public:
   using Color = ColorG;
 
-  // The rule owns the switch, which must be freshly constructed (round 0)
-  // and built over the same graph. Throws std::invalid_argument on a null
-  // switch or one past round 0.
-  ThreeColorRule(const CoinOracle& coins, std::unique_ptr<SwitchProcess> sw);
+  // The rule reads sigma from `sw`, which its owner steps in lockstep with
+  // the rounds and keeps alive (ThreeColorMIS).
+  ThreeColorRule(const CoinOracle& coins, const SwitchProcess& sw)
+      : coins_(coins), switch_(&sw) {}
 
   int num_colors() const { return 3; }
   int num_counters() const { return 1; }  // counter 0: black neighbors
@@ -63,11 +63,9 @@ class ThreeColorRule {
   bool scheduled(ColorG c, Heard h) const {
     return c == ColorG::kGray || active(c, h);
   }
-  // MIS violation: every non-black vertex (white *or* gray) needs a black
-  // neighbor, and blacks must have none.
-  bool violating(ColorG c, Heard h) const { return is_black(c) == h.has(0); }
-  bool stable_black(ColorG c, Heard h) const { return is_black(c) && !h.has(0); }
+  // Gray counts as non-black: it needs a black neighbor like a white.
   bool in_mis(ColorG c) const { return is_black(c); }
+  std::uint32_t mis_counters() const { return 1; }
 
   ColorG transition(Vertex u, ColorG c, Heard h, std::int64_t t) const {
     if (c == ColorG::kBlack && h.has(0))
@@ -78,43 +76,20 @@ class ThreeColorRule {
     return switch_->on(u) ? ColorG::kWhite : ColorG::kGray;
   }
 
-  // The switch advances in lockstep, *after* its round-(t-1) value was read.
-  // Under deferral (the 3-color fast-forward path) the advancement is
-  // recorded instead of executed: only gray transitions read sigma, so
-  // while no gray vertex exists the O(n + m) clock round can be postponed
-  // and replayed — bit-identically, the clock being autonomous — right
-  // before the next round that could read it.
-  void end_round(std::int64_t) {
-    if (defer_switch_)
-      ++deferred_rounds_;
-    else
-      switch_->step();
-  }
-
-  // Lazy-switch controls, driven by ThreeColorMIS::step (which guarantees
-  // replay happens before any round with gray vertices decides).
-  void set_defer_switch(bool defer) { defer_switch_ = defer; }
-  // The switch at the current round: replays any deferred rounds first.
-  SwitchProcess& synced_switch() {
-    if (deferred_rounds_ > 0) switch_->advance(deferred_rounds_);
-    deferred_rounds_ = 0;
-    return *switch_;
-  }
-
  private:
   CoinOracle coins_;
-  std::unique_ptr<SwitchProcess> switch_;
-  bool defer_switch_ = false;
-  std::int64_t deferred_rounds_ = 0;
+  const SwitchProcess* switch_;
 };
 
 class ThreeColorMIS final : public EngineProcess<ThreeColorRule> {
  public:
-  // Takes ownership of the switch (see ThreeColorRule). Throws
-  // std::invalid_argument on size mismatch or a null/misaligned switch.
+  // Takes ownership of the switch, which must be freshly constructed (round
+  // 0) and built over the same graph. Throws std::invalid_argument on size
+  // mismatch or a null/misaligned switch.
   ThreeColorMIS(const Graph& g, std::vector<ColorG> init,
                 std::unique_ptr<SwitchProcess> sw, const CoinOracle& coins)
-      : EngineProcess(g, std::move(init), ThreeColorRule(coins, std::move(sw))) {}
+      : EngineProcess(g, std::move(init), ThreeColorRule(coins, fresh(sw))),
+        switch_(std::move(sw)) {}
 
   // Paper-default construction: randomized 6-state logarithmic switch with
   // zeta = 2^-7 and random initial levels.
@@ -125,10 +100,12 @@ class ThreeColorMIS final : public EngineProcess<ThreeColorRule> {
                          std::make_unique<RandomizedLogSwitch>(g, coins), coins);
   }
 
-  // One synchronous round. With fast-forward on (the default), the O(n + m)
+  // One synchronous round: the engine round, which reads sigma_{t-1}, then
+  // the switch round. With fast-forward on (the default), the O(n + m)
   // switch round is deferred while the worklist is empty — grays are always
   // scheduled, so an empty worklist means no vertex reads sigma — and
-  // replayed in a single batch before the next non-quiet round decides.
+  // replayed in a single batch, bit-identically (the switch is autonomous),
+  // before the next non-quiet round decides.
   // Gating on the worklist rather than the gray count alone keeps the
   // deferral from flapping pre-stabilization (sparse runs pass through
   // many zero-gray rounds whose actives re-spawn grays immediately, and a
@@ -154,12 +131,17 @@ class ThreeColorMIS final : public EngineProcess<ThreeColorRule> {
   // Exact-switch accessors: replay any deferred clock rounds first, so
   // external reads (and fault injections via force_level) always see — and
   // mutate — the logical round-aligned switch state.
-  SwitchProcess& switch_process() { return engine_.rule().synced_switch(); }
+  SwitchProcess& switch_process();
   const SwitchProcess& switch_process() const {
     return const_cast<ThreeColorMIS*>(this)->switch_process();
   }
 
  private:
+  // `sw` itself, once checked to be non-null and at round 0.
+  static const SwitchProcess& fresh(const std::unique_ptr<SwitchProcess>& sw);
+
+  std::unique_ptr<SwitchProcess> switch_;  // the rule reads it
+  std::int64_t deferred_rounds_ = 0;       // switch rounds not yet replayed
   bool fast_forward_ = true;
 };
 

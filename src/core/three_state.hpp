@@ -67,12 +67,8 @@ class ThreeStateRule {
   bool scheduled(Color3 c, Heard h) const {
     return !(c == Color3::kWhite && h.has(kBlackNbr));
   }
-  // Black-set violation: black with a black neighbor, or white without one.
-  bool violating(Color3 c, Heard h) const { return is_black(c) == h.has(kBlackNbr); }
-  bool stable_black(Color3 c, Heard h) const {
-    return is_black(c) && !h.has(kBlackNbr);
-  }
   bool in_mis(Color3 c) const { return is_black(c); }
+  std::uint32_t mis_counters() const { return 1u << kBlackNbr; }
 
   Color3 transition(Vertex u, Color3 c, Heard h, std::int64_t t) const {
     if (active(c, h))
@@ -85,12 +81,11 @@ class ThreeStateRule {
   // A stable black (black, no black neighbor) re-randomizes black1/black0
   // forever: its color at round t is fair_coin(t, u) alone — a memoryless
   // orbit whose output projection, "black", is constant. Along it every
-  // predicate above is constant (active/scheduled/stable_black true,
-  // violating false), and the only neighbor-counter component the orbit
-  // moves is kBlack1Nbr — which only black0 vertices hear, and no black
-  // vertex can be adjacent to a stable black. That is the
-  // output-projection contract.
-  bool fast_forwardable(Color3 c, Heard h) const { return stable_black(c, h); }
+  // predicate above is constant (active/scheduled true, in_mis true), and
+  // the only neighbor-counter component the orbit moves is kBlack1Nbr —
+  // which only black0 vertices hear, and no black vertex can be adjacent
+  // to a stable black. That is the output-projection contract.
+  bool fast_forwardable(Color3 c, Heard h) const { return is_black(c) && !h.has(kBlackNbr); }
   Color3 orbit_color(Vertex u, Color3 /*c*/, std::int64_t t) const {
     return coins_.fair_coin(t, u) ? Color3::kBlack1 : Color3::kBlack0;
   }

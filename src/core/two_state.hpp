@@ -74,9 +74,8 @@ class TwoStateRule {
   bool active(Color2 c, Heard h) const { return is_black(c) == h.has(0); }
   // For the 2-state rule, the scheduled, active, and violating sets coincide.
   bool scheduled(Color2 c, Heard h) const { return active(c, h); }
-  bool violating(Color2 c, Heard h) const { return active(c, h); }
-  bool stable_black(Color2 c, Heard h) const { return is_black(c) && !h.has(0); }
   bool in_mis(Color2 c) const { return is_black(c); }
+  std::uint32_t mis_counters() const { return 1; }
 
   // Called only for active vertices.
   Color2 transition(Vertex u, Color2 c, Heard, std::int64_t t) const {

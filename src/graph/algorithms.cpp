@@ -4,7 +4,6 @@
 #include <queue>
 #include <stdexcept>
 
-#include "graph/builder.hpp"
 #include "support/narrow.hpp"
 
 namespace ssmis {
@@ -227,96 +226,6 @@ std::int64_t triangle_count(const Graph& g) {
     }
   }
   return triangles;
-}
-
-InducedSubgraph induced_subgraph(const Graph& g, const std::vector<Vertex>& keep) {
-  std::vector<Vertex> old_to_new(static_cast<std::size_t>(g.num_vertices()), -1);
-  for (std::size_t i = 0; i < keep.size(); ++i) {
-    const Vertex u = keep[i];
-    if (u < 0 || u >= g.num_vertices())
-      throw std::out_of_range("induced_subgraph: vertex out of range");
-    if (old_to_new[static_cast<std::size_t>(u)] >= 0)
-      throw std::invalid_argument("induced_subgraph: duplicate vertex in keep");
-    old_to_new[static_cast<std::size_t>(u)] = static_cast<Vertex>(i);
-  }
-  GraphBuilder b(narrow_cast<Vertex>(keep.size()));
-  for (Vertex u : keep) {
-    g.for_each_neighbor(u, [&](Vertex v) {
-      const Vertex nv = old_to_new[static_cast<std::size_t>(v)];
-      const Vertex nu = old_to_new[static_cast<std::size_t>(u)];
-      if (nv >= 0 && nu < nv) b.add_edge(nu, nv);
-    });
-  }
-  InducedSubgraph result{b.build(), keep};
-  return result;
-}
-
-Graph complement(const Graph& g) {
-  const Vertex n = g.num_vertices();
-  if (n > 4096) throw std::invalid_argument("complement: n too large (O(n^2) result)");
-  GraphBuilder b(n);
-  for (Vertex u = 0; u < n; ++u) {
-    auto nbrs = g.neighbors(u);
-    std::size_t i = 0;
-    for (Vertex v = u + 1; v < n; ++v) {
-      while (i < nbrs.size() && nbrs[i] < v) ++i;
-      if (i < nbrs.size() && nbrs[i] == v) continue;
-      b.add_edge(u, v);
-    }
-  }
-  return b.build();
-}
-
-std::optional<std::vector<char>> bipartition(const Graph& g) {
-  const Vertex n = g.num_vertices();
-  std::vector<char> color(static_cast<std::size_t>(n), -1);
-  std::vector<Vertex> queue;
-  for (Vertex s = 0; s < n; ++s) {
-    if (color[static_cast<std::size_t>(s)] >= 0) continue;
-    color[static_cast<std::size_t>(s)] = 0;
-    queue.assign(1, s);
-    while (!queue.empty()) {
-      const Vertex u = queue.back();
-      queue.pop_back();
-      bool odd_cycle = false;
-      g.for_each_neighbor(u, [&](Vertex v) {
-        if (color[static_cast<std::size_t>(v)] < 0) {
-          color[static_cast<std::size_t>(v)] =
-              static_cast<char>(1 - color[static_cast<std::size_t>(u)]);
-          queue.push_back(v);
-        } else if (color[static_cast<std::size_t>(v)] ==
-                   color[static_cast<std::size_t>(u)]) {
-          odd_cycle = true;
-          return false;
-        }
-        return true;
-      });
-      if (odd_cycle) return std::nullopt;
-    }
-  }
-  return color;
-}
-
-bool is_bipartite(const Graph& g) { return bipartition(g).has_value(); }
-
-std::vector<Vertex> core_numbers(const Graph& g) {
-  // Reuse the degeneracy peeling order: the core number of a vertex is the
-  // maximum min-degree seen up to (and including) its removal.
-  const auto result = degeneracy(g);
-  std::vector<Vertex> core(static_cast<std::size_t>(g.num_vertices()), 0);
-  // Recompute peel degrees along the order.
-  std::vector<Vertex> deg = g.degrees();
-  std::vector<char> removed(static_cast<std::size_t>(g.num_vertices()), 0);
-  Vertex running_max = 0;
-  for (Vertex u : result.order) {
-    running_max = std::max(running_max, deg[static_cast<std::size_t>(u)]);
-    core[static_cast<std::size_t>(u)] = running_max;
-    removed[static_cast<std::size_t>(u)] = 1;
-    g.for_each_neighbor(u, [&](Vertex v) {
-      if (!removed[static_cast<std::size_t>(v)]) --deg[static_cast<std::size_t>(v)];
-    });
-  }
-  return core;
 }
 
 namespace {

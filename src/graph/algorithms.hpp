@@ -60,25 +60,6 @@ Vertex max_common_neighbors(const Graph& g);
 // Number of triangles (for generator sanity tests).
 std::int64_t triangle_count(const Graph& g);
 
-// Induced subgraph on `keep` (vertices are relabeled 0..|keep|-1 in the
-// order given); also returns the mapping new->old.
-struct InducedSubgraph {
-  Graph graph;
-  std::vector<Vertex> to_original;
-};
-InducedSubgraph induced_subgraph(const Graph& g, const std::vector<Vertex>& keep);
-
-// Complement graph (O(n^2) memory; guarded to n <= 4096).
-Graph complement(const Graph& g);
-
-// Two-colorability via BFS; returns the coloring if bipartite.
-std::optional<std::vector<char>> bipartition(const Graph& g);
-bool is_bipartite(const Graph& g);
-
-// Core number per vertex (largest k such that the vertex survives in the
-// k-core); max entry equals the degeneracy.
-std::vector<Vertex> core_numbers(const Graph& g);
-
 // Exact maximum independent set by branch-and-bound with max-degree
 // pivoting. Exponential worst case; intended for n <= ~40 (the MIS-quality
 // experiment and tests). Throws std::invalid_argument above `max_n`.

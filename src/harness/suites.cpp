@@ -28,19 +28,6 @@ std::vector<NamedGraph> small_suite(std::uint64_t seed) {
   return suite;
 }
 
-std::vector<NamedGraph> medium_suite(std::uint64_t seed) {
-  std::vector<NamedGraph> suite;
-  suite.push_back({"K256", gen::complete(256)});
-  suite.push_back({"tree2048", gen::random_tree(2048, seed)});
-  suite.push_back({"grid45x45", gen::grid(45, 45)});
-  suite.push_back({"gnp1024-p0.01", gen::gnp(1024, 0.01, seed + 1)});
-  suite.push_back({"gnp1024-p0.1", gen::gnp(1024, 0.1, seed + 2)});
-  suite.push_back({"cliques32x32", gen::disjoint_cliques(32, 32)});
-  suite.push_back({"regular8-2048", gen::random_regular(2048, 8, seed + 3)});
-  suite.push_back({"geometric2048", gen::random_geometric(2048, 0.04, seed + 4)});
-  return suite;
-}
-
 std::vector<NamedGraph> corner_suite() {
   std::vector<NamedGraph> suite;
   suite.push_back({"empty", Graph::from_edges(0, {})});

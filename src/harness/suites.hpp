@@ -19,9 +19,6 @@ struct NamedGraph {
 // mentions. Deterministic given `seed`.
 std::vector<NamedGraph> small_suite(std::uint64_t seed);
 
-// Medium graphs for baseline tables (n in the hundreds to low thousands).
-std::vector<NamedGraph> medium_suite(std::uint64_t seed);
-
 // Corner cases: empty, singleton, isolated vertices, K_2, disconnected.
 std::vector<NamedGraph> corner_suite();
 

@@ -62,28 +62,41 @@ concept BeepingAutomaton = requires(const A a, std::uint8_t s, bool heard, std::
   { a.in_mis(s) } -> std::convertible_to<bool>;
 };
 
+// What a node's radio receives, fixed for the run.
+//
+// With `sender_collision_detection` (the paper's full-duplex assumption), a
+// beeping node also receives the carrier-sense bit; without it, a beeping
+// node learns nothing. The 2-state MIS algorithm provably needs the former
+// — two adjacent black nodes could otherwise never detect their conflict
+// (see the NoCollisionDetection tests for the stuck execution).
+//
+// `loss_probability` is a lossy-channel robustness knob: each round, each
+// receiver's carrier-sense bit is independently suppressed (heard ->
+// silence) with this probability — modeling fading/interference misses.
+// The MIS processes tolerate this: losses can re-activate settled
+// vertices, but self-stabilization pulls the system back (see exp_lossy).
+struct BeepChannel {
+  bool sender_collision_detection = true;
+  double loss_probability = 0.0;
+};
+
 // Engine policy owning a BeepingAutomaton: one counter (beeping neighbors),
-// carrier-sense/loss resolution in the transition. The MIS bookkeeping
-// compares the automaton's in_mis with counter 0, i.e. with what a node
+// carrier-sense/loss resolution in the transition. Counter 0 is the MIS
+// counter, so the engine compares the automaton's in_mis with what a node
 // hears before loss and sender collision detection: violations count the
-// true configuration, not the node's possibly wrong view of it.
+// true configuration, not the node's possibly wrong view of it. The engine
+// rejects an automaton that does not beep in exactly its MIS states.
 template <BeepingAutomaton A>
 class BeepingRule {
  public:
   using Color = std::uint8_t;
 
-  // Throws std::invalid_argument unless the automaton beeps in exactly its
-  // MIS states — the premise that lets counter 0 count MIS neighbors.
-  BeepingRule(A automaton, const CoinOracle& coins, bool sender_collision_detection)
-      : automaton_(std::move(automaton)),
-        coins_(coins),
-        sender_cd_(sender_collision_detection) {
-    for (int s = 0; s < automaton_.num_states(); ++s) {
-      const auto state = static_cast<std::uint8_t>(s);
-      if (in_mis(state) != beeps(state))
-        throw std::invalid_argument(
-            "BeepingNetwork: the automaton must beep in exactly its MIS states");
-    }
+  // Throws std::invalid_argument unless the loss probability is in [0, 1)
+  // (NaN included).
+  BeepingRule(A automaton, const CoinOracle& coins, BeepChannel channel)
+      : automaton_(std::move(automaton)), coins_(coins), channel_(channel) {
+    if (!(channel_.loss_probability >= 0.0 && channel_.loss_probability < 1.0))
+      throw std::invalid_argument("BeepingNetwork: need a loss probability in [0, 1)");
   }
 
   int num_colors() const { return automaton_.num_states(); }
@@ -95,13 +108,13 @@ class BeepingRule {
   bool scheduled(std::uint8_t s, Heard h) const {
     const bool heard = effective_heard(s, h);
     if (!automaton_.quiescent(s, heard)) return true;
-    return heard && loss_probability_ > 0.0 && !automaton_.quiescent(s, false);
+    return heard && channel_.loss_probability > 0.0 && !automaton_.quiescent(s, false);
   }
 
   std::uint8_t transition(Vertex u, std::uint8_t s, Heard h, std::int64_t t) const {
     bool heard = effective_heard(s, h);
-    if (heard && loss_probability_ > 0.0 &&
-        coins_.bernoulli(t, u, CoinTag::kNoise, loss_probability_)) {
+    if (heard && channel_.loss_probability > 0.0 &&
+        coins_.bernoulli(t, u, CoinTag::kNoise, channel_.loss_probability)) {
       heard = false;  // the carrier-sense bit was lost this round
     }
     return automaton_.next(s, heard, coins_.word(t, u, CoinTag::kMisColor));
@@ -109,27 +122,23 @@ class BeepingRule {
 
   // The activity column is the schedule: the nodes that act next round.
   bool active(std::uint8_t s, Heard h) const { return scheduled(s, h); }
-  bool violating(std::uint8_t s, Heard h) const { return in_mis(s) == h.has(0); }
-  bool stable_black(std::uint8_t s, Heard h) const { return in_mis(s) && !h.has(0); }
-
   bool in_mis(std::uint8_t s) const { return automaton_.in_mis(s); }
-  bool sender_collision_detection() const { return sender_cd_; }
-  double loss_probability() const { return loss_probability_; }
-  void set_loss_probability(double p) { loss_probability_ = p; }
+  std::uint32_t mis_counters() const { return 1; }
+
+  const BeepChannel& channel() const { return channel_; }
 
  private:
   bool beeps(std::uint8_t s) const { return automaton_.emit(s) == BeepAction::kBeep; }
   bool effective_heard(std::uint8_t s, Heard h) const {
     // Without sender collision detection, a beeping node's radio is busy
     // transmitting: it receives nothing this round.
-    if (!sender_cd_ && beeps(s)) return false;
+    if (!channel_.sender_collision_detection && beeps(s)) return false;
     return h.has(0);
   }
 
   A automaton_;
   CoinOracle coins_;
-  bool sender_cd_;
-  double loss_probability_ = 0.0;
+  BeepChannel channel_;
 };
 
 // The network as a Process: an EngineProcess whose colors are the
@@ -141,20 +150,14 @@ template <BeepingAutomaton A>
 class BeepingNetwork final : public EngineProcess<BeepingRule<A>> {
  public:
   // Throws std::invalid_argument on init size mismatch, states outside
-  // [0, num_states), or an automaton that does not beep in exactly its MIS
-  // states.
-  //
-  // `sender_collision_detection` selects the model variant: with it (the
-  // paper's full-duplex assumption), a beeping node also receives the
-  // carrier-sense bit; without it, a beeping node learns nothing. The
-  // 2-state MIS algorithm provably needs the former — two adjacent black
-  // nodes could otherwise never detect their conflict (see the
-  // NoCollisionDetection tests for the stuck execution).
+  // [0, num_states), an automaton that does not beep in exactly its MIS
+  // states, or a loss probability outside [0, 1). `channel` selects the
+  // model variant (BeepChannel); the default is the paper's, lossless with
+  // sender collision detection.
   BeepingNetwork(const Graph& g, A automaton, std::vector<std::uint8_t> init,
-                 const CoinOracle& coins, bool sender_collision_detection = true)
+                 const CoinOracle& coins, BeepChannel channel = {})
       : EngineProcess<BeepingRule<A>>(
-            g, std::move(init),
-            BeepingRule<A>(std::move(automaton), coins, sender_collision_detection)) {}
+            g, std::move(init), BeepingRule<A>(std::move(automaton), coins, channel)) {}
 
   // One round, counting the beeps sent in it: broadcast accounting against
   // the frozen states, where exactly the MIS states beep, so the beeping
@@ -170,23 +173,7 @@ class BeepingNetwork final : public EngineProcess<BeepingRule<A>> {
   std::int64_t total_beeps() const { return total_beeps_; }
   Vertex beeps_last_round() const { return beeps_last_round_; }
 
-  // Lossy-channel robustness knob: each round, each receiver's carrier-sense
-  // bit is independently suppressed (heard -> silence) with this probability
-  // — modeling fading/interference misses. The MIS processes tolerate this:
-  // losses can re-activate settled vertices, but self-stabilization pulls
-  // the system back (see exp_lossy). Throws std::invalid_argument unless
-  // p is in [0, 1) (NaN included). Changing p re-derives the schedule in
-  // O(n + m); setting the current value again costs nothing.
-  void set_loss_probability(double p) {
-    if (!(p >= 0.0 && p < 1.0))  // NaN fails both comparisons
-      throw std::invalid_argument("set_loss_probability: need p in [0, 1)");
-    if (p == loss_probability()) return;
-    this->engine_.rule().set_loss_probability(p);
-    // The loss probability is part of the scheduling predicate (a lossy
-    // carrier-sense bit can wake otherwise-quiescent states).
-    this->engine_.notify_rule_changed();
-  }
-  double loss_probability() const { return this->engine_.rule().loss_probability(); }
+  double loss_probability() const { return this->engine_.rule().channel().loss_probability; }
 
  private:
   std::int64_t total_beeps_ = 0;

@@ -30,14 +30,12 @@ const ProtocolRegistrar kBeepingProtocol{
       std::vector<std::uint8_t> init(c2.size());
       for (std::size_t i = 0; i < c2.size(); ++i)
         init[i] = TwoStateBeepAutomaton::encode(c2[i]);
-      auto p = std::make_unique<BeepingNetwork<TwoStateBeepAutomaton>>(
+      // The rule validates the loss probability, so a bad --proto-loss
+      // (negative, NaN, >= 1) aborts instead of silently running lossless.
+      return std::make_unique<BeepingNetwork<TwoStateBeepAutomaton>>(
           g, TwoStateBeepAutomaton{}, std::move(init), coins,
-          params.get_bool("sender-cd", true));
-      // Unconditional: set_loss_probability validates the range, so a bad
-      // --proto-loss (negative, NaN, >= 1) aborts instead of silently
-      // running lossless.
-      p->set_loss_probability(params.get_double("loss", 0.0));
-      return p;
+          BeepChannel{.sender_collision_detection = params.get_bool("sender-cd", true),
+                      .loss_probability = params.get_double("loss", 0.0)});
     }};
 
 const ProtocolRegistrar kStoneAgeProtocol{

@@ -79,36 +79,29 @@ concept StoneAgeAutomaton =
 
 // Engine policy owning a StoneAgeAutomaton: counter j counts the neighbors
 // currently beeping on channel j, and the automaton's heard mask is
-// Heard::bits(). The MIS bookkeeping compares the automaton's in_mis with
-// whether the node hears an MIS channel — one that MIS states beep on.
+// Heard::bits(). The MIS counters are the MIS channels, the ones MIS states
+// beep on, so the engine compares the automaton's in_mis with whether the
+// node hears an MIS channel; it rejects an automaton with a silent MIS
+// state or a non-MIS state on an MIS channel.
 template <StoneAgeAutomaton A>
 class StoneAgeRule {
  public:
   using Color = std::uint8_t;
 
   // Throws std::invalid_argument if the automaton declares more than 32
-  // channels, or unless MIS membership is exactly what neighbors hear:
-  // every MIS state beeps, and no other state beeps on an MIS channel.
-  // Throws std::logic_error if a state emits a channel outside
+  // channels, and std::logic_error if a state emits a channel outside
   // [-1, num_channels).
   StoneAgeRule(A automaton, const CoinOracle& coins)
       : automaton_(std::move(automaton)), coins_(coins) {
     if (automaton_.num_channels() > 32)
       throw std::invalid_argument("StoneAgeNetwork: more than 32 channels");
-    std::uint32_t other_channels = 0;
     for (int s = 0; s < automaton_.num_states(); ++s) {
       const auto state = static_cast<std::uint8_t>(s);
       const int c = automaton_.emit(state);
       if (c >= automaton_.num_channels() || c < -1)
         throw std::logic_error("StoneAgeNetwork: automaton emitted bad channel");
-      if (in_mis(state) && c < 0)
-        throw std::invalid_argument("StoneAgeNetwork: an MIS state must beep");
-      const std::uint32_t bit = c < 0 ? 0 : 1u << c;
-      (in_mis(state) ? mis_channels_ : other_channels) |= bit;
+      if (in_mis(state) && c >= 0) mis_channels_ |= 1u << c;
     }
-    if ((mis_channels_ & other_channels) != 0)
-      throw std::invalid_argument(
-          "StoneAgeNetwork: a non-MIS state beeps on an MIS channel");
   }
 
   int num_colors() const { return automaton_.num_states(); }
@@ -124,8 +117,8 @@ class StoneAgeRule {
 
   // The activity column is the schedule: the nodes that act next round.
   bool active(std::uint8_t s, Heard h) const { return scheduled(s, h); }
-  bool violating(std::uint8_t s, Heard h) const { return in_mis(s) == hears_mis(h); }
-  bool stable_black(std::uint8_t s, Heard h) const { return in_mis(s) && !hears_mis(h); }
+  bool in_mis(std::uint8_t s) const { return automaton_.in_mis(s); }
+  std::uint32_t mis_counters() const { return mis_channels_; }
 
   // Stable-periodic fast-forward (engine.hpp): forwards the automaton's
   // orbit declaration, drawing the same coin words transition() would, so
@@ -136,12 +129,9 @@ class StoneAgeRule {
                                   coins_.word(t, u, CoinTag::kSwitchBit));
   }
 
-  bool in_mis(std::uint8_t s) const { return automaton_.in_mis(s); }
   const A& automaton() const { return automaton_; }
 
  private:
-  bool hears_mis(Heard h) const { return (h.bits() & mis_channels_) != 0; }
-
   A automaton_;
   CoinOracle coins_;
   std::uint32_t mis_channels_ = 0;  // bit j: MIS states beep on channel j
@@ -158,7 +148,7 @@ class StoneAgeNetwork final : public EngineProcess<StoneAgeRule<A>> {
  public:
   // Throws std::invalid_argument on init size/state range violations and
   // std::invalid_argument / std::logic_error on an automaton StoneAgeRule
-  // rejects.
+  // or the engine rejects.
   StoneAgeNetwork(const Graph& g, A automaton, std::vector<std::uint8_t> init,
                   const CoinOracle& coins)
       : EngineProcess<StoneAgeRule<A>>(g, std::move(init),

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "rng/xoshiro256.hpp"
-
 namespace ssmis {
 
 void StreamingStats::add(double x) {
@@ -57,28 +55,6 @@ Summary summarize(std::vector<double> values) {
   s.p95 = quantile(values, 0.95);
   s.p99 = quantile(values, 0.99);
   return s;
-}
-
-BootstrapCi bootstrap_mean_ci(const std::vector<double>& values, double confidence,
-                              int resamples, std::uint64_t seed) {
-  if (values.empty()) throw std::invalid_argument("bootstrap: empty input");
-  if (confidence <= 0.0 || confidence >= 1.0)
-    throw std::invalid_argument("bootstrap: confidence outside (0,1)");
-  if (resamples < 2) throw std::invalid_argument("bootstrap: need >= 2 resamples");
-  Xoshiro256 rng(seed);
-  std::vector<double> means;
-  means.reserve(static_cast<std::size_t>(resamples));
-  for (int r = 0; r < resamples; ++r) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < values.size(); ++i)
-      sum += values[rng.next_below(values.size())];
-    means.push_back(sum / static_cast<double>(values.size()));
-  }
-  const double alpha = 1.0 - confidence;
-  BootstrapCi ci;
-  ci.low = quantile(means, alpha / 2.0);
-  ci.high = quantile(means, 1.0 - alpha / 2.0);
-  return ci;
 }
 
 }  // namespace ssmis

@@ -46,12 +46,4 @@ Summary summarize(std::vector<double> values);
 // std::invalid_argument for empty input or q outside [0, 1].
 double quantile(std::vector<double> values, double q);
 
-// Basic nonparametric bootstrap CI for the mean (percentile method).
-struct BootstrapCi {
-  double low = 0.0;
-  double high = 0.0;
-};
-BootstrapCi bootstrap_mean_ci(const std::vector<double>& values, double confidence,
-                              int resamples, std::uint64_t seed);
-
 }  // namespace ssmis

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <sstream>
 
 #include "support/narrow.hpp"
 #include "support/thread_pool.hpp"
@@ -65,13 +66,20 @@ std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback,
   return value;
 }
 
-double CliArgs::get_double(const std::string& name, double fallback) const {
-  auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  const std::string& s = it->second;
-  char* end = nullptr;
-  double value = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') bad_value(name, "number", s);
+double CliArgs::get_double(const std::string& name, double fallback, double lo,
+                           double hi) const {
+  const std::string s = get_string(name, "");
+  double value = fallback;
+  if (has(name)) {
+    char* end = nullptr;
+    value = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || *end != '\0') bad_value(name, "number", s);
+  }
+  if (!(value >= lo && value <= hi)) {  // NaN fails both comparisons
+    std::ostringstream range;
+    range << "number in [" << lo << ", " << hi << "]";
+    bad_value(name, range.str(), s);
+  }
   return value;
 }
 

@@ -25,12 +25,12 @@ class CliArgs {
 
   // Typed accessors; return `fallback` when the option is absent. A value
   // that does not parse prints `error: --NAME: expected ..., got '...'` to
-  // stderr and exits with status 2, like an unknown flag. Integers are
-  // restricted to [lo, hi]: an out-of-range value exits like a malformed
-  // one, naming the range.
+  // stderr and exits with status 2, like an unknown flag. Numbers are
+  // restricted to [lo, hi]: an out-of-range value (NaN is in no range)
+  // exits like a malformed one, naming the range.
   std::int64_t get_int(const std::string& name, std::int64_t fallback,
                        std::int64_t lo, std::int64_t hi) const;
-  double get_double(const std::string& name, double fallback) const;
+  double get_double(const std::string& name, double fallback, double lo, double hi) const;
   std::string get_string(const std::string& name, const std::string& fallback) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
 

@@ -4,20 +4,19 @@
 //
 //   * a rule missing `transition`                  -> RuleHasTransition
 //   * a rule whose `scheduled` is not const         -> RuleHasScheduling
-//   * a rule whose `in_mis` is not const, used
-//     through EngineProcess                         -> RuleHasMisMembership
+//   * a rule whose `in_mis` is not const            -> RuleHasMisMembership
 //   * a rule whose `fast_forwardable` is not const  -> FastForwardRule
 //   * a stone-age automaton missing `orbit_state`   -> StoneAgeAutomaton
 //
-// A rule callback that mutates the rule would make a trajectory depend on
-// how often the engine calls it, so constness is part of each concept.
+// The engine holds its rule fixed: a rule callback that mutated the rule
+// would make a trajectory depend on how often the engine calls it, so
+// constness is part of each concept.
 // Driven by check_compile_fail.py, registered in CTest as
 // compile_fail_bad_rule; this file is never built into any target.
 #include <cstdint>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/engine_process.hpp"
 #include "models/stone_age.hpp"
 
 namespace {
@@ -34,8 +33,8 @@ struct Valid {
   bool scheduled(Color, Heard) const { return false; }
   Color transition(Vertex, Color c, Heard, std::int64_t) const { return c; }
   bool active(Color, Heard) const { return false; }
-  bool violating(Color, Heard) const { return false; }
-  bool stable_black(Color, Heard) const { return false; }
+  bool in_mis(Color) const { return false; }
+  std::uint32_t mis_counters() const { return 0; }
 };
 
 struct NoTransition {
@@ -46,8 +45,8 @@ struct NoTransition {
   bool scheduled(Color, Heard) const { return false; }
   // transition(u, c, h, t) deliberately missing.
   bool active(Color, Heard) const { return false; }
-  bool violating(Color, Heard) const { return false; }
-  bool stable_black(Color, Heard) const { return false; }
+  bool in_mis(Color) const { return false; }
+  std::uint32_t mis_counters() const { return 0; }
 };
 
 struct MutableSchedule : Valid {
@@ -91,8 +90,7 @@ void step(const ssmis::Graph& g) {
 void instantiate(const ssmis::Graph& g) {
   step<NoTransition>(g);
   step<MutableSchedule>(g);
+  step<MutableMembership>(g);
   step<MutableOrbit>(g);
-  ssmis::EngineProcess<MutableMembership> process(g, {}, MutableMembership{});
-  process.step();
   ssmis::StoneAgeRule<NoOrbitState> rule(NoOrbitState{}, ssmis::CoinOracle(1));
 }

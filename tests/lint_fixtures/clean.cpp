@@ -45,6 +45,6 @@ struct GoodRule {
   }
   bool scheduled(Color c, Heard h) const { return (c == 1) == h.has(0); }
   bool active(Color c, Heard h) const { return (c == 1) == h.has(0); }
-  bool stable_black(Color c, Heard h) const { return c == 1 && !h.has(0); }
+  bool in_mis(Color c) const { return c == 1; }
   int contribution(Color c, int j) const { return c == j ? 1 : 0; }
 };

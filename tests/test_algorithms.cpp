@@ -144,24 +144,5 @@ TEST(Triangles, KnownCounts) {
   EXPECT_EQ(triangle_count(gen::complete_bipartite(4, 4)), 0);
 }
 
-TEST(InducedSubgraph, KeepsInternalEdges) {
-  const Graph g = gen::complete(6);
-  const auto sub = induced_subgraph(g, {1, 3, 5});
-  EXPECT_EQ(sub.graph.num_vertices(), 3);
-  EXPECT_EQ(sub.graph.num_edges(), 3);
-  EXPECT_EQ(sub.to_original, (std::vector<Vertex>{1, 3, 5}));
-}
-
-TEST(InducedSubgraph, EmptyKeep) {
-  const Graph g = gen::complete(4);
-  EXPECT_EQ(induced_subgraph(g, {}).graph.num_vertices(), 0);
-}
-
-TEST(InducedSubgraph, RejectsBadInput) {
-  const Graph g = gen::path(4);
-  EXPECT_THROW(induced_subgraph(g, {0, 0}), std::invalid_argument);
-  EXPECT_THROW(induced_subgraph(g, {7}), std::out_of_range);
-}
-
 }  // namespace
 }  // namespace ssmis

@@ -98,18 +98,23 @@ void expect_engine_consistent(const Engine& e, const std::string& context) {
   }
   ASSERT_EQ(e.num_scheduled(), want_scheduled) << context;
 
-  // Stability aggregates.
+  // Stability aggregates. The MIS pair is the paper's, recomputed from the
+  // neighbors' membership rather than from the counters the engine reads:
+  // a violation is a member with a member neighbor or a non-member without
+  // one, and a stable black is a member without one.
   Vertex want_active = 0, want_violations = 0, want_stable = 0;
   std::vector<char> covered(static_cast<std::size_t>(n), 0);
   for (Vertex u = 0; u < n; ++u) {
     const auto c = e.color(u);
     const Heard h = Heard::of(e.counters(u), k);
+    bool mis_neighbor = false;
+    for (Vertex v : g.neighbors(u)) mis_neighbor |= rule.in_mis(e.color(v));
     const bool active = rule.active(c, h);
-    const bool stable = rule.stable_black(c, h);
+    const bool stable = rule.in_mis(c) && !mis_neighbor;
     ASSERT_EQ(e.active(u), active) << context << ": active flag of " << u;
     ASSERT_EQ(e.stable_black(u), stable) << context << ": stable flag of " << u;
     if (active) ++want_active;
-    if (rule.violating(c, h)) ++want_violations;
+    if (rule.in_mis(c) == mis_neighbor) ++want_violations;
     if (stable) {
       ++want_stable;
       covered[static_cast<std::size_t>(u)] = 1;
@@ -215,35 +220,37 @@ TEST(EngineInvariants, TwoStateVariantUnderStepping) {
   }
 }
 
-// The beeping rule: lossless, then a loss probability switched on mid-run
-// (set_loss_probability re-derives the schedule through
-// notify_rule_changed), with fault bursts throughout.
-TEST(EngineInvariants, BeepingLosslessThenLossy) {
+// The beeping rule, lossless and lossy (a lossy carrier-sense bit wakes
+// states that are quiescent only when they hear), and without sender
+// collision detection, with fault bursts throughout.
+TEST(EngineInvariants, BeepingChannelsUnderSteppingAndFaults) {
   const std::vector<Graph> graphs = {gen::gnp(60, 0.08, 71), gen::complete(16),
                                      gen::star(21)};
   const CoinOracle fault_coins(1004);
   const TwoStateBeepAutomaton automaton;
+  const std::vector<BeepChannel> channels = {
+      {}, {.loss_probability = 0.3}, {.sender_collision_detection = false}};
   for (const Graph& g : graphs) {
     const CoinOracle coins(73);
     std::vector<std::uint8_t> init;
     for (const Color2 c : make_init2(g, InitPattern::kUniformRandom, coins))
       init.push_back(TwoStateBeepAutomaton::encode(c));
-    BeepingNetwork net(g, automaton, init, coins);
-    expect_engine_consistent(net.engine(), ctx("beeping init", g, 0));
-    for (int round = 1; round <= 60; ++round) {
-      if (round == 25) {
-        net.set_loss_probability(0.3);
-        expect_engine_consistent(net.engine(), ctx("beeping lossy", g, round));
-      }
-      net.step();
-      expect_engine_consistent(net.engine(), ctx("beeping", g, round));
-      if (round % 8 == 0) {
-        for (Vertex u = 0; u < g.num_vertices(); ++u) {
-          if (!fault_coins.bernoulli(round, u, CoinTag::kFault, 0.2)) continue;
-          net.force_color(u, static_cast<std::uint8_t>(
-                                 fault_coins.word(round, u, CoinTag::kFault) % 2));
+    for (const BeepChannel& channel : channels) {
+      BeepingNetwork net(g, automaton, init, coins, channel);
+      const std::string name = "beeping loss " + std::to_string(channel.loss_probability) +
+                               " cd " + std::to_string(channel.sender_collision_detection);
+      expect_engine_consistent(net.engine(), ctx(name.c_str(), g, 0));
+      for (int round = 1; round <= 60; ++round) {
+        net.step();
+        expect_engine_consistent(net.engine(), ctx(name.c_str(), g, round));
+        if (round % 8 == 0) {
+          for (Vertex u = 0; u < g.num_vertices(); ++u) {
+            if (!fault_coins.bernoulli(round, u, CoinTag::kFault, 0.2)) continue;
+            net.force_color(u, static_cast<std::uint8_t>(
+                                   fault_coins.word(round, u, CoinTag::kFault) % 2));
+          }
+          expect_engine_consistent(net.engine(), ctx(name.c_str(), g, round));
         }
-        expect_engine_consistent(net.engine(), ctx("beeping post-fault", g, round));
       }
     }
   }
@@ -441,8 +448,8 @@ struct NegativeRule {
   bool scheduled(Color, Heard) const { return false; }
   Color transition(Vertex, Color c, Heard, std::int64_t) const { return c; }
   bool active(Color, Heard) const { return false; }
-  bool violating(Color, Heard) const { return false; }
-  bool stable_black(Color, Heard) const { return false; }
+  bool in_mis(Color) const { return false; }
+  std::uint32_t mis_counters() const { return 0; }
 };
 
 TEST(Engine, RejectsNegativeContributions) {
@@ -463,6 +470,32 @@ TEST(Engine, RejectsOverflowingContributions) {
                std::invalid_argument);
 }
 
+// The 2-state rule with its MIS counters swapped for `mask`: counter 0
+// counts the black neighbors, counter 1 the white ones.
+struct MaskedRule {
+  using Color = Color2;
+  std::uint32_t mask = 1;
+  int num_colors() const { return 2; }
+  int num_counters() const { return 2; }
+  Vertex contribution(Color c, int j) const { return is_black(c) == (j == 0) ? 1 : 0; }
+  bool scheduled(Color c, Heard h) const { return is_black(c) == h.has(0); }
+  Color transition(Vertex, Color c, Heard, std::int64_t) const { return c; }
+  bool active(Color c, Heard h) const { return scheduled(c, h); }
+  bool in_mis(Color c) const { return is_black(c); }
+  std::uint32_t mis_counters() const { return mask; }
+};
+
+// The engine derives violations and I_t from the MIS counters, so a mask
+// that does not count exactly the MIS neighbors fails at construction.
+TEST(Engine, RejectsAnMisCounterMaskThatMisreadsMembership) {
+  const Graph g = gen::path(3);
+  const std::vector<Color2> init(3, Color2::kWhite);
+  EXPECT_NO_THROW(ProcessEngine<MaskedRule>(g, init, MaskedRule{1}));
+  for (const std::uint32_t wrong : {0u, 2u, 3u, 4u, 1u << 31})
+    EXPECT_THROW(ProcessEngine<MaskedRule>(g, init, MaskedRule{wrong}), std::invalid_argument)
+        << "mask " << wrong;
+}
+
 // ---------------------------------------------------------- construction --
 
 // Three counters, so construction's last packed sweep has an empty high
@@ -478,8 +511,9 @@ struct ThreeCounterRule {
     return static_cast<Color>((c + u + t + (h.has(0) ? 1 : 0)) % 4);
   }
   bool active(Color c, Heard h) const { return scheduled(c, h); }
-  bool violating(Color c, Heard h) const { return c == 1 && h.has(1); }
-  bool stable_black(Color c, Heard h) const { return c == 1 && !h.has(1); }
+  // The colors that add to counter 1, its MIS counter.
+  bool in_mis(Color c) const { return contribution(c, 1) > 0; }
+  std::uint32_t mis_counters() const { return 2; }
 };
 
 // Every counter of `e` equals the sum of its neighbors' contributions under
@@ -593,23 +627,21 @@ void expect_parked_where_declared(const Engine& e, const std::string& context) {
   expect_engine_consistent(e, context);
 }
 
-// Right after construction, and after notify_rule_changed with fast-forward
-// on and off, for 3-state and both stone-age automata (the 18-channel one
-// declares no orbit, so nothing may be parked there).
+// Right after construction, and after fast-forward is switched off and on
+// again mid-run, for 3-state and both stone-age automata (the 18-channel
+// one declares no orbit, so nothing may be parked there). Not after a plain
+// step: a vertex that reaches its orbit's color without changing color is
+// not refreshed, so it parks only at its next color change.
 TEST(EngineConstruction, ParksExactlyWhereTheRuleDeclaresAnOrbit) {
   const CoinOracle coins(157);
   const auto exercise = [](auto& e, const std::string& name) {
     expect_parked_where_declared(e, name + " construction");
     for (int round = 1; round <= 6; ++round) e.step();
-    e.notify_rule_changed();
-    expect_parked_where_declared(e, name + " notify, fast-forward on");
     e.set_fast_forward(false);
-    e.notify_rule_changed();
-    expect_parked_where_declared(e, name + " notify, fast-forward off");
+    expect_parked_where_declared(e, name + " fast-forward off");
     for (int round = 1; round <= 3; ++round) e.step();
     e.set_fast_forward(true);
-    e.notify_rule_changed();
-    expect_parked_where_declared(e, name + " notify, fast-forward on again");
+    expect_parked_where_declared(e, name + " fast-forward on again");
   };
   for (const Graph& g : {gen::gnp(300, 0.02, 163), gen::cycle(31), gen::complete(12),
                          Graph::from_edges(9, {{0, 1}})}) {

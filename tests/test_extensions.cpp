@@ -1,9 +1,6 @@
 // Tests for the extension features beyond the paper's core reproduction:
-// exact MIS solvers, extra graph algorithms, and the no-collision-detection
-// beeping variant.
+// exact MIS solvers and the no-collision-detection beeping variant.
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "core/init.hpp"
 #include "core/verify.hpp"
@@ -14,59 +11,6 @@
 
 namespace ssmis {
 namespace {
-
-TEST(Complement, InvertsAdjacency) {
-  const Graph g = gen::path(5);
-  const Graph c = complement(g);
-  EXPECT_EQ(g.num_edges() + c.num_edges(), 5 * 4 / 2);
-  for (Vertex u = 0; u < 5; ++u)
-    for (Vertex v = u + 1; v < 5; ++v)
-      EXPECT_NE(g.has_edge(u, v), c.has_edge(u, v)) << u << "," << v;
-}
-
-TEST(Complement, CompleteBecomesEmpty) {
-  EXPECT_EQ(complement(gen::complete(8)).num_edges(), 0);
-  EXPECT_EQ(complement(Graph::from_edges(6, {})).num_edges(), 15);
-}
-
-TEST(Complement, TooLargeThrows) {
-  EXPECT_THROW(complement(gen::path(5000)), std::invalid_argument);
-}
-
-TEST(Bipartite, Classification) {
-  EXPECT_TRUE(is_bipartite(gen::path(10)));
-  EXPECT_TRUE(is_bipartite(gen::cycle(8)));
-  EXPECT_FALSE(is_bipartite(gen::cycle(9)));
-  EXPECT_TRUE(is_bipartite(gen::complete_bipartite(4, 5)));
-  EXPECT_FALSE(is_bipartite(gen::complete(3)));
-  EXPECT_TRUE(is_bipartite(gen::random_tree(50, 3)));
-  EXPECT_TRUE(is_bipartite(gen::hypercube(5)));
-  EXPECT_TRUE(is_bipartite(Graph::from_edges(4, {})));
-}
-
-TEST(Bipartite, PartitionIsProper) {
-  const Graph g = gen::grid(6, 7);
-  const auto part = bipartition(g);
-  ASSERT_TRUE(part.has_value());
-  for (const auto& [u, v] : g.edge_list())
-    EXPECT_NE((*part)[static_cast<std::size_t>(u)], (*part)[static_cast<std::size_t>(v)]);
-}
-
-TEST(CoreNumbers, MatchKnownStructures) {
-  const auto path_cores = core_numbers(gen::path(10));
-  for (Vertex c : path_cores) EXPECT_EQ(c, 1);
-  const auto clique_cores = core_numbers(gen::complete(6));
-  for (Vertex c : clique_cores) EXPECT_EQ(c, 5);
-  const auto cycle_cores = core_numbers(gen::cycle(7));
-  for (Vertex c : cycle_cores) EXPECT_EQ(c, 2);
-}
-
-TEST(CoreNumbers, MaxEqualsDegeneracy) {
-  const Graph g = gen::gnp(80, 0.1, 5);
-  const auto cores = core_numbers(g);
-  const Vertex max_core = *std::max_element(cores.begin(), cores.end());
-  EXPECT_EQ(max_core, degeneracy(g).degeneracy);
-}
 
 TEST(ExactMis, KnownOptima) {
   EXPECT_EQ(exact_max_independent_set(gen::complete(7)).size(), 1u);
@@ -116,7 +60,7 @@ TEST(NoCollisionDetection, TwoBlackNeighborsStuckForever) {
   const Graph g = gen::complete(2);
   const TwoStateBeepAutomaton automaton;
   BeepingNetwork net(g, automaton, {1, 1}, CoinOracle(3),
-                     /*sender_collision_detection=*/false);
+                     {.sender_collision_detection = false});
   for (int i = 0; i < 1000; ++i) {
     net.step();
     // The violation count reads the true configuration, not what the
@@ -132,7 +76,7 @@ TEST(NoCollisionDetection, WithCdSameStartResolves) {
   const Graph g = gen::complete(2);
   const TwoStateBeepAutomaton automaton;
   BeepingNetwork net(g, automaton, {1, 1}, CoinOracle(3),
-                     /*sender_collision_detection=*/true);
+                     {.sender_collision_detection = true});
   for (int i = 0; i < 1000 && !is_mis(g, net.black_set()); ++i) net.step();
   EXPECT_TRUE(is_mis(g, net.black_set()));
 }
@@ -144,8 +88,10 @@ TEST(NoCollisionDetection, ListenersUnaffected) {
   // 0 black, 1 white, 2 white: vertex 1 hears the beep in both variants and
   // stays white; vertex 2 hears nothing and resamples identically (same
   // oracle word).
-  BeepingNetwork with_cd(g, automaton, {1, 0, 0}, CoinOracle(5), true);
-  BeepingNetwork without_cd(g, automaton, {1, 0, 0}, CoinOracle(5), false);
+  BeepingNetwork with_cd(g, automaton, {1, 0, 0}, CoinOracle(5),
+                         {.sender_collision_detection = true});
+  BeepingNetwork without_cd(g, automaton, {1, 0, 0}, CoinOracle(5),
+                            {.sender_collision_detection = false});
   with_cd.step();
   without_cd.step();
   EXPECT_EQ(with_cd.color(1), without_cd.color(1));

@@ -28,13 +28,6 @@ TEST(Suites, SmallSuiteDeterministicPerSeed) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].graph, b[i].graph);
 }
 
-TEST(Suites, MediumSuiteSizesInRange) {
-  for (const auto& cell : medium_suite(3)) {
-    EXPECT_GE(cell.graph.num_vertices(), 256) << cell.name;
-    EXPECT_LE(cell.graph.num_vertices(), 4096) << cell.name;
-  }
-}
-
 TEST(Suites, CornerSuiteCoversDegenerateShapes) {
   const auto corners = corner_suite();
   bool has_empty = false, has_singleton = false, has_disconnected = false;

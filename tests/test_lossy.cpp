@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <vector>
 
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
@@ -14,15 +16,22 @@
 namespace ssmis {
 namespace {
 
+// The channel is a struct whose fields are named where a network is built,
+// so a loss probability cannot bind to the collision-detection flag.
+static_assert(!std::is_constructible_v<BeepingNetwork<TwoStateBeepAutomaton>, const Graph&,
+                                       TwoStateBeepAutomaton, std::vector<std::uint8_t>,
+                                       const CoinOracle&, double>);
+
 TEST(Lossy, Validation) {
   const Graph g = gen::path(2);
   const TwoStateBeepAutomaton automaton;
-  BeepingNetwork net(g, automaton, {0, 0}, CoinOracle(1));
-  EXPECT_THROW(net.set_loss_probability(-0.1), std::invalid_argument);
-  EXPECT_THROW(net.set_loss_probability(1.0), std::invalid_argument);
-  EXPECT_THROW(net.set_loss_probability(std::nan("")), std::invalid_argument);
-  net.set_loss_probability(0.5);
-  EXPECT_DOUBLE_EQ(net.loss_probability(), 0.5);
+  const auto make = [&](double p) {
+    return BeepingNetwork(g, automaton, {0, 0}, CoinOracle(1), {.loss_probability = p});
+  };
+  EXPECT_THROW(make(-0.1), std::invalid_argument);
+  EXPECT_THROW(make(1.0), std::invalid_argument);
+  EXPECT_THROW(make(std::nan("")), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(make(0.5).loss_probability(), 0.5);
 }
 
 TEST(Lossy, ZeroLossMatchesDirectProcess) {
@@ -30,8 +39,7 @@ TEST(Lossy, ZeroLossMatchesDirectProcess) {
   const CoinOracle coins(5);
   const TwoStateBeepAutomaton automaton;
   std::vector<std::uint8_t> init(static_cast<std::size_t>(g.num_vertices()), 0);
-  BeepingNetwork lossless(g, automaton, init, coins);
-  lossless.set_loss_probability(0.0);
+  BeepingNetwork lossless(g, automaton, init, coins, {.loss_probability = 0.0});
   BeepingNetwork plain(g, automaton, init, coins);
   for (int i = 0; i < 100; ++i) {
     lossless.step();
@@ -44,8 +52,7 @@ TEST(Lossy, StillReachesMisUnderModerateLoss) {
   const Graph g = gen::gnp(60, 0.08, 7);
   const TwoStateBeepAutomaton automaton;
   std::vector<std::uint8_t> init(static_cast<std::size_t>(g.num_vertices()), 1);
-  BeepingNetwork net(g, automaton, init, CoinOracle(9));
-  net.set_loss_probability(0.1);
+  BeepingNetwork net(g, automaton, init, CoinOracle(9), {.loss_probability = 0.1});
   bool reached = false;
   for (int i = 0; i < 20000 && !reached; ++i) {
     net.step();
@@ -63,9 +70,8 @@ TEST(Lossy, LossCanBreakAStableConfiguration) {
   // Hub black (an MIS), leaves white.
   std::vector<std::uint8_t> init(10, 0);
   init[0] = 1;
-  BeepingNetwork net(g, automaton, init, CoinOracle(11));
+  BeepingNetwork net(g, automaton, init, CoinOracle(11), {.loss_probability = 0.5});
   ASSERT_TRUE(is_mis(g, net.black_set()));
-  net.set_loss_probability(0.5);
   bool ever_broken = false;
   for (int i = 0; i < 200; ++i) {
     net.step();

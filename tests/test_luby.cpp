@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "core/luby.hpp"
 #include "core/verify.hpp"
@@ -23,6 +24,27 @@ TEST(Luby, ProducesMisOnSuite) {
     EXPECT_TRUE(is_mis(g, luby.mis_set())) << g.summary();
     EXPECT_LT(rounds, 10000);
   }
+}
+
+// LubyMIS keeps its own handle on the graph: one built over a Graph that
+// goes out of scope first steps exactly like a twin built over a live one.
+TEST(Luby, OutlivesTheGraphHandleItWasBuiltOver) {
+  const Graph g = gen::gnp(200, 0.03, 5);
+  const CoinOracle coins(7);
+  LubyMIS twin(g, coins);
+  std::optional<LubyMIS> luby;
+  {
+    const Graph scoped = g;
+    luby.emplace(scoped, coins);
+  }
+  for (int round = 1; !twin.done(); ++round) {
+    ASSERT_LE(round, 1000) << "did not finish";
+    luby->step();
+    twin.step();
+    ASSERT_EQ(luby->num_undecided(), twin.num_undecided()) << "round " << round;
+  }
+  EXPECT_TRUE(luby->done());
+  EXPECT_EQ(luby->mis_set(), twin.mis_set());
 }
 
 TEST(Luby, EmptyGraphDoneImmediately) {

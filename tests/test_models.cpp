@@ -255,10 +255,9 @@ TEST(NetworkBookkeeping, BeepingStabilizedIsValidity) {
   const auto init = random_states(g, 2, 151);
   BeepingNetwork lossless(g, automaton, init, coins);
   EXPECT_GT(check_stabilized_is_mis(lossless, 120, 30, "lossless"), 0);
-  BeepingNetwork lossy(g, automaton, init, coins);
-  lossy.set_loss_probability(0.3);
+  BeepingNetwork lossy(g, automaton, init, coins, {.loss_probability = 0.3});
   check_stabilized_is_mis(lossy, 120, 30, "loss 0.3");
-  BeepingNetwork no_cd(g, automaton, init, coins, /*sender_collision_detection=*/false);
+  BeepingNetwork no_cd(g, automaton, init, coins, {.sender_collision_detection = false});
   check_stabilized_is_mis(no_cd, 120, 30, "no sender collision detection");
 }
 

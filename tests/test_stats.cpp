@@ -65,22 +65,6 @@ TEST(Summarize, EmptyIsZeroed) {
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
 }
 
-TEST(Bootstrap, CoversTrueMean) {
-  // Samples from a known distribution: CI should straddle the sample mean.
-  std::vector<double> v;
-  for (int i = 0; i < 200; ++i) v.push_back(static_cast<double>(i % 10));
-  const auto ci = bootstrap_mean_ci(v, 0.95, 500, 42);
-  EXPECT_LT(ci.low, 4.5);
-  EXPECT_GT(ci.high, 4.5);
-  EXPECT_LT(ci.high - ci.low, 2.0);
-}
-
-TEST(Bootstrap, Validation) {
-  EXPECT_THROW(bootstrap_mean_ci({}, 0.95, 100, 1), std::invalid_argument);
-  EXPECT_THROW(bootstrap_mean_ci({1.0}, 1.5, 100, 1), std::invalid_argument);
-  EXPECT_THROW(bootstrap_mean_ci({1.0}, 0.95, 1, 1), std::invalid_argument);
-}
-
 TEST(FitLinear, ExactLine) {
   const std::vector<double> x = {1, 2, 3, 4, 5};
   std::vector<double> y;

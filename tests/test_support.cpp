@@ -2,10 +2,8 @@
 
 #include <cstdint>
 #include <limits>
-#include <sstream>
 
 #include "support/cli.hpp"
-#include "support/csv.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
@@ -24,7 +22,7 @@ CliArgs parse(std::initializer_list<const char*> args) {
 TEST(Cli, EqualsForm) {
   const auto args = parse({"--n=128", "--p=0.5", "--name=clique"});
   EXPECT_EQ(args.get_int("n", 0, kMinInt, kMaxInt), 128);
-  EXPECT_DOUBLE_EQ(args.get_double("p", 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(args.get_double("p", 0.0, 0.0, 1.0), 0.5);
   EXPECT_EQ(args.get_string("name", ""), "clique");
 }
 
@@ -44,7 +42,7 @@ TEST(Cli, BooleanFlag) {
 TEST(Cli, FallbacksWhenAbsent) {
   const auto args = parse({});
   EXPECT_EQ(args.get_int("n", 42, kMinInt, kMaxInt), 42);
-  EXPECT_DOUBLE_EQ(args.get_double("p", 0.25), 0.25);
+  EXPECT_DOUBLE_EQ(args.get_double("p", 0.25, 0.0, 1.0), 0.25);
   EXPECT_EQ(args.get_string("s", "dflt"), "dflt");
 }
 
@@ -62,7 +60,7 @@ TEST(Cli, MalformedIntExits) {
 TEST(Cli, MalformedDoubleExits) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto args = parse({"--p=zz"});
-  EXPECT_EXIT(args.get_double("p", 0.5), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(args.get_double("p", 0.5, 0.0, 1.0), ::testing::ExitedWithCode(2),
               "error: --p: expected number, got 'zz'");
 }
 
@@ -73,6 +71,17 @@ TEST(Cli, OutOfRangeIntExits) {
               "error: --trials: expected integer in \\[1, 1000\\], got '-3'");
   EXPECT_EQ(args.get_int("seed", 1, 1, 1000), 9);
   EXPECT_EQ(args.get_int("absent", 5, 1, 1000), 5);
+}
+
+TEST(Cli, OutOfRangeDoubleExits) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto args = parse({"--p=2", "--q=nan", "--r=0.25"});
+  EXPECT_EXIT(args.get_double("p", 0.5, 0.0, 1.0), ::testing::ExitedWithCode(2),
+              "error: --p: expected number in \\[0, 1\\], got '2'");
+  EXPECT_EXIT(args.get_double("q", 0.5, 0.0, 1.0), ::testing::ExitedWithCode(2),
+              "error: --q: expected number in \\[0, 1\\], got 'nan'");
+  EXPECT_DOUBLE_EQ(args.get_double("r", 0.5, 0.0, 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(args.get_double("absent", 0.5, 0.0, 1.0), 0.5);
 }
 
 TEST(Cli, PositionalArguments) {
@@ -160,21 +169,6 @@ TEST(Table, RaggedRowsPadded) {
 TEST(FormatDouble, FixedPrecision) {
   EXPECT_EQ(format_double(1.0, 2), "1.00");
   EXPECT_EQ(format_double(0.125, 3), "0.125");
-}
-
-TEST(Csv, EscapesSpecials) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("q\"q"), "\"q\"\"q\"");
-  EXPECT_EQ(CsvWriter::escape("nl\n"), "\"nl\n\"");
-}
-
-TEST(Csv, WritesRows) {
-  std::ostringstream oss;
-  CsvWriter csv(oss);
-  csv.write_row({"h1", "h2"});
-  csv.write_row({"1", "a,b"});
-  EXPECT_EQ(oss.str(), "h1,h2\n1,\"a,b\"\n");
 }
 
 }  // namespace
