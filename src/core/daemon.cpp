@@ -52,6 +52,14 @@ DaemonMIS::DaemonMIS(const Graph& g, std::vector<Color2> init,
 }
 
 void DaemonMIS::step() {
+  if (daemon_->activates_all()) {
+    // The synchronous round at time steps_ + 1: the engine's round and the
+    // step count advance together, stabilized or not.
+    last_activations_ = engine_.num_scheduled();
+    engine_.step();
+    ++steps_;
+    return;
+  }
   last_activations_ = 0;
   if (!stabilized()) {
     const std::vector<Vertex> enabled_now = engine_.scheduled_set();

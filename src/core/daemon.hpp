@@ -20,12 +20,15 @@
 // MIS is reached within 2n moves whichever vertex each step activates.
 //
 // DaemonMIS drives the same ProcessEngine<TwoStateRule> as the synchronous
-// process, through the engine's subset-transition primitive: the enabled set
-// IS the engine's scheduled worklist. Each step copies and sorts it for the
-// daemon, so a step costs O(|enabled| log |enabled|) however few vertices
-// the daemon activates (a central step moves one). It is an EngineProcess
-// whose round is one daemon step, so run_until_stabilized and the harness
-// drive it unchanged.
+// process: the enabled set IS the engine's scheduled worklist. A daemon
+// that activates every enabled vertex (the synchronous one) steps the
+// engine's round, as TwoStateMIS does, so a step costs what a 2state round
+// costs. Any other daemon goes through the engine's subset-transition
+// primitive: each step copies and sorts the enabled set for the daemon, so
+// a step costs O(|enabled| log |enabled|) however few vertices the daemon
+// activates (a central step moves one). It is an EngineProcess whose round
+// is one daemon step, so run_until_stabilized and the harness drive it
+// unchanged.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +54,9 @@ class ActivationDaemon {
   virtual std::vector<Vertex> activate(std::span<const Vertex> enabled,
                                        std::int64_t step) = 0;
   virtual std::string name() const = 0;
+  // True if activate() always returns all of `enabled`; DaemonMIS then
+  // steps the engine's synchronous round instead of calling activate().
+  virtual bool activates_all() const { return false; }
 };
 
 class SynchronousDaemon final : public ActivationDaemon {
@@ -59,6 +65,7 @@ class SynchronousDaemon final : public ActivationDaemon {
     return {enabled.begin(), enabled.end()};
   }
   std::string name() const override { return "synchronous"; }
+  bool activates_all() const override { return true; }
 };
 
 class CentralDaemon final : public ActivationDaemon {
@@ -103,7 +110,10 @@ class RandomSubsetDaemon final : public ActivationDaemon {
 // Definition 4 sense (the engine's scheduled set); an activated vertex
 // draws its new color from the rule's source at time `step`. With the fair
 // coin that is TwoStateMIS's coin stream phi_step(u), so the
-// SynchronousDaemon run is bit-identical to the synchronous process.
+// SynchronousDaemon run is bit-identical to the synchronous process. Under
+// it the engine steps on stabilized steps too, so its round stays the step
+// count, and a fault after stabilization draws phi_step(u) as TwoStateMIS
+// does.
 class DaemonMIS final : public EngineProcess<TwoStateRule> {
  public:
   // Throws std::invalid_argument on a null daemon or an init size mismatch,

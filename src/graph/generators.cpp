@@ -24,29 +24,34 @@ void require(bool cond, const char* message) {
 }
 
 // Emits G(n,p) via skip-sampling over the pairs (u < v) in increasing (v, u)
-// order: the gap between successive present edges is geometric(p), drawn
-// by fast_geometric_skip (geometric_skip.hpp), which equals geometric_skip
-// on every draw. That is the order CsrBuilder::from_column_source takes in
-// one pass; the stream is deterministic in (n, p, seed). Requires 0 < p < 1.
+// order: the gap between successive present edges is geometric(p), drawn a
+// block at a time through SkipBlock (geometric_skip.hpp), which equals
+// geometric_skip on every draw. That is the order
+// CsrBuilder::from_column_source takes in one pass; the stream is
+// deterministic in (n, p, seed). Requires 0 < p < 1.
 template <typename Emit>
 void emit_gnp(Vertex n, double p, std::uint64_t seed, Emit&& emit) {
   Xoshiro256 rng(seed);
   const double log_1mp = std::log1p(-p);
+  SkipBlock block;
   std::int64_t v = 1;
   std::int64_t u = -1;
   while (v < n) {
-    const std::int64_t skip = fast_geometric_skip(rng.next_double(), log_1mp);
-    u += 1 + skip;
-    // Past the first few columns a skip crosses at most one column boundary
-    // almost always: take that step without a branch, and loop for the rest.
-    const std::int64_t next_column = u >= v;
-    u -= next_column * v;
-    v += next_column;
-    while (u >= v && v < n) {
-      u -= v;
-      ++v;
+    block.fill(rng);
+    for (int i = 0; i < kSkipBlock && v < n; ++i) {
+      u += 1 + block.skip(i, log_1mp);
+      // Past the first few columns a skip crosses at most one column
+      // boundary almost always: take that step without a branch, and loop
+      // for the rest.
+      const std::int64_t next_column = u >= v;
+      u -= next_column * v;
+      v += next_column;
+      while (u >= v && v < n) {
+        u -= v;
+        ++v;
+      }
+      if (v < n) emit(static_cast<Vertex>(u), static_cast<Vertex>(v));
     }
-    if (v < n) emit(static_cast<Vertex>(u), static_cast<Vertex>(v));
   }
 }
 

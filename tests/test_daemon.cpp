@@ -50,6 +50,39 @@ TEST(Daemon, SynchronousDaemonBitIdenticalToTwoStateMIS) {
   }
 }
 
+TEST(Daemon, SynchronousDaemonMatchesTwoStateMISAfterAFault) {
+  // Stabilized steps still step the engine, so the daemon's engine round
+  // stays the step count: a fault after stabilization draws phi_step(u) at
+  // the same step as TwoStateMIS, and the two recover identically.
+  const Graph g = gen::gnp(300, 0.03, 5);
+  const CoinOracle coins(9);
+  const auto init = make_init2(g, InitPattern::kUniformRandom, coins);
+  TwoStateMIS direct(g, init, coins);
+  DaemonMIS daemon(g, init, std::make_unique<SynchronousDaemon>(), coins);
+  const auto lockstep = [&](int steps) {
+    for (int i = 0; i < steps; ++i) {
+      const Vertex enabled = direct.num_active();
+      direct.step();
+      daemon.step();
+      ASSERT_EQ(daemon.colors(), direct.colors()) << "round " << direct.round();
+      ASSERT_EQ(daemon.last_activations(), enabled) << "round " << direct.round();
+      ASSERT_EQ(daemon.engine().round(), direct.round());
+      ASSERT_EQ(daemon.round(), direct.round());
+    }
+  };
+  lockstep(100);
+  ASSERT_TRUE(direct.stabilized());
+  // Every fourth vertex turns black: conflicts the coins must resolve.
+  for (Vertex u = 0; u < g.num_vertices(); u += 4) {
+    direct.force_color(u, Color2::kBlack);
+    daemon.force_color(u, Color2::kBlack);
+  }
+  ASSERT_FALSE(direct.stabilized());
+  lockstep(100);
+  EXPECT_TRUE(daemon.stabilized());
+  EXPECT_TRUE(is_mis(g, daemon.black_set()));
+}
+
 TEST(Daemon, StabilizesUnderAllDaemons) {
   const Graph g = gen::gnp(60, 0.1, 11);
   const CoinOracle coins(13);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -300,6 +303,15 @@ TEST(GeneratorGoldens, FixedSeedByteIdentity) {
       {"gnp_n2000_p1e-9_s3", 0x4677e41018deadfaULL},
       {"gnp_n120_p0.999999_s3", 0x44924154435f52ffULL},
       {"gnp_n300000_p8/(n-1)_s5", 0x92f1d3dc7316e882ULL},
+      // Streams of m + 1 draws around SkipBlock's 256-draw blocks, captured
+      // before gnp drew in blocks: m = 112 ends inside the first block,
+      // m = 255 and 511 on a block's last draw, m = 256 and 512 on the
+      // next block's first.
+      {"gnp_n64_p0.05_s1_m112", 0x6570050dba6abf8aULL},
+      {"gnp_n64_p0.125_s4_m255", 0xa066fb3ac9f86beeULL},
+      {"gnp_n64_p0.125_s16_m256", 0x2b5b34cd8180d955ULL},
+      {"gnp_n64_p0.25_s23_m511", 0xf62c7872736e6b75ULL},
+      {"gnp_n64_p0.25_s33_m512", 0x37318d0f194a42c9ULL},
   };
   const std::map<std::string, Graph> actual = {
       {"gnp_n1000_p0.01_s7", gen::gnp(1000, 0.01, 7)},
@@ -339,11 +351,23 @@ TEST(GeneratorGoldens, FixedSeedByteIdentity) {
       {"gnp_n2000_p1e-9_s3", gen::gnp(2000, 1e-9, 3)},
       {"gnp_n120_p0.999999_s3", gen::gnp(120, 0.999999, 3)},
       {"gnp_n300000_p8/(n-1)_s5", gen::gnp(300000, 8.0 / 299999.0, 5)},
+      {"gnp_n64_p0.05_s1_m112", gen::gnp(64, 0.05, 1)},
+      {"gnp_n64_p0.125_s4_m255", gen::gnp(64, 0.125, 4)},
+      {"gnp_n64_p0.125_s16_m256", gen::gnp(64, 0.125, 16)},
+      {"gnp_n64_p0.25_s23_m511", gen::gnp(64, 0.25, 23)},
+      {"gnp_n64_p0.25_s33_m512", gen::gnp(64, 0.25, 33)},
   };
   ASSERT_EQ(golden.size(), actual.size());
   for (const auto& [name, g] : actual) {
     EXPECT_EQ(fingerprint(g), golden.at(name)) << name;
   }
+  // The edge counts the block-boundary names claim: m edges take m + 1 draws.
+  for (const auto& [name, m] : {std::pair{"gnp_n64_p0.05_s1_m112", 112},
+                                {"gnp_n64_p0.125_s4_m255", 255},
+                                {"gnp_n64_p0.125_s16_m256", 256},
+                                {"gnp_n64_p0.25_s23_m511", 511},
+                                {"gnp_n64_p0.25_s33_m512", 512}})
+    EXPECT_EQ(actual.at(name).num_edges(), m) << name;
 }
 
 // --- Bugfix regressions -----------------------------------------------------
@@ -394,56 +418,103 @@ TEST(Generators, GnpExtremePDeathFree) {
   EXPECT_EQ(gen::gnp(120, 0.999999, 3), gen::gnp(120, 0.999999, 3));
 }
 
-// fast_geometric_skip must equal its definition, geometric_skip, on every
+// Ordered distance between two finite doubles, in ulps.
+std::int64_t ulp_distance(double a, double b) {
+  const auto key = [](double x) {
+    const auto bits = std::bit_cast<std::int64_t>(x);
+    return bits < 0 ? std::numeric_limits<std::int64_t>::min() - bits : bits;
+  };
+  const std::int64_t d = key(a) - key(b);
+  return d < 0 ? -d : d;
+}
+
+// The certificate's premise: block_log is within 1 ulp of libm's log on
+// every 1 − r SkipBlock takes, over 10^7 uniform draws, over 1 − r =
+// 1 − k·2^-53 and 1 − r = k·2^-53 for the 2^20 smallest k (the two ends of
+// next_double), and exactly +0 at r = 0.
+TEST(GeometricSkip, BlockLogWithinOneUlpOfLibm) {
+  constexpr std::int64_t kDraws = 10'000'000;
+  Xoshiro256 rng(0x106);
+  gen::SkipBlock block;
+  std::int64_t beyond = 0;
+  for (std::int64_t drawn = 0; drawn < kDraws; drawn += gen::kSkipBlock) {
+    block.fill(rng);
+    for (int i = 0; i < gen::kSkipBlock; ++i) {
+      const double libm = std::log(1.0 - block.r[i]);
+      if (ulp_distance(block.log_1mr[i], libm) > 1 && ++beyond == 1)
+        ADD_FAILURE() << "r " << block.r[i] << " block " << block.log_1mr[i] << " libm "
+                      << libm;
+    }
+  }
+  EXPECT_EQ(beyond, 0);
+  for (std::int64_t k = 1; k <= (1 << 20); ++k) {
+    const double near_one = 1.0 - static_cast<double>(k) * 0x1p-53;
+    const double near_zero = static_cast<double>(k) * 0x1p-53;
+    ASSERT_LE(ulp_distance(gen::block_log(near_one), std::log(near_one)), 1) << k;
+    ASSERT_LE(ulp_distance(gen::block_log(near_zero), std::log(near_zero)), 1) << k;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(gen::block_log(1.0)), 0u);
+}
+
+// SkipBlock's skip must equal its definition, geometric_skip, on every
 // draw of Xoshiro256::next_double: 10^7 draws for each p below, from
 // denormal-adjacent to near 1, plus both extremes of next_double. The
 // certified value must agree wherever it is given; where it is not, the
 // fallback is the definition itself. At p = 1e-300 every quotient is huge,
 // so every draw falls back; at p = 1e-9 the quotients near 10^9 land inside
-// the margin often enough to be seen; elsewhere the fast path carries
+// the margin often enough to be seen; elsewhere the certificate carries
 // almost every draw.
-TEST(GeometricSkip, FastSkipEqualsTheDefinition) {
+TEST(GeometricSkip, BlockSkipEqualsTheDefinition) {
   constexpr std::int64_t kDraws = 10'000'000;
   const double ps[] = {1e-300, 1e-9, 8.0 / 32767.0, std::log(4096.0) / 4096.0,
                        0.25,   0.5,  0.999999};
   std::uint64_t seed = 0x5eed;
+  gen::SkipBlock block;
   for (const double p : ps) {
     const double log_1mp = std::log1p(-p);
     Xoshiro256 rng(seed++);
+    std::int64_t draws = 0;
     std::int64_t fallbacks = 0;
     std::int64_t mismatches = 0;
-    for (std::int64_t i = 0; i < kDraws; ++i) {
-      const double r = rng.next_double();
-      const std::int64_t certified = gen::certified_skip(r, log_1mp);
-      if (certified < 0) {
-        ++fallbacks;
-      } else if (certified != gen::geometric_skip(r, log_1mp) && ++mismatches == 1) {
-        ADD_FAILURE() << "p " << p << " r " << r << " certified " << certified
-                      << " definition " << gen::geometric_skip(r, log_1mp);
+    for (; draws < kDraws; draws += gen::kSkipBlock) {
+      block.fill(rng);
+      for (int i = 0; i < gen::kSkipBlock; ++i) {
+        const double r = block.r[i];
+        fallbacks += gen::certified_skip(block.log_1mr[i], log_1mp) < 0;
+        if (block.skip(i, log_1mp) != gen::geometric_skip(r, log_1mp) && ++mismatches == 1)
+          ADD_FAILURE() << "p " << p << " r " << r << " block " << block.skip(i, log_1mp)
+                        << " definition " << gen::geometric_skip(r, log_1mp);
       }
     }
     EXPECT_EQ(mismatches, 0) << "p " << p;
     if (p == 1e-300) {
-      EXPECT_EQ(fallbacks, kDraws);
+      EXPECT_EQ(fallbacks, draws);
     } else {
       EXPECT_LT(fallbacks, kDraws / 100) << "p " << p;
       if (p == 1e-9) {
         EXPECT_GT(fallbacks, 0);
       }
     }
-    for (const double r : {0.0, 1.0 - 0x1p-53, rng.next_double()})
-      EXPECT_EQ(gen::fast_geometric_skip(r, log_1mp), gen::geometric_skip(r, log_1mp))
-          << "p " << p << " r " << r;
+    // Both extremes of next_double, through the block's own skip.
+    block.r[0] = 0.0;
+    block.r[1] = 1.0 - 0x1p-53;
+    for (int i = 0; i < 2; ++i) {
+      block.log_1mr[i] = gen::block_log(1.0 - block.r[i]);
+      EXPECT_EQ(block.skip(i, log_1mp), gen::geometric_skip(block.r[i], log_1mp))
+          << "p " << p << " r " << block.r[i];
+    }
     // r = 0 is an exact integer quotient, so it is never certified.
-    EXPECT_EQ(gen::certified_skip(0.0, log_1mp), -1) << "p " << p;
+    EXPECT_EQ(gen::certified_skip(block.log_1mr[0], log_1mp), -1) << "p " << p;
   }
   // The margin itself: at p = 1/2, r = 3/4 + 2^-50 gives a quotient of
   // 2 + ~2^-47.5, inside the margin (3 * 2^-40) around 2, so it is left to
   // the definition; r = 0.6 gives 1.32, which is certified.
   const double log_half = std::log1p(-0.5);
-  EXPECT_EQ(gen::certified_skip(0.75 + 0x1p-50, log_half), -1);
-  EXPECT_EQ(gen::fast_geometric_skip(0.75 + 0x1p-50, log_half), 2);
-  EXPECT_EQ(gen::certified_skip(0.6, log_half), 1);
+  block.r[0] = 0.75 + 0x1p-50;
+  block.log_1mr[0] = gen::block_log(1.0 - block.r[0]);
+  EXPECT_EQ(gen::certified_skip(block.log_1mr[0], log_half), -1);
+  EXPECT_EQ(block.skip(0, log_half), 2);
+  EXPECT_EQ(gen::certified_skip(gen::block_log(1.0 - 0.6), log_half), 1);
 }
 
 }  // namespace
