@@ -39,6 +39,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <limits>
@@ -590,11 +591,21 @@ class ProcessEngine {
   static constexpr std::uint8_t kActiveBit = 2;
   static constexpr std::uint8_t kViolatingBit = 4;
   static constexpr std::uint8_t kStableBlackBit = 8;
-  // Set while u is on the touched list (never outside a refresh pass); not
-  // a predicate flag.
+  // Set while u is on the touched list, from its touch to its refresh in
+  // drain() (never outside one); not a predicate flag.
   static constexpr std::uint8_t kTouchedBit = 16;
   // Set while u is parked (fast-forward only); not a predicate flag.
   static constexpr std::uint8_t kParkBit = 32;
+
+  // The counter patch's memory schedule (docs/architecture.md, "Per-round
+  // bookkeeping without coin-driven branches", has the measurements):
+  // neighbors per crossing mask, one bit of a std::uint64_t each; how many
+  // changes ahead apply() prefetches a change's adjacency row and its
+  // first neighbors' counter rows; and how many neighbors that is.
+  static constexpr std::size_t kPatchBlock = 64;
+  static constexpr std::size_t kRowPrefetchAhead = 8;
+  static constexpr std::size_t kCounterPrefetchAhead = 4;
+  static constexpr std::size_t kCounterPrefetchNeighbors = 8;
 
   static constexpr std::uint8_t raw(Color c) { return static_cast<std::uint8_t>(c); }
   static constexpr Vertex bit(std::uint8_t f, std::uint8_t mask) { return (f & mask) != 0; }
@@ -637,14 +648,20 @@ class ProcessEngine {
 
   // Phase 2: commit the change list, patch counters of N(changed), and
   // refresh flags/worklist/aggregates for the changed vertices and the
-  // neighbors whose hearing changed.
+  // neighbors whose hearing changed. Past the cache a patch waits on its
+  // row and on one counter line per neighbor, so the loop prefetches both
+  // ahead of the patch that reads them.
   void apply() {
     num_touched_ = 0;
     for (std::size_t i = 0; i < num_changed_; ++i) {
+      if (i + kRowPrefetchAhead < num_changed_)
+        __builtin_prefetch(graph_.neighbors(changed_[i + kRowPrefetchAhead]).data());
+      if (i + kCounterPrefetchAhead < num_changed_)
+        prefetch_counters(changed_[i + kCounterPrefetchAhead]);
       const Vertex u = changed_[i];
       const std::size_t su = static_cast<std::size_t>(u);
       // A fault or a daemon commit may hit a vertex that its own
-      // materialization re-parked. Unpark it first, or the refresh below
+      // materialization re-parked. Unpark it first, or the drain below
       // would materialize it again and overwrite the committed color.
       if constexpr (kFastForward) {
         if (fast_forwarded(u)) unpark(u);
@@ -660,15 +677,27 @@ class ProcessEngine {
     drain();
   }
 
+  // Brings the counter rows of u's first kCounterPrefetchNeighbors
+  // neighbors toward the cache. The index is clamped to the row, so the
+  // loop has a fixed trip and reads nothing past u's row; an empty row has
+  // nothing to fetch.
+  void prefetch_counters(Vertex u) const {
+    const std::span<const Vertex> row = graph_.neighbors(u);
+    if (row.empty()) return;
+    const std::size_t last = row.size() - 1;
+    for (std::size_t i = 0; i < kCounterPrefetchNeighbors; ++i)
+      __builtin_prefetch(cnt_ptr(row[std::min(i, last)]), 1);
+  }
+
   // Moves u's contribution to its neighbors' counters from color `prev` to
   // `next`, touching each neighbor one of whose counters crosses zero — the
   // only patches that change what it hears. Only the counters whose
   // contribution differs are patched (at most 2 for one-hot emission
   // rules). Counters never go negative, so counter j moved by d crosses
-  // zero exactly when its old value is d < 0 ? -d : 0. The crossing test is
-  // a branch, not a flag: crossings are rare on sparse rows (13% of patches
-  // on G(2^15, 8/n)) and almost absent on dense ones, so it predicts well
-  // and skips the touch, the refresh and the touched-bit clear.
+  // zero exactly when its old value is d < 0 ? -d : 0. One moved counter
+  // (every change of a one-counter rule) and two (3-state's white <->
+  // black1, stone age's black0 <-> black1) have loops of their own; more
+  // take the general loop over the per-counter arrays.
   void patch_neighbors(Vertex u, Color prev, Color next) {
     int nz = 0;
     int js[kMaxCounters];
@@ -684,31 +713,63 @@ class ProcessEngine {
       }
     }
     if (nz == 0) return;
-    // One patched counter (every change under a one-counter rule) loops
-    // without the per-counter arrays: 14% off `sweep-mix` `solve_s` on a
-    // 4-vCPU Xeon, whose dense rows patch many neighbors per change.
+    const std::span<const Vertex> row = graph_.neighbors(u);
+    const std::size_t k = static_cast<std::size_t>(k_);
     if (nz == 1) {
-      const std::size_t k = static_cast<std::size_t>(k_);
       Vertex* col = counters_.data() + js[0];
       const Vertex d = ds[0], z = zs[0];
-      for (Vertex v : graph_.neighbors(u)) {
+      patch_blocks(row, [=](Vertex v) {
         Vertex& c = col[static_cast<std::size_t>(v) * k];
         const bool crossed = c == z;
         c += d;
-        if (crossed) touch(v);
-      }
-      return;
+        return crossed;
+      });
+    } else if (nz == 2) {
+      Vertex* col0 = counters_.data() + js[0];
+      Vertex* col1 = counters_.data() + js[1];
+      const Vertex d0 = ds[0], z0 = zs[0], d1 = ds[1], z1 = zs[1];
+      patch_blocks(row, [=](Vertex v) {
+        const std::size_t at = static_cast<std::size_t>(v) * k;
+        const bool crossed = (col0[at] == z0) | (col1[at] == z1);
+        col0[at] += d0;
+        col1[at] += d1;
+        return crossed;
+      });
+    } else {
+      Vertex* counters = counters_.data();
+      patch_blocks(row, [&](Vertex v) {
+        Vertex* base = counters + static_cast<std::size_t>(v) * k;
+        bool crossed = false;
+        for (int x = 0; x < nz; ++x) {
+          Vertex& c = base[js[x]];
+          crossed |= c == zs[x];
+          c += ds[x];
+        }
+        return crossed;
+      });
     }
-    for (Vertex v : graph_.neighbors(u)) {
-      Vertex* base = counters_.data() +
-                     static_cast<std::size_t>(v) * static_cast<std::size_t>(k_);
-      bool crossed = false;
-      for (int x = 0; x < nz; ++x) {
-        Vertex& c = base[js[x]];
-        crossed |= c == zs[x];
-        c += ds[x];
-      }
-      if (crossed) touch(v);
+  }
+
+  // Runs `patch` (which moves v's counters and says whether one crossed
+  // zero) over `row` in blocks of kPatchBlock neighbors with no branch per
+  // neighbor: bit i of the block's mask records neighbor i's crossing, and
+  // the set bits are touched afterwards in row order, so the touched list
+  // is the one a per-neighbor branch would build. Whether a patch crosses
+  // depends on the neighbor's other neighbors, which a predictor cannot
+  // see, and a branch on it can only resolve once the counter's load
+  // returns; the mask lets the loads of a block overlap.
+  template <typename Patch>
+  void patch_blocks(std::span<const Vertex> row, Patch patch) {
+    for (std::size_t b = 0; b < row.size(); b += kPatchBlock) {
+      const std::size_t len = std::min(row.size() - b, kPatchBlock);
+      // Each crossing enters at the top and moves down one bit per later
+      // neighbor (a constant shift, where `x << i` would shift by a
+      // register), so after the shift below bit i is neighbor b + i.
+      std::uint64_t crossed = 0;
+      for (std::size_t i = b; i < b + len; ++i)
+        crossed = (crossed >> 1) | (static_cast<std::uint64_t>(patch(row[i])) << 63);
+      for (crossed >>= kPatchBlock - len; crossed != 0; crossed &= crossed - 1)
+        touch(row[b + static_cast<std::size_t>(std::countr_zero(crossed))]);
     }
   }
 
@@ -722,14 +783,22 @@ class ProcessEngine {
     f |= kTouchedBit;
   }
 
-  // Refreshes every touched vertex, then clears the touched bits. A refresh
-  // can materialize a parked vertex whose patch touches further vertices —
-  // hence the index-based loop; the bits stay set until every refresh is
-  // done, so no vertex enters the list twice.
+  // Refreshes every touched vertex once, in two passes. The first
+  // materializes every parked vertex on the list; a materialization's patch
+  // may append further vertices, parked ones included, which the same
+  // index-based loop reaches in turn. After it no counter moves, so the
+  // second pass refreshes each vertex against its final hearing and clears
+  // its touched bit in the same store. (Refreshing before a later parked
+  // neighbor materialized would leave a flag that the neighbor's crossing
+  // could not correct: the vertex's touched bit was still set.)
   void drain() {
+    if constexpr (kFastForward) {
+      if (num_parked_ > 0) {
+        for (std::size_t i = 0; i < num_touched_; ++i)
+          if (fast_forwarded(touched_[i])) materialize(touched_[i]);
+      }
+    }
     for (std::size_t i = 0; i < num_touched_; ++i) refresh(touched_[i]);
-    for (std::size_t i = 0; i < num_touched_; ++i)
-      flags_[static_cast<std::size_t>(touched_[i])] &= static_cast<std::uint8_t>(~kTouchedBit);
   }
 
   // Refreshes `us` and whatever their materializations touch, outside a
@@ -763,27 +832,22 @@ class ProcessEngine {
     return static_cast<std::uint8_t>(f);
   }
 
-  // Re-evaluates u's predicate flags and patches the worklist, aggregates,
-  // and (once built) the stable-black coverage counts. The aggregates move
-  // by flag differences; only a worklist edit or a stable-black change (the
-  // coverage walk) branches.
+  // Re-evaluates u's predicate flags, clears its touched bit, and patches
+  // the worklist, aggregates, and (once built) the stable-black coverage
+  // counts. The aggregates move by flag differences; only a worklist edit
+  // or a stable-black change (the coverage walk) branches.
   //
-  // Under fast-forward this is also both the re-activation point (a parked
-  // u is materialized before anything reads its flags or color) and the
-  // entry point (a live scheduled u that parks() is removed from the live
-  // worklist with its kScheduledBit — and all predicate flags, frozen by
-  // the orbit's constancy promise — left set, so the O(1) aggregates stay
-  // the logical values).
+  // Under fast-forward this is also the entry point: a live scheduled u
+  // that parks() is removed from the live worklist with its kScheduledBit
+  // — and all predicate flags, frozen by the orbit's constancy promise —
+  // left set, so the O(1) aggregates stay the logical values. A vertex that
+  // drain()'s first pass materialized is live again by now.
   void refresh(Vertex u) {
     const std::size_t su = static_cast<std::size_t>(u);
-    if constexpr (kFastForward) {
-      if (fast_forwarded(u)) materialize(u);
-    }
     const Color c = colors_[su];
     const Heard h = heard(u);
     const std::uint8_t before = flags_[su];
-    const std::uint8_t now = compute_flags(c, h);
-    flags_[su] = static_cast<std::uint8_t>(now | (before & kTouchedBit));
+    std::uint8_t now = compute_flags(c, h);
     if ((now ^ before) & kScheduledBit) {
       if (now & kScheduledBit)
         worklist_.insert(u);
@@ -797,9 +861,10 @@ class ProcessEngine {
       cover(u, (now & kStableBlackBit) ? 1 : -1);
     if ((now & kScheduledBit) && parks(u, c, h)) {
       worklist_.erase(u);
-      flags_[su] |= kParkBit;
+      now |= kParkBit;
       ++num_parked_;
     }
+    flags_[su] = now;
   }
 
   // Back onto the live worklist; kScheduledBit is still set (orbit
@@ -812,9 +877,9 @@ class ProcessEngine {
 
   // Unparks u, advances its stored color to the current round by one orbit
   // evaluation, and patches the histogram and neighbor counters if the
-  // orbit moved. The caller (refresh) re-derives u's flags right after; the
-  // neighbors whose hearing the move changed join the touched list. Only
-  // reached under kFastForward.
+  // orbit moved; the neighbors whose hearing the move changed join the
+  // touched list. Its refresh in drain()'s second pass parks it again if
+  // it is still on an orbit. Only reached under kFastForward.
   void materialize(Vertex u) {
     const std::size_t su = static_cast<std::size_t>(u);
     unpark(u);

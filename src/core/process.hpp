@@ -15,8 +15,9 @@
 // Cost model: type erasure sits at ROUND granularity. The run loop below
 // makes one virtual call each to step(), stabilized() and round() per round,
 // a few ns next to a round body of O(|A_t| + sum deg(changed)): the cheapest
-// round the repository benchmark runs (`recover32k-3state`, fault recovery
-// among parked periodic vertices) costs about 5 us.
+// rounds the repository benchmark runs (`recover32k-3state`, fault recovery
+// among parked periodic vertices) cost about 2 us at the median and 16 us
+// at the 95th percentile (traced, on a 4-vCPU Xeon VM).
 #pragma once
 
 #include <cstdint>

@@ -17,6 +17,10 @@
 // 3. Coverage on demand: a process whose stable-black coverage is first
 //    read late (after faults applied while it was off) reports exactly
 //    what its twin reading it from round 0 reports.
+//
+// 4. The block patch kernel: stars whose centre's forced color crosses
+//    zero at every leaf, with degrees around the 64-neighbor mask blocks,
+//    for one, two and three moved counters.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -687,6 +691,100 @@ TEST(EngineConstruction, BlackSetLeavesTheStatePerVertexReadsLeave) {
     ASSERT_EQ(bulk.colors(), single.colors()) << context;
   }
   EXPECT_GT(parked_at_reads, 0) << "the reads must find parked vertices";
+}
+
+// ------------------------------------------------ the block patch kernel --
+
+// K_{1,d} (centre 0, leaves 1..d) plus the isolated vertex d + 1, the last
+// id: its empty row ends the adjacency array, where apply()'s prefetches
+// must read nothing.
+Graph star_and_isolated(Vertex d) {
+  std::vector<Edge> edges;
+  for (Vertex v = 1; v <= d; ++v) edges.emplace_back(0, v);
+  return Graph::from_edges(d + 2, edges);
+}
+
+template <typename Engine>
+int predicate_flags(const Engine& e, Vertex v) {
+  return (e.scheduled(v) ? 1 : 0) | (e.active(v) ? 2 : 0) | (e.stable_black(v) ? 4 : 0);
+}
+
+// One rule's engine on stars whose degrees sit around the patch's 64-wide
+// crossing-mask blocks. The centre starts at `from`, every leaf at `leaf`
+// and the last vertex at `last`. A leaf hears only the centre, so forcing
+// the centre to `to` and back crosses zero at every leaf in every block,
+// and these colors make every crossing change the leaf's flags. Rounds,
+// stepped and as daemon commits of the whole schedule, then move the
+// leaves, the centre and the last vertex. The engine is checked after
+// every force and every round. Counts in `reaching_the_end` the commits
+// that changed the last vertex and at least eight others: the change list
+// is in ascending order, so the prefetches ahead of its earlier entries
+// reach it.
+template <typename Rule>
+void exercise_stars(const std::string& name, const Rule& rule, typename Rule::Color from,
+                    typename Rule::Color to, typename Rule::Color leaf,
+                    typename Rule::Color last, int& reaching_the_end) {
+  using Color = typename Rule::Color;
+  for (const Vertex d : {1, 63, 64, 65, 128, 129, 200}) {
+    const Graph g = star_and_isolated(d);
+    std::vector<Color> init(static_cast<std::size_t>(d) + 2, leaf);
+    init.front() = from;
+    init.back() = last;
+    ProcessEngine<Rule> e(g, init, rule);
+    const std::string star = name + " K_{1," + std::to_string(d) + "}";
+    for (int force = 1; force <= 4; ++force) {
+      std::vector<int> before;
+      for (Vertex v = 1; v <= d; ++v) before.push_back(predicate_flags(e, v));
+      e.force_color(0, force % 2 == 1 ? to : from);
+      const std::string where = star + " force " + std::to_string(force);
+      for (Vertex v = 1; v <= d; ++v)
+        ASSERT_NE(predicate_flags(e, v), before[static_cast<std::size_t>(v) - 1])
+            << where << ": leaf " << v << " was not refreshed";
+      ASSERT_NO_FATAL_FAILURE(expect_engine_consistent(e, where));
+    }
+    const Vertex end = d + 1;
+    for (int round = 1; round <= 24; ++round) {
+      if (round % 2 == 1) {
+        e.step();
+      } else {
+        const std::vector<Color> was = e.colors();
+        const std::vector<Vertex> chosen = e.scheduled_set();
+        e.apply_transitions({chosen.data(), chosen.size()}, 1000 + round);
+        Vertex changed = 0;
+        for (Vertex u = 0; u < end; ++u)
+          changed += e.color(u) != was[static_cast<std::size_t>(u)] ? 1 : 0;
+        if (e.color(end) != was.back() && changed >= 8) ++reaching_the_end;
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_engine_consistent(e, star + " round " + std::to_string(round)));
+    }
+  }
+}
+
+// One moved counter (2-state white <-> black), two (3-state white <->
+// black1, and a stone-age change of state, which leaves one channel for
+// another) and three (the three-counter rule's 0 <-> 1 moves (+1, +1, -2)):
+// each patch loop crosses zero at every leaf, with a last block that is
+// partial, full or one neighbor long. The stone-age case is the 18-channel
+// 3-color automaton: the centre turns from a black to a gray of level 3,
+// which wakes the level-2 white leaves. (The 3-state automaton's one
+// two-channel move, black0 <-> black1, changes no neighbor's flags.)
+TEST(EnginePatchBlocks, StarsCrossZeroAtEveryLeafInEveryBlock) {
+  const CoinOracle coins(191);
+  int reaching_the_end = 0;
+  ASSERT_NO_FATAL_FAILURE(exercise_stars("2-state", TwoStateRule(coins), Color2::kWhite,
+                                         Color2::kBlack, Color2::kWhite, Color2::kWhite,
+                                         reaching_the_end));
+  ASSERT_NO_FATAL_FAILURE(exercise_stars("3-state", ThreeStateRule(coins), Color3::kWhite,
+                                         Color3::kBlack1, Color3::kWhite, Color3::kBlack1,
+                                         reaching_the_end));
+  using StoneAge = ThreeColorStoneAgeAutomaton;
+  ASSERT_NO_FATAL_FAILURE(exercise_stars(
+      "stone-age", StoneAgeRule(StoneAge{}, coins), StoneAge::encode(ColorG::kBlack, 3),
+      StoneAge::encode(ColorG::kGray, 3), StoneAge::encode(ColorG::kWhite, 2),
+      StoneAge::encode(ColorG::kWhite, 5), reaching_the_end));
+  ASSERT_NO_FATAL_FAILURE(exercise_stars<ThreeCounterRule>("three-counter", {}, 0, 1, 0, 3,
+                                                           reaching_the_end));
+  EXPECT_GT(reaching_the_end, 0) << "no commit moved the last vertex behind eight others";
 }
 
 // --------------------------------------------------- coverage on demand --
