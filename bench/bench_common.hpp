@@ -1,7 +1,7 @@
 // Shared plumbing for the experiment binaries: standard header/footer
 // formatting so every table in bench_output.txt is self-describing, plus
-// the common CLI knobs (--trials, --seed, scale factors, --threads, and
-// protocol selection).
+// the common CLI knobs (--trials, --seed, --threads, and protocol
+// selection).
 //
 // Protocol selection is uniform across every binary:
 //   --list-protocols     print every registered protocol and exit
@@ -38,7 +38,9 @@ struct ExpContext {
   CliArgs args;
   int trials;
   std::uint64_t seed;
-  double scale;  // multiplies default problem sizes (--scale=2 for bigger runs)
+  // --scale, for the binaries that list "scale" in init_experiment's
+  // extra_flags and size their cells with scaled(); the rest reject the flag.
+  double scale;
   int threads = 1;  // --threads (parse_threads): trials batched across the pool
   std::string protocol;      // --protocol (validated), or the binary's default
   ProtocolParams proto_params;  // --proto-KEY=VALUE options
@@ -158,9 +160,8 @@ inline ExpContext init_experiment(int argc, char** argv, const std::string& id,
   }
   // Reject typo'd flags loudly before anything runs with defaults.
   std::vector<std::string> known = {
-      "trials",     "seed",       "scale",         "threads",
-      "graph-file", "graph-mmap", "graph-trusted", "protocol",
-      "list-protocols", "proto-*"};
+      "trials",        "seed",     "threads",        "graph-file", "graph-mmap",
+      "graph-trusted", "protocol", "list-protocols", "proto-*"};
   known.insert(known.end(), extra_flags.begin(), extra_flags.end());
   const auto unknown = ctx.args.unknown_options(known);
   if (!unknown.empty()) {

@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
       argc, argv, "E1/E3 (Theorem 8, Remark 10): cliques",
       "2-state on K_n: E[T] = O(log n), T = O(log^2 n) whp, tail 2^-Theta(k); "
       "3-state on K_n: O(log n) whp",
-      30);
+      30, bench::GraphFilePolicy::kLoad, "2state",
+      bench::ProtocolPolicy::kSelectable, {"scale"});
 
   const std::vector<Vertex> sizes = {64, 128, 256, 512, 1024};
   for (const std::string& protocol : ctx.protocols_or({"2state", "3state"})) {

@@ -9,9 +9,9 @@
 // The protocol columns come from the registry: every run constructs its
 // process by name, injects faults through the type-erased
 // Process::inject_fault (which covers auxiliary state like switch levels),
-// and re-verifies the protocol's own validity predicate. --protocol NAME
-// restricts the table to one protocol — including the non-enum-era ones
-// (daemon, beeping, stoneage, matching, priority).
+// and re-verifies the output with is_mis. --protocol NAME restricts the
+// table to one protocol — including the non-enum-era ones (daemon,
+// beeping, stoneage).
 #include <iostream>
 #include <memory>
 #include <vector>

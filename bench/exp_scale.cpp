@@ -63,11 +63,12 @@ int main(int argc, char** argv) {
   auto ctx = bench::init_experiment(
       argc, argv, "SCALE: large-graph substrate pipeline",
       "streaming CSR construction + binary mmap reuse unlock n >= 10^7 within "
-      "CI-class memory; the protocol itself is polylog and never the bottleneck",
+      "CI-class memory; the rounds are polylog, but their cost is not small "
+      "(at n = 10^7 the 2state stabilize stage outlasts generation)",
       1, bench::GraphFilePolicy::kDefer, "2state",
       bench::ProtocolPolicy::kSelectable,
-      {"n", "p", "avg-deg", "max-rounds", "save",
-       "post-rounds"});  // load = timed stage below
+      {"n", "p", "avg-deg", "max-rounds", "save", "post-rounds",
+       "scale"});  // load = timed stage below
 
   constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
   const Vertex n =

@@ -15,7 +15,9 @@ using namespace ssmis;
 int main(int argc, char** argv) {
   auto ctx = bench::init_experiment(
       argc, argv, "E4 (Theorem 11): bounded arboricity",
-      "2-state is O(log n) whp on any bounded-arboricity graph", 20);
+      "2-state is O(log n) whp on any bounded-arboricity graph", 20,
+      bench::GraphFilePolicy::kLoad, "2state", bench::ProtocolPolicy::kSelectable,
+      {"scale"});
 
   struct Family {
     std::string name;

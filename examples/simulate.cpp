@@ -154,16 +154,8 @@ int main(int argc, char** argv) {
     std::cout << "result:  " << (r.stabilized ? "stabilized" : "HORIZON HIT")
               << " after " << r.rounds << " rounds\n";
     if (!r.trace.empty()) {
-      // |B_t| is protocol-defined: black vertices for the MIS family,
-      // claimed EDGES for matching — each gets the matching greedy reference.
-      if (config.protocol == "matching") {
-        std::cout << "stable |B_t|: " << r.trace.back().black
-                  << " claimed edges (greedy matching reference "
-                  << greedy_maximal_matching(g).size() << ")\n";
-      } else {
-        std::cout << "stable |B_t|: " << r.trace.back().black
-                  << " (greedy MIS reference " << greedy_mis(g).size() << ")\n";
-      }
+      std::cout << "stable |B_t|: " << r.trace.back().black
+                << " (greedy MIS reference " << greedy_mis(g).size() << ")\n";
       std::vector<double> unstable;
       for (const RoundStats& s : r.trace)
         unstable.push_back(static_cast<double>(s.unstable));

@@ -47,8 +47,6 @@ DaemonMIS::DaemonMIS(const Graph& g, std::vector<Color2> init,
       daemon_(std::move(daemon)) {
   if (daemon_ == nullptr)
     throw std::invalid_argument("DaemonMIS: daemon must not be null");
-  if (!engine_.rule().covers(g.num_vertices()))
-    throw std::invalid_argument("DaemonMIS: bias table size != num_vertices");
 }
 
 void DaemonMIS::step() {

@@ -116,8 +116,7 @@ class RandomSubsetDaemon final : public ActivationDaemon {
 // does.
 class DaemonMIS final : public EngineProcess<TwoStateRule> {
  public:
-  // Throws std::invalid_argument on a null daemon or an init size mismatch,
-  // including a bias table whose size is not g.num_vertices().
+  // Throws std::invalid_argument on a null daemon or an init size mismatch.
   DaemonMIS(const Graph& g, std::vector<Color2> init,
             std::unique_ptr<ActivationDaemon> daemon, TwoStateRule rule);
   // The fair coin.

@@ -24,8 +24,8 @@
 // activity predicates and its MIS membership (see `ProcessRule` below);
 // the MIS bookkeeping is derived from the membership here, once. Five rules
 // cover every process: the 2-state rule (with its bias sources it also runs
-// the ablation, priority, daemon and matching workloads, and with its
-// coinless flip the sequential central-daemon baseline), 3-state, 3-color,
+// the ablation and daemon workloads, and with its coinless flip the
+// sequential central-daemon baseline), 3-state, 3-color,
 // and the beeping and stone-age network simulators' automaton rules — all
 // over this one stepping core, with the same MIS bookkeeping for each.
 //

@@ -1,8 +1,8 @@
 // EngineProcess<Rule>: the one Process implementation.
 //
 // Every protocol of the library is a ProcessEngine<Rule> (core/engine.hpp)
-// read through the paper's MIS bookkeeping, so the Process surface is
-// written once, here:
+// on the graph it was given, read through the paper's MIS bookkeeping, so
+// the Process surface is written once, here:
 //
 //   * the output is the black set B_t, validity is is_mis;
 //   * settled(u) is coverage, u ∈ N+(I_t);
@@ -10,13 +10,16 @@
 //     random color;
 //   * the snapshot is (round, |B_t|, |A_t|, |I_t|, |V_t|, 0 grays).
 //
+// graph, output_set, settled, verify_output, force_state, raw_state and
+// num_colors are final: no wrapper can give a protocol another graph,
+// output, validity or state encoding.
 // black(u), black_set() and num_black() read the rule's MIS membership,
 // `in_mis(c)` (part of ProcessRule) — black for the direct processes, the
 // automaton's MIS states for the networks. Each wrapper (TwoStateMIS,
 // ThreeColorMIS, BeepingNetwork, ...) derives from EngineProcess and
-// overrides only what is its own: ThreeColorMIS's switch, DaemonMIS's
-// step and round, MaximalMatching's edge-state output and faults, the
-// networks' communication counts.
+// overrides only what is its own: ThreeColorMIS's switch, fault and
+// snapshot, DaemonMIS's step and round, the networks' communication
+// counts.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +47,7 @@ class EngineProcess : public Process {
   void step() override { engine_.step(); }
   // Rounds executed so far; colors() is c_t with t = round().
   std::int64_t round() const override { return engine_.round(); }
-  const Graph& graph() const override { return engine_.graph(); }
+  const Graph& graph() const final { return engine_.graph(); }
   // Stabilized ⟺ no MIS violation ⟺ the black set is an MIS (O(1)).
   bool stabilized() const override { return engine_.stabilized(); }
 
@@ -95,22 +98,21 @@ class EngineProcess : public Process {
   // orbits, a no-op for the others); bit-identical trajectories either way.
   void set_fast_forward(bool on) override { engine_.set_fast_forward(on); }
 
-  std::vector<Vertex> output_set() const override { return black_set(); }
-  bool settled(Vertex u) const override { return !engine_.unstable(u); }
-  void verify_output() const override {
+  std::vector<Vertex> output_set() const final { return black_set(); }
+  bool settled(Vertex u) const final { return !engine_.unstable(u); }
+  void verify_output() const final {
     verify_mis_output(engine_.graph(), black_set());
   }
-  void force_state(Vertex u, std::uint8_t raw) override {
+  void force_state(Vertex u, std::uint8_t raw) final {
     force_color(u, static_cast<Color>(raw));
   }
-  std::uint8_t raw_state(Vertex u) const override {
+  std::uint8_t raw_state(Vertex u) const final {
     return static_cast<std::uint8_t>(color(u));
   }
-  int num_colors() const override { return engine_.num_colors(); }
-  bool inject_fault(Vertex u, std::uint64_t w) override {
+  int num_colors() const final { return engine_.num_colors(); }
+  void inject_fault(Vertex u, std::uint64_t w) override {
     force_state(u, static_cast<std::uint8_t>(
                        w % static_cast<std::uint64_t>(num_colors())));
-    return true;
   }
 
   const Engine& engine() const { return engine_; }

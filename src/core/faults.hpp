@@ -16,14 +16,13 @@
 namespace ssmis {
 
 struct FaultReport {
-  Vertex corrupted = 0;  // number of vertices rewritten
+  Vertex corrupted = 0;  // number of vertices chosen and rewritten
 };
 
 // Corrupts each vertex independently w.p. `fraction` through
 // Process::inject_fault, which covers the full per-vertex state (the 3-color
-// switch level included) and may find nothing to corrupt at a vertex (an
-// isolated vertex under the edge-state matching protocol). Deterministic per
-// (fraction, salt); `salt` decorrelates successive injections.
+// switch level included). Deterministic per (fraction, salt); `salt`
+// decorrelates successive injections.
 FaultReport inject_faults(Process& process, double fraction, std::int64_t salt);
 
 }  // namespace ssmis

@@ -6,11 +6,13 @@
 // injection (core/faults.hpp) and the CLI all work for any registered
 // protocol (harness/registry.hpp).
 //
-// Its one implementation is `EngineProcess<Rule>` (core/engine_process.hpp),
-// which owns the rule's ProcessEngine and answers every method from the MIS
-// bookkeeping; each protocol's wrapper derives from it and overrides only
-// what is its own (the 3-color lazy switch, the daemon's step, matching's
-// edge states).
+// Every protocol is an MIS process: its output is the black set B_t, a
+// vertex is settled once it is in N+(I_t), and validity is is_mis. The one
+// implementation is `EngineProcess<Rule>` (core/engine_process.hpp), which
+// owns the rule's ProcessEngine, answers those reads from the MIS
+// bookkeeping and marks them final; each protocol's wrapper derives from it
+// and overrides only its stepping, snapshot and faults (the 3-color lazy
+// switch, the daemon's step).
 //
 // Cost model: type erasure sits at ROUND granularity. The run loop below
 // makes one virtual call each to step(), stabilized() and round() per round,
@@ -44,6 +46,7 @@ class Process {
  public:
   virtual ~Process() = default;
 
+  // The graph the process runs on.
   virtual const Graph& graph() const = 0;
 
   // One synchronous round (or one daemon step, for scheduler-driven
@@ -51,12 +54,11 @@ class Process {
   virtual void step() = 0;
   virtual std::int64_t round() const = 0;
 
-  // The protocol's own fixed-point predicate: for the MIS family this is
-  // "the claimed set is an MIS", for matching "no vertex wants to move".
+  // The fixed-point predicate: the black set is an MIS.
   virtual bool stabilized() const = 0;
 
-  // The paper's bookkeeping aggregates for this round (B_t, A_t, I_t, V_t,
-  // Gamma_t — protocols reinterpret them as documented in their wrapper).
+  // The paper's bookkeeping aggregates for this round: |B_t|, |A_t|, |I_t|,
+  // |V_t|, and the gray count Gamma_t (ThreeColorMIS only; 0 elsewhere).
   virtual RoundStats snapshot() const = 0;
 
   // run_until_stabilized on this process.
@@ -64,19 +66,17 @@ class Process {
     return run_until_stabilized(*this, max_rounds, mode);
   }
 
-  // The protocol's output: the claimed MIS / matched vertices / etc.,
-  // ascending. Meaningful once stabilized (and best-effort before).
+  // The black set B_t, ascending: the MIS once stabilized (B_t = I_t then),
+  // the current black vertices before.
   virtual std::vector<Vertex> output_set() const = 0;
 
-  // u is covered by the protocol's stable structure (u ∈ N+(I_t) for the
-  // MIS family; protocol-defined otherwise). Drives the per-vertex
-  // stabilization-time tables; must be monotone once no faults are injected
-  // for protocols that report such tables.
+  // u ∈ N+(I_t): u is a stable black (a black without a black neighbor) or
+  // a neighbor of one. Drives the per-vertex stabilization-time tables;
+  // monotone while no faults are injected.
   virtual bool settled(Vertex u) const = 0;
 
-  // Checks the stabilized output against the protocol's global validity
-  // predicate (is_mis, is_maximal_matching, ...) and throws std::logic_error
-  // naming the violation if it fails — the harness never reports an invalid
+  // Checks the output with is_mis and throws std::logic_error naming the
+  // violation if it fails — the harness never reports an invalid
   // "success". Called by the harness after every stabilized trial.
   virtual void verify_output() const = 0;
 
@@ -93,10 +93,8 @@ class Process {
 
   // Corrupts u's FULL per-vertex state (auxiliary clocks included) from 64
   // random bits — the transient-fault primitive behind the generic
-  // inject_faults(Process&, ...). Returns whether any state was actually
-  // overwritten (a protocol may have nothing to corrupt at u, e.g. an
-  // isolated vertex under edge-state protocols).
-  virtual bool inject_fault(Vertex u, std::uint64_t w) = 0;
+  // inject_faults(Process&, ...). Every vertex has a state to corrupt.
+  virtual void inject_fault(Vertex u, std::uint64_t w) = 0;
 
   // Toggles the stable-periodic fast-forward optimization (on by default
   // where the protocol supports it; a no-op elsewhere). Purely a schedule

@@ -37,7 +37,7 @@ SwitchProcess& ThreeColorMIS::switch_process() {
   return *switch_;
 }
 
-bool ThreeColorMIS::inject_fault(Vertex u, std::uint64_t w) {
+void ThreeColorMIS::inject_fault(Vertex u, std::uint64_t w) {
   force_color(u, static_cast<ColorG>(w % 3));
   if (auto* sw = dynamic_cast<RandomizedLogSwitch*>(&switch_process())) {
     PhaseClock& clock = sw->clock();
@@ -45,7 +45,6 @@ bool ThreeColorMIS::inject_fault(Vertex u, std::uint64_t w) {
                              (w >> 8) %
                              static_cast<std::uint64_t>(clock.num_states())));
   }
-  return true;
 }
 
 RoundStats ThreeColorMIS::snapshot() const {

@@ -123,7 +123,7 @@ class ThreeColorMIS final : public EngineProcess<ThreeColorRule> {
   // Transient fault at u from 64 random bits: a random color and, when the
   // switch is a phase clock (RandomizedLogSwitch), a random clock level —
   // the full per-vertex state.
-  bool inject_fault(Vertex u, std::uint64_t w) override;
+  void inject_fault(Vertex u, std::uint64_t w) override;
 
   // The engine snapshot plus Gamma_t, the gray count.
   RoundStats snapshot() const override;

@@ -7,24 +7,22 @@
 // the black set is a maximal independent set nothing is active and the
 // process has stabilized.
 //
-// Randomness: the draw comes from one of three bias sources, each on its own
+// Randomness: the draw comes from one of two bias sources, each on its own
 // CoinOracle tag so every trajectory pinned per protocol stays put:
 //  * the fair coin phi_t(u) on CoinTag::kMisColor — Definition 4, and
 //    exactly the coupling device of Section 2.1, so runs are bit-identical
-//    to the beeping-model simulation (`2state`, `daemon`, `matching`);
+//    to the beeping-model simulation (`2state`, `daemon`);
 //  * a constant q on CoinTag::kAblation, optionally with the deterministic
 //    white -> black move of the paper's footnote 1 (`2state-variant`, the
-//    ablation of the q = 1/2 choice);
-//  * a per-vertex table p_u on CoinTag::kPriority (`priority`, see
-//    make_priority_biases): the MIS skews toward high-p vertices.
+//    ablation of the q = 1/2 choice).
 // Any bias in (0, 1) keeps every absorbing configuration an MIS and
 // stabilization almost sure; only the speed and the distribution over MISes
 // move.
 //
-// A fourth source draws no coin: the flip, where an active vertex takes the
-// other color. Under a central daemon that is the sequential algorithm of
-// [Shukla et al. 95] (DaemonMIS, core/daemon.hpp); run synchronously it
-// livelocks, since two adjacent blacks flip in lockstep forever.
+// The flip draws no coin: an active vertex takes the other color. Under a
+// central daemon that is the sequential algorithm of [Shukla et al. 95]
+// (DaemonMIS, core/daemon.hpp); run synchronously it livelocks, since two
+// adjacent blacks flip in lockstep forever.
 //
 // Implementation: a thin rule over ProcessEngine (core/engine.hpp), run as
 // an EngineProcess (core/engine_process.hpp). A round costs O(|A_t| + sum
@@ -34,8 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "core/color.hpp"
@@ -57,10 +53,6 @@ class TwoStateRule {
   // black deterministically. Throws std::invalid_argument unless 0 < q < 1
   // (q = 0 or 1 can deadlock).
   TwoStateRule(const CoinOracle& coins, double black_bias, bool eager_white);
-  // Black with probability (*biases)[u]. Throws std::invalid_argument on a
-  // null table or an entry outside (0, 1); TwoStateMIS checks its length.
-  TwoStateRule(const CoinOracle& coins,
-               std::shared_ptr<const std::vector<double>> biases);
   // The flip: an active vertex takes the other color; no coin is drawn.
   static TwoStateRule flip();
 
@@ -82,51 +74,30 @@ class TwoStateRule {
     return black_coin(u, c, t) ? Color2::kBlack : Color2::kWhite;
   }
 
-  // Whether the bias source has a coin for every vertex of an n-vertex graph.
-  bool covers(Vertex n) const {
-    return source_ != Source::kTable ||
-           biases_->size() == static_cast<std::size_t>(n);
-  }
-
  private:
-  enum class Source : std::uint8_t { kFair, kConstant, kTable, kFlip };
+  enum class Source : std::uint8_t { kFair, kConstant, kFlip };
 
   // The source is fixed at construction, so the dispatch is a branch that
   // goes the same way on every call of a run.
   bool black_coin(Vertex u, Color2 c, std::int64_t t) const {
     if (source_ == Source::kFair) return coins_.fair_coin(t, u);
     if (source_ == Source::kFlip) return !is_black(c);
-    if (source_ == Source::kConstant)
-      return (eager_white_ && !is_black(c)) ||
-             coins_.bernoulli(t, u, CoinTag::kAblation, black_bias_);
-    return coins_.bernoulli(t, u, CoinTag::kPriority,
-                            (*biases_)[static_cast<std::size_t>(u)]);
+    return (eager_white_ && !is_black(c)) ||
+           coins_.bernoulli(t, u, CoinTag::kAblation, black_bias_);
   }
 
   CoinOracle coins_;
   Source source_ = Source::kFair;
   double black_bias_ = 0.5;
   bool eager_white_ = false;
-  // Shared: the engine copies the rule by value; the table is per-trial
-  // immutable, so one allocation serves every copy.
-  std::shared_ptr<const std::vector<double>> biases_;
 };
-
-// The per-vertex bias table of the `priority` workload: p_u = lo + (hi - lo)
-// * w_u for a priority weight w_u in [0, 1] — "id" (w = u / (n-1)),
-// "degree" (w = deg(u) / max_deg) or "random" (w drawn once per (seed,
-// vertex)). Throws std::invalid_argument on an unknown mode or unless
-// 0 < lo <= hi < 1.
-std::shared_ptr<const std::vector<double>> make_priority_biases(
-    const Graph& g, const std::string& mode, double lo, double hi,
-    std::uint64_t seed);
 
 class TwoStateMIS final : public EngineProcess<TwoStateRule> {
  public:
   // `init` must have size g.num_vertices(). Throws std::invalid_argument on
-  // size mismatch, including a bias table whose size is not
-  // g.num_vertices().
-  TwoStateMIS(const Graph& g, std::vector<Color2> init, TwoStateRule rule);
+  // size mismatch.
+  TwoStateMIS(const Graph& g, std::vector<Color2> init, TwoStateRule rule)
+      : EngineProcess(g, std::move(init), std::move(rule)) {}
   // Definition 4: the fair coin.
   TwoStateMIS(const Graph& g, std::vector<Color2> init, const CoinOracle& coins)
       : TwoStateMIS(g, std::move(init), TwoStateRule(coins)) {}

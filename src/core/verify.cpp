@@ -156,79 +156,6 @@ void verify_mis_output(const Graph& g, const std::vector<Vertex>& claimed) {
                          find_mis_violation(g, mask).value());
 }
 
-bool is_matching(const Graph& g, const std::vector<Edge>& matching) {
-  std::vector<char> used(static_cast<std::size_t>(g.num_vertices()), 0);
-  for (const auto& [u, v] : matching) {
-    if (u < 0 || v < 0 || u >= g.num_vertices() || v >= g.num_vertices() ||
-        !g.has_edge(u, v))
-      return false;
-    if (used[static_cast<std::size_t>(u)] || used[static_cast<std::size_t>(v)])
-      return false;
-    used[static_cast<std::size_t>(u)] = 1;
-    used[static_cast<std::size_t>(v)] = 1;
-  }
-  return true;
-}
-
-bool is_maximal_matching(const Graph& g, const std::vector<Edge>& matching) {
-  return !find_matching_violation(g, matching).has_value();
-}
-
-std::optional<std::string> find_matching_violation(
-    const Graph& g, const std::vector<Edge>& matching) {
-  std::vector<char> used(static_cast<std::size_t>(g.num_vertices()), 0);
-  for (const auto& [u, v] : matching) {
-    if (u < 0 || v < 0 || u >= g.num_vertices() || v >= g.num_vertices() ||
-        !g.has_edge(u, v)) {
-      std::ostringstream oss;
-      oss << "matching violated: {" << u << ", " << v << "} is not an edge";
-      return oss.str();
-    }
-    for (Vertex x : {u, v}) {
-      if (used[static_cast<std::size_t>(x)]) {
-        std::ostringstream oss;
-        oss << "matching violated: vertex " << x << " is in two matching edges";
-        return oss.str();
-      }
-      used[static_cast<std::size_t>(x)] = 1;
-    }
-  }
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (used[static_cast<std::size_t>(u)]) continue;
-    std::optional<std::string> violation;
-    g.for_each_neighbor(u, [&](Vertex v) {
-      if (v > u && !used[static_cast<std::size_t>(v)]) {
-        std::ostringstream oss;
-        oss << "maximality violated: edge {" << u << ", " << v
-            << "} has both endpoints unmatched";
-        violation = oss.str();
-        return false;
-      }
-      return true;
-    });
-    if (violation) return violation;
-  }
-  return std::nullopt;
-}
-
-std::vector<Edge> greedy_maximal_matching(const Graph& g) {
-  std::vector<char> used(static_cast<std::size_t>(g.num_vertices()), 0);
-  std::vector<Edge> edges;
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (used[static_cast<std::size_t>(u)]) continue;
-    g.for_each_neighbor(u, [&](Vertex v) {
-      if (v > u && !used[static_cast<std::size_t>(v)]) {
-        used[static_cast<std::size_t>(u)] = 1;
-        used[static_cast<std::size_t>(v)] = 1;
-        edges.emplace_back(u, v);
-        return false;
-      }
-      return true;
-    });
-  }
-  return edges;
-}
-
 std::vector<Vertex> greedy_mis(const Graph& g) {
   std::vector<char> blocked(static_cast<std::size_t>(g.num_vertices()), 0);
   std::vector<Vertex> mis;

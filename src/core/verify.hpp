@@ -7,7 +7,6 @@
 
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -42,23 +41,6 @@ std::optional<std::string> find_mis_violation(const Graph& g,
 // It reads only the graph and `claimed`, with is_mis's one-pass check; only
 // a failed check runs find_mis_violation for the message.
 void verify_mis_output(const Graph& g, const std::vector<Vertex>& claimed);
-
-// Matching validity over an explicit EDGE list: every listed pair is a real
-// edge of g and no vertex appears twice.
-bool is_matching(const Graph& g, const std::vector<Edge>& matching);
-
-// Maximal matching: a matching such that every edge of g shares an endpoint
-// with a matching edge (nothing can be added).
-bool is_maximal_matching(const Graph& g, const std::vector<Edge>& matching);
-
-// First maximal-matching violation, or nullopt. For test failure messages
-// and the harness's validity aborts.
-std::optional<std::string> find_matching_violation(
-    const Graph& g, const std::vector<Edge>& matching);
-
-// Deterministic greedy maximal matching (ascending edge order): the
-// reference answer for size comparisons. Returns matched pairs (u < v).
-std::vector<Edge> greedy_maximal_matching(const Graph& g);
 
 // Deterministic greedy MIS (ascending vertex order): the reference answer
 // for size comparisons.

@@ -70,9 +70,9 @@ RunResult traced_run(const Graph& g, const MeasureConfig& config) {
 
 namespace {
 
-// Records first-settled rounds. For the MIS family, settled(u) reads the
-// engine's stable-black coverage counters — exactly u ∈ N+(I_t), what the
-// pre-registry driver derived by re-marking N+(stable blacks) every round.
+// Records first-settled rounds. settled(u) reads the engine's stable-black
+// coverage counters — exactly u ∈ N+(I_t), what the pre-registry driver
+// derived by re-marking N+(stable blacks) every round.
 void record_settled(const Process& process, std::int64_t round,
                     std::vector<std::int64_t>* times) {
   const Vertex n = process.graph().num_vertices();

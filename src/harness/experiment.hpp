@@ -58,8 +58,8 @@ struct Measurements {
 
 // Runs `config.trials` independent executions of the chosen protocol on `g`
 // (seeds seed, seed+1, ...), each from `config.init` states, and verifies
-// every stabilized run's output against the protocol's validity predicate
-// (aborts via exception if invalid — the harness never reports an invalid
+// that every stabilized run's output is an MIS (Process::verify_output;
+// aborts via exception if not — the harness never reports an invalid
 // "success"). Trials are scheduled over TrialBatch per
 // config.threads/config.batch; the returned Measurements are identical for
 // every thread count.

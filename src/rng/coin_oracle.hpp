@@ -30,7 +30,6 @@ enum class CoinTag : std::uint32_t {
   kScheduler = 6,     // daemon choices (central, random subset)
   kAblation = 7,      // 2-state constant-bias source (2state-variant)
   kNoise = 8,         // lossy-channel carrier-sense suppression
-  kPriority = 9,      // 2-state per-vertex bias table (priority workload)
 };
 
 class CoinOracle {

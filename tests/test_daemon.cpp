@@ -22,12 +22,6 @@ TEST(Daemon, ConstructorValidation) {
   EXPECT_THROW(DaemonMIS(g, {Color2::kWhite}, std::make_unique<RoundRobinDaemon>(),
                          TwoStateRule::flip()),
                std::invalid_argument);
-  // The rule constructor checks a bias table's size as TwoStateMIS does.
-  EXPECT_THROW(
-      DaemonMIS(g, std::vector<Color2>(3, Color2::kWhite),
-                std::make_unique<RoundRobinDaemon>(),
-                TwoStateRule(CoinOracle(1), std::make_shared<const std::vector<double>>(2, 0.5))),
-      std::invalid_argument);
   EXPECT_THROW(RandomSubsetDaemon(0.0, 1), std::invalid_argument);
   EXPECT_THROW(RandomSubsetDaemon(1.5, 1), std::invalid_argument);
 }

@@ -823,7 +823,7 @@ TEST(CoverageOnDemand, LateFirstReadMatchesRoundZeroRead) {
   const CoinOracle fault_coins(1006);
   constexpr int kFirstRead = 5;
   for (const std::string name :
-       {"2state", "3state", "3color", "daemon", "matching", "beeping", "stoneage"}) {
+       {"2state", "3state", "3color", "daemon", "beeping", "stoneage"}) {
     const ProtocolParams params = with_init({}, InitPattern::kUniformRandom);
     const auto early = ProtocolRegistry::instance().make(name, g, params, 107);
     const auto late = ProtocolRegistry::instance().make(name, g, params, 107);
@@ -894,7 +894,6 @@ TEST(CoverageOnDemand, VertexStabilizationTimesUnchanged) {
       {"3state", "", 0x4e1b08cbedf08a83ULL},
       {"3color", "", 0xd2834a8844bc6755ULL},
       {"daemon", "", 0x1ffaa2dc546f7a60ULL},
-      {"matching", "", 0xa5da9b51569c43a0ULL},
       {"beeping", "", 0x1ffaa2dc546f7a60ULL},
       {"beeping", "loss=0.02", 0x88259b7a626b9a83ULL},
       {"stoneage", "fast-forward=1", 0x4e1b08cbedf08a83ULL},

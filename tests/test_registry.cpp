@@ -10,9 +10,9 @@
 //      dispatch.
 //   2. Every registered protocol — current and future — passes the same
 //      table-driven smoke: construction, stabilization on a small graph
-//      suite, validity of the stabilized output via the protocol's own
-//      verify predicate, storage-independence, and fault recovery. A new
-//      workload gets all of this by registering, with zero new test code.
+//      suite, validity of the stabilized output (verify_output, is_mis),
+//      storage-independence, and fault recovery. A new workload gets all
+//      of this by registering, with zero new test code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,31 +124,14 @@ void expect_legacy_goldens(const Graph& g, const std::string& where) {
       << where;
 }
 
-void expect_new_workload_goldens(const Graph& g, const std::string& where) {
-  const ProtocolParams none;
-  EXPECT_EQ(trajectory_fingerprint("matching", none, g, 42, 48),
-            0x3ffa8d139f5950aaULL)
-      << where;
-  EXPECT_EQ(trajectory_fingerprint("priority", none, g, 42, 48),
-            0x38816e73a077402aULL)
-      << where;
-  // The non-default bias sources: a constant q with the deterministic
-  // white -> black move, and the degree and random per-vertex tables.
+// The non-default bias source: a constant q with the deterministic
+// white -> black move.
+void expect_eager_variant_golden(const Graph& g, const std::string& where) {
   ProtocolParams eager;
   eager.set("black-bias", "0.3");
   eager.set("eager-white", "1");
   EXPECT_EQ(trajectory_fingerprint("2state-variant", eager, g, 42, 48),
             0xbfa38ab4bfc21049ULL)
-      << where;
-  ProtocolParams degree;
-  degree.set("priority", "degree");
-  EXPECT_EQ(trajectory_fingerprint("priority", degree, g, 42, 48),
-            0x092390d765cfc586ULL)
-      << where;
-  ProtocolParams random;
-  random.set("priority", "random");
-  EXPECT_EQ(trajectory_fingerprint("priority", random, g, 42, 48),
-            0xd553b000d7c22113ULL)
       << where;
 }
 
@@ -159,9 +142,7 @@ TEST(Registry, AllSevenLegacyProtocolsRegistered) {
     EXPECT_TRUE(registry.contains(name)) << name;
     EXPECT_FALSE(registry.describe(name).empty()) << name;
   }
-  // The two post-registry workloads ride the same path.
-  EXPECT_TRUE(registry.contains("matching"));
-  EXPECT_TRUE(registry.contains("priority"));
+  EXPECT_EQ(registry.names().size(), 7U);
 }
 
 // Golden fingerprints captured from the PRE-registry drivers (gnp(96, 0.06,
@@ -175,9 +156,9 @@ TEST(Registry, GoldenTrajectoryFingerprints) {
   expect_legacy_goldens(gen::gnp(96, 0.06, 5), "plain");
 }
 
-// The new workloads' trajectories are pinned from their introduction.
-TEST(Registry, NewWorkloadGoldenFingerprints) {
-  expect_new_workload_goldens(gen::gnp(96, 0.06, 5), "plain");
+// Pinned from the bias source's introduction.
+TEST(Registry, EagerVariantGoldenFingerprint) {
+  expect_eager_variant_golden(gen::gnp(96, 0.06, 5), "plain");
 }
 
 // The bit-identity contract across the graph substrate: mmap'd storage is
@@ -187,7 +168,7 @@ TEST(Registry, NewWorkloadGoldenFingerprints) {
 TEST(Registry, CrossRepresentationStorageKeepsTheGoldens) {
   for (const StorageCase& storage : golden_graph_storages()) {
     expect_legacy_goldens(storage.graph, storage.name);
-    expect_new_workload_goldens(storage.graph, storage.name);
+    expect_eager_variant_golden(storage.graph, storage.name);
   }
 }
 
@@ -212,8 +193,9 @@ TEST(Registry, CrossRepresentationBitIdentityForEveryProtocol) {
 // FNV-1a over everything the harness reads through Process, round by round:
 // each vertex's raw_state and settled, every snapshot() field, stabilized()
 // and output_set(). After steps 16 and 32 a fixed burst of 12 faults (its
-// vertices and words from CoinOracle(7)) hits the process, and the burst's
-// inject_fault return values are folded too.
+// vertices and words from CoinOracle(7)) hits the process, and each fault
+// folds `true`, the flag inject_fault returned while a protocol could find
+// nothing to corrupt, so the pinned constants stay put.
 std::uint64_t process_surface_fingerprint(const std::string& name,
                                           const ProtocolParams& params,
                                           const Graph& g) {
@@ -245,7 +227,8 @@ std::uint64_t process_surface_fingerprint(const std::string& name,
         const Vertex u = static_cast<Vertex>(
             faults.word(step, i, CoinTag::kFault) %
             static_cast<std::uint64_t>(g.num_vertices()));
-        fold(p->inject_fault(u, faults.word(step, i, CoinTag::kNoise)));
+        p->inject_fault(u, faults.word(step, i, CoinTag::kNoise));
+        fold(true);
       }
     }
     fold_round();
@@ -278,8 +261,6 @@ TEST(Registry, ProcessSurfaceGoldenFingerprints) {
       {"beeping", nullptr, nullptr, 0x70356b3f22dfaeabULL},
       {"beeping", "loss", "0.02", 0xc351ea5b6785abd8ULL},
       {"daemon", nullptr, nullptr, 0x70356b3f22dfaeabULL},
-      {"matching", nullptr, nullptr, 0x69cb2e30f420e8bcULL},
-      {"priority", nullptr, nullptr, 0x61dfb4b50d2422b6ULL},
       {"stoneage", nullptr, nullptr, 0x4f107e22ff195386ULL},
   };
   std::size_t defaults = 0;
@@ -425,12 +406,7 @@ TEST(Registry, OutputSetsMatchTheProtocolsOwnPredicates) {
     ASSERT_TRUE(r.stabilized) << name;
     EXPECT_NO_THROW(p->verify_output()) << name;
     EXPECT_FALSE(p->output_set().empty()) << name;  // g has edges everywhere
-    // The direct predicate cross-check: MIS protocols produce an MIS of g;
-    // the matching protocol's vertex output is checked via its edges in
-    // verify_output (a matched-vertex set alone does not determine pairs).
-    if (name != "matching") {
-      EXPECT_TRUE(is_mis(g, p->output_set())) << name;
-    }
+    EXPECT_TRUE(is_mis(g, p->output_set())) << name;
     // settled() must cover the whole graph at the fixed point.
     for (Vertex u = 0; u < g.num_vertices(); ++u)
       EXPECT_TRUE(p->settled(u)) << name << " vertex " << u;
@@ -447,7 +423,8 @@ TEST(Registry, EveryProtocolRecoversFromInjectedFaults) {
     int corrupted = 0;
     for (Vertex u = 0; u < g.num_vertices(); ++u) {
       if (!coins.bernoulli(0, u, CoinTag::kFault, 0.5)) continue;
-      if (p->inject_fault(u, coins.word(1, u, CoinTag::kFault))) ++corrupted;
+      p->inject_fault(u, coins.word(1, u, CoinTag::kFault));
+      ++corrupted;
     }
     ASSERT_GT(corrupted, 0);
     ASSERT_TRUE(p->run(500000, TraceMode::kNone).stabilized)
@@ -458,16 +435,20 @@ TEST(Registry, EveryProtocolRecoversFromInjectedFaults) {
 
 // --- error handling: typos must be loud -----------------------------------
 
+// A typo, and the retired `matching` and `priority` protocols: each is
+// just an unknown name.
 TEST(Registry, UnknownProtocolThrowsListingNames) {
   const Graph g = gen::path(4);
   const ProtocolParams params;
-  try {
-    ProtocolRegistry::instance().make("2sate", g, params, 1);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("2sate"), std::string::npos);
-    EXPECT_NE(what.find("2state"), std::string::npos);  // the valid list
+  for (const std::string name : {"2sate", "matching", "priority"}) {
+    try {
+      ProtocolRegistry::instance().make(name, g, params, 1);
+      ADD_FAILURE() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + name + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("2state"), std::string::npos) << what;  // the valid list
+    }
   }
 }
 
@@ -546,7 +527,7 @@ TEST(Registry, DuplicateRegistrationThrows) {
 // settle tables work for names the enum era could not express.
 TEST(Registry, HarnessTracesNonEnumEraProtocols) {
   const Graph g = gen::gnp(40, 0.12, 29);
-  for (const char* name : {"beeping", "daemon", "matching", "priority"}) {
+  for (const char* name : {"beeping", "daemon"}) {
     MeasureConfig config;
     config.protocol = name;
     config.seed = 7;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "core/init.hpp"
@@ -23,26 +22,6 @@ TEST(TwoStateVariant, Validation) {
   EXPECT_THROW(TwoStateRule(coins, 1.0, false), std::invalid_argument);
   EXPECT_THROW(TwoStateRule(coins, std::nan(""), false), std::invalid_argument);
   EXPECT_NO_THROW(TwoStateMIS(g, init, TwoStateRule(coins, 0.5, true)));
-  // A per-vertex table must be present, hold probabilities in (0, 1), and
-  // have exactly one entry per vertex (a short one would be read past its
-  // end on the first step).
-  using Table = std::vector<double>;
-  EXPECT_THROW(TwoStateRule(coins, std::shared_ptr<const Table>()),
-               std::invalid_argument);
-  EXPECT_THROW(TwoStateRule(coins, std::make_shared<const Table>(Table{0.5, 1.0})),
-               std::invalid_argument);
-  const Graph k10 = gen::complete(10);
-  const std::vector<Color2> whites(10, Color2::kWhite);
-  EXPECT_THROW(
-      TwoStateMIS(k10, whites,
-                  TwoStateRule(coins, std::make_shared<const Table>(3, 0.5))),
-      std::invalid_argument);
-  EXPECT_THROW(
-      TwoStateMIS(k10, whites,
-                  TwoStateRule(coins, std::make_shared<const Table>(11, 0.5))),
-      std::invalid_argument);
-  EXPECT_NO_THROW(TwoStateMIS(
-      k10, whites, TwoStateRule(coins, std::make_shared<const Table>(10, 0.5))));
 }
 
 TEST(TwoStateVariant, ActivePredicateMatchesBaseProcess) {
